@@ -126,6 +126,13 @@ func TestClusterMetricsExported(t *testing.T) {
 			t.Fatalf("cluster metric %q missing from export:\n%s", want, text)
 		}
 	}
+	// Every shard reports its own resident memory, not only shard 0.
+	for _, sh := range c.Shards() {
+		want := fmt.Sprintf(`elisa_cluster_mem_resident_bytes{shard="%d"} %d`, sh.ID, sh.Hypervisor().Phys().ResidentBytes())
+		if sh.Hypervisor().Phys().ResidentBytes() == 0 || !strings.Contains(text, want) {
+			t.Errorf("export lacks %q", want)
+		}
+	}
 	if _, err := sys.Metrics().JSON(); err != nil {
 		t.Fatalf("JSON export: %v", err)
 	}

@@ -14,10 +14,11 @@
 //
 // The -json mode runs the internal/perfgate bench kernels (not the paper
 // experiments) and writes one snapshot: simulated ops/s per kernel plus
-// the simulator's own wall-clock ns per simulated second and allocations
-// per op. Compare snapshots with elisa-benchdiff. The -parallel flag
-// widens the parallel_fleet kernel's lane fan-out: its simulated figures
-// are byte-identical at any width, so only wall_ns_per_sim_sec moves.
+// the simulator's own wall-clock ns per simulated second, allocations
+// per op, and the heap bytes and wall time of fixture setup. Compare
+// snapshots with elisa-benchdiff. The -parallel flag widens the
+// parallel_fleet kernel's lane fan-out: its simulated figures are
+// byte-identical at any width, so only wall_ns_per_sim_sec moves.
 package main
 
 import (
@@ -123,8 +124,8 @@ func runBenchJSON(quick bool, outPath, dir string) error {
 	}
 	fmt.Printf("wrote %s (schema %d, quick=%v)\n", path, b.Schema, b.Quick)
 	for _, k := range b.Kernels {
-		fmt.Printf("  %-14s %12.0f sim ops/s  %10.3g wall ns/sim s  %7.1f allocs/op\n",
-			k.ID, k.SimOpsPerSec, k.WallNsPerSimSec, k.AllocsPerOp)
+		fmt.Printf("  %-14s %12.0f sim ops/s  %10.3g wall ns/sim s  %7.1f allocs/op  %10.3g setup B  %10.3g setup ns\n",
+			k.ID, k.SimOpsPerSec, k.WallNsPerSimSec, k.AllocsPerOp, float64(k.SetupBytes), float64(k.SetupWallNS))
 	}
 	return nil
 }

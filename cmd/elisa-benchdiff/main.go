@@ -7,13 +7,15 @@
 //	elisa-benchdiff BENCH_0.json BENCH_1.json
 //	elisa-benchdiff -sim-threshold 0.05 base.json current.json
 //
-// Three metrics are compared per kernel, each with its own direction:
-// sim_ops_per_sec (higher is better; deterministic, tight threshold) and
-// allocs_per_op (lower is better; generous threshold) gate by default.
-// wall_ns_per_sim_sec swings with host load and hardware, so it is
-// recorded but ungated unless -wall-threshold is set above zero.
-// Improvements never fail the gate. Snapshots from different schema
-// versions refuse to compare; snapshots from different -quick scales are
+// Five metrics are compared per kernel, each with its own direction:
+// sim_ops_per_sec (higher is better; deterministic, tight threshold),
+// allocs_per_op and setup_bytes (lower is better; generous thresholds)
+// gate by default. wall_ns_per_sim_sec and setup_wall_ns swing with host
+// load and hardware, so they are recorded but ungated (-wall-threshold
+// opts wall_ns_per_sim_sec in). Improvements never fail the gate.
+// Schema-1 and schema-2 snapshots compare with each other (the setup
+// fields a schema-1 file lacks read as 0 and are skipped); any other
+// schema refuses to compare. Snapshots from different -quick scales are
 // a usage error (exit 2) unless -allow-quick-mismatch explicitly opts
 // into the cross-scale comparison, and either way the scale mode is
 // recorded in the diff output.

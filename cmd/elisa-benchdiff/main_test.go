@@ -146,3 +146,29 @@ func TestBenchdiffQuickMismatchEscapeHatch(t *testing.T) {
 		t.Errorf("matched comparison does not record the mode: %q", out)
 	}
 }
+
+// A committed schema-1 baseline gates a schema-2 snapshot on the fields
+// both share; a foreign schema is a usage error.
+func TestBenchdiffSchema1Baseline(t *testing.T) {
+	dir := t.TempDir()
+	v1 := filepath.Join(dir, "BENCH_3.json")
+	if err := os.WriteFile(v1, []byte(`{"schema": 1, "quick": true, "kernels": [
+  {"id": "call_rtt", "title": "t", "sim_ops": 500, "sim_elapsed_ns": 98000, "sim_ops_per_sec": 5.1e6, "wall_ns_per_sim_sec": 1e9, "allocs_per_op": 3}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	same := snap(t, dir, "BENCH_4.json", 5.1e6, 3)
+	worse := snap(t, dir, "BENCH_5.json", 4.0e6, 3)
+	if code, out := capture(t, []string{v1, same}); code != 0 {
+		t.Errorf("schema 1 vs 2 exited %d, want 0: %s", code, out)
+	}
+	if code, out := capture(t, []string{v1, worse}); code != 1 {
+		t.Errorf("regression across schemas exited %d, want 1: %s", code, out)
+	}
+	foreign := filepath.Join(dir, "BENCH_9.json")
+	if err := os.WriteFile(foreign, []byte(`{"schema": 99, "quick": true, "kernels": []}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if code, out := capture(t, []string{v1, foreign}); code != 2 || !strings.Contains(out, "schema") {
+		t.Errorf("foreign schema exited %d, want 2 naming the schema: %s", code, out)
+	}
+}

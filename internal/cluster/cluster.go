@@ -265,6 +265,9 @@ type ShardStats struct {
 	// GoodputOPS sums the shard's fleet tenants' goodput (0 without a
 	// cluster fleet).
 	GoodputOPS float64
+	// ResidentBytes is the host memory backing the shard's simulated
+	// physical memory (hv.MachineStats.ResidentBytes).
+	ResidentBytes int
 }
 
 // Stats is a cluster-wide accounting snapshot.
@@ -309,7 +312,8 @@ func (c *Cluster) Stats() Stats {
 		}
 	}
 	for _, sh := range c.shards {
-		ss := ShardStats{ID: sh.ID, Objects: perShardObjects[sh.ID], GoodputOPS: goodput[sh.ID]}
+		ss := ShardStats{ID: sh.ID, Objects: perShardObjects[sh.ID], GoodputOPS: goodput[sh.ID],
+			ResidentBytes: sh.hv.Phys().ResidentBytes()}
 		for _, a := range sh.mgr.Stats() {
 			ss.Calls += a.Calls
 			ss.FnErrors += a.FnErrors

@@ -170,6 +170,10 @@ type MachineStats struct {
 	// TraceEmitted is the total number of slow-path events ever emitted
 	// (0 when tracing is off).
 	TraceEmitted uint64
+	// ResidentBytes is the host memory backing simulated physical memory
+	// (mem.PhysMem.ResidentBytes): the simulator's own spend, not a
+	// simulated figure.
+	ResidentBytes int
 }
 
 // MachineStats returns the aggregate host snapshot.
@@ -178,10 +182,11 @@ func (h *Hypervisor) MachineStats() MachineStats {
 	killed, crashed := h.killed, h.crashed
 	h.deathMu.Unlock()
 	return MachineStats{
-		VMs:          len(h.vms),
-		Killed:       killed,
-		Crashed:      crashed,
-		TraceEmitted: h.trace.Emitted(),
+		VMs:           len(h.vms),
+		Killed:        killed,
+		Crashed:       crashed,
+		TraceEmitted:  h.trace.Emitted(),
+		ResidentBytes: h.pm.ResidentBytes(),
 	}
 }
 

@@ -2,8 +2,9 @@
 // repository: schema-versioned BENCH_<n>.json snapshots recording, for
 // every bench kernel, the *simulated* figure of merit (ops per simulated
 // second — deterministic, so tight thresholds hold) and the *simulator's*
-// own efficiency (wall-clock ns per simulated second and allocations per
-// op — hardware-dependent, so thresholds are generous), plus the
+// own efficiency (wall-clock ns per simulated second, allocations per
+// op, and the heap bytes and wall time of fixture setup —
+// hardware-dependent, so thresholds are generous), plus the
 // comparator elisa-benchdiff runs in CI to fail the build on regressions
 // in either dimension.
 package perfgate
@@ -18,8 +19,12 @@ import (
 )
 
 // SchemaVersion is the BENCH_<n>.json schema this package writes.
-// Readers reject files with a different version rather than guessing.
-const SchemaVersion = 1
+// Schema 2 added the setup fields; a schema-1 file reads them as 0.
+// Readers reject any other version rather than guessing.
+const SchemaVersion = 2
+
+// knownSchema reports whether Read and Diff understand schema v.
+func knownSchema(v int) bool { return v == 1 || v == SchemaVersion }
 
 // KernelResult is one kernel's measurements in a Bench snapshot.
 type KernelResult struct {
@@ -40,6 +45,11 @@ type KernelResult struct {
 	// AllocsPerOp is heap allocations per operation (testing.B-style
 	// Mallocs-delta accounting). Near-deterministic for a fixed runtime.
 	AllocsPerOp float64 `json:"allocs_per_op"`
+	// SetupBytes and SetupWallNS are the heap bytes allocated and the
+	// wall-clock time spent building the kernel's fixture (Prepare):
+	// boot cost, which the per-op figures above leave out. Schema 2.
+	SetupBytes  int64 `json:"setup_bytes"`
+	SetupWallNS int64 `json:"setup_wall_ns"`
 }
 
 // Bench is one BENCH_<n>.json snapshot.
@@ -83,8 +93,8 @@ func Read(path string) (*Bench, error) {
 	if err := json.Unmarshal(data, &b); err != nil {
 		return nil, fmt.Errorf("perfgate: %s: %w", path, err)
 	}
-	if b.Schema != SchemaVersion {
-		return nil, fmt.Errorf("perfgate: %s: schema %d, this tool reads %d", path, b.Schema, SchemaVersion)
+	if !knownSchema(b.Schema) {
+		return nil, fmt.Errorf("perfgate: %s: schema %d, this tool reads 1 and %d", path, b.Schema, SchemaVersion)
 	}
 	return &b, nil
 }

@@ -39,17 +39,20 @@ type MetricSpec struct {
 }
 
 // DefaultSpecs is the CI gate's metric set. The simulated ops rate is
-// deterministic, so its threshold is tight; allocations are stable
-// enough for a generous gate. Wall time per simulated second swings by
-// orders of magnitude with host load and hardware (a baseline committed
-// from one machine is compared on another in CI), so it ships with
-// Threshold 0 — recorded in every snapshot for the trajectory, but not
-// gated unless a threshold is set explicitly.
+// deterministic, so its threshold is tight; allocations, per op and in
+// setup, are stable enough for a generous gate. Wall time, per
+// simulated second and in setup, swings by orders of magnitude with host
+// load and hardware (a baseline committed from one machine is compared
+// on another in CI), so it ships with Threshold 0 — recorded in every
+// snapshot for the trajectory, but not gated unless a threshold is set
+// explicitly.
 func DefaultSpecs() []MetricSpec {
 	return []MetricSpec{
 		{Name: "sim_ops_per_sec", Get: func(r KernelResult) float64 { return r.SimOpsPerSec }, Dir: HigherIsBetter, Threshold: 0.02},
 		{Name: "wall_ns_per_sim_sec", Get: func(r KernelResult) float64 { return r.WallNsPerSimSec }, Dir: LowerIsBetter, Threshold: 0},
 		{Name: "allocs_per_op", Get: func(r KernelResult) float64 { return r.AllocsPerOp }, Dir: LowerIsBetter, Threshold: 0.25},
+		{Name: "setup_bytes", Get: func(r KernelResult) float64 { return float64(r.SetupBytes) }, Dir: LowerIsBetter, Threshold: 0.25},
+		{Name: "setup_wall_ns", Get: func(r KernelResult) float64 { return float64(r.SetupWallNS) }, Dir: LowerIsBetter, Threshold: 0},
 	}
 }
 
@@ -72,12 +75,14 @@ func (r Regression) String() string {
 }
 
 // Diff compares a current snapshot against a baseline under specs and
-// returns every regression. It errors (rather than reporting clean) when
-// the snapshots are not comparable: mismatched schema or quick/full
-// scale, or a kernel present in the baseline but missing now.
+// returns every regression. Schemas 1 and 2 compare with each other: a
+// field a schema-1 file lacks reads as 0, and a zero baseline is
+// skipped. Diff errors (rather than reporting clean) when the snapshots
+// are not comparable: a foreign schema, mismatched quick/full scale, or
+// a kernel present in the baseline but missing now.
 func Diff(base, cur *Bench, specs []MetricSpec) ([]Regression, error) {
-	if base.Schema != cur.Schema {
-		return nil, fmt.Errorf("perfgate: schema mismatch: baseline %d vs current %d", base.Schema, cur.Schema)
+	if !knownSchema(base.Schema) || !knownSchema(cur.Schema) {
+		return nil, fmt.Errorf("perfgate: unknown schema: baseline %d, current %d; this tool compares 1 and %d", base.Schema, cur.Schema, SchemaVersion)
 	}
 	if base.Quick != cur.Quick {
 		return nil, fmt.Errorf("perfgate: scale mismatch: baseline quick=%v vs current quick=%v", base.Quick, cur.Quick)

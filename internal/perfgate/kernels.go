@@ -546,15 +546,22 @@ func Kernels() []Kernel {
 // instrumented host run (testing.B-style Mallocs-delta accounting
 // around a single pass, which is exact for fixed-op kernels and keeps
 // CI time bounded). Fixture construction happens in Prepare, outside
-// the instrumented window, so allocs_per_op is the steady-state per-op
+// the per-op window, so allocs_per_op is the steady-state per-op
 // figure — a kernel whose hot path is allocation-free reads 0.0 here.
+// Prepare is measured on its own window: the heap bytes it allocates
+// (setup_bytes) and its wall time (setup_wall_ns).
 func Measure(k Kernel, quick bool) (KernelResult, error) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	setupStart := time.Now()
 	run, err := k.Prepare(quick)
+	setupWall := time.Since(setupStart)
+	runtime.ReadMemStats(&after)
 	if err != nil {
 		return KernelResult{}, fmt.Errorf("perfgate: kernel %s: %w", k.ID, err)
 	}
+	setupBytes := after.TotalAlloc - before.TotalAlloc
 	runtime.GC()
-	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	wallStart := time.Now()
 	ops, elapsed, err := run()
@@ -575,6 +582,8 @@ func Measure(k Kernel, quick bool) (KernelResult, error) {
 		SimOpsPerSec:    float64(ops) / simSecs,
 		WallNsPerSimSec: float64(wall.Nanoseconds()) / simSecs,
 		AllocsPerOp:     float64(after.Mallocs-before.Mallocs) / float64(ops),
+		SetupBytes:      int64(setupBytes),
+		SetupWallNS:     setupWall.Nanoseconds(),
 	}, nil
 }
 

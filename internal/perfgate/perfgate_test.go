@@ -116,6 +116,54 @@ func TestDiffRejectsMismatchedSnapshots(t *testing.T) {
 	}
 }
 
+// A schema-1 baseline (no setup fields) compares against a schema-2
+// snapshot in either direction: the missing fields read as 0 and are
+// skipped, while the fields both schemas share still gate. Setup bytes
+// gate between two schema-2 snapshots; setup wall time does not.
+func TestDiffSchema1AgainstSchema2(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "BENCH_3.json")
+	v1 := `{"schema": 1, "quick": true, "kernels": [
+  {"id": "call_rtt", "title": "t", "sim_ops": 500, "sim_elapsed_ns": 98000, "sim_ops_per_sec": 5.1e6, "wall_ns_per_sim_sec": 2e9, "allocs_per_op": 3},
+  {"id": "ring_flush", "title": "t", "sim_ops": 512, "sim_elapsed_ns": 10000, "sim_ops_per_sec": 5.1e7, "wall_ns_per_sim_sec": 9e9, "allocs_per_op": 1}]}`
+	if err := os.WriteFile(path, []byte(v1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	old, err := Read(path)
+	if err != nil {
+		t.Fatalf("schema-1 file rejected: %v", err)
+	}
+	if k, _ := old.Kernel("call_rtt"); k.SetupBytes != 0 || k.SetupWallNS != 0 {
+		t.Fatalf("schema-1 setup fields read as %+v, want 0", k)
+	}
+	cur := sample()
+	for i := range cur.Kernels {
+		cur.Kernels[i].SetupBytes, cur.Kernels[i].SetupWallNS = 1<<20, 5e6
+	}
+	for _, pair := range [][2]*Bench{{old, cur}, {cur, old}} {
+		if regs, err := Diff(pair[0], pair[1], nil); err != nil || len(regs) != 0 {
+			t.Fatalf("schema %d vs %d: regs=%v err=%v", pair[0].Schema, pair[1].Schema, regs, err)
+		}
+	}
+	cur.Kernels[0].SimOpsPerSec *= 0.5
+	if regs, err := Diff(old, cur, nil); err != nil || len(regs) != 1 || regs[0].Metric != "sim_ops_per_sec" {
+		t.Fatalf("shared field not gated across schemas: regs=%v err=%v", regs, err)
+	}
+
+	base, next := sample(), sample()
+	base.Kernels[0].SetupBytes, base.Kernels[0].SetupWallNS = 1<<20, 5e6
+	next.Kernels[0].SetupBytes, next.Kernels[0].SetupWallNS = 2<<20, 50e6 // +100% bytes, 10x wall
+	regs, err := Diff(base, next, nil)
+	if err != nil || len(regs) != 1 || regs[0].Metric != "setup_bytes" {
+		t.Fatalf("setup regressions: regs=%v err=%v, want setup_bytes alone", regs, err)
+	}
+	foreign := sample()
+	foreign.Schema = 99
+	if _, err := Diff(old, foreign, nil); err == nil {
+		t.Fatal("schema 99 compared against schema 1")
+	}
+}
+
 // A zero baseline value (e.g. allocs_per_op already at 0) cannot divide;
 // the metric is skipped rather than spuriously flagged.
 func TestDiffSkipsZeroBaseline(t *testing.T) {
@@ -214,6 +262,9 @@ func TestMeasureAllQuickDeterministicSimHalf(t *testing.T) {
 		}
 		if k.WallNsPerSimSec <= 0 {
 			t.Errorf("kernel %s: no wall time recorded", k.ID)
+		}
+		if k.SetupBytes <= 0 || k.SetupWallNS <= 0 {
+			t.Errorf("kernel %s: no setup cost recorded: %d B, %d ns", k.ID, k.SetupBytes, k.SetupWallNS)
 		}
 	}
 	// The per-call kernel must sit at the paper's 196 ns figure.

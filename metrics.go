@@ -131,6 +131,8 @@ func collectMachine(h *hv.Hypervisor) obs.Collector {
 				Samples: []obs.Sample{{Value: float64(ms.Killed)}}},
 			{Name: "elisa_trace_events_total", Help: "Slow-path trace events ever emitted.", Type: obs.TypeCounter,
 				Samples: []obs.Sample{{Value: float64(ms.TraceEmitted)}}},
+			{Name: "elisa_mem_resident_bytes", Help: "Host memory backing simulated physical memory (2 MiB chunks backed on first touch).", Type: obs.TypeGauge,
+				Samples: []obs.Sample{{Value: float64(ms.ResidentBytes)}}},
 		}
 	}
 }
@@ -257,8 +259,9 @@ func collectFaults(h *hv.Hypervisor, mgr *core.Manager) obs.Collector {
 }
 
 // collectCluster exports the sharded control plane: per-shard goodput,
-// slot occupancy, placed objects, call counters, and the cluster-wide
-// max/mean load imbalance ratio plus MoveObject rebalance count.
+// slot occupancy, placed objects, call counters, resident host memory,
+// and the cluster-wide max/mean load imbalance ratio plus MoveObject
+// rebalance count.
 func collectCluster(c *cluster.Cluster) obs.Collector {
 	return func() []obs.Metric {
 		goodput := obs.Metric{Name: "elisa_cluster_goodput_ops",
@@ -273,6 +276,8 @@ func collectCluster(c *cluster.Cluster) obs.Collector {
 			Help: "Exit-less manager-function calls routed to each shard.", Type: obs.TypeCounter}
 		remaps := obs.Metric{Name: "elisa_cluster_slot_remaps_total",
 			Help: "HCSlotFault slot re-binds on each shard.", Type: obs.TypeCounter}
+		resident := obs.Metric{Name: "elisa_cluster_mem_resident_bytes",
+			Help: "Host memory backing each shard's simulated physical memory.", Type: obs.TypeGauge}
 		laneWindows := obs.Metric{Name: "elisa_fleet_lane_windows_total",
 			Help: "Scheduling windows executed by each cluster fleet's lane runner.", Type: obs.TypeCounter}
 		laneParallel := obs.Metric{Name: "elisa_fleet_lane_parallel_total",
@@ -301,8 +306,9 @@ func collectCluster(c *cluster.Cluster) obs.Collector {
 			guests.Samples = append(guests.Samples, obs.Sample{Labels: labels, Value: float64(ss.Guests)})
 			calls.Samples = append(calls.Samples, obs.Sample{Labels: labels, Value: float64(ss.Calls)})
 			remaps.Samples = append(remaps.Samples, obs.Sample{Labels: labels, Value: float64(ss.Remaps)})
+			resident.Samples = append(resident.Samples, obs.Sample{Labels: labels, Value: float64(ss.ResidentBytes)})
 		}
-		return []obs.Metric{goodput, occupancy, objects, guests, calls, remaps,
+		return []obs.Metric{goodput, occupancy, objects, guests, calls, remaps, resident,
 			laneWindows, laneParallel, laneForced, laneRuns, laneCap,
 			{Name: "elisa_cluster_shards", Help: "Manager shards in the cluster.", Type: obs.TypeGauge,
 				Samples: []obs.Sample{{Value: float64(c.NumShards())}}},

@@ -6,6 +6,7 @@ package elisa
 
 import (
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -270,6 +271,7 @@ func TestMetricsExportEndToEnd(t *testing.T) {
 		"elisa_vms 2",
 		"elisa_attachments 1",
 		"elisa_trace_events_total",
+		fmt.Sprintf("elisa_mem_resident_bytes %d", sys.Hypervisor().Phys().ResidentBytes()),
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("Prometheus export missing %q:\n%s", want, text)
