@@ -128,7 +128,7 @@ func TestClusterMetricsExported(t *testing.T) {
 	}
 	// Every shard reports its own resident memory, not only shard 0.
 	for _, sh := range c.Shards() {
-		want := fmt.Sprintf(`elisa_cluster_mem_resident_bytes{shard="%d"} %d`, sh.ID, sh.Hypervisor().Phys().ResidentBytes())
+		want := fmt.Sprintf(`elisa_mem_resident_bytes{shard="%d"} %d`, sh.ID, sh.Hypervisor().Phys().ResidentBytes())
 		if sh.Hypervisor().Phys().ResidentBytes() == 0 || !strings.Contains(text, want) {
 			t.Errorf("export lacks %q", want)
 		}
@@ -138,17 +138,122 @@ func TestClusterMetricsExported(t *testing.T) {
 	}
 }
 
-// TestClusterUnshardedNil: without Config.Shards the facade stays the
-// single-machine system it always was.
-func TestClusterUnshardedNil(t *testing.T) {
+// TestClusterZeroConfigIsOneShard: a zero Config boots a 1-shard cluster;
+// the single-machine accessors return shard 0's objects and the export
+// labels every per-machine sample shard="0".
+func TestClusterZeroConfigIsOneShard(t *testing.T) {
 	sys, err := NewSystem(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sys.Cluster() != nil {
-		t.Error("unsharded system reports a cluster")
+	c := sys.Cluster()
+	if c == nil || c.NumShards() != 1 {
+		t.Fatalf("zero Config booted %v, want a 1-shard cluster", c)
 	}
-	if strings.Contains(sys.Metrics().Prometheus(), "elisa_cluster_") {
-		t.Error("unsharded system exports cluster metrics")
+	sh := c.Shard(0)
+	if sys.Manager() != sh.Manager() || sys.Hypervisor() != sh.Hypervisor() || sys.Recorder() != sh.Recorder() {
+		t.Error("single-machine accessors must return shard 0's objects")
+	}
+	if got := sh.Hypervisor().Phys().Size(); got != 256*1024*1024 {
+		t.Errorf("shard 0 has %d bytes of physical memory, want the 256 MiB default", got)
+	}
+	text := sys.Metrics().Prometheus()
+	for _, want := range []string{
+		`elisa_vms{shard="0"} 1`, `elisa_objects{shard="0"} 0`,
+		`elisa_slot_list_capacity{shard="0"}`, `elisa_cluster_shards 1`,
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("export lacks %q:\n%s", want, text)
+		}
+	}
+	for _, m := range sys.Metrics().Gather() {
+		if strings.HasPrefix(m.Name, "elisa_cluster_") {
+			continue // cluster-wide families
+		}
+		for _, smp := range m.Samples {
+			if smp.Labels["shard"] != "0" {
+				t.Errorf("%s sample %v lacks shard=\"0\"", m.Name, smp.Labels)
+			}
+		}
+	}
+}
+
+// TestClusterMetricsCoverEveryShard: every per-machine family exports every
+// shard. With a guest, a ring and a fleet tenant living only on shard 1,
+// the ring, slot, attachment, vCPU, recorder and fleet families must
+// carry shard="1" samples.
+func TestClusterMetricsCoverEveryShard(t *testing.T) {
+	sys, err := NewSystem(Config{Shards: 2, ShardSeed: 3, Observe: &ObserveConfig{SampleEvery: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := sys.Cluster()
+	if err := c.RegisterFunc(clusterFnNop, func(*CallContext) (uint64, error) { return 0, nil }); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"ring-obj", "fleet-obj"} {
+		if err := c.Ring().Pin(name, 1); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.CreateObject(name, PageSize); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g, err := c.NewGuest("ring-guest", 16*PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := g.Attach("ring-obj")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc, err := h.Ring(RingConfig{Depth: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := h.VCPU()
+	for i := 0; i < 4; i++ {
+		if err := rc.Submit(v, clusterFnNop); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := rc.Flush(v); err != nil {
+		t.Fatal(err)
+	}
+	f, err := sys.NewFleet(FleetConfig{Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Admit(TenantSpec{Name: "fleet-tenant", Objects: []string{"fleet-obj"},
+		Fn: clusterFnNop, RateOPS: 1_000_000}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Run(200_000); err != nil {
+		t.Fatal(err)
+	}
+	covered := map[string]bool{}
+	for _, m := range sys.Metrics().Gather() {
+		for _, smp := range m.Samples {
+			if smp.Labels["shard"] == "1" {
+				covered[m.Name] = true
+			}
+		}
+	}
+	checked := 0
+	for _, m := range sys.Metrics().Gather() {
+		switch {
+		case strings.HasPrefix(m.Name, "elisa_fleet_lane_"):
+			continue // per-fleet lane counters, not per-shard
+		case strings.HasPrefix(m.Name, "elisa_ring_"), strings.HasPrefix(m.Name, "elisa_slot_"),
+			m.Name == "elisa_attachment_calls_total", strings.HasPrefix(m.Name, "elisa_vcpu_"),
+			strings.HasPrefix(m.Name, "elisa_fleet_"), m.Name == "elisa_call_latency_ns":
+			checked++
+			if !covered[m.Name] {
+				t.Errorf("%s has no shard=\"1\" sample", m.Name)
+			}
+		}
+	}
+	if checked < 20 {
+		t.Errorf("only %d families checked; the export lost families", checked)
 	}
 }

@@ -6,9 +6,21 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"github.com/elisa-go/elisa/internal/simtime"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
+
+// onceFlags mirrors `-guests 2 -objects 2 -interval 1 -ring 8 -overload
+// -poll-budget 16`, the flags behind once.golden.
+var onceFlags = options{guests: 2, objects: 2, shards: 1, frames: 5, intervalMs: 1, sample: 1,
+	skew: 1.1, readRatio: 0.9, errEvery: 64, ringDepth: 8, ringDeadlineUs: 5, pollBudget: 16, overload: true}
+
+// clusterOnceFlags mirrors `-shards 2 -guests 2 -objects 4 -interval 1`,
+// the flags behind once_shards.golden.
+var clusterOnceFlags = options{guests: 2, objects: 4, shards: 2, frames: 5, intervalMs: 1, sample: 1,
+	skew: 1.1, readRatio: 0.9, errEvery: 64, ringDeadlineUs: 5, pollBudget: 16}
 
 // The one-shot snapshot is a machine-readable contract: same flags, same
 // bytes. The golden file pins both the JSON schema and the simulated
@@ -16,8 +28,7 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // after an intentional datapath change.
 func TestOnceJSONGolden(t *testing.T) {
 	var buf bytes.Buffer
-	// Mirrors: -guests 2 -objects 2 -interval 1 -ring 8 -overload -poll-budget 16
-	if err := runOnce(&buf, 2, 2, 0, 1, 1, 1.1, 0.9, 64, 8, 5, 16, true, 1); err != nil {
+	if err := runOnce(&buf, onceFlags); err != nil {
 		t.Fatal(err)
 	}
 	golden := filepath.Join("testdata", "once.golden")
@@ -35,7 +46,7 @@ func TestOnceJSONGolden(t *testing.T) {
 	}
 	// And it must be deterministic run to run, not just vs the file.
 	var again bytes.Buffer
-	if err := runOnce(&again, 2, 2, 0, 1, 1, 1.1, 0.9, 64, 8, 5, 16, true, 1); err != nil {
+	if err := runOnce(&again, onceFlags); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf.Bytes(), again.Bytes()) {
@@ -50,8 +61,7 @@ func TestOnceJSONGolden(t *testing.T) {
 // `go test ./cmd/elisa-top -run Once -update`.
 func TestClusterOnceGolden(t *testing.T) {
 	var buf bytes.Buffer
-	// Mirrors: -shards 2 -guests 2 -objects 4 -interval 1 -once -json
-	if err := runOnce(&buf, 2, 4, 0, 1, 1, 1.1, 0.9, 64, 0, 5, 16, false, 2); err != nil {
+	if err := runOnce(&buf, clusterOnceFlags); err != nil {
 		t.Fatal(err)
 	}
 	golden := filepath.Join("testdata", "once_shards.golden")
@@ -68,19 +78,39 @@ func TestClusterOnceGolden(t *testing.T) {
 		t.Errorf("cluster one-shot snapshot drifted from golden:\n--- got ---\n%s\n--- want ---\n%s", buf.Bytes(), want)
 	}
 	var again bytes.Buffer
-	if err := runOnce(&again, 2, 4, 0, 1, 1, 1.1, 0.9, 64, 0, 5, 16, false, 2); err != nil {
+	if err := runOnce(&again, clusterOnceFlags); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf.Bytes(), again.Bytes()) {
 		t.Error("same-flag cluster snapshots differ between runs")
 	}
-	// The ring/overload flags are single-shard mode: combining them with
-	// -shards must refuse, not silently ignore the cluster.
-	if err := runOnce(&bytes.Buffer{}, 2, 4, 0, 1, 1, 1.1, 0.9, 64, 8, 5, 16, false, 2); err == nil {
-		t.Error("runOnce accepted -ring with -shards")
+}
+
+// TestClusterRingOverloadAnyShards: -ring and -overload work at any shard count.
+// `-shards 2 -ring 8 -overload` drives exit-less rings on both shards,
+// and each shard's poller and the guests' flushes drain descriptors.
+func TestClusterRingOverloadAnyShards(t *testing.T) {
+	o := clusterOnceFlags
+	o.ringDepth, o.overload = 8, true
+	m, err := build(o)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := runOnce(&bytes.Buffer{}, 2, 4, 0, 1, 1, 1.1, 0.9, 64, 0, 5, 16, true, 2); err == nil {
-		t.Error("runOnce accepted -overload with -shards")
+	if err := m.driveFrame(o, simtime.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	for _, ss := range m.sys.Cluster().Stats().Shards {
+		if ss.Objects == 0 || ss.RingDrained == 0 {
+			t.Errorf("shard %d: %d objects, %d ring descriptors drained; want both shards serving rings",
+				ss.ID, ss.Objects, ss.RingDrained)
+		}
+	}
+	var snap bytes.Buffer
+	if err := runOnce(&snap, o); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(snap.Bytes(), []byte(`"ring_depth": 8`)) || !bytes.Contains(snap.Bytes(), []byte(`"overload": true`)) {
+		t.Errorf("sharded ring snapshot lost its ring flags:\n%s", snap.Bytes())
 	}
 }
 

@@ -2,21 +2,19 @@ package main
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 
-	elisa "github.com/elisa-go/elisa"
 	"github.com/elisa-go/elisa/internal/simtime"
-	"github.com/elisa-go/elisa/internal/workload"
 )
 
 // snapshotSchema versions the -once -json output so scrapers can reject
 // a format they don't read. Schema 2 added shard_count and the per-shard
-// shards array (-shards > 1; empty on unsharded runs).
+// shards array (-shards > 1; empty on 1-shard runs).
 const snapshotSchema = 2
 
-// tenantSnapshot is one tenant's row in the one-shot snapshot. Every
-// field is derived from the simulated machine, so same-flag runs emit
+// tenantSnapshot is one tenant's row in the one-shot snapshot, its
+// counters summed over the tenant's shard replicas. Every field is
+// derived from the simulated machine, so same-flag runs emit
 // byte-identical snapshots.
 type tenantSnapshot struct {
 	Name      string `json:"name"`
@@ -51,136 +49,16 @@ type topSnapshot struct {
 // interval and writes the machine-readable snapshot to w — the
 // `-once -json` mode. The workload, seeds, and counters are all
 // simulated, so the output is bit-identical run to run.
-func runOnce(w io.Writer, nGuests, nObjects, slotBudget, intervalMs, sample int, skew, readRatio float64,
-	errEvery, ringDepth, ringDeadlineUs, pollBudget int, overload bool, shards int) error {
-	if nGuests <= 0 || nObjects <= 0 {
-		return fmt.Errorf("need at least one guest and one object")
-	}
-	if shards > 1 {
-		if ringDepth > 0 || overload {
-			return fmt.Errorf("-shards is the per-call cluster mode; -ring and -overload are single-shard flags")
-		}
-		return runOnceShards(w, nGuests, nObjects, shards, slotBudget, intervalMs, sample, skew, readRatio, errEvery)
-	}
-	sys, err := elisa.NewSystem(elisa.Config{
-		PhysBytes:  256*1024*1024 + nGuests*nObjects*64*1024,
-		SlotBudget: slotBudget,
-		Observe:    &elisa.ObserveConfig{SampleEvery: sample},
-	})
+func runOnce(w io.Writer, o options) error {
+	m, err := build(o)
 	if err != nil {
 		return err
 	}
-	mgr := sys.Manager()
-	if overload {
-		mgr.SetOverload(elisa.OverloadConfig{Enabled: true})
-	}
-	objNames := make([]string, nObjects)
-	for i := range objNames {
-		objNames[i] = objName
-		if nObjects > 1 {
-			objNames[i] = fmt.Sprintf("%s-%02d", objName, i)
-		}
-		if _, err := mgr.CreateObject(objNames[i], objPages*elisa.PageSize); err != nil {
-			return err
-		}
-	}
-	if err := mgr.RegisterFunc(fnGet, func(c *elisa.CallContext) (uint64, error) {
-		return uint64(valBytes), c.CopyObjectToExchange(0, int(c.Args[0]), valBytes)
-	}); err != nil {
+	interval := simtime.Duration(o.intervalMs) * simtime.Millisecond
+	if err := m.driveFrame(o, interval); err != nil {
 		return err
 	}
-	if err := mgr.RegisterFunc(fnPut, func(c *elisa.CallContext) (uint64, error) {
-		return uint64(valBytes), c.CopyExchangeToObject(int(c.Args[0]), 0, valBytes)
-	}); err != nil {
-		return err
-	}
-
-	nKeys := objPages*elisa.PageSize/valBytes - 1
-	tenants := make([]*tenant, nGuests)
-	for i := range tenants {
-		g, err := sys.NewGuestVM(fmt.Sprintf("tenant-%d", i), 16*elisa.PageSize)
-		if err != nil {
-			return err
-		}
-		hs := make([]*elisa.Handle, len(objNames))
-		var rings []*elisa.RingCaller
-		for j, name := range objNames {
-			h, err := g.Attach(name)
-			if err != nil {
-				return err
-			}
-			hs[j] = h
-			if ringDepth > 0 {
-				cfg := elisa.RingConfig{
-					Depth:    ringDepth,
-					Deadline: simtime.Duration(ringDeadlineUs) * simtime.Microsecond,
-				}
-				if overload {
-					cfg.Retry = elisa.RetryPolicy{MaxAttempts: 3, Seed: int64(7 + i)}
-				}
-				rc, err := h.Ring(g.VCPU(), cfg)
-				if err != nil {
-					return err
-				}
-				rings = append(rings, rc)
-			}
-		}
-		keys, err := workload.NewZipf(int64(1000+i), nKeys, skew)
-		if err != nil {
-			return err
-		}
-		mix, err := workload.NewMix(int64(2000+i), readRatio)
-		if err != nil {
-			return err
-		}
-		tenants[i] = &tenant{g: g, hs: hs, rings: rings, keys: keys, mix: mix}
-	}
-
-	interval := simtime.Duration(intervalMs) * simtime.Millisecond
-	for _, tn := range tenants {
-		v := tn.g.VCPU()
-		tn.start = v.Clock().Now()
-		for v.Clock().Elapsed(tn.start) < interval {
-			off := tn.keys.Next() * valBytes
-			fn := uint64(fnPut)
-			if tn.mix.Read() {
-				fn = fnGet
-			}
-			tn.ops++
-			if errEvery > 0 && tn.ops%errEvery == 0 {
-				fn = fnBogus
-			}
-			if tn.rings != nil {
-				if tn.rings[tn.rr].Pending() >= ringDepth {
-					tn.pollRings(v)
-				}
-				if err := tn.rings[tn.rr].Submit(v, fn, uint64(off)); err != nil {
-					return fmt.Errorf("%s: submit: %w", tn.g.Name(), err)
-				}
-			} else {
-				if _, err := tn.hs[tn.rr].Call(v, fn, uint64(off)); err != nil && fn != fnBogus {
-					return fmt.Errorf("%s: call: %w", tn.g.Name(), err)
-				}
-			}
-			tn.rr = (tn.rr + 1) % len(tn.hs)
-		}
-		if tn.rings != nil {
-			for _, rc := range tn.rings {
-				if err := rc.Flush(v); err != nil {
-					return fmt.Errorf("%s: flush: %w", tn.g.Name(), err)
-				}
-			}
-			tn.pollRings(v)
-		}
-	}
-	if ringDepth > 0 && pollBudget > 0 {
-		if _, err := mgr.DrainRings(pollBudget); err != nil {
-			return err
-		}
-	}
-
-	snap := buildSnapshot(sys, tenants, interval, ringDepth, overload)
-	raw, err := json.MarshalIndent(snap, "", "  ")
+	raw, err := json.MarshalIndent(m.snapshot(o, interval), "", "  ")
 	if err != nil {
 		return err
 	}
@@ -188,54 +66,47 @@ func runOnce(w io.Writer, nGuests, nObjects, slotBudget, intervalMs, sample int,
 	return err
 }
 
-// buildSnapshot assembles the one-shot document from the live system.
-func buildSnapshot(sys *elisa.System, tenants []*tenant, interval simtime.Duration, ringDepth int, overload bool) *topSnapshot {
-	rec := sys.Recorder()
-	byGuest := make(map[string]struct{ calls, errs uint64 })
-	for _, st := range sys.Manager().Stats() {
-		acct := byGuest[st.Guest]
-		acct.calls += st.Calls
-		acct.errs += st.FnErrors
-		byGuest[st.Guest] = acct
-	}
-	slots := make(map[string]elisa.SlotStats)
-	for _, ss := range sys.SlotStats() {
-		slots[ss.Guest] = ss
-	}
-	type ringAgg struct{ drained, busied, retried uint64 }
-	ringsByGuest := make(map[string]ringAgg)
-	for _, rs := range sys.RingStats() {
-		agg := ringsByGuest[rs.Guest]
-		agg.drained += rs.Flushed + rs.Drained
-		agg.busied += rs.Busied
-		agg.retried += rs.Retried
-		ringsByGuest[rs.Guest] = agg
-	}
-	snap := &topSnapshot{Schema: snapshotSchema, IntervalNS: int64(interval), RingDepth: ringDepth, Overload: overload, ShardCount: 1}
-	for _, tn := range tenants {
-		name := tn.g.Name()
-		acct := byGuest[name]
-		ss := slots[name]
-		st := tn.g.Stats()
-		h := rec.GuestHistogram(name)
-		agg := ringsByGuest[name]
+// snapshot assembles the one-shot document from the live system: one row
+// per tenant and, on a multi-shard system, one row per shard.
+func (m *machine) snapshot(o options, interval simtime.Duration) *topSnapshot {
+	c := m.sys.Cluster()
+	snap := &topSnapshot{Schema: snapshotSchema, IntervalNS: int64(interval),
+		RingDepth: o.ringDepth, Overload: o.overload, ShardCount: c.NumShards()}
+	acct := m.collect()
+	for _, tn := range m.tenants {
+		a := acct[tn.g.Name()]
 		snap.Tenants = append(snap.Tenants, tenantSnapshot{
-			Name:      name,
+			Name:      tn.g.Name(),
 			Objects:   len(tn.hs),
-			Calls:     acct.calls,
-			FnErrors:  acct.errs,
-			P50Ns:     h.Percentile(0.50),
-			P99Ns:     h.Percentile(0.99),
-			SlotsUsed: ss.Backed,
-			SlotBudg:  ss.Budget,
-			Remaps:    ss.Faults,
-			TLBHits:   st.TLBHits,
-			TLBMisses: st.TLBMisses,
+			Calls:     a.calls,
+			FnErrors:  a.errs,
+			P50Ns:     a.hist.Percentile(0.50),
+			P99Ns:     a.hist.Percentile(0.99),
+			SlotsUsed: a.backed,
+			SlotBudg:  a.budget,
+			Remaps:    a.remaps,
+			TLBHits:   a.tlbHits,
+			TLBMisses: a.tlbMisses,
 
-			RingDrained: agg.drained,
-			RingBusied:  agg.busied,
-			RingRetried: agg.retried,
+			RingDrained: a.drained,
+			RingBusied:  a.busied,
+			RingRetried: a.retried,
 		})
+	}
+	if c.NumShards() > 1 {
+		for _, ss := range c.Stats().Shards {
+			snap.Shards = append(snap.Shards, shardSnapshot{
+				Shard:       ss.ID,
+				Objects:     ss.Objects,
+				Guests:      ss.Guests,
+				Calls:       ss.Calls,
+				FnErrors:    ss.FnErrors,
+				SlotsBacked: ss.SlotsBacked,
+				SlotBudget:  ss.SlotBudget,
+				Occupancy:   ss.Occupancy,
+				Remaps:      ss.Remaps,
+			})
+		}
 	}
 	return snap
 }

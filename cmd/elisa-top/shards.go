@@ -1,177 +1,32 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 
 	elisa "github.com/elisa-go/elisa"
 	"github.com/elisa-go/elisa/internal/simtime"
 	"github.com/elisa-go/elisa/internal/stats"
-	"github.com/elisa-go/elisa/internal/workload"
 )
 
-// ctenant is one cluster tenant in -shards mode: a logical guest whose
-// attachments route to the shards owning its objects, driven over the
-// per-call path (the ring flags are single-shard mode).
-type ctenant struct {
-	g     *elisa.ClusterGuest
-	hs    []*elisa.ClusterHandle
-	rr    int
-	keys  workload.KeyChooser
-	mix   *workload.Mix
-	ops   int
-	start elisa.Duration // Guest.Elapsed at frame start
-}
-
-// buildCluster boots the sharded system and its tenants: nObjects shared
-// objects placed by the consistent-hash ring, every tenant attached to
-// all of them, so each tenant's calls fan out over the shard set.
-func buildCluster(nGuests, nObjects, shards, slotBudget, sample int, skew, readRatio float64) (*elisa.System, []*ctenant, error) {
-	sys, err := elisa.NewSystem(elisa.Config{
-		PhysBytes:  shards * 32 * 1024 * 1024, // 32MiB per shard after the even split
-		Shards:     shards,
-		ShardSeed:  7,
-		SlotBudget: slotBudget,
-		Observe:    &elisa.ObserveConfig{SampleEvery: sample},
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	c := sys.Cluster()
-	if err := c.RegisterFunc(fnGet, func(cc *elisa.CallContext) (uint64, error) {
-		return uint64(valBytes), cc.CopyObjectToExchange(0, int(cc.Args[0]), valBytes)
-	}); err != nil {
-		return nil, nil, err
-	}
-	if err := c.RegisterFunc(fnPut, func(cc *elisa.CallContext) (uint64, error) {
-		return uint64(valBytes), cc.CopyExchangeToObject(int(cc.Args[0]), 0, valBytes)
-	}); err != nil {
-		return nil, nil, err
-	}
-	objNames := make([]string, nObjects)
-	for i := range objNames {
-		objNames[i] = objName
-		if nObjects > 1 {
-			objNames[i] = fmt.Sprintf("%s-%02d", objName, i)
-		}
-		if _, err := c.CreateObject(objNames[i], objPages*elisa.PageSize); err != nil {
-			return nil, nil, err
-		}
-	}
-	nKeys := objPages*elisa.PageSize/valBytes - 1
-	tenants := make([]*ctenant, nGuests)
-	for i := range tenants {
-		g, err := c.NewGuest(fmt.Sprintf("tenant-%d", i), 16*elisa.PageSize)
-		if err != nil {
-			return nil, nil, err
-		}
-		hs := make([]*elisa.ClusterHandle, len(objNames))
-		for j, name := range objNames {
-			if hs[j], err = g.Attach(name); err != nil {
-				return nil, nil, err
-			}
-		}
-		keys, err := workload.NewZipf(int64(1000+i), nKeys, skew)
-		if err != nil {
-			return nil, nil, err
-		}
-		mix, err := workload.NewMix(int64(2000+i), readRatio)
-		if err != nil {
-			return nil, nil, err
-		}
-		tenants[i] = &ctenant{g: g, hs: hs, keys: keys, mix: mix}
-	}
-	return sys, tenants, nil
-}
-
-// driveClusterFrame advances every tenant by one simulated interval of
-// its own (replica-summed) clock. A fnBogus call errors by design; any
-// other error is fatal.
-func driveClusterFrame(tenants []*ctenant, interval elisa.Duration, errEvery int) error {
-	for _, tn := range tenants {
-		tn.start = tn.g.Elapsed()
-		for tn.g.Elapsed()-tn.start < interval {
-			off := tn.keys.Next() * valBytes
-			fn := uint64(fnPut)
-			if tn.mix.Read() {
-				fn = fnGet
-			}
-			tn.ops++
-			if errEvery > 0 && tn.ops%errEvery == 0 {
-				fn = fnBogus
-			}
-			if _, err := tn.hs[tn.rr].Call(fn, uint64(off)); err != nil && fn != fnBogus {
-				return fmt.Errorf("%s: call: %w", tn.g.Name(), err)
-			}
-			tn.rr = (tn.rr + 1) % len(tn.hs)
-		}
-	}
-	return nil
-}
-
-// runShards is the -shards interactive mode: the same zipfian workload,
-// rendered as one row per manager shard — routed goodput, slot
-// occupancy, and the HCSlotFault remap rate, with the same saturating
-// delta clamping the per-tenant table uses.
-func runShards(nGuests, nObjects, shards, slotBudget, frames, intervalMs, sample int, skew, readRatio float64,
-	errEvery int, ansi, prom, jsonOut bool) error {
-	if nGuests <= 0 || nObjects <= 0 {
-		return fmt.Errorf("need at least one guest and one object")
-	}
-	sys, tenants, err := buildCluster(nGuests, nObjects, shards, slotBudget, sample, skew, readRatio)
-	if err != nil {
-		return err
-	}
-	interval := simtime.Duration(intervalMs) * simtime.Millisecond
-	prevCalls := make(map[int]uint64)
-	prevRemaps := make(map[int]uint64)
-	for frame := 1; frame <= frames; frame++ {
-		if err := driveClusterFrame(tenants, interval, errEvery); err != nil {
-			return err
-		}
-		if _, err := sys.Cluster().DrainAll(64); err != nil {
-			return err
-		}
-		if ansi {
-			fmt.Print("\033[H\033[2J")
-		}
-		renderShardFrame(os.Stdout, sys.Cluster(), frame, interval, prevCalls, prevRemaps)
-	}
-	if prom {
-		fmt.Println()
-		fmt.Print(sys.Metrics().Prometheus())
-	}
-	if jsonOut {
-		raw, err := sys.Metrics().JSON()
-		if err != nil {
-			return err
-		}
-		fmt.Println()
-		os.Stdout.Write(raw)
-		fmt.Println()
-	}
-	return nil
-}
-
-// renderShardFrame prints one refresh of the per-shard table. Deltas are
+// renderShardFrame prints one refresh of the per-shard table: routed
+// goodput, slot occupancy, and the HCSlotFault remap rate. Deltas are
 // clamped (deltaU64) for the same reason the tenant table clamps:
 // revocation during a rebalance can shrink a shard's cumulative counters
 // between frames.
 func renderShardFrame(out io.Writer, c *elisa.Cluster, frame int, interval simtime.Duration,
-	prevCalls, prevRemaps map[int]uint64) {
+	prev map[int]elisa.ShardStats) {
 	st := c.Stats()
 	tb := stats.NewTable(fmt.Sprintf("elisa-top frame %d (%d shards)", frame, len(st.Shards)),
 		"SHARD", "OBJS", "GUESTS", "GOODPUT/S", "OCC", "REMAP/S")
 	for _, ss := range st.Shards {
-		dCalls := deltaU64(ss.Calls, prevCalls[ss.ID])
-		dRemaps := deltaU64(ss.Remaps, prevRemaps[ss.ID])
+		dCalls := deltaU64(ss.Calls, prev[ss.ID].Calls)
+		dRemaps := deltaU64(ss.Remaps, prev[ss.ID].Remaps)
 		tb.AddRow(ss.ID, ss.Objects, ss.Guests,
 			stats.Throughput(int64(dCalls), interval),
 			fmt.Sprintf("%.2f", ss.Occupancy),
 			stats.Throughput(int64(dRemaps), interval))
-		prevCalls[ss.ID], prevRemaps[ss.ID] = ss.Calls, ss.Remaps
+		prev[ss.ID] = ss
 	}
 	tb.AddNote("one row per manager shard; GOODPUT/S is routed calls per simulated second this frame, OCC the backed/budget EPTP-slot ratio, REMAP/S the HCSlotFault re-bind rate; imbalance %.2f, %d objects, %d object moves, %d tenant rebalances",
 		st.Imbalance, st.Objects, st.Moves, st.Rebalances)
@@ -180,7 +35,7 @@ func renderShardFrame(out io.Writer, c *elisa.Cluster, frame int, interval simti
 }
 
 // shardSnapshot is one shard's row in the -once -json document (schema
-// >= 2; the array is empty on unsharded runs).
+// >= 2; the array is empty on 1-shard runs).
 type shardSnapshot struct {
 	Shard       int     `json:"shard"`
 	Objects     int     `json:"objects"`
@@ -191,100 +46,4 @@ type shardSnapshot struct {
 	SlotBudget  int     `json:"slot_budget"`
 	Occupancy   float64 `json:"occupancy"`
 	Remaps      uint64  `json:"slot_remaps"`
-}
-
-// runOnceShards is the -once -json path for -shards > 1: one interval
-// over the cluster, then the schema-2 snapshot with per-tenant rows
-// (counters summed across each guest's shard replicas, latency
-// histograms merged across shard recorders) plus the shard array.
-func runOnceShards(w io.Writer, nGuests, nObjects, shards, slotBudget, intervalMs, sample int,
-	skew, readRatio float64, errEvery int) error {
-	if nGuests <= 0 || nObjects <= 0 {
-		return fmt.Errorf("need at least one guest and one object")
-	}
-	sys, tenants, err := buildCluster(nGuests, nObjects, shards, slotBudget, sample, skew, readRatio)
-	if err != nil {
-		return err
-	}
-	interval := simtime.Duration(intervalMs) * simtime.Millisecond
-	if err := driveClusterFrame(tenants, interval, errEvery); err != nil {
-		return err
-	}
-	if _, err := sys.Cluster().DrainAll(64); err != nil {
-		return err
-	}
-	c := sys.Cluster()
-	type acct struct {
-		calls, errs, remaps uint64
-		backed, budget      int
-	}
-	perGuest := make(map[string]*acct)
-	hists := make(map[string]*stats.Histogram)
-	for _, tn := range tenants {
-		perGuest[tn.g.Name()] = &acct{}
-		hists[tn.g.Name()] = stats.NewHistogram()
-	}
-	for _, sh := range c.Shards() {
-		for _, st := range sh.Manager().Stats() {
-			if a := perGuest[st.Guest]; a != nil {
-				a.calls += st.Calls
-				a.errs += st.FnErrors
-			}
-		}
-		for _, ss := range sh.Manager().SlotStats() {
-			if a := perGuest[ss.Guest]; a != nil {
-				a.backed += ss.Backed
-				a.budget += ss.Budget
-				a.remaps += ss.Faults
-			}
-		}
-		for _, tn := range tenants {
-			hists[tn.g.Name()].Merge(sh.Recorder().GuestHistogram(tn.g.Name()))
-		}
-	}
-	snap := &topSnapshot{Schema: snapshotSchema, IntervalNS: int64(interval), ShardCount: shards}
-	for _, tn := range tenants {
-		name := tn.g.Name()
-		a, h := perGuest[name], hists[name]
-		var tlbHits, tlbMisses uint64
-		for s := 0; s < shards; s++ {
-			if v := tn.g.VCPU(s); v != nil {
-				st := v.Stats()
-				tlbHits += st.TLBHits
-				tlbMisses += st.TLBMisses
-			}
-		}
-		snap.Tenants = append(snap.Tenants, tenantSnapshot{
-			Name:      name,
-			Objects:   len(tn.hs),
-			Calls:     a.calls,
-			FnErrors:  a.errs,
-			P50Ns:     h.Percentile(0.50),
-			P99Ns:     h.Percentile(0.99),
-			SlotsUsed: a.backed,
-			SlotBudg:  a.budget,
-			Remaps:    a.remaps,
-			TLBHits:   tlbHits,
-			TLBMisses: tlbMisses,
-		})
-	}
-	for _, ss := range c.Stats().Shards {
-		snap.Shards = append(snap.Shards, shardSnapshot{
-			Shard:       ss.ID,
-			Objects:     ss.Objects,
-			Guests:      ss.Guests,
-			Calls:       ss.Calls,
-			FnErrors:    ss.FnErrors,
-			SlotsBacked: ss.SlotsBacked,
-			SlotBudget:  ss.SlotBudget,
-			Occupancy:   ss.Occupancy,
-			Remaps:      ss.Remaps,
-		})
-	}
-	raw, err := json.MarshalIndent(snap, "", "  ")
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(append(raw, '\n'))
-	return err
 }

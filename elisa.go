@@ -31,6 +31,7 @@ package elisa
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/elisa-go/elisa/internal/cluster"
 	"github.com/elisa-go/elisa/internal/core"
@@ -102,10 +103,11 @@ type (
 	Registry = obs.Registry
 	// Metric is one exported metric family.
 	Metric = obs.Metric
-	// Fleet is a deterministic multi-tenant scheduler over this machine
-	// (System.NewFleet).
-	Fleet = fleet.Scheduler
-	// FleetConfig configures a Fleet.
+	// Fleet is a deterministic multi-tenant scheduler over the system's
+	// shards: one scheduler per populated shard, each tenant on the shard
+	// that holds its objects (System.NewFleet, Cluster.NewFleet).
+	Fleet = cluster.Fleet
+	// FleetConfig configures the per-shard schedulers of a Fleet.
 	FleetConfig = fleet.Config
 	// TenantSpec describes one fleet tenant to admit.
 	TenantSpec = fleet.TenantSpec
@@ -151,9 +153,9 @@ type (
 	// TenantClass is a fleet tenant's load-shedding priority class
 	// (TenantSpec.Class; 0 is shed first, FleetConfig.Classes-1 never).
 	TenantClass = fleet.TenantClass
-	// Cluster is a sharded control plane: N independent manager machines
-	// behind a consistent-hash placement ring (Config.Shards,
-	// System.Cluster).
+	// Cluster is the system's control plane: Config.Shards independent
+	// manager machines behind a consistent-hash placement ring
+	// (System.Cluster).
 	Cluster = cluster.Cluster
 	// ClusterShard is one manager machine of a Cluster.
 	ClusterShard = cluster.Shard
@@ -165,10 +167,9 @@ type (
 	ClusterHandle = cluster.Handle
 	// MultiReq is one operation of a cross-shard ClusterGuest.CallMulti.
 	MultiReq = cluster.MultiReq
-	// ClusterFleet schedules fleet tenants across every shard with
-	// interleaved poll budgets (Cluster.NewFleet).
-	ClusterFleet = cluster.Fleet
-	// ClusterFleetConfig configures a ClusterFleet.
+	// ClusterFleetConfig configures a Fleet built with Cluster.NewFleet:
+	// the per-shard FleetConfig plus windowing, rebalancing and
+	// cluster-wide admission.
 	ClusterFleetConfig = cluster.FleetConfig
 	// ClusterStats is a cluster-wide accounting snapshot (Cluster.Stats).
 	ClusterStats = cluster.Stats
@@ -229,8 +230,8 @@ func DefaultCostModel() CostModel { return simtime.Default() }
 
 // Config configures a System.
 type Config struct {
-	// PhysBytes is the simulated machine's physical memory
-	// (default 256 MiB).
+	// PhysBytes is the simulated physical memory, split evenly across
+	// the shards in whole pages (default 256 MiB).
 	PhysBytes int
 	// ManagerRAM is the manager VM's private RAM (default 64 KiB).
 	ManagerRAM int
@@ -251,151 +252,122 @@ type Config struct {
 	// Attachments beyond the budget still succeed virtualised: their
 	// first call re-negotiates a physical slot over one HCSlotFault exit.
 	SlotBudget int
-	// Shards, when > 1, boots a sharded cluster instead of a single
-	// machine: Shards independent manager machines behind a seeded
-	// consistent-hash placement ring, reachable via System.Cluster. The
-	// single-machine accessors (Manager, Hypervisor, NewGuestVM, …) then
-	// address shard 0; PhysBytes is split evenly across shards (32 MiB
-	// per-shard floor). ShardSeed feeds the placement ring.
+	// Shards is the number of manager machines (default 1). A System is
+	// always a cluster: Shards independent hosts behind a seeded
+	// consistent-hash placement ring, reachable via System.Cluster, and a
+	// single host is a 1-shard cluster. The single-machine accessors
+	// (Manager, Hypervisor, NewGuestVM, …) address shard 0. ShardSeed
+	// feeds the placement ring.
 	Shards    int
 	ShardSeed int64
 }
 
-// System is one simulated machine with ELISA installed: a hypervisor, the
-// manager VM, and any number of guests.
+// System is ELISA installed on a cluster of simulated machines, each
+// with a hypervisor, a manager VM, and any number of guests.
 type System struct {
-	hv      *hv.Hypervisor
-	mgr     *core.Manager
-	rec     *obs.Recorder
+	cluster *cluster.Cluster
 	metrics *obs.Registry
-	cluster *cluster.Cluster // non-nil iff Config.Shards > 1
 }
 
-// NewSystem boots the machine and the ELISA manager — or, with
-// Config.Shards > 1, a sharded cluster of machines (System.Cluster).
+// NewSystem boots Config.Shards machines, each with its ELISA manager.
 func NewSystem(cfg Config) (*System, error) {
 	if cfg.PhysBytes == 0 {
 		cfg.PhysBytes = 256 * 1024 * 1024
 	}
-	if cfg.Shards > 1 {
-		perShard := cfg.PhysBytes / cfg.Shards
-		if perShard < 32*1024*1024 {
-			perShard = 32 * 1024 * 1024
-		}
-		c, err := cluster.New(cluster.Config{
-			Shards:      cfg.Shards,
-			Seed:        cfg.ShardSeed,
-			PhysBytes:   perShard,
-			ManagerRAM:  cfg.ManagerRAM,
-			Cost:        cfg.Cost,
-			SlotBudget:  cfg.SlotBudget,
-			TraceEvents: cfg.TraceEvents,
-			Observe:     cfg.Observe,
-		})
-		if err != nil {
-			return nil, err
-		}
-		// The single-machine accessors address shard 0, so unsharded
-		// tooling (metrics collectors, elisa-top's per-guest columns,
-		// examples) keeps working against a cluster.
-		sh0 := c.Shard(0)
-		s := &System{hv: sh0.Hypervisor(), mgr: sh0.Manager(), rec: sh0.Recorder(), cluster: c}
-		s.metrics = newMetricsRegistry(s.hv, s.mgr, s.rec)
-		s.metrics.Register(collectCluster(c))
-		return s, nil
+	if cfg.Shards < 1 {
+		cfg.Shards = 1
 	}
-	h, err := hv.New(hv.Config{PhysBytes: cfg.PhysBytes, Cost: cfg.Cost, TraceEvents: cfg.TraceEvents})
+	c, err := cluster.New(cluster.Config{
+		Shards:      cfg.Shards,
+		Seed:        cfg.ShardSeed,
+		PhysBytes:   cfg.PhysBytes / cfg.Shards / PageSize * PageSize,
+		ManagerRAM:  cfg.ManagerRAM,
+		Cost:        cfg.Cost,
+		SlotBudget:  cfg.SlotBudget,
+		TraceEvents: cfg.TraceEvents,
+		Observe:     cfg.Observe,
+	})
 	if err != nil {
 		return nil, err
 	}
-	mgr, err := core.NewManager(h, core.ManagerConfig{RAMBytes: cfg.ManagerRAM, SlotBudget: cfg.SlotBudget})
-	if err != nil {
-		return nil, err
-	}
-	s := &System{hv: h, mgr: mgr}
-	if cfg.Observe != nil {
-		s.rec = obs.NewRecorder(*cfg.Observe)
-		mgr.SetRecorder(s.rec)
-	}
-	s.metrics = newMetricsRegistry(h, mgr, s.rec)
-	return s, nil
+	return &System{cluster: c, metrics: newMetricsRegistry(c)}, nil
 }
 
-// Cluster returns the sharded control plane, or nil when the system was
-// booted unsharded (Config.Shards <= 1).
+// Cluster returns the system's control plane (never nil).
 func (s *System) Cluster() *Cluster { return s.cluster }
 
-// Manager returns the ELISA manager runtime.
-func (s *System) Manager() *Manager { return s.mgr }
+// shard0 is the machine the single-machine accessors address.
+func (s *System) shard0() *ClusterShard { return s.cluster.Shard(0) }
 
-// Hypervisor exposes the host (for baselines: direct mapping via
+// Manager returns shard 0's ELISA manager runtime.
+func (s *System) Manager() *Manager { return s.shard0().Manager() }
+
+// Hypervisor exposes shard 0's host (for baselines: direct mapping via
 // ShareDirect, host interposition via RegisterHypercall).
-func (s *System) Hypervisor() *Hypervisor { return s.hv }
+func (s *System) Hypervisor() *Hypervisor { return s.shard0().Hypervisor() }
 
-// Trace returns the machine's event buffer (nil unless Config.TraceEvents
+// Trace returns shard 0's event buffer (nil unless Config.TraceEvents
 // was set).
-func (s *System) Trace() *trace.Buffer { return s.hv.Trace() }
+func (s *System) Trace() *trace.Buffer { return s.Hypervisor().Trace() }
 
 // Metrics returns the system's metrics registry: live counters and gauges
-// from the hypervisor and manager, plus — when Config.Observe is set —
-// the fast-path latency summaries. Render with Prometheus() or JSON().
+// from every shard's hypervisor and manager, labelled by shard, plus —
+// when Config.Observe is set — the fast-path latency summaries. Render
+// with Prometheus() or JSON().
 func (s *System) Metrics() *Registry { return s.metrics }
 
-// Recorder returns the fast-path flight recorder (nil unless
+// Recorder returns shard 0's fast-path flight recorder (nil unless
 // Config.Observe was set). A nil Recorder is safe to query; every
 // accessor returns empty results.
-func (s *System) Recorder() *Recorder { return s.rec }
+func (s *System) Recorder() *Recorder { return s.shard0().Recorder() }
 
-// Spans returns the retained sampled call spans, oldest first (nil unless
-// Config.Observe was set).
-func (s *System) Spans() []Span { return s.rec.Spans() }
+// Spans returns shard 0's retained sampled call spans, oldest first (nil
+// unless Config.Observe was set).
+func (s *System) Spans() []Span { return s.Recorder().Spans() }
 
-// NewFleet builds a deterministic multi-tenant scheduler over this
-// machine and wires its per-tenant goodput/drop/latency gauges into
-// System.Metrics. Tenants are admitted with Fleet.Admit and driven with
-// Fleet.Run; every op is a real exit-less call, so the slot-
-// virtualisation slow path shows up in the fleet's latency histograms.
+// NewFleet builds a deterministic multi-tenant scheduler over the
+// system's shards; its per-tenant goodput/drop/latency gauges export
+// through System.Metrics. Tenants are admitted with Fleet.Admit (each
+// runs on the shard holding its objects) and driven with Fleet.Run; every
+// op is a real exit-less call, so the slot-virtualisation slow path
+// shows up in the fleet's latency histograms. Each Run or Replay call
+// advances the fleet as one scheduling window.
 func (s *System) NewFleet(cfg FleetConfig) (*Fleet, error) {
-	f, err := fleet.New(s.hv, s.mgr, cfg)
-	if err != nil {
-		return nil, err
-	}
-	s.metrics.Register(collectFleet(f))
-	return f, nil
+	return s.cluster.NewFleet(cluster.FleetConfig{Config: cfg, Slice: math.MaxInt64})
 }
 
-// SlotStats returns the per-guest slot-virtualisation accounting (budget,
-// backed, faults, evictions), ordered by guest name.
-func (s *System) SlotStats() []SlotStats { return s.mgr.SlotStats() }
+// SlotStats returns shard 0's per-guest slot-virtualisation accounting
+// (budget, backed, faults, evictions), ordered by guest name.
+func (s *System) SlotStats() []SlotStats { return s.Manager().SlotStats() }
 
-// RingStats returns every call ring's accounting snapshot (occupancy,
-// drain counters by side, batch-size percentiles), ordered by guest then
-// virtual slot. Empty until some attachment negotiates a ring with
-// Handle.Ring.
-func (s *System) RingStats() []RingStats { return s.mgr.RingStats() }
+// RingStats returns every call ring's accounting snapshot on shard 0
+// (occupancy, drain counters by side, batch-size percentiles), ordered by
+// guest then virtual slot. Empty until some attachment negotiates a ring
+// with Handle.Ring.
+func (s *System) RingStats() []RingStats { return s.Manager().RingStats() }
 
-// ArmFaults arms a fault plan on the manager's hook points and returns
-// the injector (nil plan disarms chaos). While armed, the fault classes of
+// ArmFaults arms a fault plan on shard 0's manager hook points and
+// returns the injector (nil plan disarms chaos). While armed, the fault classes of
 // the plan fire at their scheduled virtual times; drive recovery with
 // Manager().PumpFaults / FsckRepair / RecoverDead, or let a fleet built
 // with FleetConfig.Faults do all of it. An armed but never-firing injector
 // leaves the hot path at exactly the calibrated 196 ns.
 func (s *System) ArmFaults(p *FaultPlan) *FaultInjector {
 	if p == nil {
-		s.mgr.SetInjector(nil)
+		s.Manager().SetInjector(nil)
 		return nil
 	}
 	inj := fault.NewInjector(p)
-	s.mgr.SetInjector(inj)
+	s.Manager().SetInjector(inj)
 	return inj
 }
 
-// Injector returns the armed fault injector (nil when chaos is off).
-func (s *System) Injector() *FaultInjector { return s.mgr.Injector() }
+// Injector returns shard 0's armed fault injector (nil when chaos is off).
+func (s *System) Injector() *FaultInjector { return s.Manager().Injector() }
 
-// RecoveryStats returns the manager's recovery counters: quarantines,
+// RecoveryStats returns shard 0's recovery counters: quarantines,
 // mid-gate deaths, Fsck repairs, negotiation retries.
-func (s *System) RecoveryStats() RecoveryStats { return s.mgr.RecoveryStats() }
+func (s *System) RecoveryStats() RecoveryStats { return s.Manager().RecoveryStats() }
 
 // GuestVM is a guest with the ELISA library initialised.
 type GuestVM struct {
@@ -403,14 +375,16 @@ type GuestVM struct {
 	lib *core.Guest
 }
 
-// NewGuestVM boots a guest VM with ramBytes of private RAM (a multiple of
-// PageSize, at least two pages) and initialises its ELISA library.
+// NewGuestVM boots a guest VM on shard 0 with ramBytes of private RAM (a
+// multiple of PageSize, at least two pages) and initialises its ELISA
+// library.
 func (s *System) NewGuestVM(name string, ramBytes int) (*GuestVM, error) {
-	vm, err := s.hv.CreateVM(name, ramBytes)
+	sh := s.shard0()
+	vm, err := sh.Hypervisor().CreateVM(name, ramBytes)
 	if err != nil {
 		return nil, err
 	}
-	lib, err := core.NewGuest(vm, s.mgr)
+	lib, err := core.NewGuest(vm, sh.Manager())
 	if err != nil {
 		return nil, err
 	}
@@ -453,7 +427,7 @@ func (g *GuestVM) Stats() cpu.Stats { return g.vm.VCPU().Stats() }
 // Validate is a cheap self-check that the headline calibration holds on
 // this system's cost model; it returns the two round-trip costs.
 func (s *System) Validate() (elisaRTT, vmcallRTT Duration, err error) {
-	m := s.hv.Cost()
+	m := s.Hypervisor().Cost()
 	e, v := m.ELISARoundTrip(), m.VMCallRoundTrip()
 	if e <= 0 || v <= 0 || v <= e {
 		return e, v, fmt.Errorf("elisa: degenerate cost model: elisa=%v vmcall=%v", e, v)

@@ -11,8 +11,9 @@ import (
 )
 
 // DefaultShardPhysBytes is the per-shard simulated physical memory a
-// Config zero value picks. Shard machines allocate their memory eagerly,
-// so the default stays modest; size it explicitly for big fleets.
+// Config zero value picks. It is a model parameter, not a host
+// allocation: a shard's memory is backed in 2 MiB chunks on first touch,
+// so an idle shard costs the host only what its boot touched.
 const DefaultShardPhysBytes = 64 * 1024 * 1024
 
 // Config configures a Cluster.
@@ -83,8 +84,7 @@ type Cluster struct {
 }
 
 // New boots a cluster: Config.Shards independent machines plus the
-// placement ring. Shard 0 of a 1-shard cluster behaves exactly like an
-// unsharded system.
+// placement ring. A single host is a 1-shard cluster.
 func New(cfg Config) (*Cluster, error) {
 	if cfg.Shards < 1 {
 		return nil, fmt.Errorf("cluster: need at least 1 shard, got %d", cfg.Shards)
@@ -131,16 +131,32 @@ func (c *Cluster) Ring() *PlacementRing { return c.ring }
 
 // Owner returns the shard that owns (or would own) an object.
 func (c *Cluster) Owner(object string) int {
-	if s, ok := c.objects[object]; ok {
+	if s, ok := c.resolve(object); ok {
 		return s
 	}
 	return c.ring.Owner(object)
 }
 
+// resolve is the cluster's one object lookup: the shard the cluster
+// placed (or moved) the object on, else the lowest shard whose manager
+// holds it — an object created directly on a shard's manager, as
+// Shard.Manager().CreateObject does, is routable like a placed one.
+func (c *Cluster) resolve(object string) (int, bool) {
+	if s, ok := c.objects[object]; ok {
+		return s, true
+	}
+	for _, sh := range c.shards {
+		if _, ok := sh.mgr.Object(object); ok {
+			return sh.ID, true
+		}
+	}
+	return 0, false
+}
+
 // CreateObject creates a shared object on its placement-ring owner and
 // returns the owning shard ID.
 func (c *Cluster) CreateObject(name string, size int) (int, error) {
-	if _, dup := c.objects[name]; dup {
+	if _, dup := c.resolve(name); dup {
 		return 0, fmt.Errorf("cluster: object %q already exists", name)
 	}
 	s := c.ring.Owner(name)
@@ -189,7 +205,7 @@ func (c *Cluster) MoveObject(name string, to int) error {
 	if to < 0 || to >= len(c.shards) {
 		return fmt.Errorf("cluster: move %q to shard %d outside [0,%d)", name, to, len(c.shards))
 	}
-	from, ok := c.objects[name]
+	from, ok := c.resolve(name)
 	if !ok {
 		return fmt.Errorf("cluster: object %q not created", name)
 	}

@@ -10,6 +10,7 @@ import (
 	"github.com/elisa-go/elisa/internal/fleet"
 	"github.com/elisa-go/elisa/internal/obs"
 	"github.com/elisa-go/elisa/internal/shm"
+	"github.com/elisa-go/elisa/internal/simtime"
 )
 
 const fnNop = 1
@@ -474,6 +475,83 @@ func TestClusterFleetSpanningTenantRefused(t *testing.T) {
 	}
 }
 
+// TestClusterFleetFaultPlanFleetTime: fault-plan times are fleet time,
+// not window time. Twelve asynchronous injections spread over 1.5 ms all
+// fire in a 2 ms run whether it runs as 40 µs windows (the default
+// Slice) or as one window.
+func TestClusterFleetFaultPlanFleetTime(t *testing.T) {
+	plan := &fault.Plan{Seed: 1}
+	for i := 0; i < 12; i++ {
+		class := fault.ClassEPTPCorrupt
+		if i%2 == 1 {
+			class = fault.ClassSlotStorm
+		}
+		plan.Injections = append(plan.Injections, fault.Injection{
+			Seq: i, At: simtime.Time(125_000 * (i + 1)), Class: class,
+			Guest: fmt.Sprintf("tenant-%02d", i%2), Count: 1, Arg: uint64(i),
+		})
+	}
+	for _, slice := range []simtime.Duration{0, 2_000_000} {
+		c := newTestCluster(t, 1, 5)
+		for i := 0; i < 2; i++ {
+			if _, err := c.CreateObject(fmt.Sprintf("obj-%d", i), 4096); err != nil {
+				t.Fatalf("CreateObject: %v", err)
+			}
+		}
+		f, err := c.NewFleet(FleetConfig{Config: fleet.Config{Seed: 7, Cores: 2, Faults: plan}, Slice: slice})
+		if err != nil {
+			t.Fatalf("NewFleet: %v", err)
+		}
+		admitFleetTenants(t, c, f, 2)
+		rep, err := f.Run(2_000_000)
+		if err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		if rep.FaultsFired != 12 || rep.FaultsPending != 0 {
+			t.Errorf("Slice %d: %d injections fired, %d pending; want all 12 fired",
+				slice, rep.FaultsFired, rep.FaultsPending)
+		}
+	}
+
+	// A shard first populated after an earlier run reads the same fleet
+	// clock: injections due after 1 ms fire during the second 1 ms run.
+	late := &fault.Plan{Seed: 2}
+	for i := 0; i < 6; i++ {
+		late.Injections = append(late.Injections, fault.Injection{
+			Seq: i, At: simtime.Time(1_100_000 + 50_000*i), Class: fault.ClassSlotStorm,
+			Guest: "tenant-01", Count: 1, Arg: uint64(i),
+		})
+	}
+	c := newTestCluster(t, 2, 5)
+	for i := 0; i < 2; i++ {
+		name := fmt.Sprintf("obj-%d", i)
+		if err := c.Ring().Pin(name, i); err != nil {
+			t.Fatalf("Pin: %v", err)
+		}
+		if _, err := c.CreateObject(name, 4096); err != nil {
+			t.Fatalf("CreateObject: %v", err)
+		}
+	}
+	f, err := c.NewFleet(FleetConfig{Config: fleet.Config{Seed: 7, Faults: late}, FaultShard: 1})
+	if err != nil {
+		t.Fatalf("NewFleet: %v", err)
+	}
+	admitFleetTenants(t, c, f, 1) // tenant-00 on shard 0
+	if _, err := f.Run(1_000_000); err != nil {
+		t.Fatalf("Run 1: %v", err)
+	}
+	if _, err := f.Admit(fleet.TenantSpec{Name: "tenant-01", Objects: []string{"obj-1"}, Fn: fnNop, RateOPS: 500_000}); err != nil {
+		t.Fatalf("Admit: %v", err)
+	}
+	rep, err := f.Run(1_000_000)
+	if err != nil {
+		t.Fatalf("Run 2: %v", err)
+	}
+	if rep.FaultsFired != 6 || rep.FaultsPending != 0 {
+		t.Errorf("late shard: %d injections fired, %d pending; want all 6 fired", rep.FaultsFired, rep.FaultsPending)
+	}
+}
+
 // TestClusterRebalanceUnderChaos: with the fault injector armed on one
 // shard (the fault domain), a rebalance mid-run stays consistent — Fsck
 // is clean on every shard afterwards, no descriptor is stranded, and the
@@ -490,8 +568,6 @@ func TestClusterRebalanceUnderChaos(t *testing.T) {
 				t.Fatalf("CreateObject: %v", err)
 			}
 		}
-		// Horizon within the Slice window (see FleetConfig.Slice): every
-		// injection is eligible during the fault shard's first pass.
 		plan, err := fault.NewPlan(fault.PlanConfig{
 			Seed:    99,
 			Horizon: 800_000,
@@ -601,7 +677,7 @@ func TestClusterStats(t *testing.T) {
 }
 
 // TestClusterCausalShardStamp: per-shard recorders stamp their shard ID
-// onto causal events; unsharded logs render without a shard token.
+// onto causal events.
 func TestClusterCausalShardStamp(t *testing.T) {
 	c, err := New(Config{
 		Shards: 2, Seed: 3, PhysBytes: 32 * 1024 * 1024,

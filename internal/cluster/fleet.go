@@ -11,8 +11,9 @@ import (
 
 // FleetConfig configures a cluster Fleet. The embedded fleet.Config
 // applies to every shard's scheduler (same Seed, same Cores, same
-// overload knobs), so a 1-shard cluster fleet is bit-for-bit a plain
-// fleet.
+// overload knobs). A 1-shard cluster fleet renders the same report as a
+// plain fleet.Scheduler only while each Run or Replay call fits in one
+// Slice: see Slice for what windowing changes.
 type FleetConfig struct {
 	fleet.Config
 
@@ -21,13 +22,14 @@ type FleetConfig struct {
 	// shard, round-robin in shard order (default 4 scheduling quanta).
 	// Shards are independent machines running concurrently in real time;
 	// slicing is how the simulation renders that concurrency
-	// deterministically. Per-shard results depend only on (Seed, that
-	// shard's tenant set, total duration) — not on Slice or shard count —
+	// deterministically. Per-shard results depend only on (Seed, Slice,
+	// that shard's tenant set, total duration) — not on shard count —
 	// which is what makes same-seed reports byte-identical at any shard
-	// count. Note fault-plan virtual times are relative to each scheduler
-	// window (a fleet.Run property), and slicing makes the window one
-	// Slice long: keep the plan's Horizon at or below Slice so every
-	// injection stays eligible to fire.
+	// count. Results do depend on Slice: every window restarts each
+	// scheduler's event clock at zero while queue stamps, token buckets
+	// and busy cores carry over from the previous window (a known defect;
+	// see ROADMAP.md). Fault-plan times are fleet time, so an injection
+	// fires in the window that contains it whatever the Slice.
 	Slice simtime.Duration
 
 	// FaultShard names the shard Config.Faults arms on (default 0).
@@ -163,6 +165,10 @@ func (f *Fleet) schedOn(shard int) (*fleet.Scheduler, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cluster: fleet shard %d: %w", shard, err)
 	}
+	// A shard first populated after earlier runs starts at fleet time,
+	// like every other shard's scheduler: its fault pump and goodput
+	// denominators read the same clock.
+	s.AlignElapsed(f.elapsed)
 	f.scheds[shard] = s
 	return s, nil
 }
@@ -177,7 +183,7 @@ func (f *Fleet) Admit(spec fleet.TenantSpec) (int, error) {
 	}
 	shard := -1
 	for _, obj := range spec.Objects {
-		owner, ok := f.c.objects[obj]
+		owner, ok := f.c.resolve(obj)
 		if !ok {
 			return 0, fmt.Errorf("cluster: fleet tenant %q: object %q not created", spec.Name, obj)
 		}
@@ -212,38 +218,10 @@ func (f *Fleet) Admit(spec fleet.TenantSpec) (int, error) {
 // with the populated-shard count while wall time stays single-threaded
 // and deterministic.
 func (f *Fleet) Run(d simtime.Duration) (*fleet.Report, error) {
-	if d <= 0 {
-		return nil, fmt.Errorf("cluster: fleet run duration %d must be positive", d)
-	}
-	if len(f.admissions) == 0 {
-		return nil, fmt.Errorf("cluster: fleet has no tenants")
-	}
-	base := f.elapsed
-	var done simtime.Duration
-	for done < d {
-		step := f.cfg.Slice
-		if rem := d - done; rem < step {
-			step = rem
-		}
-		f.winBase = base + done
-		if err := f.runWindow(func(s *fleet.Scheduler) error {
-			_, err := s.Run(step)
-			return err
-		}); err != nil {
-			return nil, err
-		}
-		done += step
-		// The controller runs between windows, when every shard is
-		// quiescent and the rings are drained — the only point where a
-		// migration is race-free and deterministic.
-		if f.reb != nil {
-			if err := f.reb.tick(base + done); err != nil {
-				return nil, err
-			}
-		}
-	}
-	f.elapsed += d
-	return f.Snapshot(), nil
+	return f.windows(d, nil, func(_ int, s *fleet.Scheduler, step simtime.Duration) error {
+		_, err := s.Run(step)
+		return err
+	})
 }
 
 // Replay drives the cluster fleet from a workload trace for d of
@@ -256,12 +234,6 @@ func (f *Fleet) Run(d simtime.Duration) (*fleet.Report, error) {
 // reports at any shard count whose placement is identical per shard.
 // Events must be time-ordered within [0, d) and name admitted tenants.
 func (f *Fleet) Replay(tr *workload.Trace, d simtime.Duration) (*fleet.Report, error) {
-	if d <= 0 {
-		return nil, fmt.Errorf("cluster: fleet replay duration %d must be positive", d)
-	}
-	if len(f.admissions) == 0 {
-		return nil, fmt.Errorf("cluster: fleet has no tenants")
-	}
 	if tr == nil {
 		return nil, fmt.Errorf("cluster: fleet replay needs a trace")
 	}
@@ -273,32 +245,52 @@ func (f *Fleet) Replay(tr *workload.Trace, d simtime.Duration) (*fleet.Report, e
 			return nil, fmt.Errorf("cluster: replay event %d at %d outside window [0,%d)", i, ev.At, d)
 		}
 	}
-	base := f.elapsed
+	var perShard [][]workload.Event
 	next := 0 // global cursor into the time-ordered trace
-	var done simtime.Duration
-	for done < d {
-		step := f.cfg.Slice
-		if rem := d - done; rem < step {
-			step = rem
-		}
-		// Bucket this window's events by each tenant's *current* shard —
-		// placement can change between windows when the rebalancer is
-		// armed, and an event must land where its tenant lives now. With
-		// static placement the buckets are identical to routing the whole
-		// trace up front, keeping unarmed replays bit-identical.
-		perShard := make([][]workload.Event, len(f.scheds))
-		for next < len(tr.Events) && simtime.Duration(tr.Events[next].At) < done+step {
+	// Bucket each window's events by each tenant's *current* shard —
+	// placement can change between windows when the rebalancer is armed,
+	// and an event must land where its tenant lives now. With static
+	// placement the buckets are identical to routing the whole trace up
+	// front, keeping unarmed replays bit-identical.
+	route := func(off, step simtime.Duration) {
+		perShard = make([][]workload.Event, len(f.scheds))
+		for next < len(tr.Events) && simtime.Duration(tr.Events[next].At) < off+step {
 			ev := tr.Events[next]
-			ev.At -= simtime.Time(done) // shift to window-relative time
+			ev.At -= simtime.Time(off) // shift to window-relative time
 			shard := f.tenantShard[ev.Tenant]
 			perShard[shard] = append(perShard[shard], ev)
 			next++
 		}
+	}
+	return f.windows(d, route, func(shard int, s *fleet.Scheduler, step simtime.Duration) error {
+		_, err := s.Replay(perShard[shard], step)
+		return err
+	})
+}
+
+// windows is the one window loop behind Run and Replay: it advances the
+// fleet by d in Slice-sized windows. Before each window, prepare (when
+// non-nil) sees the window's offset into this call and its length; run
+// then advances each populated shard through it (see runWindowShards).
+// The rebalancer ticks between windows, when every shard is quiescent
+// and the rings are drained — the only point where a migration is
+// race-free and deterministic.
+func (f *Fleet) windows(d simtime.Duration, prepare func(off, step simtime.Duration),
+	run func(shard int, s *fleet.Scheduler, step simtime.Duration) error) (*fleet.Report, error) {
+	if d <= 0 {
+		return nil, fmt.Errorf("cluster: fleet run duration %d must be positive", d)
+	}
+	if len(f.admissions) == 0 {
+		return nil, fmt.Errorf("cluster: fleet has no tenants")
+	}
+	base := f.elapsed
+	for done := simtime.Duration(0); done < d; {
+		step := min(f.cfg.Slice, d-done)
+		if prepare != nil {
+			prepare(done, step)
+		}
 		f.winBase = base + done
-		if err := f.runWindowShards(func(shard int, s *fleet.Scheduler) error {
-			_, err := s.Replay(perShard[shard], step)
-			return err
-		}); err != nil {
+		if err := f.runWindowShards(step, run); err != nil {
 			return nil, err
 		}
 		done += step
@@ -312,14 +304,7 @@ func (f *Fleet) Replay(tr *workload.Trace, d simtime.Duration) (*fleet.Report, e
 	return f.Snapshot(), nil
 }
 
-// runWindow advances every populated shard through one scheduling
-// window, fanning the advances out as parallel lanes when the config
-// allows (see runWindowShards).
-func (f *Fleet) runWindow(run func(*fleet.Scheduler) error) error {
-	return f.runWindowShards(func(_ int, s *fleet.Scheduler) error { return run(s) })
-}
-
-// runWindowShards is the window executor behind Run and Replay. Each
+// runWindowShards advances every populated shard through one window. Each
 // populated shard is one lane: an independent machine (own hypervisor,
 // manager, clock, RNGs) advancing by the same simulated step, with no
 // cross-shard reads during the window — f.winBase is set before the
@@ -336,7 +321,7 @@ func (f *Fleet) runWindow(run func(*fleet.Scheduler) error) error {
 //
 // The rebalancer is unaffected: it ticks between windows, after the
 // lane barrier, when every shard is quiescent.
-func (f *Fleet) runWindowShards(run func(int, *fleet.Scheduler) error) error {
+func (f *Fleet) runWindowShards(step simtime.Duration, run func(int, *fleet.Scheduler, simtime.Duration) error) error {
 	live := f.liveLanes[:0]
 	for i, s := range f.scheds {
 		if s != nil {
@@ -362,8 +347,15 @@ func (f *Fleet) runWindowShards(run func(int, *fleet.Scheduler) error) error {
 	}
 	return fleet.RunLanes(par, len(live), func(lane int) error {
 		shard := live[lane]
-		return run(shard, f.scheds[shard])
+		return run(shard, f.scheds[shard], step)
 	})
+}
+
+// TenantShard returns the shard an admitted tenant runs on now (the
+// rebalancer may have moved it since admission).
+func (f *Fleet) TenantShard(name string) (int, bool) {
+	s, ok := f.tenantShard[name]
+	return s, ok
 }
 
 // LaneStats returns the cumulative lane-executor counters: how many

@@ -79,6 +79,17 @@ func (g *Guest) VCPU(shard int) *cpu.VCPU {
 	return nil
 }
 
+// Dead reports whether the hypervisor killed any of the guest's
+// replicas (the outcome of every isolation violation or injected crash).
+func (g *Guest) Dead() bool {
+	for _, r := range g.replicas {
+		if r != nil && r.vm.Dead() {
+			return true
+		}
+	}
+	return false
+}
+
 // Elapsed sums the guest's simulated time across all shard replicas.
 // Replica clocks advance independently (each shard is its own machine),
 // so the sum is the guest's total simulated CPU time, which is what
@@ -121,7 +132,7 @@ func (h *Handle) VCPU() *cpu.VCPU { return h.g.replicas[h.shard].vm.VCPU() }
 // moved re-resolves: a cached handle bound to a stale shard is dropped
 // and the negotiation re-runs on the new owner.
 func (g *Guest) Attach(object string) (*Handle, error) {
-	owner, ok := g.c.objects[object]
+	owner, ok := g.c.resolve(object)
 	if !ok {
 		return nil, fmt.Errorf("cluster: attach %q: object not created", object)
 	}
@@ -199,7 +210,7 @@ func (g *Guest) CallMulti(reqs []MultiReq) error {
 	}
 	groups := make(map[groupKey][]int)
 	for i := range reqs {
-		owner, ok := g.c.objects[reqs[i].Object]
+		owner, ok := g.c.resolve(reqs[i].Object)
 		if !ok {
 			return fmt.Errorf("cluster: CallMulti: object %q not created", reqs[i].Object)
 		}

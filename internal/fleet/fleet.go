@@ -57,8 +57,10 @@ type Config struct {
 	// Faults, when non-nil, arms the manager with this fault plan for the
 	// fleet's runs: the scheduler pumps asynchronous injections between
 	// events, repairs what they corrupt, and quarantines tenants they
-	// kill. The plan is part of the seed — the same (Seed, Faults) pair
-	// replays the identical fault and recovery trace.
+	// kill. Plan times are fleet time — simulated time summed over every
+	// Run and Replay call — so a split run fires the same injections as
+	// one long run. The plan is part of the seed — the same (Seed,
+	// Faults) pair replays the identical fault and recovery trace.
 	Faults *fault.Plan
 	// PumpEvery is the virtual-time period of the fault pump / recovery
 	// sweep while a plan is armed (default: the scheduling Quantum).
@@ -750,13 +752,18 @@ func (s *Scheduler) runLocked(d simtime.Duration, replay bool, events []workload
 	// repairs what they corrupted — the repair pass runs before any guest
 	// call can stumble into a scribbled entry — and quarantines tenants
 	// that died, reclaiming their attachments without touching the rest.
+	// Plan times are fleet time: the run time accumulated before this
+	// window plus the window's event clock, so an injection fires in the
+	// window that contains it however the run is split into windows.
 	if s.inj != nil {
+		base := s.elapsed
 		var pump func(now simtime.Time)
 		pump = func(now simtime.Time) {
-			s.mgr.PumpFaults(now)
+			at := now.Add(base)
+			s.mgr.PumpFaults(at)
 			_, _ = s.mgr.FsckRepair()
 			s.sweepDead()
-			s.pumpBreakers(now)
+			s.pumpBreakers(at)
 			_, _ = sim.After(s.cfg.PumpEvery, pump)
 		}
 		if _, err := sim.After(s.cfg.PumpEvery, pump); err != nil {

@@ -172,8 +172,10 @@ type RingEvent struct {
 	// attempt number). Its content is deterministic.
 	Note string
 	// Shard is the manager shard that recorded the event, stamped by the
-	// log (see CausalLog.SetShard). It is -1 on unsharded systems, so a
-	// cluster's shard 0 is distinguishable from "no cluster".
+	// log (see CausalLog.SetShard). Every cluster shard's log is scoped,
+	// so events from an elisa.System always carry a shard, 0 on a 1-shard
+	// system; -1 marks a log no shard owns (a Recorder built directly with
+	// NewRecorder).
 	Shard int
 }
 
@@ -216,7 +218,7 @@ type CausalLog struct {
 	start  int
 	count  int
 	seq    uint64
-	shard  int // stamped onto every event; -1 = unsharded
+	shard  int // stamped onto every event; -1 = no owning shard
 	phases [NumRingPhases]*stats.Histogram
 	open   map[uint64]*openTrace
 }
@@ -242,7 +244,7 @@ func NewCausalLog(capEvents int) *CausalLog {
 // SetShard scopes the log to one cluster shard: every event offered from
 // now on carries this shard ID (the String rendering then shows it, so a
 // merged multi-shard timeline stays attributable). A nil log ignores the
-// call; unsharded logs keep the default -1.
+// call; a log never scoped keeps the default -1.
 func (l *CausalLog) SetShard(id int) {
 	if l == nil {
 		return

@@ -3,30 +3,78 @@ package elisa
 import (
 	"fmt"
 	"sort"
+	"strconv"
 
 	"github.com/elisa-go/elisa/internal/cluster"
 	"github.com/elisa-go/elisa/internal/core"
 	"github.com/elisa-go/elisa/internal/ept"
 	"github.com/elisa-go/elisa/internal/fault"
-	"github.com/elisa-go/elisa/internal/fleet"
 	"github.com/elisa-go/elisa/internal/hv"
 	"github.com/elisa-go/elisa/internal/obs"
 )
 
-// newMetricsRegistry wires the machine's live state into a metrics
+// newMetricsRegistry wires the cluster's live state into a metrics
 // registry. Collectors are pulled at Gather time, so every export is a
 // fresh snapshot; nothing here samples or caches.
-func newMetricsRegistry(h *hv.Hypervisor, mgr *core.Manager, rec *obs.Recorder) *obs.Registry {
+func newMetricsRegistry(c *cluster.Cluster) *obs.Registry {
 	reg := obs.NewRegistry()
-	reg.Register(collectMachine(h))
-	reg.Register(collectManager(mgr))
-	reg.Register(collectSlots(mgr))
-	reg.Register(collectRings(mgr))
-	reg.Register(collectOverload(mgr))
-	reg.Register(collectFaults(h, mgr))
-	reg.Register(obs.CollectRecorder(rec))
-	reg.Register(obs.CollectCausal(rec.Causal()))
+	reg.Register(collectShards(c))
+	reg.Register(collectCluster(c))
+	reg.Register(collectFleets(c))
 	return reg
+}
+
+// collectShards runs each per-machine collector once per shard, adds a
+// shard label to every sample, and merges same-named families, so every
+// family is exported once and covers every shard.
+func collectShards(c *cluster.Cluster) obs.Collector {
+	type machine struct {
+		shard      string
+		collectors []obs.Collector
+	}
+	var machines []machine
+	for _, sh := range c.Shards() {
+		h, mgr, rec := sh.Hypervisor(), sh.Manager(), sh.Recorder()
+		machines = append(machines, machine{strconv.Itoa(sh.ID), []obs.Collector{
+			collectMachine(h), collectManager(mgr), collectSlots(mgr), collectRings(mgr),
+			collectOverload(mgr), collectFaults(h, mgr),
+			obs.CollectRecorder(rec), obs.CollectCausal(rec.Causal()),
+		}})
+	}
+	return func() []obs.Metric {
+		var out []obs.Metric
+		family := make(map[string]int)
+		for _, m := range machines {
+			for _, collect := range m.collectors {
+				if collect == nil {
+					continue // no recorder on this system
+				}
+				for _, fam := range collect() {
+					for i := range fam.Samples {
+						fam.Samples[i].Labels = withLabel(fam.Samples[i].Labels, "shard", m.shard)
+					}
+					if k, ok := family[fam.Name]; ok {
+						out[k].Samples = append(out[k].Samples, fam.Samples...)
+						continue
+					}
+					family[fam.Name] = len(out)
+					out = append(out, fam)
+				}
+			}
+		}
+		return out
+	}
+}
+
+// withLabel returns a copy of labels with k set to v; collectors may
+// share one label map between samples.
+func withLabel(labels map[string]string, k, v string) map[string]string {
+	out := make(map[string]string, len(labels)+1)
+	for lk, lv := range labels {
+		out[lk] = lv
+	}
+	out[k] = v
+	return out
 }
 
 // collectRings exports the exit-less ring datapath: per-ring queue
@@ -259,9 +307,9 @@ func collectFaults(h *hv.Hypervisor, mgr *core.Manager) obs.Collector {
 }
 
 // collectCluster exports the sharded control plane: per-shard goodput,
-// slot occupancy, placed objects, call counters, resident host memory,
-// and the cluster-wide max/mean load imbalance ratio plus MoveObject
-// rebalance count.
+// slot occupancy, placed objects, call counters, each fleet's lane
+// counters, and the cluster-wide max/mean load imbalance ratio plus
+// MoveObject rebalance count.
 func collectCluster(c *cluster.Cluster) obs.Collector {
 	return func() []obs.Metric {
 		goodput := obs.Metric{Name: "elisa_cluster_goodput_ops",
@@ -276,8 +324,6 @@ func collectCluster(c *cluster.Cluster) obs.Collector {
 			Help: "Exit-less manager-function calls routed to each shard.", Type: obs.TypeCounter}
 		remaps := obs.Metric{Name: "elisa_cluster_slot_remaps_total",
 			Help: "HCSlotFault slot re-binds on each shard.", Type: obs.TypeCounter}
-		resident := obs.Metric{Name: "elisa_cluster_mem_resident_bytes",
-			Help: "Host memory backing each shard's simulated physical memory.", Type: obs.TypeGauge}
 		laneWindows := obs.Metric{Name: "elisa_fleet_lane_windows_total",
 			Help: "Scheduling windows executed by each cluster fleet's lane runner.", Type: obs.TypeCounter}
 		laneParallel := obs.Metric{Name: "elisa_fleet_lane_parallel_total",
@@ -306,9 +352,8 @@ func collectCluster(c *cluster.Cluster) obs.Collector {
 			guests.Samples = append(guests.Samples, obs.Sample{Labels: labels, Value: float64(ss.Guests)})
 			calls.Samples = append(calls.Samples, obs.Sample{Labels: labels, Value: float64(ss.Calls)})
 			remaps.Samples = append(remaps.Samples, obs.Sample{Labels: labels, Value: float64(ss.Remaps)})
-			resident.Samples = append(resident.Samples, obs.Sample{Labels: labels, Value: float64(ss.ResidentBytes)})
 		}
-		return []obs.Metric{goodput, occupancy, objects, guests, calls, remaps, resident,
+		return []obs.Metric{goodput, occupancy, objects, guests, calls, remaps,
 			laneWindows, laneParallel, laneForced, laneRuns, laneCap,
 			{Name: "elisa_cluster_shards", Help: "Manager shards in the cluster.", Type: obs.TypeGauge,
 				Samples: []obs.Sample{{Value: float64(c.NumShards())}}},
@@ -324,10 +369,16 @@ func collectCluster(c *cluster.Cluster) obs.Collector {
 	}
 }
 
-// collectFleet exports a fleet's per-tenant scheduling results: goodput,
-// drop counters, and completion-latency quantiles.
-func collectFleet(f *fleet.Scheduler) obs.Collector {
+// collectFleets exports every fleet's per-tenant scheduling results —
+// goodput, drop counters, and completion-latency quantiles — labelled
+// with the shard each tenant runs on. It exports nothing until a fleet
+// exists.
+func collectFleets(c *cluster.Cluster) obs.Collector {
 	return func() []obs.Metric {
+		fleets := c.Fleets()
+		if len(fleets) == 0 {
+			return nil
+		}
 		submitted := obs.Metric{Name: "elisa_fleet_submitted_total",
 			Help: "Ops submitted per tenant.", Type: obs.TypeCounter}
 		completed := obs.Metric{Name: "elisa_fleet_completed_total",
@@ -342,29 +393,37 @@ func collectFleet(f *fleet.Scheduler) obs.Collector {
 			Help: "Arrivals refused before the ring, by reason (admission = token bucket, shed = load shedder, breaker = quarantine).", Type: obs.TypeCounter}
 		quarantined := obs.Metric{Name: "elisa_overload_quarantined",
 			Help: "1 while the tenant's circuit breaker holds it quarantined.", Type: obs.TypeGauge}
-		rep := f.Snapshot()
-		for _, tr := range rep.Tenants {
-			labels := map[string]string{"tenant": tr.Name}
-			submitted.Samples = append(submitted.Samples, obs.Sample{Labels: labels, Value: float64(tr.Submitted)})
-			completed.Samples = append(completed.Samples, obs.Sample{Labels: labels, Value: float64(tr.Completed)})
-			dropped.Samples = append(dropped.Samples, obs.Sample{Labels: labels, Value: float64(tr.Dropped)})
-			goodput.Samples = append(goodput.Samples, obs.Sample{Labels: labels, Value: tr.GoodputOPS})
-			latency.Samples = append(latency.Samples,
-				obs.Sample{Labels: map[string]string{"tenant": tr.Name, "q": "p50"}, Value: float64(tr.P50)},
-				obs.Sample{Labels: map[string]string{"tenant": tr.Name, "q": "p99"}, Value: float64(tr.P99)})
-			shed.Samples = append(shed.Samples,
-				obs.Sample{Labels: map[string]string{"tenant": tr.Name, "reason": "admission"}, Value: float64(tr.Throttled)},
-				obs.Sample{Labels: map[string]string{"tenant": tr.Name, "reason": "shed"}, Value: float64(tr.Shed)},
-				obs.Sample{Labels: map[string]string{"tenant": tr.Name, "reason": "breaker"}, Value: float64(tr.BreakerShed)})
-			q := 0.0
-			if tr.Quarantined {
-				q = 1
+		tenants := make([]int, c.NumShards())
+		for _, f := range fleets {
+			for _, tr := range f.Snapshot().Tenants {
+				s, _ := f.TenantShard(tr.Name)
+				tenants[s]++
+				labels := map[string]string{"shard": strconv.Itoa(s), "tenant": tr.Name}
+				submitted.Samples = append(submitted.Samples, obs.Sample{Labels: labels, Value: float64(tr.Submitted)})
+				completed.Samples = append(completed.Samples, obs.Sample{Labels: labels, Value: float64(tr.Completed)})
+				dropped.Samples = append(dropped.Samples, obs.Sample{Labels: labels, Value: float64(tr.Dropped)})
+				goodput.Samples = append(goodput.Samples, obs.Sample{Labels: labels, Value: tr.GoodputOPS})
+				latency.Samples = append(latency.Samples,
+					obs.Sample{Labels: withLabel(labels, "q", "p50"), Value: float64(tr.P50)},
+					obs.Sample{Labels: withLabel(labels, "q", "p99"), Value: float64(tr.P99)})
+				shed.Samples = append(shed.Samples,
+					obs.Sample{Labels: withLabel(labels, "reason", "admission"), Value: float64(tr.Throttled)},
+					obs.Sample{Labels: withLabel(labels, "reason", "shed"), Value: float64(tr.Shed)},
+					obs.Sample{Labels: withLabel(labels, "reason", "breaker"), Value: float64(tr.BreakerShed)})
+				q := 0.0
+				if tr.Quarantined {
+					q = 1
+				}
+				quarantined.Samples = append(quarantined.Samples, obs.Sample{Labels: labels, Value: q})
 			}
-			quarantined.Samples = append(quarantined.Samples, obs.Sample{Labels: labels, Value: q})
 		}
-		return []obs.Metric{submitted, completed, dropped, goodput, latency, shed, quarantined,
-			{Name: "elisa_fleet_tenants", Help: "Admitted tenants.", Type: obs.TypeGauge,
-				Samples: []obs.Sample{{Value: float64(len(rep.Tenants))}}},
+		admitted := obs.Metric{Name: "elisa_fleet_tenants", Help: "Admitted tenants, per shard.", Type: obs.TypeGauge}
+		for s, n := range tenants {
+			if n > 0 {
+				admitted.Samples = append(admitted.Samples, obs.Sample{
+					Labels: map[string]string{"shard": strconv.Itoa(s)}, Value: float64(n)})
+			}
 		}
+		return []obs.Metric{submitted, completed, dropped, goodput, latency, shed, quarantined, admitted}
 	}
 }

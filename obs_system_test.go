@@ -264,14 +264,14 @@ func TestMetricsExportEndToEnd(t *testing.T) {
 	for _, want := range []string{
 		"# TYPE elisa_vcpu_vmfuncs_total counter",
 		"# TYPE elisa_call_latency_ns summary",
-		`elisa_attachment_calls_total{guest="obs-guest",object="obs-obj",slot=`,
-		`elisa_call_latency_ns{fn="11",guest="obs-guest",object="obs-obj",quantile="0.99"}`,
+		`elisa_attachment_calls_total{guest="obs-guest",object="obs-obj",shard="0",slot=`,
+		`elisa_call_latency_ns{fn="11",guest="obs-guest",object="obs-obj",quantile="0.99",shard="0"}`,
 		"elisa_call_latency_ns_count{",
-		"elisa_spans_total{disposition=\"seen\"}",
-		"elisa_vms 2",
-		"elisa_attachments 1",
+		`elisa_spans_total{disposition="seen",shard="0"}`,
+		`elisa_vms{shard="0"} 2`,
+		`elisa_attachments{shard="0"} 1`,
 		"elisa_trace_events_total",
-		fmt.Sprintf("elisa_mem_resident_bytes %d", sys.Hypervisor().Phys().ResidentBytes()),
+		fmt.Sprintf(`elisa_mem_resident_bytes{shard="0"} %d`, sys.Hypervisor().Phys().ResidentBytes()),
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("Prometheus export missing %q:\n%s", want, text)
