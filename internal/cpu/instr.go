@@ -24,10 +24,21 @@ func (v *VCPU) VMCall(nr uint64, args ...uint64) (uint64, error) {
 	if len(args) > 4 {
 		return 0, fmt.Errorf("cpu: VMCall takes at most 4 args, got %d", len(args))
 	}
-	e := &Exit{Reason: ExitHypercall, Hypercall: nr}
+	e := &v.exit
+	if v.exitBusy {
+		e = new(Exit)
+	}
+	*e = Exit{Reason: ExitHypercall, Hypercall: nr}
 	copy(e.Args[:], args)
 	v.stats.Hypercalls++
+	scratch := e == &v.exit
+	if scratch {
+		v.exitBusy = true
+	}
 	ret, err := v.raiseExit(e)
+	if scratch {
+		v.exitBusy = false
+	}
 	if err != nil {
 		return 0, err
 	}

@@ -150,6 +150,13 @@ type VCPU struct {
 	dead          bool
 	flushOnSwitch bool
 	stats         Stats
+
+	// exit is the reusable record of this vCPU's VMCALL exits. The vCPU
+	// is single-threaded, so steady state never allocates one; exitBusy
+	// guards the rare reentrant case (a hypercall handler issuing a
+	// VMCALL on the same vCPU), which falls back to a heap record.
+	exit     Exit
+	exitBusy bool
 }
 
 // Config assembles a vCPU.

@@ -207,7 +207,10 @@ func (h *Hypervisor) HandleExit(v *cpu.VCPU, e *cpu.Exit) (cpu.Action, uint64, e
 			h.kill(vm)
 			return cpu.ActionKill, 0, fmt.Errorf("hv: vm %q: unknown hypercall %d", vm.name, e.Hypercall)
 		}
-		h.trace.Emit(now, vm.name, trace.KindHypercall, "nr=%#x args=%x", e.Hypercall, e.Args)
+		// The per-op path: box no Emit arguments when tracing is off.
+		if h.trace != nil {
+			h.trace.Emit(now, vm.name, trace.KindHypercall, "nr=%#x args=%x", e.Hypercall, e.Args)
+		}
 		v.Charge(h.cost.HypercallDispatch)
 		ret, err := fn(vm, e.Args)
 		return cpu.ActionResume, ret, err

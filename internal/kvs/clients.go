@@ -194,11 +194,10 @@ func (s *VMCallService) hcGet(vm *hv.VM, args [4]uint64) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	key := make([]byte, keyLen)
+	key, val := st.reqKey[:keyLen], st.reqVal
 	if err := vm.GuestRead(staging, key); err != nil {
 		return 0, err
 	}
-	val := make([]byte, s.layout.ValSize)
 	found, err := st.Get(key, val)
 	if err != nil {
 		return 0, err
@@ -221,11 +220,10 @@ func (s *VMCallService) hcPut(vm *hv.VM, args [4]uint64) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	key := make([]byte, keyLen)
+	key, val := st.reqKey[:keyLen], st.reqVal[:valLen]
 	if err := vm.GuestRead(staging, key); err != nil {
 		return 0, err
 	}
-	val := make([]byte, valLen)
 	if err := vm.GuestRead(staging+stagingKeyCap, val); err != nil {
 		return 0, err
 	}
@@ -248,7 +246,7 @@ func (s *VMCallService) hcDel(vm *hv.VM, args [4]uint64) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	key := make([]byte, keyLen)
+	key := st.reqKey[:keyLen]
 	if err := vm.GuestRead(staging, key); err != nil {
 		return 0, err
 	}
@@ -433,11 +431,10 @@ func (s *ELISAService) fnGet(ctx *core.CallContext) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	key := make([]byte, keyLen)
+	key, val := st.reqKey[:keyLen], st.reqVal
 	if err := ctx.ReadExchange(0, key); err != nil {
 		return 0, err
 	}
-	val := make([]byte, s.layout.ValSize)
 	found, err := st.Get(key, val)
 	if err != nil {
 		return 0, err
@@ -460,11 +457,10 @@ func (s *ELISAService) fnPut(ctx *core.CallContext) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	key := make([]byte, keyLen)
+	key, val := st.reqKey[:keyLen], st.reqVal[:valLen]
 	if err := ctx.ReadExchange(0, key); err != nil {
 		return 0, err
 	}
-	val := make([]byte, valLen)
 	if err := ctx.ReadExchange(stagingKeyCap, val); err != nil {
 		return 0, err
 	}
@@ -485,7 +481,7 @@ func (s *ELISAService) fnDel(ctx *core.CallContext) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	key := make([]byte, keyLen)
+	key := st.reqKey[:keyLen]
 	if err := ctx.ReadExchange(0, key); err != nil {
 		return 0, err
 	}

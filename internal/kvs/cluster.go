@@ -2,7 +2,6 @@ package kvs
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/elisa-go/elisa/internal/simtime"
 	"github.com/elisa-go/elisa/internal/stats"
@@ -102,9 +101,7 @@ func (c *Cluster) RunPuts(opsPerVM int, keys [][]byte, choosers []workload.KeyCh
 	for {
 		// Pick pending clients in clock order (earliest first) — the VM
 		// whose core is free soonest contends for the lock first.
-		sort.SliceStable(order, func(a, b int) bool {
-			return c.clients[order[a]].Clock().Now() < c.clients[order[b]].Clock().Now()
-		})
+		c.sortByClock(order)
 		progressed := false
 		for _, i := range order {
 			if remaining[i] == 0 {
@@ -140,6 +137,22 @@ func (c *Cluster) RunPuts(opsPerVM int, keys [][]byte, choosers []workload.KeyCh
 	return res, nil
 }
 
+// sortByClock orders client indices by clock, earliest first, keeping
+// clients with equal clocks in their current order. It is a stable
+// insertion sort: the order stays nearly sorted from one round to the
+// next, and unlike sort.SliceStable it allocates nothing.
+func (c *Cluster) sortByClock(order []int) {
+	for i := 1; i < len(order); i++ {
+		x := order[i]
+		t := c.clients[x].Clock().Now()
+		j := i
+		for ; j > 0 && c.clients[order[j-1]].Clock().Now() > t; j-- {
+			order[j] = order[j-1]
+		}
+		order[j] = x
+	}
+}
+
 func (c *Cluster) finish(res *Result, starts []simtime.Time, opsPerVM int) {
 	res.PerVMMops = make([]float64, len(c.clients))
 	for i, cl := range c.clients {
@@ -170,9 +183,7 @@ func (c *Cluster) RunMixed(opsPerVM int, keys [][]byte, choosers []workload.KeyC
 		order[i] = i
 	}
 	for {
-		sort.SliceStable(order, func(a, b int) bool {
-			return c.clients[order[a]].Clock().Now() < c.clients[order[b]].Clock().Now()
-		})
+		c.sortByClock(order)
 		progressed := false
 		for _, i := range order {
 			if remaining[i] == 0 {

@@ -23,11 +23,10 @@ func (s *ELISAService) fnGetAt(ctx *core.CallContext) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	key := make([]byte, keyLen)
+	key, val := st.reqKey[:keyLen], st.reqVal
 	if err := ctx.ReadExchange(off, key); err != nil {
 		return 0, err
 	}
-	val := make([]byte, s.layout.ValSize)
 	found, err := st.Get(key, val)
 	if err != nil {
 		return 0, err

@@ -75,12 +75,26 @@ func (l Layout) validate() error {
 // Store is one attachment's view of the shared hash table. Multiple Store
 // instances (in different VMs, through different schemes) operate on the
 // same underlying bytes.
+//
+// A view has a single accessor — one vCPU issuing one operation at a
+// time — so it owns the scratch buffers every operation needs and the
+// datapath makes no heap allocation per op.
 type Store struct {
 	w    shm.Window
 	l    Layout
 	cost simtime.CostModel
 	lock *shm.Spinlock
 	seq  *shm.Seqlock
+
+	probeKey []byte // probe: the inspected bucket's key (KeySize)
+	keyPad   []byte // the operation's key, zero-padded to KeySize
+	valPad   []byte // Put: the value, zero-padded to ValSize
+
+	// reqKey and reqVal stage a service request's key and value: the
+	// VMCALL and ELISA handlers copy them in from guest memory, and GET
+	// handlers copy the value back out of reqVal.
+	reqKey []byte // KeySize
+	reqVal []byte // ValSize
 }
 
 // Format initialises a table in w and returns a Store over it.
@@ -152,7 +166,14 @@ func newStore(w shm.Window, l Layout, cost simtime.CostModel) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Store{w: w, l: l, cost: cost, lock: lock, seq: seq}, nil
+	return &Store{
+		w: w, l: l, cost: cost, lock: lock, seq: seq,
+		probeKey: make([]byte, l.KeySize),
+		keyPad:   make([]byte, l.KeySize),
+		valPad:   make([]byte, l.ValSize),
+		reqKey:   make([]byte, l.KeySize),
+		reqVal:   make([]byte, l.ValSize),
+	}, nil
 }
 
 // Layout returns the table geometry.
@@ -192,13 +213,13 @@ func (s *Store) bucketOff(i uint64) int {
 
 // probe finds the bucket holding key (found=true) or the first insertable
 // slot (found=false, insertOff >= 0; -1 when the table is full). Each
-// inspected bucket costs one DRAM random access.
+// inspected bucket costs one DRAM random access. It leaves key, padded
+// to KeySize, in s.keyPad.
 func (s *Store) probe(key []byte) (off int, found bool, insertOff int, err error) {
 	h := s.hash(key)
 	insertOff = -1
-	kbuf := make([]byte, s.l.KeySize)
-	padded := make([]byte, s.l.KeySize)
-	copy(padded, key)
+	kbuf, padded := s.probeKey, s.keyPad
+	clear(padded[copy(padded, key):])
 	for i := 0; i < s.l.Buckets; i++ {
 		bOff := s.bucketOff(h + uint64(i))
 		shm.ChargeTo(s.w, s.cost.DRAMAccess)
@@ -271,10 +292,8 @@ func (s *Store) Put(key, val []byte) error {
 		if err != nil {
 			return err
 		}
-		padded := make([]byte, s.l.KeySize)
-		copy(padded, key)
-		vpadded := make([]byte, s.l.ValSize)
-		copy(vpadded, val)
+		vpadded := s.valPad
+		clear(vpadded[copy(vpadded, val):])
 		if found {
 			shm.ChargeTo(s.w, s.cost.DRAMAccess)
 			return s.w.Write(off+8+align8(s.l.KeySize), vpadded)
@@ -283,7 +302,7 @@ func (s *Store) Put(key, val []byte) error {
 			return fmt.Errorf("kvs: table full (%d buckets)", s.l.Buckets)
 		}
 		shm.ChargeTo(s.w, s.cost.DRAMAccess)
-		if err := s.w.Write(insertOff+8, padded); err != nil {
+		if err := s.w.Write(insertOff+8, s.keyPad); err != nil {
 			return err
 		}
 		if err := s.w.Write(insertOff+8+align8(s.l.KeySize), vpadded); err != nil {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/elisa-go/elisa/internal/core"
+	"github.com/elisa-go/elisa/internal/hv"
 	"github.com/elisa-go/elisa/internal/shm"
 	"github.com/elisa-go/elisa/internal/simtime"
 )
@@ -49,6 +50,31 @@ func TestZeroAllocLaneCallPath(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Fatalf("CallMulti allocates %v per batch, want 0", n)
+	}
+}
+
+// TestZeroAllocVMCallRTT: a warm VMCALL of a nop hypercall — the
+// exit-ful baseline — performs zero heap allocations per op: the vCPU
+// reuses its exit record and the hypervisor boxes no trace arguments
+// while tracing is off.
+func TestZeroAllocVMCallRTT(t *testing.T) {
+	f, err := newKernelFixture()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.hv.RegisterHypercall(khcNop, func(*hv.VM, [4]uint64) (uint64, error) { return 0, nil }); err != nil {
+		t.Fatal(err)
+	}
+	v := f.vm.VCPU()
+	if _, err := v.VMCall(khcNop); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		if _, err := v.VMCall(khcNop, 1, 2, 3, 4); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("VMCall allocates %v per op, want 0", n)
 	}
 }
 

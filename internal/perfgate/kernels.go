@@ -47,10 +47,12 @@ func defaultLaneParallelism() int {
 	return 4
 }
 
-// Manager function IDs the kernels register on their private fixtures.
+// Manager function IDs and the hypercall number the kernels register on
+// their private fixtures.
 const (
 	kfnNop  uint64 = 0xBE9C0010
 	kfnEcho uint64 = 0xBE9C0011
+	khcNop  uint64 = 0xBE9C0012
 )
 
 // kernelFixture is the one-guest ELISA machine the micro kernels run on.
@@ -137,8 +139,7 @@ func prepareVMCallRTT(quick bool) (func() (int64, simtime.Duration, error), erro
 	if err != nil {
 		return nil, err
 	}
-	const hcNop = 0xBE9C0012
-	if err := f.hv.RegisterHypercall(hcNop, func(*hv.VM, [4]uint64) (uint64, error) { return 0, nil }); err != nil {
+	if err := f.hv.RegisterHypercall(khcNop, func(*hv.VM, [4]uint64) (uint64, error) { return 0, nil }); err != nil {
 		return nil, err
 	}
 	v := f.vm.VCPU()
@@ -146,7 +147,7 @@ func prepareVMCallRTT(quick bool) (func() (int64, simtime.Duration, error), erro
 	return func() (int64, simtime.Duration, error) {
 		start := v.Clock().Now()
 		for i := 0; i < ops; i++ {
-			if _, err := v.VMCall(hcNop); err != nil {
+			if _, err := v.VMCall(khcNop); err != nil {
 				return 0, 0, err
 			}
 		}

@@ -7,6 +7,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 
 	"github.com/elisa-go/elisa/internal/simtime"
@@ -51,7 +52,7 @@ func (h *Histogram) bucketOf(v int64) int {
 	if v < sub {
 		return int(v) // exact for tiny values
 	}
-	exp := 63 - int64(leadingZeros(uint64(v)))
+	exp := 63 - int64(bits.LeadingZeros64(uint64(v)))
 	// Position within the octave, quantised to sub slots.
 	frac := (v - (1 << exp)) * sub >> exp
 	return int(exp)*h.sub + int(frac)
@@ -66,17 +67,6 @@ func (h *Histogram) bucketLow(b int) int64 {
 	exp := b / h.sub
 	frac := int64(b % h.sub)
 	return (1 << exp) + frac<<exp/int64(h.sub)
-}
-
-func leadingZeros(v uint64) int {
-	n := 0
-	for i := 63; i >= 0; i-- {
-		if v&(1<<uint(i)) != 0 {
-			return n
-		}
-		n++
-	}
-	return 64
 }
 
 // Record adds one observation (negative values are clamped to zero).

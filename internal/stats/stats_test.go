@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -292,6 +293,48 @@ func TestTableFloatFormatting(t *testing.T) {
 	for i, w := range want {
 		if tb.Rows[i][0] != w {
 			t.Errorf("row %d = %q, want %q", i, tb.Rows[i][0], w)
+		}
+	}
+}
+
+// loopLeadingZeros is the 64-iteration bit loop bucketOf used before it
+// moved to math/bits: the reference TestBucketOfLeadingZeros checks the
+// bucket layout against.
+func loopLeadingZeros(v uint64) int {
+	n := 0
+	for i := 63; i >= 0; i-- {
+		if v&(1<<uint(i)) != 0 {
+			return n
+		}
+		n++
+	}
+	return 64
+}
+
+// loopBucketOf is bucketOf with the loop's leading-zero count.
+func loopBucketOf(h *Histogram, v int64) int {
+	sub := int64(h.sub)
+	if v < sub {
+		return int(v)
+	}
+	exp := 63 - int64(loopLeadingZeros(uint64(v)))
+	frac := (v - (1 << exp)) * sub >> exp
+	return int(exp)*h.sub + int(frac)
+}
+
+// TestBucketOfLeadingZeros: bucketOf puts 0, 1, every 2^k-1 and 2^k, and
+// MaxInt64 in the same bucket as the bit loop did, at the default and a
+// coarse resolution, so no recorded histogram moves.
+func TestBucketOfLeadingZeros(t *testing.T) {
+	vals := []int64{0, 1, math.MaxInt64}
+	for k := 1; k < 63; k++ {
+		vals = append(vals, 1<<k-1, 1<<k)
+	}
+	for _, h := range []*Histogram{NewHistogram(), NewHistogramRes(1), NewHistogramRes(3)} {
+		for _, v := range vals {
+			if got, want := h.bucketOf(v), loopBucketOf(h, v); got != want {
+				t.Errorf("res %d: bucketOf(%d) = %d, bit loop gives %d", h.sub, v, got, want)
+			}
 		}
 	}
 }
