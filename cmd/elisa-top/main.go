@@ -22,6 +22,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -90,13 +91,32 @@ func main() {
 			log.Fatal("elisa-top: -once requires -json (the one-shot mode has no table renderer)")
 		}
 		if err := runOnce(os.Stdout, o); err != nil {
-			log.Fatal(err)
+			fail(err)
 		}
 		return
 	}
 	if err := run(o, *ansi, *prom, *jsonOut, *spans); err != nil {
-		log.Fatal(err)
+		fail(err)
 	}
+}
+
+// usageError is a flag value build refuses because the run would quietly
+// do less than asked (sample nothing, draw no frame, drive no calls).
+type usageError string
+
+func (e usageError) Error() string { return string(e) }
+
+// fail reports a usage error the way the flag package reports a
+// malformed flag — message, usage text, exit status 2 — and any other
+// error as fatal.
+func fail(err error) {
+	var ue usageError
+	if errors.As(err, &ue) {
+		fmt.Fprintf(os.Stderr, "elisa-top: %v\n", ue)
+		flag.Usage()
+		os.Exit(2)
+	}
+	log.Fatal(err)
 }
 
 // tenant is one guest driving load: a cluster guest whose attachments
@@ -138,8 +158,13 @@ type machine struct {
 // each tenant's calls fan out over the shard set), and — with -faults — a
 // seeded chaos plan armed on shard 0.
 func build(o options) (*machine, error) {
-	if o.guests <= 0 || o.objects <= 0 {
-		return nil, fmt.Errorf("need at least one guest and one object")
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"guests", o.guests}, {"objects", o.objects}, {"frames", o.frames}, {"interval", o.intervalMs}, {"sample", o.sample}} {
+		if f.v < 1 {
+			return nil, usageError(fmt.Sprintf("-%s %d: must be at least 1", f.name, f.v))
+		}
 	}
 	sys, err := elisa.NewSystem(elisa.Config{
 		PhysBytes:   o.shards * (256*1024*1024 + o.guests*o.objects*64*1024),

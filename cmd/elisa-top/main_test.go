@@ -2,9 +2,11 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/elisa-go/elisa/internal/simtime"
@@ -137,5 +139,34 @@ func TestOverloadDeltaClamp(t *testing.T) {
 		if got := deltaU64(tc.cur, tc.prev); got != tc.want {
 			t.Errorf("%s: deltaU64(%d, %d) = %d, want %d", tc.name, tc.cur, tc.prev, got, tc.want)
 		}
+	}
+}
+
+// A flag below 1 would make the run quietly do less than asked: -sample 0
+// fell back to 1 in 16, -frames 0 printed nothing, -interval 0 drew a
+// frame with no calls. build refuses each with a usage error.
+func TestBuildRejectsFlagsBelowOne(t *testing.T) {
+	cases := []struct {
+		flag string
+		set  func(*options)
+	}{
+		{"-guests", func(o *options) { o.guests = 0 }},
+		{"-objects", func(o *options) { o.objects = -1 }},
+		{"-frames", func(o *options) { o.frames = 0 }},
+		{"-interval", func(o *options) { o.intervalMs = 0 }},
+		{"-sample", func(o *options) { o.sample = 0 }},
+		{"-sample", func(o *options) { o.sample = -4 }},
+	}
+	for _, c := range cases {
+		o := onceFlags
+		c.set(&o)
+		_, err := build(o)
+		var ue usageError
+		if !errors.As(err, &ue) || !strings.HasPrefix(err.Error(), c.flag+" ") {
+			t.Errorf("%s below 1: build error %v, want a usage error naming %s", c.flag, err, c.flag)
+		}
+	}
+	if _, err := build(onceFlags); err != nil {
+		t.Fatalf("valid flags rejected: %v", err)
 	}
 }

@@ -247,3 +247,64 @@ func TestGateWalkGolden(t *testing.T) {
 		t.Error("two identical gate walks differ")
 	}
 }
+
+// Every request that runs adds exactly one sample to its latency series,
+// whatever the batch size, and a refused batch adds none. A Call is its
+// own request: it adds its span's total, refused or not.
+func TestLatencySamplesOnePerRequest(t *testing.T) {
+	w := newGateWalk(t)
+	vm, g := w.guest("g")
+	v := vm.VCPU()
+	hot := w.attach(g, "hot")
+	gone := w.attach(g, "gone")
+	rc := w.ring(hot, v)
+	rcGone := w.ring(w.attach(g, "ring-gone"), v)
+	reqs := func(n int) []Req {
+		r := make([]Req, n)
+		for i := range r {
+			r[i].Fn = fnNop
+		}
+		return r
+	}
+	flush := func(rc *RingCaller, n int) func() error {
+		return func() error {
+			w.submit(rc, v, n)
+			return rc.Flush(v)
+		}
+	}
+	cases := []struct {
+		name    string
+		op      func() error
+		refused bool
+		want    int64
+	}{
+		{"call", func() error { _, err := hot.Call(v, fnNop); return err }, false, 1},
+		{"multi-1", func() error { return hot.CallMulti(v, reqs(1)) }, false, 1},
+		{"multi-8", func() error { return hot.CallMulti(v, reqs(8)) }, false, 8},
+		{"flush-1", flush(rc, 1), false, 1},
+		{"flush-32", flush(rc, 32), false, 32},
+		{"call-refused", func() error { _, err := gone.Call(v, fnNop); return err }, true, 1},
+		{"multi-refused-1", func() error { return gone.CallMulti(v, reqs(1)) }, true, 0},
+		{"multi-refused-8", func() error { return gone.CallMulti(v, reqs(8)) }, true, 0},
+		{"flush-refused-1", flush(rcGone, 1), true, 0},
+		{"flush-refused-3", flush(rcGone, 3), true, 0},
+	}
+	revoked := false
+	for _, c := range cases {
+		if c.refused && !revoked {
+			w.must(w.mgr.Revoke(vm, "gone"))
+			w.must(w.mgr.Revoke(vm, "ring-gone"))
+			revoked = true
+		}
+		before := w.rec.GuestHistogram("g").Count()
+		if err := c.op(); (err != nil) != c.refused {
+			t.Fatalf("%s: err = %v", c.name, err)
+		}
+		if got := w.rec.GuestHistogram("g").Count() - before; got != c.want {
+			t.Errorf("%s added %d latency samples, want %d", c.name, got, c.want)
+		}
+	}
+	if n := w.rec.Histogram(obs.Key{Guest: "g", Object: "ring-gone", Fn: 0}).Count(); n != 0 {
+		t.Errorf("refused flush recorded %d samples under fn 0, which never ran", n)
+	}
+}

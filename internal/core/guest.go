@@ -308,106 +308,18 @@ func (h *Handle) CallArgs(v *cpu.VCPU, fnID uint64, args [4]uint64) (uint64, err
 	if v != h.g.vm.VCPU() {
 		return 0, ErrForeignVCPU
 	}
-	cost := v.Cost()
-	mgr := h.g.mgr
-
-	// Flight recorder: phase boundaries are read from the vCPU clock but
-	// never charged to it, so observation cannot perturb the latency it
-	// measures. rec == nil (observability off) costs one comparison.
-	rec := mgr.rec
-	var t0, tGate, tSub, tFn simtime.Time
-	var exchp *simtime.Duration
-	if rec != nil {
-		t0 = v.Clock().Now()
-		h.exch = 0
-		exchp = &h.exch
-	}
-
-	// Slot-table lookup: hot attachments resolve for free; a cold one
-	// takes the HCSlotFault exit here, before any context switch, and the
-	// crossing below then runs exactly like the hot case.
-	phys, err := h.ensureBacked(v)
+	c, err := h.enter(v, fnID, 1, true)
 	if err != nil {
 		return 0, err
 	}
-
-	// --- inbound: default -> gate -> sub ---
-	if err := v.FetchExec(h.gateGVA); err != nil {
-		return 0, err
-	}
-	v.Charge(cost.GateCode) // spill registers, stash target slot
-	if err := v.VMFunc(cpu.VMFuncLeafEPTPSwitch, IdxGate); err != nil {
-		return 0, err
-	}
-	if rec != nil {
-		tGate = v.Clock().Now()
-	}
-	if err := v.FetchExec(h.gateGVA); err != nil {
-		return 0, err
-	}
-	// The gate validates the whole (vslot -> phys) binding against its
-	// grant table (in the gate-context stack page) before switching
-	// further; a stale or never-granted slot is refused right here,
-	// without reaching any sub context.
-	if !mgr.gateAllowsBinding(h.g.vm.ID(), h.subIdx, phys) {
-		if err := v.VMFunc(cpu.VMFuncLeafEPTPSwitch, IdxDefault); err != nil {
-			return 0, err
-		}
-		if rec != nil {
-			now := v.Clock().Now()
-			h.recordSpan(rec, fnID, 1, true, t0, tGate, now, now, now, 0)
-		}
-		return 0, fmt.Errorf("core: gate refused slot %d for guest %q", h.subIdx, h.g.vm.Name())
-	}
-	if err := v.VMFunc(cpu.VMFuncLeafEPTPSwitch, phys); err != nil {
-		return 0, err
-	}
-	if rec != nil {
-		tSub = v.Clock().Now()
-	}
-
-	// Fault injection: a guest that dies right here — inside the sub
-	// context, registers spilled on the gate stack — is the worst place to
-	// die. The manager notices via the gate-path epochs (entries > exits)
-	// and RecoverGuest reclaims. One nil check when chaos is off.
-	if inj := mgr.inj; inj != nil {
-		if in := inj.Fire(fault.PointGateEntry, h.g.vm.Name(), v.Clock().Now()); in != nil {
-			mgr.crashMidGate(h.g.vm, in)
-			return 0, fmt.Errorf("core: guest %q died in sub context: %w", h.g.vm.Name(), fault.ErrInjected)
-		}
-	}
-
-	// --- in the sub context: run the manager function ---
-	ret, fnErr := mgr.invoke(v, h, fnID, args, exchp)
+	ret, fnErr := h.g.mgr.invoke(v, h, fnID, args, c.exch)
 	if v.Dead() {
 		// The function faulted and the hypervisor killed the VM; there
 		// is no context to return to.
 		return 0, fnErr
 	}
-	if rec != nil {
-		tFn = v.Clock().Now()
-	}
-
-	// --- outbound: sub -> gate -> default ---
-	if err := v.FetchExec(h.gateGVA); err != nil {
+	if err := h.leave(v, &c, fnErr != nil); err != nil {
 		return 0, err
-	}
-	if err := v.VMFunc(cpu.VMFuncLeafEPTPSwitch, IdxGate); err != nil {
-		return 0, err
-	}
-	if err := v.FetchExec(h.gateGVA); err != nil {
-		return 0, err
-	}
-	v.Charge(cost.GateCode) // restore registers
-	if err := v.VMFunc(cpu.VMFuncLeafEPTPSwitch, IdxDefault); err != nil {
-		return 0, err
-	}
-	if err := v.FetchExec(h.gateGVA); err != nil { // epilogue + ret
-		return 0, err
-	}
-	mgr.noteGateExit(h.g.vm.ID())
-	if rec != nil {
-		h.recordSpan(rec, fnID, 1, fnErr != nil, t0, tGate, tSub, tFn, v.Clock().Now(), h.exch)
 	}
 	if fnErr != nil {
 		return ret, fnErr
@@ -416,24 +328,145 @@ func (h *Handle) CallArgs(v *cpu.VCPU, fnID uint64, args [4]uint64) (uint64, err
 	return ret, nil
 }
 
-// recordSpan assembles a phase-decomposed span from the boundary
-// timestamps and offers it to the flight recorder. The function phase is
-// invoke's total minus the time its exchange helpers accounted for.
-func (h *Handle) recordSpan(rec *obs.Recorder, fnID uint64, batch int, errFlag bool,
-	t0, tGate, tSub, tFn, end simtime.Time, exchange simtime.Duration) {
+// crossing is one trip through the gate, from enter to leave: the span's
+// key, its phase boundaries, and the exchange accumulator invoke fills.
+// Callers hold it in a local variable and neither half takes a closure,
+// so a crossing never leaves the caller's stack.
+type crossing struct {
+	rec   *obs.Recorder // nil: observability off, the fields below unused
+	fn    uint64        // span Fn: the (first) function id
+	batch int           // span Batch: requests under this crossing
+	call  bool          // a single Call: the span total is its latency sample
+
+	t0, tGate, tSub simtime.Time
+	exch            *simtime.Duration // invoke's exchange accumulator
+}
+
+// enter is the inbound half of every gate crossing — Call, CallMulti and
+// a ring Flush alike (the walk is documented on Call): resolve the slot
+// (a cold one takes its HCSlotFault exit here, before any context
+// switch), default -> gate, the gate's grant check, gate -> sub, and the
+// crash-mid-gate hook. On success the vCPU is in the sub context and the
+// caller runs its body, then leave. A refused crossing returns to the
+// default context and records its Err span here.
+//
+// Phase boundaries are read from the vCPU clock but never charged to it,
+// so observation cannot perturb the latency it measures; with the
+// recorder off each costs one comparison.
+func (h *Handle) enter(v *cpu.VCPU, fn uint64, batch int, call bool) (crossing, error) {
+	mgr := h.g.mgr
+	c := crossing{rec: mgr.rec, fn: fn, batch: batch, call: call}
+	if c.rec != nil {
+		c.t0 = v.Clock().Now()
+		h.exch = 0
+		c.exch = &h.exch
+	}
+	phys, err := h.ensureBacked(v)
+	if err != nil {
+		return c, err
+	}
+	if err := v.FetchExec(h.gateGVA); err != nil {
+		return c, err
+	}
+	v.Charge(v.Cost().GateCode) // spill registers, stash target slot
+	if err := v.VMFunc(cpu.VMFuncLeafEPTPSwitch, IdxGate); err != nil {
+		return c, err
+	}
+	if c.rec != nil {
+		c.tGate = v.Clock().Now()
+	}
+	if err := v.FetchExec(h.gateGVA); err != nil {
+		return c, err
+	}
+	// The gate validates the whole (vslot -> phys) binding against its
+	// grant table (in the gate-context stack page) before switching
+	// further; a stale or never-granted slot is refused right here,
+	// without reaching any sub context.
+	if !mgr.gateAllowsBinding(h.g.vm.ID(), h.subIdx, phys) {
+		if err := v.VMFunc(cpu.VMFuncLeafEPTPSwitch, IdxDefault); err != nil {
+			return c, err
+		}
+		if c.rec != nil {
+			now := v.Clock().Now()
+			c.tSub = now
+			h.recordSpan(&c, true, now, now)
+		}
+		return c, fmt.Errorf("core: gate refused slot %d for guest %q", h.subIdx, h.g.vm.Name())
+	}
+	if err := v.VMFunc(cpu.VMFuncLeafEPTPSwitch, phys); err != nil {
+		return c, err
+	}
+	if c.rec != nil {
+		c.tSub = v.Clock().Now()
+	}
+	// Fault injection: a guest that dies right here — inside the sub
+	// context, registers spilled on the gate stack, before any function
+	// of the crossing runs — is the worst place to die. The manager
+	// notices via the gate-path epochs (entries > exits) and RecoverGuest
+	// reclaims. One nil check when chaos is off.
+	if inj := mgr.inj; inj != nil {
+		if in := inj.Fire(fault.PointGateEntry, h.g.vm.Name(), v.Clock().Now()); in != nil {
+			mgr.crashMidGate(h.g.vm, in)
+			return c, fmt.Errorf("core: guest %q died in sub context: %w", h.g.vm.Name(), fault.ErrInjected)
+		}
+	}
+	return c, nil
+}
+
+// leave is the outbound half of a crossing enter opened: sub -> gate ->
+// default with the register restore, then the gate-exit epoch and the
+// span. errFlag marks the span when any function of the body failed.
+func (h *Handle) leave(v *cpu.VCPU, c *crossing, errFlag bool) error {
+	var tFn simtime.Time
+	if c.rec != nil {
+		tFn = v.Clock().Now()
+	}
+	if err := v.FetchExec(h.gateGVA); err != nil {
+		return err
+	}
+	if err := v.VMFunc(cpu.VMFuncLeafEPTPSwitch, IdxGate); err != nil {
+		return err
+	}
+	if err := v.FetchExec(h.gateGVA); err != nil {
+		return err
+	}
+	v.Charge(v.Cost().GateCode) // restore registers
+	if err := v.VMFunc(cpu.VMFuncLeafEPTPSwitch, IdxDefault); err != nil {
+		return err
+	}
+	if err := v.FetchExec(h.gateGVA); err != nil { // epilogue + ret
+		return err
+	}
+	h.g.mgr.noteGateExit(h.g.vm.ID())
+	if c.rec != nil {
+		h.recordSpan(c, errFlag, tFn, v.Clock().Now())
+	}
+	return nil
+}
+
+// recordSpan assembles a phase-decomposed span from the crossing's
+// boundary timestamps and offers it to the flight recorder. The function
+// phase is the body's total minus the time its exchange helpers
+// accounted for. A Call's span total is also that call's latency sample;
+// a batch's requests were sampled one by one as they ran, and a refused
+// batch ran none.
+func (h *Handle) recordSpan(c *crossing, errFlag bool, tFn, end simtime.Time) {
 	var sp obs.Span
-	sp.Start = t0
+	sp.Start = c.t0
 	sp.Guest = h.g.vm.Name()
 	sp.Object = h.objName
-	sp.Fn = fnID
-	sp.Batch = batch
+	sp.Fn = c.fn
+	sp.Batch = c.batch
 	sp.Err = errFlag
-	sp.Phases[obs.PhaseGateIn] = tGate.Sub(t0)
-	sp.Phases[obs.PhaseSubSwitch] = tSub.Sub(tGate)
-	sp.Phases[obs.PhaseFunc] = tFn.Sub(tSub) - exchange
-	sp.Phases[obs.PhaseExchange] = exchange
+	sp.Phases[obs.PhaseGateIn] = c.tGate.Sub(c.t0)
+	sp.Phases[obs.PhaseSubSwitch] = c.tSub.Sub(c.tGate)
+	sp.Phases[obs.PhaseFunc] = tFn.Sub(c.tSub) - h.exch
+	sp.Phases[obs.PhaseExchange] = h.exch
 	sp.Phases[obs.PhaseReturn] = end.Sub(tFn)
-	rec.Record(sp)
+	if c.call {
+		c.rec.RecordLatency(sp.Guest, sp.Object, sp.Fn, sp.Total())
+	}
+	c.rec.Record(sp)
 }
 
 // ExchangeWrite stages data into the exchange buffer from the guest's
@@ -578,111 +611,31 @@ func (h *Handle) CallMulti(v *cpu.VCPU, reqs []Req) error {
 	if len(reqs) == 0 {
 		return ErrNoRequests
 	}
-	cost := v.Cost()
-	mgr := h.g.mgr
-
-	// Flight recorder (see Call): one span covers the whole batch, and
-	// each request's in-sub-context latency lands in its own series.
-	rec := mgr.rec
-	var t0, tGate, tSub, tFn simtime.Time
-	var exchp *simtime.Duration
-	if rec != nil {
-		t0 = v.Clock().Now()
-		h.exch = 0
-		exchp = &h.exch
-	}
-
-	// Slot-table lookup (identical to Call): cold batches pay one slot
-	// fault up front, then the whole batch runs hot.
-	phys, err := h.ensureBacked(v)
+	// One span covers the whole batch; each request's in-sub-context
+	// latency lands in its own series.
+	c, err := h.enter(v, reqs[0].Fn, len(reqs), false)
 	if err != nil {
 		return err
 	}
-
-	// Inbound crossing (identical to Call).
-	if err := v.FetchExec(h.gateGVA); err != nil {
-		return err
-	}
-	v.Charge(cost.GateCode)
-	if err := v.VMFunc(cpu.VMFuncLeafEPTPSwitch, IdxGate); err != nil {
-		return err
-	}
-	if rec != nil {
-		tGate = v.Clock().Now()
-	}
-	if err := v.FetchExec(h.gateGVA); err != nil {
-		return err
-	}
-	if !mgr.gateAllowsBinding(h.g.vm.ID(), h.subIdx, phys) {
-		if err := v.VMFunc(cpu.VMFuncLeafEPTPSwitch, IdxDefault); err != nil {
-			return err
-		}
-		if rec != nil {
-			now := v.Clock().Now()
-			h.recordSpan(rec, reqs[0].Fn, len(reqs), true, t0, tGate, now, now, now, 0)
-		}
-		return fmt.Errorf("core: gate refused slot %d for guest %q", h.subIdx, h.g.vm.Name())
-	}
-	if err := v.VMFunc(cpu.VMFuncLeafEPTPSwitch, phys); err != nil {
-		return err
-	}
-	if rec != nil {
-		tSub = v.Clock().Now()
-	}
-
-	// Fault injection (see Call): crash-mid-gate fires here too, before
-	// any request of the batch runs.
-	if inj := mgr.inj; inj != nil {
-		if in := inj.Fire(fault.PointGateEntry, h.g.vm.Name(), v.Clock().Now()); in != nil {
-			mgr.crashMidGate(h.g.vm, in)
-			return fmt.Errorf("core: guest %q died in sub context: %w", h.g.vm.Name(), fault.ErrInjected)
-		}
-	}
-
-	// Run the whole batch inside the sub context.
+	mgr := h.g.mgr
 	anyErr := false
 	for i := range reqs {
 		var reqStart simtime.Time
-		if rec != nil {
+		if c.rec != nil {
 			reqStart = v.Clock().Now()
 		}
-		reqs[i].Ret, reqs[i].Err = mgr.invoke(v, h, reqs[i].Fn, reqs[i].Args, exchp)
+		reqs[i].Ret, reqs[i].Err = mgr.invoke(v, h, reqs[i].Fn, reqs[i].Args, c.exch)
 		if v.Dead() {
 			return reqs[i].Err
 		}
 		if reqs[i].Err != nil {
 			anyErr = true
 		}
-		if rec != nil {
+		if c.rec != nil {
 			// Per-request latency excludes the amortised gate crossing:
 			// it is the in-sub-context service time of this one request.
-			rec.RecordLatency(h.g.vm.Name(), h.objName, reqs[i].Fn, v.Clock().Elapsed(reqStart))
+			c.rec.RecordLatency(h.g.vm.Name(), h.objName, reqs[i].Fn, v.Clock().Elapsed(reqStart))
 		}
 	}
-	if rec != nil {
-		tFn = v.Clock().Now()
-	}
-
-	// Outbound crossing.
-	if err := v.FetchExec(h.gateGVA); err != nil {
-		return err
-	}
-	if err := v.VMFunc(cpu.VMFuncLeafEPTPSwitch, IdxGate); err != nil {
-		return err
-	}
-	if err := v.FetchExec(h.gateGVA); err != nil {
-		return err
-	}
-	v.Charge(cost.GateCode)
-	if err := v.VMFunc(cpu.VMFuncLeafEPTPSwitch, IdxDefault); err != nil {
-		return err
-	}
-	if err := v.FetchExec(h.gateGVA); err != nil {
-		return err
-	}
-	mgr.noteGateExit(h.g.vm.ID())
-	if rec != nil {
-		h.recordSpan(rec, reqs[0].Fn, len(reqs), anyErr, t0, tGate, tSub, tFn, v.Clock().Now(), h.exch)
-	}
-	return nil
+	return h.leave(v, &c, anyErr)
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sort"
 
 	"github.com/elisa-go/elisa/internal/ept"
 	"github.com/elisa-go/elisa/internal/hv"
@@ -27,41 +28,60 @@ func (m *Manager) CleanupGuest(guest *hv.VM) error {
 	return err
 }
 
-func (m *Manager) cleanupGuestLocked(guest *hv.VM) (rings []*hv.HostRegion, err error) {
+func (m *Manager) cleanupGuestLocked(guest *hv.VM) ([]*hv.HostRegion, error) {
 	gs, ok := m.guests[guest.ID()]
 	if !ok {
 		return nil, fmt.Errorf("core: guest %q has no ELISA state", guest.Name())
 	}
-	tlb := guest.VCPU().TLB()
-	// Revocations the guest never serviced: destroy their contexts first;
-	// the release loop below skips revoked attachments.
-	if err := m.reapLocked(gs); err != nil {
+	rings, err := m.teardownLocked(gs, "cleanup")
+	if err != nil {
 		return rings, err
 	}
-	release := func(a *Attachment) error {
+	m.hv.Trace().Emit(guest.VCPU().Clock().Now(), guest.Name(), trace.KindCleanup, "ELISA state released")
+	return rings, nil
+}
+
+// teardownLocked releases everything a guest's ELISA state holds — the
+// one teardown behind CleanupGuest and RecoverGuest: pending revocations'
+// contexts first, then every attachment's slot, sub context, exchange
+// buffer and ring, the retired attachments' exchange buffers and rings,
+// the gate context and the per-guest stack, and finally the state
+// itself. It needs no cooperation from the guest, so it works the same
+// on a live guest and a dead one. Attachments are reclaimed in sorted
+// object order: the frees feed the allocator's free list, and the same
+// run must hand the same frames to the next allocation. The returned
+// ring regions go to releaseRings once m.mu is dropped; what names the
+// caller in errors.
+func (m *Manager) teardownLocked(gs *guestState, what string) (rings []*hv.HostRegion, err error) {
+	guest := gs.vm
+	tlb := guest.VCPU().TLB()
+	// Revocations the guest never serviced: destroy their contexts first;
+	// the sweep below skips revoked attachments.
+	if err := m.reapLocked(gs); err != nil {
+		return nil, err
+	}
+	for _, name := range gs.attachmentNames() {
+		a := gs.attachments[name]
 		if !a.revoked {
 			a.revoked = true
 			if err := m.unbindLocked(gs, a); err != nil {
-				return err
+				return rings, fmt.Errorf("core: %s %q/%q: %w", what, guest.Name(), name, err)
 			}
 			tlb.InvalidateContext(a.subCtx.Pointer())
 			if err := a.subCtx.Destroy(); err != nil {
-				return err
+				return rings, fmt.Errorf("core: %s %q/%q: %w", what, guest.Name(), name, err)
 			}
+		}
+		if err := a.exchange.Free(); err != nil {
+			return rings, fmt.Errorf("core: %s %q/%q exchange: %w", what, guest.Name(), name, err)
 		}
 		if r := detachRingLocked(a); r != nil {
 			rings = append(rings, r)
 		}
-		return a.exchange.Free()
-	}
-	for name, a := range gs.attachments {
-		if err := release(a); err != nil {
-			return rings, fmt.Errorf("core: cleanup %q/%q: %w", guest.Name(), name, err)
-		}
 	}
 	for _, a := range gs.retired {
 		if err := a.exchange.Free(); err != nil {
-			return rings, fmt.Errorf("core: cleanup retired exchange: %w", err)
+			return rings, fmt.Errorf("core: %s retired exchange: %w", what, err)
 		}
 		if r := detachRingLocked(a); r != nil {
 			rings = append(rings, r)
@@ -78,8 +98,19 @@ func (m *Manager) cleanupGuestLocked(guest *hv.VM) (rings []*hv.HostRegion, err 
 		return rings, err
 	}
 	delete(m.guests, guest.ID())
-	m.hv.Trace().Emit(guest.VCPU().Clock().Now(), guest.Name(), trace.KindCleanup, "ELISA state released")
 	return rings, nil
+}
+
+// attachmentNames returns the guest's attachment names (live, revoked
+// and not yet cleaned up), sorted: the one order every walk over them
+// that frees memory or prints uses.
+func (gs *guestState) attachmentNames() []string {
+	names := make([]string, 0, len(gs.attachments))
+	for name := range gs.attachments {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
 }
 
 // Fsck audits the manager's bookkeeping against the machine state: the

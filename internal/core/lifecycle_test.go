@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -237,5 +238,70 @@ func TestLifecycleProperty(t *testing.T) {
 	}
 	if err := quick.Check(run, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// CleanupGuest frees exchange buffers into the allocator's free list, so
+// its reclaim order decides which frames the next allocation gets. It
+// must be the same every run: attach four objects, clean up, allocate,
+// and the new object's frames must come out identical on every machine.
+func TestCleanupGuestFreesInDeterministicOrder(t *testing.T) {
+	var first string
+	for run := 0; run < 32; run++ {
+		f := newFixture(t)
+		vm, g := f.newGuest(t, "g")
+		for i := 0; i < 4; i++ {
+			name := fmt.Sprintf("o%d", i)
+			if _, err := f.mgr.CreateObject(name, mem.PageSize); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := g.Attach(name); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := f.mgr.CleanupGuest(vm); err != nil {
+			t.Fatal(err)
+		}
+		o, err := f.mgr.CreateObject("next", 8*mem.PageSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		layout := fmt.Sprint(o.Region().Frames())
+		if run == 0 {
+			first = layout
+		} else if layout != first {
+			t.Fatalf("run %d: frames after cleanup %s, run 0 got %s", run, layout, first)
+		}
+	}
+}
+
+// DescribeGuest is what elisa-inspect prints, so its rows must come out
+// in one order (object name) however often it is asked.
+func TestDescribeGuestIsDeterministic(t *testing.T) {
+	f := newFixture(t)
+	vm, g := f.newGuest(t, "g")
+	for _, name := range []string{"delta", "alpha", "charlie", "bravo"} {
+		if _, err := f.mgr.CreateObject(name, mem.PageSize); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := g.Attach(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	first, err := f.mgr.DescribeGuest(vm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 32; i++ {
+		if again, _ := f.mgr.DescribeGuest(vm); again != first {
+			t.Fatalf("describe %d differs:\n%s\nfirst:\n%s", i, again, first)
+		}
+	}
+	var rows []string
+	for _, line := range strings.Split(strings.TrimSpace(first), "\n")[1:] {
+		rows = append(rows, strings.Fields(line)[0])
+	}
+	if got := strings.Join(rows, ","); got != "alpha,bravo,charlie,delta" {
+		t.Fatalf("rows in order %s, want object-name order", got)
 	}
 }

@@ -367,36 +367,7 @@ func (m *Manager) VM() *hv.VM { return m.vm }
 // CreateObject allocates a shared object of at least size bytes. Guests
 // may attach with the default grant (read-write) unless restricted.
 func (m *Manager) CreateObject(name string, size int) (*Object, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if name == "" {
-		return nil, fmt.Errorf("core: object name must not be empty")
-	}
-	if _, dup := m.objects[name]; dup {
-		return nil, fmt.Errorf("core: object %q already exists", name)
-	}
-	if size <= 0 {
-		return nil, fmt.Errorf("core: object %q: size %d must be positive", name, size)
-	}
-	region, err := m.hv.AllocHostRegion(size)
-	if err != nil {
-		return nil, fmt.Errorf("core: object %q: %w", name, err)
-	}
-	o := &Object{
-		name:        name,
-		region:      region,
-		size:        region.Size(),
-		gpa:         m.nextObjGPA,
-		defaultPerm: ept.PermRW,
-		acl:         make(map[int]ept.Perm),
-	}
-	// Leave a guard page between objects: a linear overrun in manager
-	// code faults instead of silently entering the next object.
-	m.nextObjGPA += mem.GPA((region.Pages() + 1) * mem.PageSize)
-	m.objects[name] = o
-	// Building the object is manager-side work.
-	m.vm.VCPU().Charge(m.hv.Cost().MemAccess * 4)
-	return o, nil
+	return m.allocObject(name, size, false)
 }
 
 // CreateObjectHuge allocates a shared object backed by physically
@@ -404,36 +375,7 @@ func (m *Manager) CreateObject(name string, size int) (*Object, error) {
 // fewer table frames, deeper TLB reach for large objects (see the
 // ext_hugepages experiment).
 func (m *Manager) CreateObjectHuge(name string, size int) (*Object, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if name == "" {
-		return nil, fmt.Errorf("core: object name must not be empty")
-	}
-	if _, dup := m.objects[name]; dup {
-		return nil, fmt.Errorf("core: object %q already exists", name)
-	}
-	if size <= 0 {
-		return nil, fmt.Errorf("core: object %q: size %d must be positive", name, size)
-	}
-	region, err := m.hv.AllocHostRegionHuge(size)
-	if err != nil {
-		return nil, fmt.Errorf("core: object %q: %w", name, err)
-	}
-	// Huge mappings need a 2MiB-aligned GPA.
-	base := (m.nextObjGPA + ept.HugePageSize - 1) &^ (ept.HugePageSize - 1)
-	o := &Object{
-		name:        name,
-		region:      region,
-		size:        region.Size(),
-		gpa:         base,
-		huge:        true,
-		defaultPerm: ept.PermRW,
-		acl:         make(map[int]ept.Perm),
-	}
-	m.nextObjGPA = base + mem.GPA((region.Pages()+1)*mem.PageSize)
-	m.objects[name] = o
-	m.vm.VCPU().Charge(m.hv.Cost().MemAccess * 4)
-	return o, nil
+	return m.allocObject(name, size, true)
 }
 
 // Huge reports whether the object uses 2 MiB mappings.
@@ -446,27 +388,69 @@ func (o *Object) Huge() bool { return o.huge }
 func (m *Manager) CreateObjectFromRegion(name string, region *hv.HostRegion) (*Object, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if name == "" {
-		return nil, fmt.Errorf("core: object name must not be empty")
-	}
-	if _, dup := m.objects[name]; dup {
-		return nil, fmt.Errorf("core: object %q already exists", name)
+	if err := m.checkNewNameLocked(name); err != nil {
+		return nil, err
 	}
 	if region == nil {
 		return nil, fmt.Errorf("core: object %q: nil region", name)
+	}
+	return m.publishLocked(name, region, false), nil
+}
+
+func (m *Manager) allocObject(name string, size int, huge bool) (*Object, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if err := m.checkNewNameLocked(name); err != nil {
+		return nil, err
+	}
+	if size <= 0 {
+		return nil, fmt.Errorf("core: object %q: size %d must be positive", name, size)
+	}
+	alloc := m.hv.AllocHostRegion
+	if huge {
+		alloc = m.hv.AllocHostRegionHuge
+	}
+	region, err := alloc(size)
+	if err != nil {
+		return nil, fmt.Errorf("core: object %q: %w", name, err)
+	}
+	return m.publishLocked(name, region, huge), nil
+}
+
+// checkNewNameLocked is the name check every object constructor shares.
+func (m *Manager) checkNewNameLocked(name string) error {
+	if name == "" {
+		return fmt.Errorf("core: object name must not be empty")
+	}
+	if _, dup := m.objects[name]; dup {
+		return fmt.Errorf("core: object %q already exists", name)
+	}
+	return nil
+}
+
+// publishLocked places a new object at the next free GPA of the
+// shared-object range (2 MiB aligned when huge, as huge mappings need)
+// and registers it. A guard page follows every object: a linear overrun
+// in manager code faults instead of silently entering the next object.
+func (m *Manager) publishLocked(name string, region *hv.HostRegion, huge bool) *Object {
+	gpa := m.nextObjGPA
+	if huge {
+		gpa = (gpa + ept.HugePageSize - 1) &^ (ept.HugePageSize - 1)
 	}
 	o := &Object{
 		name:        name,
 		region:      region,
 		size:        region.Size(),
-		gpa:         m.nextObjGPA,
+		gpa:         gpa,
+		huge:        huge,
 		defaultPerm: ept.PermRW,
 		acl:         make(map[int]ept.Perm),
 	}
-	m.nextObjGPA += mem.GPA((region.Pages() + 1) * mem.PageSize)
+	m.nextObjGPA = gpa + mem.GPA((region.Pages()+1)*mem.PageSize)
 	m.objects[name] = o
+	// Building the object is manager-side work.
 	m.vm.VCPU().Charge(m.hv.Cost().MemAccess * 4)
-	return o, nil
+	return o
 }
 
 // Object looks up a shared object by name.

@@ -104,57 +104,9 @@ func (m *Manager) recoverGuestLocked(guest *hv.VM) (midGate bool, rings []*hv.Ho
 		return false, nil, fmt.Errorf("core: guest %q has no ELISA state to recover", guest.Name())
 	}
 	midGate = gs.gateEntries > gs.gateExits
-	tlb := guest.VCPU().TLB()
-	// Revocations the guest never lived to service: destroy their contexts
-	// before the sweep below, which skips revoked attachments.
-	if err := m.reapLocked(gs); err != nil {
+	if rings, err = m.teardownLocked(gs, "recover"); err != nil {
 		return midGate, rings, err
 	}
-	// Reclaim in sorted object order: the frees feed the allocator's free
-	// list, and replayed runs must return frames in the identical order.
-	names := make([]string, 0, len(gs.attachments))
-	for name := range gs.attachments {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		a := gs.attachments[name]
-		if !a.revoked {
-			a.revoked = true
-			if err := m.unbindLocked(gs, a); err != nil {
-				return midGate, rings, fmt.Errorf("core: recover %q/%q: %w", guest.Name(), name, err)
-			}
-			tlb.InvalidateContext(a.subCtx.Pointer())
-			if err := a.subCtx.Destroy(); err != nil {
-				return midGate, rings, fmt.Errorf("core: recover %q/%q: %w", guest.Name(), name, err)
-			}
-		}
-		if err := a.exchange.Free(); err != nil {
-			return midGate, rings, fmt.Errorf("core: recover %q/%q exchange: %w", guest.Name(), name, err)
-		}
-		if r := detachRingLocked(a); r != nil {
-			rings = append(rings, r)
-		}
-	}
-	for _, a := range gs.retired {
-		if err := a.exchange.Free(); err != nil {
-			return midGate, rings, fmt.Errorf("core: recover retired exchange: %w", err)
-		}
-		if r := detachRingLocked(a); r != nil {
-			rings = append(rings, r)
-		}
-	}
-	if err := gs.list.Revoke(IdxGate); err != nil {
-		return midGate, rings, err
-	}
-	tlb.InvalidateContext(gs.gateCtx.Pointer())
-	if err := gs.gateCtx.Destroy(); err != nil {
-		return midGate, rings, err
-	}
-	if err := gs.stack.Free(); err != nil {
-		return midGate, rings, err
-	}
-	delete(m.guests, guest.ID())
 	m.recoveries++
 	m.inj.NoteRecovery("quarantine", guest.Name())
 	detail := "dead guest quarantined, attachments reclaimed"

@@ -482,10 +482,6 @@ func (rc *RingCaller) Flush(v *cpu.VCPU) error {
 	if v != rc.h.g.vm.VCPU() {
 		return fmt.Errorf("core: Flush on foreign vCPU")
 	}
-	h := rc.h
-	mgr := h.g.mgr
-	cost := v.Cost()
-
 	// Peek from the default context: an empty queue (the poller won) means
 	// no crossing. The read is exit-less shared-memory traffic.
 	queued, err := rc.ring.ProducerPending()
@@ -496,79 +492,32 @@ func (rc *RingCaller) Flush(v *cpu.VCPU) error {
 		rc.pending = 0
 		return nil
 	}
-
-	rec := mgr.rec
-	var t0, tGate, tSub, tFn simtime.Time
-	var exchp *simtime.Duration
-	if rec != nil {
-		t0 = v.Clock().Now()
-		h.exch = 0
-		exchp = &h.exch
-	}
-
-	phys, err := h.ensureBacked(v)
+	h := rc.h
+	c, err := h.enter(v, 0, queued, false)
 	if err != nil {
 		return err
-	}
-
-	// Inbound crossing (identical to Call/CallMulti).
-	if err := v.FetchExec(h.gateGVA); err != nil {
-		return err
-	}
-	v.Charge(cost.GateCode)
-	if err := v.VMFunc(cpu.VMFuncLeafEPTPSwitch, IdxGate); err != nil {
-		return err
-	}
-	if rec != nil {
-		tGate = v.Clock().Now()
-	}
-	if err := v.FetchExec(h.gateGVA); err != nil {
-		return err
-	}
-	if !mgr.gateAllowsBinding(h.g.vm.ID(), h.subIdx, phys) {
-		if err := v.VMFunc(cpu.VMFuncLeafEPTPSwitch, IdxDefault); err != nil {
-			return err
-		}
-		if rec != nil {
-			now := v.Clock().Now()
-			h.recordSpan(rec, 0, queued, true, t0, tGate, now, now, now, 0)
-		}
-		return fmt.Errorf("core: gate refused slot %d for guest %q", h.subIdx, h.g.vm.Name())
-	}
-	if err := v.VMFunc(cpu.VMFuncLeafEPTPSwitch, phys); err != nil {
-		return err
-	}
-	if rec != nil {
-		tSub = v.Clock().Now()
-	}
-
-	if inj := mgr.inj; inj != nil {
-		if in := inj.Fire(fault.PointGateEntry, h.g.vm.Name(), v.Clock().Now()); in != nil {
-			mgr.crashMidGate(h.g.vm, in)
-			return fmt.Errorf("core: guest %q died in sub context: %w", h.g.vm.Name(), fault.ErrInjected)
-		}
 	}
 
 	// Drain inside the sub context: the ring is mapped here at the same
 	// GPA, so the same window works. drainMu makes us the sole submission
 	// consumer while we run (the poller waits); the lock cost models the
 	// manager-side spinlock the real implementation would take.
+	cost := v.Cost()
 	rs := rc.rs
 	rs.drainMu.Lock()
 	v.Charge(cost.LockAcquire)
-	var firstFn uint64
 	var n int
 	var drainErr error
-	if rec != nil {
+	if c.rec != nil {
 		// Batch-granularity pprof label: the whole drain session is
 		// "service" in wall-clock profiles, matching the sim-time phase.
 		obs.WithPhase(obs.RingPhaseService.String(), func() {
-			firstFn, n, drainErr = rc.flushDrain(v, rec, tSub, exchp)
+			c.fn, n, drainErr = rc.flushDrain(v, c.rec, c.tSub, c.exch)
 		})
 	} else {
 		// Direct call, no closure: the recorder-off path is the one the
 		// zero-alloc pins measure.
-		firstFn, n, drainErr = rc.flushDrain(v, nil, tSub, exchp)
+		c.fn, n, drainErr = rc.flushDrain(v, nil, c.tSub, c.exch)
 	}
 	v.Charge(cost.LockRelease)
 	rs.drainMu.Unlock()
@@ -579,32 +528,11 @@ func (rc *RingCaller) Flush(v *cpu.VCPU) error {
 		rs.flushes.Add(1)
 		rs.flushed.Add(uint64(n))
 		rs.recordBatch(n)
-		rec.RecordRingBatch(h.g.vm.Name(), h.objName, n)
+		c.rec.RecordRingBatch(h.g.vm.Name(), h.objName, n)
 	}
-	if rec != nil {
-		tFn = v.Clock().Now()
-	}
-
-	// Outbound crossing.
-	if err := v.FetchExec(h.gateGVA); err != nil {
+	c.batch = n // the span counts what ran, not what was queued
+	if err := h.leave(v, &c, false); err != nil {
 		return err
-	}
-	if err := v.VMFunc(cpu.VMFuncLeafEPTPSwitch, IdxGate); err != nil {
-		return err
-	}
-	if err := v.FetchExec(h.gateGVA); err != nil {
-		return err
-	}
-	v.Charge(cost.GateCode)
-	if err := v.VMFunc(cpu.VMFuncLeafEPTPSwitch, IdxDefault); err != nil {
-		return err
-	}
-	if err := v.FetchExec(h.gateGVA); err != nil {
-		return err
-	}
-	mgr.noteGateExit(h.g.vm.ID())
-	if rec != nil {
-		h.recordSpan(rec, firstFn, n, false, t0, tGate, tSub, tFn, v.Clock().Now(), h.exch)
 	}
 	rc.pending = 0
 	return nil

@@ -151,7 +151,8 @@ func (m *Manager) DescribeGuest(guest *hv.VM) (string, error) {
 	}
 	s := fmt.Sprintf("guest %q: gate@%#x, %d attachment(s), %d/%d slots backed, next vslot %d, faults=%d evictions=%d\n",
 		guest.Name(), uint64(gs.gateGPA), len(gs.attachments), len(gs.physAtt), gs.budget, gs.nextVSlot, gs.faults, gs.evictions)
-	for name, a := range gs.attachments {
+	for _, name := range gs.attachmentNames() {
+		a := gs.attachments[name]
 		state := "live"
 		if a.revoked {
 			state = "revoked"

@@ -16,6 +16,13 @@ func span(guest, object string, fn uint64, total simtime.Duration) Span {
 	return sp
 }
 
+// recordCall records one Call the way the gate walk does: its span total
+// is the call's latency sample, and the span goes to the ring.
+func recordCall(r *Recorder, guest, object string, fn uint64, total simtime.Duration) {
+	r.RecordLatency(guest, object, fn, total)
+	r.Record(span(guest, object, fn, total))
+}
+
 func TestNilRecorderIsInert(t *testing.T) {
 	var r *Recorder
 	r.Record(span("g", "o", 1, 10))
@@ -35,7 +42,7 @@ func TestNilRecorderIsInert(t *testing.T) {
 func TestRecorderSampling(t *testing.T) {
 	r := NewRecorder(Config{SpanRing: 64, SampleEvery: 4})
 	for i := 0; i < 10; i++ {
-		r.Record(span("g", "o", 1, simtime.Duration(100+i)))
+		recordCall(r, "g", "o", 1, simtime.Duration(100+i))
 	}
 	if r.SpansSeen() != 10 {
 		t.Fatalf("seen = %d", r.SpansSeen())
@@ -53,6 +60,12 @@ func TestRecorderSampling(t *testing.T) {
 	// The histogram sees every call, sampled or not.
 	if h := r.Histogram(Key{"g", "o", 1}); h.Count() != 10 {
 		t.Fatalf("histogram count = %d", h.Count())
+	}
+	// A span on its own is no latency sample: that would count a
+	// one-request batch twice.
+	r.Record(span("g", "o", 1, 100))
+	if h := r.Histogram(Key{"g", "o", 1}); h.Count() != 10 {
+		t.Fatalf("Record fed the histogram: count = %d", h.Count())
 	}
 }
 
@@ -74,10 +87,10 @@ func TestRecorderRingWrap(t *testing.T) {
 
 func TestRecorderAggregation(t *testing.T) {
 	r := NewRecorder(Config{SampleEvery: 1})
-	r.Record(span("a", "kv", 1, 100))
-	r.Record(span("a", "kv", 2, 200))
-	r.Record(span("a", "ring", 1, 300))
-	r.Record(span("b", "kv", 1, 400))
+	recordCall(r, "a", "kv", 1, 100)
+	recordCall(r, "a", "kv", 2, 200)
+	recordCall(r, "a", "ring", 1, 300)
+	recordCall(r, "b", "kv", 1, 400)
 	keys := r.Keys()
 	if len(keys) != 4 {
 		t.Fatalf("keys = %v", keys)
@@ -106,7 +119,7 @@ func TestRecorderConcurrentUse(t *testing.T) {
 			defer wg.Done()
 			name := string(rune('a' + g))
 			for i := 0; i < 500; i++ {
-				r.Record(span(name, "o", uint64(i%3), simtime.Duration(i)))
+				recordCall(r, name, "o", uint64(i%3), simtime.Duration(i))
 				if i%50 == 0 {
 					_ = r.Spans()
 					_ = r.AttachmentHistogram(name, "o")
@@ -201,7 +214,7 @@ func TestCollectRecorderSummaries(t *testing.T) {
 	}
 	r := NewRecorder(Config{SampleEvery: 1})
 	for i := 0; i < 100; i++ {
-		r.Record(span("tenant-0", "kv", 1, simtime.Duration(100+i)))
+		recordCall(r, "tenant-0", "kv", 1, simtime.Duration(100+i))
 	}
 	reg := NewRegistry()
 	reg.Register(CollectRecorder(r))

@@ -147,11 +147,12 @@ func (r *Recorder) RingBatchHistogram(k RingKey) *stats.Histogram {
 	return stats.NewHistogram()
 }
 
-// Record offers one completed span. A single-call span's total latency is
-// recorded in its (guest, object, fn) histogram unconditionally; batch
-// spans skip the histogram because their constituent requests were already
-// recorded one-by-one via RecordLatency. The span itself enters the ring
-// only if the sampling counter selects it. Record assigns the span's Seq.
+// Record offers one completed span: it assigns the span's Seq, counts it,
+// and keeps it in the ring if the sampling counter selects it. It feeds no
+// latency histogram. Histograms take one RecordLatency sample per request
+// that ran: a Call's span total, or each batched request's own service
+// time. A span alone cannot tell a one-request batch, or a refused one,
+// from a Call, so the caller that stamps it records the samples.
 func (r *Recorder) Record(sp Span) {
 	if r == nil {
 		return
@@ -160,9 +161,6 @@ func (r *Recorder) Record(sp Span) {
 	defer r.mu.Unlock()
 	sp.Seq = r.seen
 	r.seen++
-	if sp.Batch <= 1 {
-		r.histLocked(Key{sp.Guest, sp.Object, sp.Fn}).RecordDuration(sp.Total())
-	}
 	if sp.Seq%r.sampleEvery != 0 {
 		return
 	}
@@ -177,8 +175,8 @@ func (r *Recorder) Record(sp Span) {
 }
 
 // RecordLatency adds one latency observation to a series without offering
-// a span — used for the per-request timings inside a CallMulti batch,
-// whose gate crossing is amortised and recorded as a single span.
+// a span. It is the histograms' only input: one sample per request that
+// ran (see Record).
 func (r *Recorder) RecordLatency(guest, object string, fn uint64, d simtime.Duration) {
 	if r == nil {
 		return
