@@ -10,6 +10,10 @@
 //     to a file that exists, and every intra-repo anchor (`#section`,
 //     `FILE.md#section`) resolves to a heading in the target file (by
 //     the GitHub heading-slug algorithm);
+//   - every row of README.md's `| Knob | Where | Means |` table names
+//     real code: each backticked field in the Knob column is an exported
+//     field of a type the Where column names, and each `-flag` is
+//     defined by a command the row names;
 //   - every latency constant quoted in COSTMODEL.md's tables matches the
 //     calibrated model in internal/simtime/cost.go — the values package
 //     core charges and the perfgate kernels measure — including the two
@@ -21,7 +25,7 @@
 //	elisa-doclint              # lint the tree rooted at the working directory
 //	elisa-doclint -root DIR    # lint another tree
 //	elisa-doclint -go=false    # skip Go doc comments
-//	elisa-doclint -md=false    # skip markdown links
+//	elisa-doclint -md=false    # skip markdown links and the knob table
 //	elisa-doclint -cost=false  # skip the COSTMODEL.md drift check
 //
 // Exit status is non-zero when any finding is reported, so CI can gate
@@ -62,6 +66,11 @@ func main() {
 	}
 	if *mdLint {
 		f, err := lintMarkdownLinks(*root)
+		if err == nil {
+			var k []string
+			k, err = lintKnobTable(*root)
+			f = append(f, k...)
+		}
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "elisa-doclint: %v\n", err)
 			os.Exit(2)

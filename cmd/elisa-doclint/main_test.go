@@ -161,3 +161,82 @@ func TestLintMarkdownLinksAnchors(t *testing.T) {
 		}
 	}
 }
+
+// TestLintKnobTable builds a miniature tree — one package, one command,
+// a README knob table — and checks that rows naming real fields (direct,
+// dotted, promoted, through an alias) and real flags pass, while each
+// kind of drift is one finding.
+func TestLintKnobTable(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name, body string) {
+		t.Helper()
+		path := filepath.Join(dir, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write("internal/a/a.go", `package a
+type Config struct {
+	Classes  int
+	Overload Sub
+	*Embedded
+}
+type Sub struct{ BusyFrac float64 }
+type Embedded struct{ Promoted int }
+type Alias = Config
+`)
+	write("cmd/elisa-x/main.go", `package main
+import "flag"
+func main() {
+	flag.Int("poll", 1, "")
+	var b bool
+	flag.BoolVar(&b, "on", false, "")
+	flag.Parse()
+}
+`)
+	write("README.md", "| Knob | Where | Means |\n|---|---|---|\n"+
+		"| `Classes`, `Overload.BusyFrac`, `Promoted`, `Embedded` | `a.Config` | real fields |\n"+
+		"| `-on` | `elisa-x` | a real flag |\n"+
+		"| `Classes` | `Alias` | a field through an alias |\n"+
+		"| `PollBudget` | `a.Sub`, `elisa-x -poll` | bad field, real flag |\n"+
+		"| `Overload.Nope` | `a.Config` | bad path |\n"+
+		"| `-poll` | `a.Config` | no command named |\n"+
+		"| `-nope` | `elisa-x` | undefined flag |\n"+
+		"| `X` | `a.Gone` | missing type |\n"+
+		"| `-on` | `elisa-gone` | missing command |\n"+
+		"\n| `Ignored` | `a.Config` | after the table ends |\n")
+	findings, err := lintKnobTable(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"README.md:6: knob PollBudget is not an exported field",
+		"README.md:7: knob Overload.Nope is not an exported field",
+		"README.md:8: flag -poll is not defined",
+		"README.md:9: flag -nope is not defined",
+		"README.md:10: knob table names type Gone",
+		"README.md:10: knob X is not an exported field",
+		"README.md:11: knob table names command elisa-gone",
+		"README.md:11: flag -on is not defined",
+	}
+	if len(findings) != len(want) {
+		t.Fatalf("got %d findings, want %d: %v", len(findings), len(want), findings)
+	}
+	for _, w := range want {
+		found := false
+		for _, f := range findings {
+			if strings.HasPrefix(f, w) {
+				found = true
+			}
+		}
+		if !found {
+			t.Errorf("no finding starting %q in %v", w, findings)
+		}
+	}
+	if findings, err := lintKnobTable(t.TempDir()); err != nil || findings != nil {
+		t.Fatalf("tree without README.md: findings %v, err %v", findings, err)
+	}
+}

@@ -10,6 +10,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"os"
 
 	elisa "github.com/elisa-go/elisa"
 	"github.com/elisa-go/elisa/internal/core"
@@ -27,6 +28,11 @@ func main() {
 	faultSeed := flag.Int64("fault-seed", 42, "seed for the -faults chaos plan; same seed reproduces the same trace")
 	causal := flag.String("causal", "", `render causal ring-call chains from a seeded overload scenario: a trace ID (decimal or 0x-hex) or "all"`)
 	flag.Parse()
+	if err := checkFlags(*guests, *objects, *slotBudget, *nFaults); err != nil {
+		fmt.Fprintf(os.Stderr, "elisa-inspect: %v\n", err)
+		flag.Usage()
+		os.Exit(2)
+	}
 	if *causal != "" {
 		if err := runCausal(*causal); err != nil {
 			log.Fatal(err)
@@ -36,6 +42,23 @@ func main() {
 	if err := run(*guests, *objects, *slotBudget, *traceDump, *nFaults, *faultSeed); err != nil {
 		log.Fatal(err)
 	}
+}
+
+// checkFlags refuses flag values the dump would crash on or quietly
+// ignore: no guests or objects to inspect, or a negative slot budget or
+// fault count. main reports its error as a usage error (exit status 2).
+func checkFlags(guests, objects, slotBudget, faults int) error {
+	switch {
+	case guests < 1:
+		return fmt.Errorf("-guests %d: must be at least 1", guests)
+	case objects < 1:
+		return fmt.Errorf("-objects %d: must be at least 1", objects)
+	case slotBudget < 0:
+		return fmt.Errorf("-slot-budget %d: must be at least 0 (0 = the whole list)", slotBudget)
+	case faults < 0:
+		return fmt.Errorf("-faults %d: must be at least 0 (0 = off)", faults)
+	}
+	return nil
 }
 
 func run(nGuests, nObjects, slotBudget int, traceDump bool, nFaults int, faultSeed int64) error {

@@ -26,16 +26,31 @@ func main() {
 		mix    = flag.Float64("mix", -1, "read ratio for a mixed phase (e.g. 0.95); <0 skips it")
 	)
 	flag.Parse()
+	if err := checkFlags(*vms, *ops); err != nil {
+		fmt.Fprintf(os.Stderr, "elisa-kvs: %v\n", err)
+		flag.Usage()
+		os.Exit(2)
+	}
 	if err := run(*scheme, *vms, *ops, *keys, *zipf, *mix); err != nil {
 		fmt.Fprintln(os.Stderr, "elisa-kvs:", err)
 		os.Exit(1)
 	}
 }
 
-func run(scheme string, vms, ops, nKeys int, zipf bool, mixRatio float64) error {
-	if vms < 1 || vms > 8 {
-		return fmt.Errorf("vms %d outside [1,8]", vms)
+// checkFlags refuses flag values the run would fail on or quietly
+// ignore: a client count outside [1,8], or no operations to measure. main
+// reports its error as a usage error (exit status 2).
+func checkFlags(vms, ops int) error {
+	switch {
+	case vms < 1 || vms > 8:
+		return fmt.Errorf("-vms %d: must be in [1,8]", vms)
+	case ops < 1:
+		return fmt.Errorf("-ops %d: must be at least 1", ops)
 	}
+	return nil
+}
+
+func run(scheme string, vms, ops, nKeys int, zipf bool, mixRatio float64) error {
 	cluster, err := kvs.BuildCluster(scheme, vms, kvs.DefaultLayout)
 	if err != nil {
 		return err

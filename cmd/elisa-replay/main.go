@@ -54,6 +54,11 @@ func main() {
 	fitnessSpec := flag.String("fitness", "goodput:0.5,p99:0.3,drops:0.2", "fitness weighting")
 	topK := flag.Int("topk", 3, "counterfactual groups to rank")
 	flag.Parse()
+	if err := checkFlags(*windowUS, *shards, *cores, *queueDepth, *topK); err != nil {
+		fmt.Fprintf(os.Stderr, "elisa-replay: %v\n", err)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	w := io.Writer(os.Stdout)
 	if *out != "" {
@@ -97,6 +102,21 @@ func main() {
 	}); err != nil {
 		log.Fatalf("elisa-replay: %v", err)
 	}
+}
+
+// checkFlags refuses flag values the replay would quietly replace or
+// ignore: each must be at least 1. main reports its error as a usage
+// error (exit status 2).
+func checkFlags(windowUS, shards, cores, queueDepth, topK int) error {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"window-us", windowUS}, {"shards", shards}, {"cores", cores}, {"queue-depth", queueDepth}, {"topk", topK}} {
+		if f.v < 1 {
+			return fmt.Errorf("-%s %d: must be at least 1", f.name, f.v)
+		}
+	}
+	return nil
 }
 
 // replayConfig is the replay-mode knob set (mirrors the flags).

@@ -5,6 +5,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/elisa-go/elisa/internal/workload"
@@ -93,5 +94,32 @@ func TestReplayGenMatchesCommittedTrace(t *testing.T) {
 	}
 	if !bytes.Equal(buf.Bytes(), workload.RegressionTraceBytes()) {
 		t.Fatal("writer mode no longer reproduces the committed regression trace")
+	}
+}
+
+// TestCheckFlagsRejectsValuesBelowOne: each count flag below 1 — which
+// replay used to run on one core, replace with the 64-deep default
+// queue, or read as "rank every group" — is a usage error naming its
+// flag, and the defaults stay valid.
+func TestCheckFlagsRejectsValuesBelowOne(t *testing.T) {
+	const window, shards, cores, depth, topk = 250, 1, 2, 32, 3
+	cases := []struct {
+		flag string
+		err  error
+	}{
+		{"-window-us", checkFlags(0, shards, cores, depth, topk)},
+		{"-shards", checkFlags(window, 0, cores, depth, topk)},
+		{"-cores", checkFlags(window, shards, 0, depth, topk)},
+		{"-cores", checkFlags(window, shards, -3, depth, topk)},
+		{"-queue-depth", checkFlags(window, shards, cores, 0, topk)},
+		{"-topk", checkFlags(window, shards, cores, depth, -1)},
+	}
+	for _, c := range cases {
+		if c.err == nil || !strings.HasPrefix(c.err.Error(), c.flag+" ") {
+			t.Errorf("%s: checkFlags error %v, want one naming %s", c.flag, c.err, c.flag)
+		}
+	}
+	if err := checkFlags(window, shards, cores, depth, topk); err != nil {
+		t.Fatalf("default flags rejected: %v", err)
 	}
 }

@@ -92,7 +92,7 @@ type (
 	RingEvent = obs.RingEvent
 	// RingEventKind classifies a causal-chain step (submit, flush,
 	// drain, complete, busy, backoff, retry, deliver, fail, shed,
-	// throttle, breaker).
+	// throttle, rebalance).
 	RingEventKind = obs.EventKind
 	// RingPhase indexes one interval of a ring descriptor's causal
 	// chain; its names are shared with the pprof labels obs.WithPhase
@@ -233,8 +233,6 @@ type Config struct {
 	// PhysBytes is the simulated physical memory, split evenly across
 	// the shards in whole pages (default 256 MiB).
 	PhysBytes int
-	// ManagerRAM is the manager VM's private RAM (default 64 KiB).
-	ManagerRAM int
 	// Cost overrides the calibrated cost model.
 	Cost *CostModel
 	// TraceEvents, when positive, retains the last N machine events
@@ -281,7 +279,6 @@ func NewSystem(cfg Config) (*System, error) {
 		Shards:      cfg.Shards,
 		Seed:        cfg.ShardSeed,
 		PhysBytes:   cfg.PhysBytes / cfg.Shards / PageSize * PageSize,
-		ManagerRAM:  cfg.ManagerRAM,
 		Cost:        cfg.Cost,
 		SlotBudget:  cfg.SlotBudget,
 		TraceEvents: cfg.TraceEvents,

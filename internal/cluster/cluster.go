@@ -23,18 +23,11 @@ type Config struct {
 	// VM, EPTP lists, slot LRU, ring poller, and overload gates.
 	Shards int
 	// Seed feeds the placement ring (and nothing else); the same
-	// (Seed, Shards, VirtualNodes) triple places every object
-	// identically.
+	// (Seed, Shards) pair places every object identically.
 	Seed int64
-	// VirtualNodes is the placement ring's per-shard virtual-node count
-	// (<= 0 picks DefaultVirtualNodes).
-	VirtualNodes int
 	// PhysBytes is each shard machine's physical memory
 	// (<= 0 picks DefaultShardPhysBytes).
 	PhysBytes int
-	// ManagerRAM is each shard's manager-VM private RAM (0 = core
-	// default).
-	ManagerRAM int
 	// Cost overrides the calibrated cost model on every shard.
 	Cost *simtime.CostModel
 	// SlotBudget caps the physical EPTP-list slots each guest may occupy
@@ -46,6 +39,7 @@ type Config struct {
 	// Observe, when non-nil, attaches a flight recorder to every shard's
 	// fast path. Each shard gets its own recorder whose causal log is
 	// stamped with the shard ID, so merged timelines stay attributable.
+	// A negative setting in it is an error.
 	Observe *obs.Config
 }
 
@@ -92,7 +86,10 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.PhysBytes <= 0 {
 		cfg.PhysBytes = DefaultShardPhysBytes
 	}
-	ring, err := NewPlacementRing(PlacementConfig{Shards: cfg.Shards, Seed: cfg.Seed, VirtualNodes: cfg.VirtualNodes})
+	if o := cfg.Observe; o != nil && (o.SpanRing < 0 || o.SampleEvery < 0 || o.CausalEvents < 0) {
+		return nil, fmt.Errorf("cluster: negative Observe setting %+v (0 picks the default)", *o)
+	}
+	ring, err := NewPlacementRing(PlacementConfig{Shards: cfg.Shards, Seed: cfg.Seed})
 	if err != nil {
 		return nil, err
 	}
@@ -102,7 +99,7 @@ func New(cfg Config) (*Cluster, error) {
 		if err != nil {
 			return nil, fmt.Errorf("cluster: shard %d: %w", i, err)
 		}
-		mgr, err := core.NewManager(h, core.ManagerConfig{RAMBytes: cfg.ManagerRAM, SlotBudget: cfg.SlotBudget})
+		mgr, err := core.NewManager(h, core.ManagerConfig{SlotBudget: cfg.SlotBudget})
 		if err != nil {
 			return nil, fmt.Errorf("cluster: shard %d: %w", i, err)
 		}

@@ -29,8 +29,27 @@ func newTestCluster(t *testing.T, shards int, seed int64) *Cluster {
 	return c
 }
 
+// TestClusterRejectsIgnoredConfig: a negative recorder setting fails
+// cluster.New instead of silently picking the default, and NewFleet
+// refuses a fleet.Config fleet.New would refuse before any shard
+// scheduler exists.
+func TestClusterRejectsIgnoredConfig(t *testing.T) {
+	for _, o := range []obs.Config{{SpanRing: -1}, {SampleEvery: -1}, {CausalEvents: -1}} {
+		if _, err := New(Config{Shards: 1, PhysBytes: 32 * 1024 * 1024, Observe: &o}); err == nil {
+			t.Errorf("New accepted Observe %+v", o)
+		}
+	}
+	c := newTestCluster(t, 2, 1)
+	if _, err := c.NewFleet(FleetConfig{Config: fleet.Config{ShedLow: 0.5}}); err == nil {
+		t.Error("NewFleet accepted ShedLow without Classes")
+	}
+	if got := len(c.Fleets()); got != 0 {
+		t.Errorf("a refused fleet was registered: %d fleets", got)
+	}
+}
+
 // TestClusterPlacementDeterministic: two rings built from the same
-// (Seed, Shards, VirtualNodes) agree on every owner; a different seed
+// (Seed, Shards) agree on every owner; a different seed
 // produces a different placement; pins override and Unpin reverts.
 func TestClusterPlacementDeterministic(t *testing.T) {
 	mk := func(seed int64) *PlacementRing {

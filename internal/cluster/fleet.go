@@ -37,22 +37,22 @@ type FleetConfig struct {
 	// and recovery sweep cannot corrupt another shard's machine.
 	FaultShard int
 
-	// Rebalance, when non-nil, arms the load-driven auto-rebalancer: a
-	// controller that runs between scheduling windows, watches per-shard
-	// demand, and migrates tenants off overloaded shards through
-	// Evict → MoveObject → Adopt (see RebalanceConfig). Nil keeps
-	// placement static and every run bit-identical to the unarmed fleet.
-	Rebalance *RebalanceConfig
+	// Rebalance arms the load-driven auto-rebalancer: a controller that
+	// runs between scheduling windows, watches per-shard demand, and
+	// migrates tenants off overloaded shards through
+	// Evict → MoveObject → Adopt (see Rebalancer for its fixed tuning).
+	// False keeps placement static and every run bit-identical to the
+	// unarmed fleet.
+	Rebalance bool
 
 	// GlobalAdmitOPS, when non-empty, caps the named tenants' aggregate
 	// arrival rate cluster-wide (ops per simulated second) with one
-	// token bucket per tenant, consulted before every per-shard gate.
-	// The bucket follows the tenant across migrations — it is keyed by
-	// name, not placement — so a tenant cannot mint fresh admission
-	// capacity by moving. Tenants absent from the map are uncapped.
+	// token bucket per tenant (burst overload.DefaultBurst), consulted
+	// before every per-shard gate. The bucket follows the tenant across
+	// migrations — it is keyed by name, not placement — so a tenant
+	// cannot mint fresh admission capacity by moving. Tenants absent from
+	// the map are uncapped.
 	GlobalAdmitOPS map[string]float64
-	// GlobalAdmitBurst is the global buckets' burst (default 16).
-	GlobalAdmitBurst int
 }
 
 // Fleet schedules tenants across a cluster: one fleet.Scheduler per
@@ -95,10 +95,14 @@ type admission struct {
 	idx   int // index within the shard scheduler's own admission order
 }
 
-// NewFleet creates a cluster fleet.
+// NewFleet creates a cluster fleet. It refuses a fleet.Config that
+// fleet.New would refuse, before any shard scheduler exists.
 func (c *Cluster) NewFleet(cfg FleetConfig) (*Fleet, error) {
 	if cfg.FaultShard < 0 || cfg.FaultShard >= len(c.shards) {
 		return nil, fmt.Errorf("cluster: fleet FaultShard %d outside [0,%d)", cfg.FaultShard, len(c.shards))
+	}
+	if err := cfg.Config.Validate(); err != nil {
+		return nil, fmt.Errorf("cluster: %w", err)
 	}
 	if cfg.Slice <= 0 {
 		q := cfg.Quantum
@@ -116,14 +120,10 @@ func (c *Cluster) NewFleet(cfg FleetConfig) (*Fleet, error) {
 		objUse:        make(map[string]int),
 	}
 	if len(cfg.GlobalAdmitOPS) > 0 {
-		burst := cfg.GlobalAdmitBurst
-		if burst <= 0 {
-			burst = 16
-		}
 		f.global = make(map[string]*overload.TokenBucket, len(cfg.GlobalAdmitOPS))
 		for name, rate := range cfg.GlobalAdmitOPS {
 			if rate > 0 {
-				f.global[name] = overload.NewTokenBucket(rate, burst)
+				f.global[name] = overload.NewTokenBucket(rate, overload.DefaultBurst)
 			}
 		}
 		// Installed into the per-shard fleet.Config before any scheduler
@@ -138,15 +138,15 @@ func (c *Cluster) NewFleet(cfg FleetConfig) (*Fleet, error) {
 			return b.Allow(now.Add(f.winBase))
 		}
 	}
-	if cfg.Rebalance != nil {
-		f.reb = newRebalancer(f, *cfg.Rebalance)
+	if cfg.Rebalance {
+		f.reb = newRebalancer(f)
 	}
 	c.fleets = append(c.fleets, f)
 	return f, nil
 }
 
 // Rebalancer exposes the armed auto-rebalancer (nil when
-// FleetConfig.Rebalance was not set).
+// FleetConfig.Rebalance is false).
 func (f *Fleet) Rebalancer() *Rebalancer { return f.reb }
 
 // schedOn returns (creating on first use) the shard's scheduler. The

@@ -43,7 +43,7 @@ func parallelChaosFleet(t *testing.T, parallelism int) (*Cluster, *Fleet) {
 		},
 		Slice:      1_000_000,
 		FaultShard: 1,
-		Rebalance:  &RebalanceConfig{},
+		Rebalance:  true,
 	})
 	if err != nil {
 		t.Fatalf("NewFleet: %v", err)

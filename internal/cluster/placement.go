@@ -7,11 +7,10 @@
 // exactly the calibrated 196 ns, and the cluster as a whole scales past
 // one manager VM's EPTP-list and poller ceiling.
 //
-// Placement is deterministic: the ring is built from (Seed, Shards,
-// VirtualNodes) alone, so every process that shares those three numbers
-// agrees on object ownership without coordination. Explicit pins override
-// the hash for objects that must co-reside (or must move — see
-// Cluster.MoveObject).
+// Placement is deterministic: the ring is built from (Seed, Shards)
+// alone, so every process that shares those two numbers agrees on object
+// ownership without coordination. Explicit pins override the hash for
+// objects that must co-reside (or must move — see Cluster.MoveObject).
 package cluster
 
 import (
@@ -21,11 +20,10 @@ import (
 	"sort"
 )
 
-// DefaultVirtualNodes is the per-shard virtual-node count a
-// PlacementConfig zero value picks. More virtual nodes smooth the
-// hash-space split (lower imbalance) at the cost of a larger sorted
-// point table; 64 keeps the max/mean object imbalance under ~1.3 for
-// realistic object counts.
+// DefaultVirtualNodes is the per-shard virtual-node count of every
+// placement ring. More virtual nodes smooth the hash-space split (lower
+// imbalance) at the cost of a larger sorted point table; 64 keeps the
+// max/mean object imbalance under ~1.3 for realistic object counts.
 const DefaultVirtualNodes = 64
 
 // PlacementConfig configures a PlacementRing.
@@ -33,11 +31,8 @@ type PlacementConfig struct {
 	// Shards is the shard count (required, >= 1).
 	Shards int
 	// Seed perturbs every virtual node's position. Two rings built with
-	// the same (Seed, Shards, VirtualNodes) map every object identically.
+	// the same (Seed, Shards) map every object identically.
 	Seed int64
-	// VirtualNodes is the number of ring points per shard
-	// (<= 0 picks DefaultVirtualNodes).
-	VirtualNodes int
 }
 
 // ringPoint is one virtual node: a position on the 64-bit hash circle
@@ -79,16 +74,13 @@ func NewPlacementRing(cfg PlacementConfig) (*PlacementRing, error) {
 	if cfg.Shards < 1 {
 		return nil, fmt.Errorf("cluster: placement ring needs at least 1 shard, got %d", cfg.Shards)
 	}
-	if cfg.VirtualNodes <= 0 {
-		cfg.VirtualNodes = DefaultVirtualNodes
-	}
 	r := &PlacementRing{cfg: cfg, pins: make(map[string]int)}
-	r.points = make([]ringPoint, 0, cfg.Shards*cfg.VirtualNodes)
+	r.points = make([]ringPoint, 0, cfg.Shards*DefaultVirtualNodes)
 	var label [24]byte
 	binary.LittleEndian.PutUint64(label[0:], uint64(cfg.Seed))
 	for s := 0; s < cfg.Shards; s++ {
 		binary.LittleEndian.PutUint64(label[8:], uint64(s))
-		for v := 0; v < cfg.VirtualNodes; v++ {
+		for v := 0; v < DefaultVirtualNodes; v++ {
 			binary.LittleEndian.PutUint64(label[16:], uint64(v))
 			h := fnv.New64a()
 			h.Write(label[:])

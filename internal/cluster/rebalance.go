@@ -9,30 +9,26 @@ import (
 	"github.com/elisa-go/elisa/internal/simtime"
 )
 
-// RebalanceConfig tunes the load-driven auto-rebalancer
-// (FleetConfig.Rebalance arms it). The zero value of every knob selects
-// a default; the defaults are deliberately conservative — hysteresis
-// first, migration second — because a placement controller that
-// oscillates is worse than none.
-type RebalanceConfig struct {
-	// Every is the controller period: demand is sampled and a decision
-	// taken at most once per Every of simulated time (default: the
-	// fleet's Slice, i.e. one decision per scheduling window).
-	Every simtime.Duration
-	// Trigger is the imbalance ratio — hottest shard's demand over the
-	// mean — below which the controller does nothing (default 1.5).
-	Trigger float64
-	// Improvement is the minimum relative reduction of the hottest
-	// shard's demand a move must promise, (oldMax-newMax)/oldMax, or the
-	// controller holds (default 0.1).
-	Improvement float64
-	// MinDwell is how long a migrated tenant must stay put before it may
-	// move again (default 2×Every). Dwell is the anti-oscillation
-	// backstop: even a mis-predicted move cannot ping-pong.
-	MinDwell simtime.Duration
-	// MaxMoves caps migrations per controller tick (default 1).
-	MaxMoves int
-}
+// The rebalancer's fixed tuning. It is deliberately conservative —
+// hysteresis first, migration second — because a placement controller
+// that oscillates is worse than none. The controller period is the
+// fleet's Slice: one decision per scheduling window.
+const (
+	// rebalanceTrigger is the imbalance ratio — hottest shard's demand
+	// over the mean — below which the controller does nothing.
+	rebalanceTrigger = 1.5
+	// rebalanceImprovement is the minimum relative reduction of the
+	// hottest shard's demand a move must promise, (oldMax-newMax)/oldMax,
+	// or the controller holds.
+	rebalanceImprovement = 0.1
+	// rebalanceDwellPeriods is how many controller periods a migrated
+	// tenant must stay put before it may move again. Dwell is the
+	// anti-oscillation backstop: even a mis-predicted move cannot
+	// ping-pong.
+	rebalanceDwellPeriods = 2
+	// rebalanceMaxMoves caps migrations per controller tick.
+	rebalanceMaxMoves = 1
+)
 
 // RebalanceDecision is one controller decision — a migration executed,
 // or a hold with the reason the candidate move was rejected. The
@@ -52,20 +48,19 @@ type RebalanceDecision struct {
 type RebalanceStats struct {
 	Ticks uint64 // controller periods evaluated
 	Moves uint64 // migrations executed
-	Held  uint64 // periods above Trigger where hysteresis refused the move
+	Held  uint64 // periods above the trigger where hysteresis refused the move
 }
 
 // Rebalancer is the load-driven placement controller: each period it
 // reads every tenant's demand (submitted-ops delta) from the shard
 // schedulers, computes per-shard demand and its imbalance ratio, and —
-// past Trigger, subject to dwell and improvement hysteresis — migrates
-// the hottest movable tenant from the hottest shard to the least-loaded
-// one through Evict → MoveObject → Adopt. It runs between scheduling
+// past the trigger, subject to dwell and improvement hysteresis —
+// migrates the hottest movable tenant from the hottest shard to the
+// least-loaded one through Evict → MoveObject → Adopt. It runs between scheduling
 // windows only, where every shard is quiescent, so decisions are
 // deterministic and the migration path never races live dispatch.
 type Rebalancer struct {
-	f   *Fleet
-	cfg RebalanceConfig
+	f *Fleet
 
 	started bool
 	last    simtime.Duration
@@ -77,25 +72,9 @@ type Rebalancer struct {
 	decisions []RebalanceDecision
 }
 
-func newRebalancer(f *Fleet, cfg RebalanceConfig) *Rebalancer {
-	if cfg.Every <= 0 {
-		cfg.Every = f.cfg.Slice
-	}
-	if cfg.Trigger <= 0 {
-		cfg.Trigger = 1.5
-	}
-	if cfg.Improvement <= 0 {
-		cfg.Improvement = 0.1
-	}
-	if cfg.MinDwell <= 0 {
-		cfg.MinDwell = 2 * cfg.Every
-	}
-	if cfg.MaxMoves <= 0 {
-		cfg.MaxMoves = 1
-	}
+func newRebalancer(f *Fleet) *Rebalancer {
 	return &Rebalancer{
 		f:       f,
-		cfg:     cfg,
 		prev:    make(map[string]uint64),
 		movedAt: make(map[string]simtime.Duration),
 		moves:   make(map[string]int),
@@ -126,7 +105,7 @@ func (r *Rebalancer) TenantMoves() map[string]int {
 // shard is quiescent). Decisions are pure functions of the demand
 // deltas, so same-seed runs tick identically.
 func (r *Rebalancer) tick(now simtime.Duration) error {
-	if r.started && now-r.last < r.cfg.Every {
+	if r.started && now-r.last < r.f.cfg.Slice {
 		return nil
 	}
 	r.started = true
@@ -162,7 +141,7 @@ func (r *Rebalancer) tick(now simtime.Duration) error {
 		tenants = append(tenants, cand{name: name, shard: adm.shard, load: delta, class: tr.Class})
 	}
 
-	for n := 0; n < r.cfg.MaxMoves; n++ {
+	for n := 0; n < rebalanceMaxMoves; n++ {
 		var total uint64
 		hot, cold := 0, 0
 		for i, l := range loads {
@@ -179,7 +158,7 @@ func (r *Rebalancer) tick(now simtime.Duration) error {
 		}
 		mean := float64(total) / float64(len(loads))
 		imb := float64(loads[hot]) / mean
-		if imb < r.cfg.Trigger {
+		if imb < rebalanceTrigger {
 			return nil
 		}
 		// Hottest movable tenant on the hottest shard: demand > 0,
@@ -191,7 +170,7 @@ func (r *Rebalancer) tick(now simtime.Duration) error {
 			if c.shard != hot || c.load == 0 || !f.exclusiveObjects(c.name) {
 				continue
 			}
-			if at, ok := r.movedAt[c.name]; ok && now-at < r.cfg.MinDwell {
+			if at, ok := r.movedAt[c.name]; ok && now-at < rebalanceDwellPeriods*f.cfg.Slice {
 				continue
 			}
 			if pick == nil || c.load > pick.load {
@@ -218,9 +197,9 @@ func (r *Rebalancer) tick(now simtime.Duration) error {
 				newMax = l
 			}
 		}
-		if gain := (float64(loads[hot]) - float64(newMax)) / float64(loads[hot]); gain < r.cfg.Improvement {
+		if gain := (float64(loads[hot]) - float64(newMax)) / float64(loads[hot]); gain < rebalanceImprovement {
 			r.hold(now, pick.name, hot, cold, pick.load, imb,
-				fmt.Sprintf("improvement %.3f below threshold %.3f", gain, r.cfg.Improvement))
+				fmt.Sprintf("improvement %.3f below threshold %.3f", gain, rebalanceImprovement))
 			return nil
 		}
 		if err := f.migrateTenant(pick.name, cold); err != nil {
@@ -233,11 +212,13 @@ func (r *Rebalancer) tick(now simtime.Duration) error {
 			At: now, Tenant: pick.name, From: hot, To: cold,
 			Load: pick.load, Imbalance: imb, Moved: true, Note: "migrated",
 		})
-		f.cfg.Decisions.Record(simtime.Time(now), pick.name, overload.VerdictRebalance, pick.class,
-			fmt.Sprintf("shard %d -> %d", hot, cold))
-		note := fmt.Sprintf("shard %d -> %d, load %d, imbalance %.2f", hot, cold, pick.load, imb)
-		for _, shard := range [2]int{hot, cold} {
-			if rec := f.c.shards[shard].mgr.Recorder(); rec != nil {
+		if f.cfg.Decisions != nil {
+			f.cfg.Decisions.Record(simtime.Time(now), pick.name, overload.VerdictRebalance, pick.class,
+				fmt.Sprintf("shard %d -> %d", hot, cold))
+		}
+		if recs := [2]*obs.Recorder{f.c.shards[hot].mgr.Recorder(), f.c.shards[cold].mgr.Recorder()}; recs[0] != nil || recs[1] != nil {
+			note := fmt.Sprintf("shard %d -> %d, load %d, imbalance %.2f", hot, cold, pick.load, imb)
+			for _, rec := range recs {
 				rec.Causal().Event(obs.RingEvent{Kind: obs.EvRebalance, Time: simtime.Time(now), Guest: pick.name, Note: note})
 			}
 		}

@@ -15,7 +15,21 @@ import (
 // pinned on shard 0 — balanced demand over maximally skewed placement —
 // and admits the four committed tenants to a fleet. rebalance arms the
 // auto-rebalancer; ring selects the exit-less ring datapath.
-func skewedCluster(t *testing.T, shards int, rebalance *RebalanceConfig, ring bool, dec *overload.DecisionTrace, global map[string]float64) (*Cluster, *Fleet) {
+func skewedCluster(t *testing.T, shards int, rebalance bool, ring bool, dec *overload.DecisionTrace, global map[string]float64) (*Cluster, *Fleet) {
+	t.Helper()
+	fc := FleetConfig{
+		Config:         fleet.Config{Cores: 2, Seed: 42, QueueDepth: 32, Decisions: dec},
+		Rebalance:      rebalance,
+		GlobalAdmitOPS: global,
+	}
+	if ring {
+		fc.RingDepth = 16
+	}
+	return skewedFleet(t, shards, fc)
+}
+
+// skewedFleet is skewedCluster with the whole fleet config supplied.
+func skewedFleet(t *testing.T, shards int, fc FleetConfig) (*Cluster, *Fleet) {
 	t.Helper()
 	c, err := New(Config{Shards: shards, Seed: 11})
 	if err != nil {
@@ -37,14 +51,6 @@ func skewedCluster(t *testing.T, shards int, rebalance *RebalanceConfig, ring bo
 				t.Fatal(err)
 			}
 		}
-	}
-	fc := FleetConfig{
-		Config:         fleet.Config{Cores: 2, Seed: 42, QueueDepth: 32, Decisions: dec},
-		Rebalance:      rebalance,
-		GlobalAdmitOPS: global,
-	}
-	if ring {
-		fc.RingDepth = 16
 	}
 	f, err := c.NewFleet(fc)
 	if err != nil {
@@ -71,7 +77,7 @@ func skewedCluster(t *testing.T, shards int, rebalance *RebalanceConfig, ring bo
 // administratively failed (the fleet path drains before every detach).
 func TestRebalanceConvergesOnSkewedTrace(t *testing.T) {
 	dec := overload.NewDecisionTrace(0)
-	c, f := skewedCluster(t, 4, &RebalanceConfig{}, true, dec, nil)
+	c, f := skewedCluster(t, 4, true, true, dec, nil)
 	if imb := c.Stats().Imbalance; imb < 2.0 {
 		t.Fatalf("initial imbalance %.2f, want the skewed >= 2.0", imb)
 	}
@@ -136,7 +142,7 @@ func TestRebalanceConvergesOnSkewedTrace(t *testing.T) {
 func TestRebalanceDeterministicAcrossRuns(t *testing.T) {
 	for _, shards := range []int{1, 4, 16} {
 		run := func() (string, []RebalanceDecision, Stats) {
-			_, f := skewedCluster(t, shards, &RebalanceConfig{}, true, nil, nil)
+			_, f := skewedCluster(t, shards, true, true, nil, nil)
 			tr, err := workload.RebalanceTrace()
 			if err != nil {
 				t.Fatal(err)
@@ -169,13 +175,12 @@ func TestRebalanceDeterministicAcrossRuns(t *testing.T) {
 	}
 }
 
-// TestRebalanceUnarmedIdentical pins the no-rebalancer bit-identity: the
-// per-window replay bucketing must render exactly what the static
-// pre-bucketing rendered, and an armed fleet whose trigger is never
-// reached must match the unarmed fleet byte for byte.
+// TestRebalanceUnarmedIdentical pins the no-rebalancer bit-identity: an
+// armed fleet whose trigger is never reached must match the unarmed
+// fleet byte for byte.
 func TestRebalanceUnarmedIdentical(t *testing.T) {
-	run := func(rb *RebalanceConfig) string {
-		_, f := skewedCluster(t, 4, rb, true, nil, nil)
+	run := func(shards int, armed bool) (string, *Fleet) {
+		_, f := skewedCluster(t, shards, armed, true, nil, nil)
 		tr, err := workload.RebalanceTrace()
 		if err != nil {
 			t.Fatal(err)
@@ -184,12 +189,16 @@ func TestRebalanceUnarmedIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return rep.Table().String()
+		return rep.Table().String(), f
 	}
-	unarmed := run(nil)
-	// Trigger 1000x: armed, but the controller can never fire — placement
-	// stays static, so every window must replay identically.
-	held := run(&RebalanceConfig{Trigger: 1000})
+	unarmed, _ := run(4, false)
+	// One shard: armed, but its demand is always the mean (imbalance 1),
+	// so the controller ticks every window and never reaches the trigger.
+	// Placement stays static, so every window must replay identically.
+	held, f := run(1, true)
+	if st := f.Rebalancer().Stats(); st.Ticks == 0 || st.Moves != 0 || st.Held != 0 {
+		t.Fatalf("armed 1-shard rebalancer stats %+v, want ticks and no decisions", st)
+	}
 	if unarmed != held {
 		t.Errorf("armed-but-idle fleet diverged from unarmed fleet:\n%s\nvs\n%s", held, unarmed)
 	}
@@ -199,7 +208,7 @@ func TestRebalanceUnarmedIdentical(t *testing.T) {
 // and checks the merged report reads one continuous tenant: counters
 // carried, stub zeroed, placement updated.
 func TestEvictAdoptCarriesState(t *testing.T) {
-	c, f := skewedCluster(t, 4, nil, false, nil, nil)
+	c, f := skewedCluster(t, 4, false, false, nil, nil)
 	if _, err := f.Run(100 * 1000); err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +269,7 @@ func TestRebalanceGlobalAdmissionCap(t *testing.T) {
 	const capOPS = 800_000.0 // half of the specs' 1.6M demand
 	global := map[string]float64{"rb-a": capOPS, "rb-b": capOPS, "rb-c": capOPS, "rb-d": capOPS}
 	dec := overload.NewDecisionTrace(0)
-	c, f := skewedCluster(t, 4, &RebalanceConfig{}, true, dec, global)
+	c, f := skewedCluster(t, 4, true, true, dec, global)
 	tr, err := workload.RebalanceTrace()
 	if err != nil {
 		t.Fatal(err)

@@ -7,6 +7,7 @@ import (
 	"github.com/elisa-go/elisa/internal/core"
 	"github.com/elisa-go/elisa/internal/fleet"
 	"github.com/elisa-go/elisa/internal/overload"
+	"github.com/elisa-go/elisa/internal/simtime"
 	"github.com/elisa-go/elisa/internal/workload"
 )
 
@@ -14,6 +15,27 @@ import (
 // pinned to shard 0 and its three tenants admitted — the placement that
 // makes the merged report shard-count invariant.
 func replayCluster(t *testing.T, shards int, d *overload.DecisionTrace) *Fleet {
+	t.Helper()
+	c, specs := regressionCluster(t, shards)
+	f, err := c.NewFleet(FleetConfig{Config: fleet.Config{Seed: 42, Cores: 2, QueueDepth: 32, Classes: 3, Decisions: d}})
+	if err != nil {
+		t.Fatalf("NewFleet: %v", err)
+	}
+	for _, sp := range specs {
+		ts, err := fleet.SpecFromWorkload(sp, 42)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Admit(ts); err != nil {
+			t.Fatalf("Admit %s: %v", sp.Name, err)
+		}
+	}
+	return f
+}
+
+// regressionCluster boots a cluster with the regression scenario's fn
+// registered and its objects pinned to shard 0, and returns its specs.
+func regressionCluster(t *testing.T, shards int) (*Cluster, []workload.Spec) {
 	t.Helper()
 	c := newTestCluster(t, shards, 19)
 	if err := c.RegisterFunc(workload.RegressionFn, func(*core.CallContext) (uint64, error) { return 0, nil }); err != nil {
@@ -38,20 +60,7 @@ func replayCluster(t *testing.T, shards int, d *overload.DecisionTrace) *Fleet {
 			}
 		}
 	}
-	f, err := c.NewFleet(FleetConfig{Config: fleet.Config{Seed: 42, Cores: 2, QueueDepth: 32, Classes: 3, Decisions: d}})
-	if err != nil {
-		t.Fatalf("NewFleet: %v", err)
-	}
-	for _, sp := range specs {
-		ts, err := fleet.SpecFromWorkload(sp, 42)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := f.Admit(ts); err != nil {
-			t.Fatalf("Admit %s: %v", sp.Name, err)
-		}
-	}
-	return f
+	return c, specs
 }
 
 // TestReplayClusterShardCountInvariance: the committed regression trace
@@ -133,4 +142,115 @@ func TestReplayClusterRejectsBadTrace(t *testing.T) {
 	if _, err := f.Replay(nil, workload.RegressionHorizon); err == nil {
 		t.Fatal("replay accepted a nil trace")
 	}
+}
+
+// checkTallies asserts that each tenant's decision-trace tallies equal
+// its report counters verdict by verdict, not only in sum, and returns
+// the fleet-wide count of each verdict.
+func checkTallies(t *testing.T, rep *fleet.Report, d *overload.DecisionTrace, moves map[string]int) map[overload.Verdict]uint64 {
+	t.Helper()
+	seen := map[overload.Verdict]uint64{}
+	for _, tr := range rep.Tenants {
+		want := map[overload.Verdict]uint64{
+			overload.VerdictAdmit:      tr.Submitted - tr.Throttled - tr.Shed - tr.Dropped,
+			overload.VerdictThrottle:   tr.Throttled,
+			overload.VerdictQuarantine: tr.BreakerShed,
+			overload.VerdictShed:       tr.Shed,
+			overload.VerdictDrop:       tr.Dropped,
+			overload.VerdictBusy:       tr.Busied,
+			overload.VerdictRebalance:  uint64(moves[tr.Name]),
+		}
+		for _, v := range overload.Verdicts() {
+			got := d.Count(tr.Name, v)
+			if got != want[v] {
+				t.Errorf("%s %s: decision tally %d, counter %d", tr.Name, v, got, want[v])
+			}
+			seen[v] += got
+		}
+	}
+	return seen
+}
+
+// TestDecisionTalliesEqualCounters pins that the decision trace and the
+// tenant counters tell one story: per tenant, each verdict's tally
+// equals the counter the fleet keeps for it. It runs a bare scheduler
+// over the regression trace, and a 4-shard cluster fleet with the
+// rebalancer and overload control armed over the skewed rebalance
+// trace, and requires every verdict each run can issue to occur. Both
+// runs starve a one-core fleet's ring poller (budget 1) so busy
+// bounce-backs happen; the cluster run replays its trace 16x faster
+// so one core saturates, in 5µs windows so the rebalancer ticks
+// between them.
+func TestDecisionTalliesEqualCounters(t *testing.T) {
+	starved := fleet.Config{
+		Cores: 1, Seed: 7,
+		RingDepth: 16, PollBudget: 1,
+		Classes: 3, ShedLow: 0.3, ShedHigh: 0.6,
+		Overload: core.OverloadConfig{Enabled: true},
+	}
+	arrivalVerdicts := []overload.Verdict{overload.VerdictAdmit, overload.VerdictThrottle,
+		overload.VerdictShed, overload.VerdictDrop, overload.VerdictBusy}
+	requireVerdicts := func(t *testing.T, seen map[overload.Verdict]uint64, want []overload.Verdict) {
+		t.Helper()
+		for _, v := range want {
+			if seen[v] == 0 {
+				t.Errorf("no %s verdict: the run does not exercise it (%v)", v, seen)
+			}
+		}
+	}
+
+	t.Run("bare scheduler", func(t *testing.T) {
+		tr, err := workload.RegressionTrace()
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, specs := regressionCluster(t, 1)
+		cfg := starved
+		cfg.QueueDepth = 8
+		cfg.Decisions = overload.NewDecisionTrace(0)
+		s, err := fleet.New(c.Shard(0).Hypervisor(), c.Shard(0).Manager(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sp := range specs {
+			ts, err := fleet.SpecFromWorkload(sp, cfg.Seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Admit(ts); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rep, err := s.Replay(tr.Events, workload.RegressionHorizon)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireVerdicts(t, checkTallies(t, rep, cfg.Decisions, nil), arrivalVerdicts)
+	})
+
+	t.Run("armed 4-shard cluster", func(t *testing.T) {
+		const speedup = 16
+		tr, err := workload.RebalanceTrace()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range tr.Events {
+			tr.Events[i].At /= speedup
+		}
+		cfg := starved
+		cfg.QueueDepth = 4
+		cfg.Decisions = overload.NewDecisionTrace(0)
+		_, f := skewedFleet(t, 4, FleetConfig{
+			Config:         cfg,
+			Slice:          5 * simtime.Microsecond,
+			Rebalance:      true,
+			GlobalAdmitOPS: map[string]float64{"rb-a": speedup * 400_000},
+		})
+		rep, err := f.Replay(tr, workload.RebalanceHorizon/speedup)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := checkTallies(t, rep, cfg.Decisions, f.Rebalancer().TenantMoves())
+		requireVerdicts(t, seen, append(arrivalVerdicts, overload.VerdictRebalance))
+	})
 }

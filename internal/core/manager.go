@@ -299,8 +299,6 @@ func (a *Attachment) ExchangeGPA() mem.GPA { return a.exchangeGPA }
 
 // ManagerConfig configures NewManager.
 type ManagerConfig struct {
-	// RAMBytes is the manager VM's private RAM (default 64 KiB).
-	RAMBytes int
 	// SlotBudget caps the physical EPTP-list slots each guest's sub
 	// contexts may occupy at once. 0 means the whole list (minus the
 	// default and gate slots). Attachments beyond the budget still
@@ -308,17 +306,17 @@ type ManagerConfig struct {
 	SlotBudget int
 }
 
+// managerRAM is the manager VM's private RAM.
+const managerRAM = 16 * mem.PageSize
+
 // NewManager boots the manager VM and its runtime, and registers the
 // negotiation hypercalls with the hypervisor.
 func NewManager(h *hv.Hypervisor, cfg ManagerConfig) (*Manager, error) {
-	if cfg.RAMBytes == 0 {
-		cfg.RAMBytes = 16 * mem.PageSize
-	}
 	maxBudget := ept.ListEntries - firstSubIdx
 	if cfg.SlotBudget <= 0 || cfg.SlotBudget > maxBudget {
 		cfg.SlotBudget = maxBudget
 	}
-	vm, err := h.CreateVM("elisa-manager", cfg.RAMBytes)
+	vm, err := h.CreateVM("elisa-manager", managerRAM)
 	if err != nil {
 		return nil, err
 	}

@@ -13,6 +13,10 @@ import (
 // (vslot+1)<<32 — far below it for any realistic VM count.
 const DefaultMuxTraceBase uint64 = 1 << 62
 
+// maxReroutes caps how many times one descriptor may be re-routed after
+// its ring died under it.
+const maxReroutes = 2
+
 // RerouteFunc resolves a replacement ring for a lane whose ring died
 // mid-flight (revocation, detach, MoveObject). Returning a nil caller or
 // an error declines the re-route: the lane's failed completions are
@@ -29,10 +33,6 @@ type RingMuxConfig struct {
 	// descriptor keep one causal identity when it is re-routed to a ring
 	// with a different (vm, vslot) trace base.
 	TraceBase uint64
-	// MaxReroutes caps how many times one descriptor may be re-routed
-	// after its ring died under it (default 2; negative disables
-	// re-routing even when Reroute is set).
-	MaxReroutes int
 	// Reroute, when non-nil, is consulted when a lane's ring dies with
 	// descriptors in flight. See RerouteFunc.
 	Reroute RerouteFunc
@@ -97,9 +97,6 @@ func NewRingMux(cfg RingMuxConfig, lanes ...*RingCaller) (*RingMux, error) {
 	}
 	if cfg.TraceBase&0xffffffff != 0 {
 		return nil, fmt.Errorf("core: RingMux trace base %#x has non-zero sequence bits", cfg.TraceBase)
-	}
-	if cfg.MaxReroutes == 0 {
-		cfg.MaxReroutes = 2
 	}
 	return &RingMux{
 		cfg:      cfg,
@@ -169,7 +166,7 @@ func (mx *RingMux) Flush() error {
 // not delivered: the whole dead lane is drained, each failed descriptor
 // re-submitted — original trace — on the replacement ring Reroute
 // resolves, and the lane swapped to it. Re-routes are capped per
-// descriptor by MaxReroutes; past the cap (or with no Reroute) the
+// descriptor by maxReroutes; past the cap (or with no Reroute) the
 // CompErr is delivered, so every submission always surfaces exactly
 // once.
 func (mx *RingMux) Poll(out []shm.Comp) (int, error) {
@@ -230,7 +227,7 @@ func (mx *RingMux) Poll(out []shm.Comp) (int, error) {
 // guaranteed to surface every descriptor — none are stranded.
 func (mx *RingMux) failover(lane int, dead *RingCaller, first shm.Comp) ([]shm.Comp, error) {
 	var repl *RingCaller
-	if mx.cfg.Reroute != nil && mx.cfg.MaxReroutes > 0 {
+	if mx.cfg.Reroute != nil {
 		r, err := mx.cfg.Reroute(lane)
 		if err == nil {
 			repl = r
@@ -239,7 +236,7 @@ func (mx *RingMux) failover(lane int, dead *RingCaller, first shm.Comp) ([]shm.C
 	var deliver []shm.Comp
 	handle := func(c shm.Comp) error {
 		ent := mx.inflight[c.Trace]
-		if ent != nil && c.Status == shm.CompErr && repl != nil && ent.reroutes < mx.cfg.MaxReroutes {
+		if ent != nil && c.Status == shm.CompErr && repl != nil && ent.reroutes < maxReroutes {
 			if _, err := repl.SubmitDesc(repl.vcpu(), ent.d); err != nil {
 				return err
 			}

@@ -11,7 +11,7 @@ import (
 // busy bounce-back policy (OverloadConfig), the weighted-fair poll-budget
 // shares guests get from DrainRings (SetPollWeight), and the guest-side
 // retry policy RingCaller applies to CompBusy completions (RetryPolicy).
-// The primitives themselves — token buckets, shedders, breakers — live in
+// The primitives themselves — token buckets and shedders — live in
 // internal/overload; the fleet scheduler wires them to arrivals.
 
 // OverloadConfig arms drain-side overload control (see

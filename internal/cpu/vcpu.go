@@ -163,10 +163,7 @@ type VCPU struct {
 type Config struct {
 	ID      int
 	Phys    *mem.PhysMem
-	Clock   *simtime.Clock     // nil allocates a fresh clock
 	Cost    *simtime.CostModel // nil uses simtime.Default
-	GPT     *gpt.Table         // nil allocates an empty table
-	TLB     *ept.TLB           // nil allocates a default TLB
 	Handler ExitHandler        // required
 
 	// FlushTLBOnSwitch models hardware without tagged (EP4TA) TLBs: every
@@ -175,8 +172,9 @@ type Config struct {
 	FlushTLBOnSwitch bool
 }
 
-// New creates a vCPU. The initial VMCS has no EPTP; the hypervisor must
-// call SetVMCS before the guest touches memory.
+// New creates a vCPU with its own fresh clock, empty guest page table and
+// default TLB. The initial VMCS has no EPTP; the hypervisor must call
+// SetVMCS before the guest touches memory.
 func New(cfg Config) (*VCPU, error) {
 	if cfg.Phys == nil {
 		return nil, fmt.Errorf("cpu: Config.Phys is required")
@@ -187,25 +185,16 @@ func New(cfg Config) (*VCPU, error) {
 	v := &VCPU{
 		id:            cfg.ID,
 		pm:            cfg.Phys,
-		clock:         cfg.Clock,
-		gpt:           cfg.GPT,
-		tlb:           cfg.TLB,
+		clock:         simtime.NewClock(),
+		gpt:           gpt.New(),
+		tlb:           ept.NewTLB(0),
 		handler:       cfg.Handler,
 		flushOnSwitch: cfg.FlushTLBOnSwitch,
-	}
-	if v.clock == nil {
-		v.clock = simtime.NewClock()
 	}
 	if cfg.Cost != nil {
 		v.cost = *cfg.Cost
 	} else {
 		v.cost = simtime.Default()
-	}
-	if v.gpt == nil {
-		v.gpt = gpt.New()
-	}
-	if v.tlb == nil {
-		v.tlb = ept.NewTLB(0)
 	}
 	return v, nil
 }

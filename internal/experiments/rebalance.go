@@ -110,7 +110,7 @@ func replayRebalance(armed bool, tr *workload.Trace) (*fleet.Report, cluster.Sta
 		Config: fleet.Config{Cores: 2, Seed: 42, QueueDepth: 32, RingDepth: 16},
 	}
 	if armed {
-		fc.Rebalance = &cluster.RebalanceConfig{}
+		fc.Rebalance = true
 	}
 	f, err := c.NewFleet(fc)
 	if err != nil {

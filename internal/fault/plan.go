@@ -24,10 +24,11 @@ type PlanConfig struct {
 	Classes []Class
 	// N is the number of injections to schedule (default 8).
 	N int
-	// StormSize is the Count given to flood-style classes
-	// (ClassNegotiateFail storms; default 3).
-	StormSize int
 }
+
+// stormSize is the Count given to flood-style classes (negotiate
+// fail/timeout storms).
+const stormSize = 3
 
 // Plan is a concrete, fully materialised fault schedule: what will be
 // injected, into whom, at which virtual nanosecond. Plans are inert data;
@@ -47,9 +48,6 @@ func NewPlan(cfg PlanConfig) (*Plan, error) {
 	}
 	if cfg.N <= 0 {
 		cfg.N = 8
-	}
-	if cfg.StormSize <= 0 {
-		cfg.StormSize = 3
 	}
 	classes := cfg.Classes
 	if len(classes) == 0 {
@@ -74,7 +72,7 @@ func NewPlan(cfg PlanConfig) (*Plan, error) {
 			in.Guest = cfg.Guests[rng.Intn(len(cfg.Guests))]
 		}
 		if in.Class == ClassNegotiateFail || in.Class == ClassNegotiateTimeout {
-			in.Count = cfg.StormSize
+			in.Count = stormSize
 		}
 		p.Injections = append(p.Injections, in)
 	}

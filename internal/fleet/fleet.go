@@ -44,10 +44,10 @@ type Config struct {
 	// (default 1).
 	Cores int
 	// Quantum is the maximum core time one tenant holds per scheduling
-	// turn (default 10µs of simulated time, ~50 hot calls).
+	// turn (default 10µs of simulated time, ~50 hot calls). It is also
+	// the fault pump's period and, in ring mode, the tenants' adaptive
+	// batching deadline.
 	Quantum simtime.Duration
-	// MaxTenants is the admission cap; Admit fails beyond it (0 = no cap).
-	MaxTenants int
 	// QueueDepth bounds each tenant's pending-op queue; arrivals beyond
 	// it are dropped and counted (default 64).
 	QueueDepth int
@@ -57,28 +57,23 @@ type Config struct {
 	// Faults, when non-nil, arms the manager with this fault plan for the
 	// fleet's runs: the scheduler pumps asynchronous injections between
 	// events, repairs what they corrupt, and quarantines tenants they
-	// kill. Plan times are fleet time — simulated time summed over every
-	// Run and Replay call — so a split run fires the same injections as
-	// one long run. The plan is part of the seed — the same (Seed,
-	// Faults) pair replays the identical fault and recovery trace.
+	// kill. The pump runs once per Quantum. Plan times are fleet time —
+	// simulated time summed over every Run and Replay call — so a split
+	// run fires the same injections as one long run. The plan is part of
+	// the seed — the same (Seed, Faults) pair replays the identical fault
+	// and recovery trace.
 	Faults *fault.Plan
-	// PumpEvery is the virtual-time period of the fault pump / recovery
-	// sweep while a plan is armed (default: the scheduling Quantum).
-	PumpEvery simtime.Duration
 	// RingDepth, when positive, switches every tenant's datapath from one
 	// gate crossing per op to the exit-less call ring: ops are enqueued as
 	// descriptors (power-of-two depth), and gate crossings happen only on
-	// the adaptive policy's terms. Zero keeps the per-call path.
+	// the adaptive policy's terms, with Quantum as the longest a queued op
+	// waits before its guest takes the gate. Zero keeps the per-call path.
 	RingDepth int
-	// RingDeadline is the tenants' adaptive batching deadline — the
-	// longest a queued op may wait before its guest takes the gate
-	// (default: the scheduling Quantum). Only meaningful with RingDepth.
-	RingDeadline simtime.Duration
 	// PollBudget bounds how many ring descriptors one manager poller pass
 	// services; the scheduler interleaves one pass per dispatched quantum
 	// so polling cannot starve the cores (default 64; negative disables
-	// the poller, leaving rings to the tenants' own gate flushes). Only
-	// meaningful with RingDepth.
+	// the poller, leaving rings to the tenants' own gate flushes). Setting
+	// it without RingDepth is an error.
 	PollBudget int
 
 	// Overload-control knobs. All are opt-in: the zero values keep the
@@ -92,33 +87,25 @@ type Config struct {
 	// ShedLow and ShedHigh are the shedder's occupancy watermarks
 	// (fractions of total queue capacity; defaults 0.5 and 0.9), and
 	// ShedAfter is how long saturation must be sustained before shedding
-	// engages (default: shed immediately).
+	// engages (default: shed immediately). Setting any of them without
+	// Classes is an error.
 	ShedLow, ShedHigh float64
 	ShedAfter         simtime.Duration
-	// AdmitBurst is the default token-bucket burst for tenants with an
-	// AdmitRateOPS (default 16); TenantSpec.AdmitBurst overrides it.
-	AdmitBurst int
-	// BreakerThreshold enables per-tenant circuit breakers: a tenant
-	// firing this many faults within BreakerWindow is quarantined for
-	// BreakerCooldown (doubling per re-trip) instead of churning the
-	// repair path. 0 disables breakers. Only meaningful with Faults.
-	BreakerThreshold int
-	BreakerWindow    simtime.Duration
-	BreakerCooldown  simtime.Duration
 	// RingRetry is the retry policy tenants' ring callers apply to
 	// CompBusy bounce-backs (zero value: no retries). Each tenant's
 	// jitter RNG is seeded with RingRetry.Seed plus its admission index.
-	// Only meaningful with RingDepth.
+	// Setting it without RingDepth is an error.
 	RingRetry core.RetryPolicy
 	// Overload, when Enabled, arms the manager's drain-side overload
 	// control (busy bounce-backs, weighted-fair poll budget — see
 	// core.Manager.SetOverload) and weights each tenant's drain share by
-	// Weight×(1+Class).
+	// Weight×(1+Class). A BusyFrac outside [0, 1), or set without
+	// Enabled, is an error.
 	Overload core.OverloadConfig
 	// Decisions, when non-nil, logs every overload verdict — admit,
-	// throttle, quarantine, shed, drop, busy — into the trace for
-	// post-run fitness and counterfactual analysis (internal/fitness).
-	// Recording is observation only: arming it changes no decision.
+	// throttle, shed, drop, busy — into the trace for post-run fitness
+	// and counterfactual analysis (internal/fitness). Recording is
+	// observation only: arming it changes no decision.
 	Decisions *overload.DecisionTrace
 
 	// GlobalAdmit, when non-nil, is consulted before every other gate of
@@ -150,8 +137,6 @@ type TenantSpec struct {
 	// Weight is the tenant's share of core time under contention
 	// (stride scheduling; default 1).
 	Weight int
-	// RAMBytes is the guest's private RAM (default 16 pages).
-	RAMBytes int
 	// Objects are the shared objects to attach at admission. Ops cycle
 	// over them round-robin, so a working set larger than the guest's
 	// slot budget exercises the HCSlotFault slow path.
@@ -173,11 +158,14 @@ type TenantSpec struct {
 	Class TenantClass
 	// AdmitRateOPS, when positive, rate-limits this tenant's arrivals
 	// with a token bucket: arrivals beyond the rate are refused before
-	// they queue (counted as Throttled). AdmitBurst overrides the
-	// fleet-wide Config.AdmitBurst for this tenant.
+	// they queue (counted as Throttled). AdmitBurst sizes the bucket
+	// (default overload.DefaultBurst).
 	AdmitRateOPS float64
 	AdmitBurst   int
 }
+
+// tenantRAM is every tenant guest's private RAM: 16 pages.
+const tenantRAM = 16 * 4096
 
 // SpecFromWorkload maps a parsed workload tenant spec onto a fleet
 // TenantSpec. The arrival process is built from the spec's arrival
@@ -266,16 +254,11 @@ type Tenant struct {
 	migrated bool
 
 	// overload control (nil / zero when the knobs are off): bucket
-	// rate-limits arrivals, breaker quarantines fault-storming tenants,
-	// prevFaults is the injector count already fed to the breaker.
-	bucket      *overload.TokenBucket
-	breaker     *overload.Breaker
-	prevFaults  uint64
-	quarantined bool
-	throttled   uint64 // arrivals refused by the token bucket
-	shed        uint64 // arrivals refused by the load shedder
-	breakerShed uint64 // arrivals refused while quarantined
-	busied      uint64 // ops bounced back CompBusy (retries exhausted)
+	// rate-limits arrivals.
+	bucket    *overload.TokenBucket
+	throttled uint64 // arrivals refused by the token bucket
+	shed      uint64 // arrivals refused by the load shedder
+	busied    uint64 // ops bounced back CompBusy (retries exhausted)
 }
 
 // Crashed reports whether the tenant's guest died during a run.
@@ -328,10 +311,35 @@ func (s *Scheduler) causalEvent(now simtime.Time, tenant string, kind obs.EventK
 	}
 }
 
+// Validate rejects a config that asks for something the fleet would
+// silently not do: ring knobs without RingDepth, shed knobs without
+// Classes, too many classes, and an out-of-range or unarmed
+// Overload.BusyFrac. Zero values keep their documented defaults.
+func (cfg Config) Validate() error {
+	switch {
+	case cfg.Classes > MaxTenantClasses:
+		return fmt.Errorf("fleet: %d priority classes exceeds the cap %d", cfg.Classes, MaxTenantClasses)
+	case cfg.RingDepth <= 0 && cfg.PollBudget != 0:
+		return fmt.Errorf("fleet: PollBudget %d needs RingDepth", cfg.PollBudget)
+	case cfg.RingDepth <= 0 && cfg.RingRetry != (core.RetryPolicy{}):
+		return fmt.Errorf("fleet: RingRetry needs RingDepth")
+	case cfg.Classes <= 0 && (cfg.ShedLow != 0 || cfg.ShedHigh != 0 || cfg.ShedAfter != 0):
+		return fmt.Errorf("fleet: ShedLow, ShedHigh and ShedAfter need Classes")
+	case cfg.Overload.BusyFrac < 0 || cfg.Overload.BusyFrac >= 1:
+		return fmt.Errorf("fleet: Overload.BusyFrac %g outside [0, 1)", cfg.Overload.BusyFrac)
+	case cfg.Overload.BusyFrac != 0 && !cfg.Overload.Enabled:
+		return fmt.Errorf("fleet: Overload.BusyFrac needs Overload.Enabled")
+	}
+	return nil
+}
+
 // New builds an empty fleet over an existing machine.
 func New(h *hv.Hypervisor, mgr *core.Manager, cfg Config) (*Scheduler, error) {
 	if h == nil || mgr == nil {
 		return nil, fmt.Errorf("fleet: need a hypervisor and a manager")
+	}
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 	if cfg.Cores <= 0 {
 		cfg.Cores = 1
@@ -345,22 +353,8 @@ func New(h *hv.Hypervisor, mgr *core.Manager, cfg Config) (*Scheduler, error) {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	if cfg.PumpEvery <= 0 {
-		cfg.PumpEvery = cfg.Quantum
-	}
-	if cfg.RingDepth > 0 {
-		if cfg.RingDeadline <= 0 {
-			cfg.RingDeadline = cfg.Quantum
-		}
-		if cfg.PollBudget == 0 {
-			cfg.PollBudget = 64
-		}
-	}
-	if cfg.Classes > MaxTenantClasses {
-		return nil, fmt.Errorf("fleet: %d priority classes exceeds the cap %d", cfg.Classes, MaxTenantClasses)
-	}
-	if cfg.AdmitBurst <= 0 {
-		cfg.AdmitBurst = 16
+	if cfg.RingDepth > 0 && cfg.PollBudget == 0 {
+		cfg.PollBudget = 64
 	}
 	s := &Scheduler{hv: h, mgr: mgr, cfg: cfg}
 	if cfg.Faults != nil {
@@ -383,14 +377,10 @@ func New(h *hv.Hypervisor, mgr *core.Manager, cfg Config) (*Scheduler, error) {
 func (s *Scheduler) Injector() *fault.Injector { return s.inj }
 
 // Admit boots a tenant guest, attaches its objects, and adds it to the
-// schedule. It enforces the MaxTenants admission cap; a refused tenant
-// costs the machine nothing.
+// schedule.
 func (s *Scheduler) Admit(spec TenantSpec) (*Tenant, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.cfg.MaxTenants > 0 && len(s.tenants) >= s.cfg.MaxTenants {
-		return nil, fmt.Errorf("fleet: admission refused: %d tenants at cap %d", len(s.tenants), s.cfg.MaxTenants)
-	}
 	if spec.Name == "" {
 		return nil, fmt.Errorf("fleet: tenant needs a name")
 	}
@@ -402,9 +392,6 @@ func (s *Scheduler) Admit(spec TenantSpec) (*Tenant, error) {
 	}
 	if spec.Weight <= 0 {
 		spec.Weight = 1
-	}
-	if spec.RAMBytes == 0 {
-		spec.RAMBytes = 16 * 4096
 	}
 	if spec.Class < 0 || (s.cfg.Classes > 0 && int(spec.Class) >= s.cfg.Classes) {
 		return nil, fmt.Errorf("fleet: tenant %q class %d outside [0, %d)", spec.Name, spec.Class, s.cfg.Classes)
@@ -418,57 +405,57 @@ func (s *Scheduler) Admit(spec TenantSpec) (*Tenant, error) {
 		}
 		arrival = p
 	}
-	vm, err := s.hv.CreateVM(spec.Name, spec.RAMBytes)
-	if err != nil {
-		return nil, fmt.Errorf("fleet: tenant %q: %w", spec.Name, err)
-	}
-	g, err := core.NewGuest(vm, s.mgr)
-	if err != nil {
-		return nil, fmt.Errorf("fleet: tenant %q: %w", spec.Name, err)
-	}
 	t := &Tenant{
 		spec:    spec,
 		index:   idx,
-		vm:      vm,
-		guest:   g,
-		objIdx:  make(map[string]int, len(spec.Objects)),
 		arrival: arrival,
-		stride:  strideScale / uint64(spec.Weight),
 		hist:    stats.NewHistogram(),
 	}
 	if spec.AdmitRateOPS > 0 {
 		burst := spec.AdmitBurst
 		if burst <= 0 {
-			burst = s.cfg.AdmitBurst
+			burst = overload.DefaultBurst
 		}
 		t.bucket = overload.NewTokenBucket(spec.AdmitRateOPS, burst)
 	}
-	if s.cfg.BreakerThreshold > 0 {
-		t.breaker = overload.NewBreaker(overload.BreakerConfig{
-			Threshold: s.cfg.BreakerThreshold,
-			Window:    s.cfg.BreakerWindow,
-			Cooldown:  s.cfg.BreakerCooldown,
-			OnTrip: func(now simtime.Time, cooldown simtime.Duration, trips uint64) {
-				s.causalEvent(now, spec.Name, obs.EvBreaker,
-					fmt.Sprintf("tripped %d, cooldown %s", trips, cooldown))
-			},
-		})
+	if err := s.bootLocked(t, "tenant"); err != nil {
+		return nil, err
 	}
+	return t, nil
+}
+
+// bootLocked gives a tenant built by Admit or Adopt its machine-side
+// state: a fresh guest VM, an attachment (and, in ring mode, a call ring)
+// per object, and its drain weight. It then appends the tenant to the
+// schedule. verb prefixes errors. Callers hold s.mu.
+func (s *Scheduler) bootLocked(t *Tenant, verb string) error {
+	spec := t.spec
+	vm, err := s.hv.CreateVM(spec.Name, tenantRAM)
+	if err != nil {
+		return fmt.Errorf("fleet: %s %q: %w", verb, spec.Name, err)
+	}
+	g, err := core.NewGuest(vm, s.mgr)
+	if err != nil {
+		return fmt.Errorf("fleet: %s %q: %w", verb, spec.Name, err)
+	}
+	t.vm, t.guest = vm, g
+	t.objIdx = make(map[string]int, len(spec.Objects))
+	t.stride = strideScale / uint64(spec.Weight)
 	ringRetry := s.cfg.RingRetry
 	if ringRetry.MaxAttempts > 0 {
-		ringRetry.Seed += int64(idx) // distinct deterministic jitter per tenant
+		ringRetry.Seed += int64(t.index) // distinct deterministic jitter per tenant
 	}
 	for _, obj := range spec.Objects {
 		h, err := g.Attach(obj)
 		if err != nil {
-			return nil, fmt.Errorf("fleet: tenant %q attach %q: %w", spec.Name, obj, err)
+			return fmt.Errorf("fleet: %s %q attach %q: %w", verb, spec.Name, obj, err)
 		}
 		t.objIdx[obj] = len(t.handles)
 		t.handles = append(t.handles, h)
 		if s.cfg.RingDepth > 0 {
-			rc, err := h.Ring(vm.VCPU(), core.RingConfig{Depth: s.cfg.RingDepth, Deadline: s.cfg.RingDeadline, Retry: ringRetry})
+			rc, err := h.Ring(vm.VCPU(), core.RingConfig{Depth: s.cfg.RingDepth, Deadline: s.cfg.Quantum, Retry: ringRetry})
 			if err != nil {
-				return nil, fmt.Errorf("fleet: tenant %q ring on %q: %w", spec.Name, obj, err)
+				return fmt.Errorf("fleet: %s %q ring on %q: %w", verb, spec.Name, obj, err)
 			}
 			t.rings = append(t.rings, rc)
 			t.ringPend = append(t.ringPend, nil)
@@ -480,11 +467,11 @@ func (s *Scheduler) Admit(spec TenantSpec) (*Tenant, error) {
 		// the first Attach — the manager builds a guest's ELISA state
 		// lazily on negotiation.
 		if err := s.mgr.SetPollWeight(vm, spec.Weight*(1+int(spec.Class))); err != nil {
-			return nil, fmt.Errorf("fleet: tenant %q: %w", spec.Name, err)
+			return fmt.Errorf("fleet: %s %q: %w", verb, spec.Name, err)
 		}
 	}
 	s.tenants = append(s.tenants, t)
-	return t, nil
+	return nil
 }
 
 // Tenants returns the admitted tenants in admission order.
@@ -574,7 +561,7 @@ func (s *Scheduler) runLocked(d simtime.Duration, replay bool, events []workload
 			}
 			var next *Tenant
 			for _, t := range s.tenants {
-				if t.crashed || t.quarantined || t.migrated || len(t.queue) == 0 {
+				if t.crashed || t.migrated || len(t.queue) == 0 {
 					continue
 				}
 				if next == nil || t.pass < next.pass || (t.pass == next.pass && t.index < next.index) {
@@ -659,12 +646,12 @@ func (s *Scheduler) runLocked(d simtime.Duration, replay bool, events []workload
 	}
 
 	// admit runs one arrival through the refusal ladder — cheapest
-	// refusal first: the token bucket and the quarantine check refuse
-	// before any state is touched, the shedder refuses by fleet-wide
-	// occupancy and class, and only then does the bounded queue drop
-	// blindly — queueing it and kicking dispatch when every gate passes.
-	// Generated and replayed arrivals share this path, so a decision
-	// trace covers both identically.
+	// refusal first: the token buckets refuse before any state is
+	// touched, the shedder refuses by fleet-wide occupancy and class, and
+	// only then does the bounded queue drop blindly — queueing it and
+	// kicking dispatch when every gate passes. Generated and replayed
+	// arrivals share this path, so a decision trace covers both
+	// identically. Notes are built only when a sink will read them.
 	admit := func(t *Tenant, now simtime.Time, op pendingOp) {
 		t.submitted++
 		switch {
@@ -678,17 +665,17 @@ func (s *Scheduler) runLocked(d simtime.Duration, replay bool, events []workload
 			t.throttled++
 			s.cfg.Decisions.Record(now, t.spec.Name, overload.VerdictThrottle, int(t.spec.Class), "token-bucket")
 			s.causalEvent(now, t.spec.Name, obs.EvThrottle, "token-bucket")
-		case t.quarantined:
-			t.breakerShed++
-			s.cfg.Decisions.Record(now, t.spec.Name, overload.VerdictQuarantine, int(t.spec.Class), "breaker-open")
-			s.causalEvent(now, t.spec.Name, obs.EvBreaker, "quarantined")
 		case s.shedder != nil && !s.shedder.Admit(now, s.occupancyLocked(), int(t.spec.Class)):
 			t.shed++
 			s.shedByClass[t.spec.Class]++
-			s.cfg.Decisions.Record(now, t.spec.Name, overload.VerdictShed, int(t.spec.Class),
-				fmt.Sprintf("threshold %d", s.shedThresh))
-			s.causalEvent(now, t.spec.Name, obs.EvShed,
-				fmt.Sprintf("class %d below threshold %d", t.spec.Class, s.shedThresh))
+			if s.cfg.Decisions != nil {
+				s.cfg.Decisions.Record(now, t.spec.Name, overload.VerdictShed, int(t.spec.Class),
+					fmt.Sprintf("threshold %d", s.shedThresh))
+			}
+			if s.mgr.Recorder() != nil {
+				s.causalEvent(now, t.spec.Name, obs.EvShed,
+					fmt.Sprintf("class %d below threshold %d", t.spec.Class, s.shedThresh))
+			}
 		case len(t.queue) >= s.cfg.QueueDepth:
 			t.dropped++
 			s.cfg.Decisions.Record(now, t.spec.Name, overload.VerdictDrop, int(t.spec.Class), "queue-full")
@@ -759,14 +746,12 @@ func (s *Scheduler) runLocked(d simtime.Duration, replay bool, events []workload
 		base := s.elapsed
 		var pump func(now simtime.Time)
 		pump = func(now simtime.Time) {
-			at := now.Add(base)
-			s.mgr.PumpFaults(at)
+			s.mgr.PumpFaults(now.Add(base))
 			_, _ = s.mgr.FsckRepair()
 			s.sweepDead()
-			s.pumpBreakers(at)
-			_, _ = sim.After(s.cfg.PumpEvery, pump)
+			_, _ = sim.After(s.cfg.Quantum, pump)
 		}
-		if _, err := sim.After(s.cfg.PumpEvery, pump); err != nil {
+		if _, err := sim.After(s.cfg.Quantum, pump); err != nil {
 			return nil, err
 		}
 	}
@@ -802,32 +787,6 @@ func (s *Scheduler) occupancyLocked() float64 {
 		return 0
 	}
 	return float64(queued) / float64(alive*s.cfg.QueueDepth)
-}
-
-// pumpBreakers feeds each tenant's circuit breaker the injector faults
-// fired since the last pump tick; a quiet tick is a success probe. A
-// tenant whose breaker is open is quarantined: not scheduled, and its
-// arrivals are refused until the (doubling) cooldown expires. Callers
-// hold s.mu.
-func (s *Scheduler) pumpBreakers(now simtime.Time) {
-	if s.inj == nil || s.cfg.BreakerThreshold <= 0 {
-		return
-	}
-	fired := s.inj.FiredByGuest()
-	for _, t := range s.tenants {
-		if t.breaker == nil || t.crashed {
-			continue
-		}
-		if n := fired[t.spec.Name]; n > t.prevFaults {
-			for i := t.prevFaults; i < n; i++ {
-				t.breaker.RecordFault(now)
-			}
-			t.prevFaults = n
-		} else {
-			t.breaker.RecordSuccess(now)
-		}
-		t.quarantined = t.breaker.State(now) == overload.BreakerOpen
-	}
 }
 
 // harvestTenant polls every ring of a tenant, matching completions to
@@ -979,10 +938,11 @@ type TenantReport struct {
 	Recovered bool
 	Lost      uint64
 	// Class is the tenant's priority class. Throttled counts arrivals the
-	// admission token bucket refused, Shed the load shedder's refusals,
-	// BreakerShed arrivals refused while quarantined, and Busied ops
-	// bounced back CompBusy with retries exhausted. Quarantined reports
-	// whether the circuit breaker held the tenant open at report time.
+	// admission token buckets refused, Shed the load shedder's refusals,
+	// and Busied ops bounced back CompBusy with retries exhausted.
+	// The fleet no longer produces BreakerShed or Quarantined, which a
+	// per-tenant circuit breaker used to set; they stay so that output
+	// printing a TenantReport with %+v keeps its bytes.
 	Class       int
 	Throttled   uint64
 	Shed        uint64
@@ -1003,25 +963,23 @@ func (s *Scheduler) reportLocked() *Report {
 	r := &Report{Duration: s.elapsed, Cores: s.cfg.Cores}
 	for _, t := range s.tenants {
 		tr := TenantReport{
-			Name:        t.spec.Name,
-			Weight:      t.spec.Weight,
-			Submitted:   t.submitted,
-			Completed:   t.completed,
-			Dropped:     t.dropped,
-			FnErrors:    t.fnErrors,
-			Crashed:     t.crashed,
-			Recovered:   t.recovered,
-			Lost:        t.lost,
-			Class:       int(t.spec.Class),
-			Throttled:   t.throttled,
-			Shed:        t.shed,
-			BreakerShed: t.breakerShed,
-			Busied:      t.busied,
-			Quarantined: t.quarantined,
-			P50:         simtime.Duration(t.hist.Percentile(0.50)),
-			P99:         simtime.Duration(t.hist.Percentile(0.99)),
-			MaxQueue:    t.maxQueue,
-			CoreTime:    t.coreTime,
+			Name:      t.spec.Name,
+			Weight:    t.spec.Weight,
+			Submitted: t.submitted,
+			Completed: t.completed,
+			Dropped:   t.dropped,
+			FnErrors:  t.fnErrors,
+			Crashed:   t.crashed,
+			Recovered: t.recovered,
+			Lost:      t.lost,
+			Class:     int(t.spec.Class),
+			Throttled: t.throttled,
+			Shed:      t.shed,
+			Busied:    t.busied,
+			P50:       simtime.Duration(t.hist.Percentile(0.50)),
+			P99:       simtime.Duration(t.hist.Percentile(0.99)),
+			MaxQueue:  t.maxQueue,
+			CoreTime:  t.coreTime,
 		}
 		if s.elapsed > 0 {
 			tr.GoodputOPS = float64(t.completed) * 1e9 / float64(s.elapsed)

@@ -117,27 +117,40 @@ func TestFleetWeightedSharing(t *testing.T) {
 	}
 }
 
-// The admission cap refuses tenant N+1 and leaves the machine untouched.
-func TestFleetAdmissionControl(t *testing.T) {
-	r := newRig(t, 1, 0)
-	s, err := New(r.hv, r.mgr, Config{MaxTenants: 2, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		if _, err := s.Admit(TenantSpec{Name: fmt.Sprintf("t%d", i), Objects: objects(1), Fn: fnNop, RateOPS: 1000}); err != nil {
-			t.Fatal(err)
+// TestNewRejectsIgnoredConfig: a knob the fleet would otherwise ignore or
+// silently clamp is an error, and the valid combinations — zero included,
+// which keeps each documented default — still build.
+func TestNewRejectsIgnoredConfig(t *testing.T) {
+	r := newRig(t, 0, 0)
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"PollBudget without RingDepth", Config{PollBudget: 8}},
+		{"poller disabled without RingDepth", Config{PollBudget: -1}},
+		{"RingRetry without RingDepth", Config{RingRetry: core.RetryPolicy{MaxAttempts: 2}}},
+		{"ShedLow without Classes", Config{ShedLow: 0.5}},
+		{"ShedHigh without Classes", Config{ShedHigh: 0.9}},
+		{"ShedAfter without Classes", Config{ShedAfter: 1000}},
+		{"BusyFrac without Enabled", Config{Overload: core.OverloadConfig{BusyFrac: 0.5}}},
+		{"negative BusyFrac", Config{Overload: core.OverloadConfig{Enabled: true, BusyFrac: -0.25}}},
+		{"BusyFrac of 1", Config{Overload: core.OverloadConfig{Enabled: true, BusyFrac: 1}}},
+		{"too many classes", Config{Classes: MaxTenantClasses + 1}},
+	} {
+		if _, err := New(r.hv, r.mgr, tc.cfg); err == nil {
+			t.Errorf("%s: New accepted %+v", tc.name, tc.cfg)
 		}
 	}
-	vmsBefore := len(r.hv.VMs())
-	if _, err := s.Admit(TenantSpec{Name: "t2", Objects: objects(1), Fn: fnNop, RateOPS: 1000}); err == nil {
-		t.Fatal("third tenant admitted past MaxTenants=2")
-	}
-	if got := len(r.hv.VMs()); got != vmsBefore {
-		t.Fatalf("refused admission leaked a VM: %d -> %d", vmsBefore, got)
-	}
-	if len(s.Tenants()) != 2 {
-		t.Fatalf("tenant list: %d", len(s.Tenants()))
+	for _, cfg := range []Config{
+		{},
+		{RingDepth: 16, PollBudget: -1, RingRetry: core.RetryPolicy{MaxAttempts: 2}},
+		{Classes: 2, ShedLow: 0.5, ShedHigh: 0.9, ShedAfter: 1000},
+		{Overload: core.OverloadConfig{Enabled: true}},
+		{Overload: core.OverloadConfig{Enabled: true, BusyFrac: 0.25}},
+	} {
+		if _, err := New(r.hv, r.mgr, cfg); err != nil {
+			t.Errorf("New refused valid %+v: %v", cfg, err)
+		}
 	}
 }
 

@@ -11,8 +11,6 @@ package fleet
 import (
 	"fmt"
 
-	"github.com/elisa-go/elisa/internal/core"
-	"github.com/elisa-go/elisa/internal/obs"
 	"github.com/elisa-go/elisa/internal/overload"
 	"github.com/elisa-go/elisa/internal/simtime"
 	"github.com/elisa-go/elisa/internal/stats"
@@ -30,7 +28,7 @@ type TenantState struct {
 	rr      int
 
 	submitted, completed, dropped, fnErrors, lost uint64
-	throttled, shed, breakerShed, busied          uint64
+	throttled, shed, busied                       uint64
 	maxQueue                                      int
 	coreTime                                      simtime.Duration
 	hist                                          *stats.Histogram
@@ -109,23 +107,22 @@ func (s *Scheduler) Evict(name string) (*TenantState, error) {
 		}
 	}
 	st := &TenantState{
-		spec:        t.spec,
-		arrival:     t.arrival,
-		queue:       t.queue,
-		rr:          t.rr,
-		submitted:   t.submitted,
-		completed:   t.completed,
-		dropped:     t.dropped,
-		fnErrors:    t.fnErrors,
-		lost:        t.lost,
-		throttled:   t.throttled,
-		shed:        t.shed,
-		breakerShed: t.breakerShed,
-		busied:      t.busied,
-		maxQueue:    t.maxQueue,
-		coreTime:    t.coreTime,
-		hist:        t.hist,
-		bucket:      t.bucket,
+		spec:      t.spec,
+		arrival:   t.arrival,
+		queue:     t.queue,
+		rr:        t.rr,
+		submitted: t.submitted,
+		completed: t.completed,
+		dropped:   t.dropped,
+		fnErrors:  t.fnErrors,
+		lost:      t.lost,
+		throttled: t.throttled,
+		shed:      t.shed,
+		busied:    t.busied,
+		maxQueue:  t.maxQueue,
+		coreTime:  t.coreTime,
+		hist:      t.hist,
+		bucket:    t.bucket,
 	}
 	// Reduce the slot to a stub: present (indices stay stable), inert
 	// (never scheduled, never arrives), and reporting zeros.
@@ -136,10 +133,8 @@ func (s *Scheduler) Evict(name string) (*TenantState, error) {
 	t.rings = nil
 	t.ringPend = nil
 	t.bucket = nil
-	t.breaker = nil
-	t.quarantined = false
 	t.submitted, t.completed, t.dropped, t.fnErrors, t.lost = 0, 0, 0, 0, 0
-	t.throttled, t.shed, t.breakerShed, t.busied = 0, 0, 0, 0
+	t.throttled, t.shed, t.busied = 0, 0, 0
 	t.maxQueue, t.coreTime, t.rr = 0, 0, 0
 	t.hist = stats.NewHistogram()
 	return st, nil
@@ -159,83 +154,32 @@ func (s *Scheduler) Adopt(st *TenantState) (*Tenant, error) {
 		return nil, fmt.Errorf("fleet: adopt needs a tenant state")
 	}
 	spec := st.spec
-	if s.cfg.MaxTenants > 0 && len(s.tenants) >= s.cfg.MaxTenants {
-		return nil, fmt.Errorf("fleet: adoption refused: %d tenants at cap %d", len(s.tenants), s.cfg.MaxTenants)
-	}
 	for _, t := range s.tenants {
 		if t.spec.Name == spec.Name && !t.migrated {
 			return nil, fmt.Errorf("fleet: adopt %q: name already admitted here", spec.Name)
 		}
 	}
-	idx := len(s.tenants)
-	vm, err := s.hv.CreateVM(spec.Name, spec.RAMBytes)
-	if err != nil {
-		return nil, fmt.Errorf("fleet: adopt %q: %w", spec.Name, err)
-	}
-	g, err := core.NewGuest(vm, s.mgr)
-	if err != nil {
-		return nil, fmt.Errorf("fleet: adopt %q: %w", spec.Name, err)
-	}
 	t := &Tenant{
-		spec:        spec,
-		index:       idx,
-		vm:          vm,
-		guest:       g,
-		objIdx:      make(map[string]int, len(spec.Objects)),
-		arrival:     st.arrival,
-		stride:      strideScale / uint64(spec.Weight),
-		queue:       st.queue,
-		rr:          st.rr,
-		submitted:   st.submitted,
-		completed:   st.completed,
-		dropped:     st.dropped,
-		fnErrors:    st.fnErrors,
-		lost:        st.lost,
-		throttled:   st.throttled,
-		shed:        st.shed,
-		breakerShed: st.breakerShed,
-		busied:      st.busied,
-		maxQueue:    st.maxQueue,
-		coreTime:    st.coreTime,
-		hist:        st.hist,
-		bucket:      st.bucket,
+		spec:      spec,
+		index:     len(s.tenants),
+		arrival:   st.arrival,
+		queue:     st.queue,
+		rr:        st.rr,
+		submitted: st.submitted,
+		completed: st.completed,
+		dropped:   st.dropped,
+		fnErrors:  st.fnErrors,
+		lost:      st.lost,
+		throttled: st.throttled,
+		shed:      st.shed,
+		busied:    st.busied,
+		maxQueue:  st.maxQueue,
+		coreTime:  st.coreTime,
+		hist:      st.hist,
+		bucket:    st.bucket,
 	}
-	if s.cfg.BreakerThreshold > 0 {
-		t.breaker = overload.NewBreaker(overload.BreakerConfig{
-			Threshold: s.cfg.BreakerThreshold,
-			Window:    s.cfg.BreakerWindow,
-			Cooldown:  s.cfg.BreakerCooldown,
-			OnTrip: func(now simtime.Time, cooldown simtime.Duration, trips uint64) {
-				s.causalEvent(now, spec.Name, obs.EvBreaker,
-					fmt.Sprintf("tripped %d, cooldown %s", trips, cooldown))
-			},
-		})
+	if err := s.bootLocked(t, "adopt"); err != nil {
+		return nil, err
 	}
-	ringRetry := s.cfg.RingRetry
-	if ringRetry.MaxAttempts > 0 {
-		ringRetry.Seed += int64(idx) // distinct deterministic jitter per tenant
-	}
-	for _, obj := range spec.Objects {
-		h, err := g.Attach(obj)
-		if err != nil {
-			return nil, fmt.Errorf("fleet: adopt %q attach %q: %w", spec.Name, obj, err)
-		}
-		t.objIdx[obj] = len(t.handles)
-		t.handles = append(t.handles, h)
-		if s.cfg.RingDepth > 0 {
-			rc, err := h.Ring(vm.VCPU(), core.RingConfig{Depth: s.cfg.RingDepth, Deadline: s.cfg.RingDeadline, Retry: ringRetry})
-			if err != nil {
-				return nil, fmt.Errorf("fleet: adopt %q ring on %q: %w", spec.Name, obj, err)
-			}
-			t.rings = append(t.rings, rc)
-			t.ringPend = append(t.ringPend, nil)
-		}
-	}
-	if s.cfg.Overload.Enabled {
-		if err := s.mgr.SetPollWeight(vm, spec.Weight*(1+int(spec.Class))); err != nil {
-			return nil, fmt.Errorf("fleet: adopt %q: %w", spec.Name, err)
-		}
-	}
-	s.tenants = append(s.tenants, t)
 	return t, nil
 }

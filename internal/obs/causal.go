@@ -54,8 +54,9 @@ const (
 	// EvThrottle marks the admission token bucket refusing a request
 	// burst (trace 0).
 	EvThrottle
-	// EvBreaker marks a circuit-breaker quarantine refusing a tenant's
-	// request outright (trace 0).
+	// EvBreaker marked a per-tenant circuit breaker refusing a request
+	// (trace 0). The fleet no longer has a breaker and never emits it;
+	// the kind keeps its slot so later kinds keep their values.
 	EvBreaker
 	// EvRebalance marks the cluster auto-rebalancer migrating a tenant
 	// between shards (trace 0 — a placement action, not a descriptor).
@@ -152,8 +153,8 @@ type RingEvent struct {
 	// Seq numbers every event offered to the log, so gaps in a dumped
 	// ring reveal eviction.
 	Seq uint64
-	// Trace is the descriptor's causal trace ID (0 for pre-submission
-	// refusals: shed, throttle, breaker).
+	// Trace is the descriptor's causal trace ID (0 for events with no
+	// descriptor: shed and throttle refusals, rebalance moves).
 	Trace uint64
 	// Kind is the chain step.
 	Kind EventKind

@@ -18,14 +18,15 @@ const (
 	DefaultSampleEvery = 16
 )
 
-// Config configures a Recorder.
+// Config configures a Recorder. cluster.New, which builds every
+// recorder a System uses, refuses negative values.
 type Config struct {
-	// SpanRing is the span-ring capacity (<=0 picks DefaultSpanRing).
+	// SpanRing is the span-ring capacity (0 picks DefaultSpanRing).
 	SpanRing int
-	// SampleEvery keeps 1 of every N spans in the ring (<=0 picks
+	// SampleEvery keeps 1 of every N spans in the ring (0 picks
 	// DefaultSampleEvery; 1 records every span).
 	SampleEvery int
-	// CausalEvents is the causal-event ring capacity (<=0 picks
+	// CausalEvents is the causal-event ring capacity (0 picks
 	// DefaultCausalEvents). Unlike spans, causal events are never
 	// sampled — the chain would be useless with holes — only evicted
 	// oldest-first once the ring is full.

@@ -20,8 +20,10 @@ const (
 	VerdictAdmit Verdict = iota
 	// VerdictThrottle: the tenant's admission token bucket refused it.
 	VerdictThrottle
-	// VerdictQuarantine: refused because the tenant's circuit breaker is
-	// open (the tenant is evicted from the schedule until cooldown).
+	// VerdictQuarantine: refused because the tenant's circuit breaker was
+	// open. The fleet no longer has a breaker and never records it; the
+	// verdict keeps its slot so later verdicts keep their values, and
+	// the fitness analysis still accounts it against BreakerShed.
 	VerdictQuarantine
 	// VerdictShed: the fleet-wide load shedder refused it by class.
 	VerdictShed
@@ -86,7 +88,7 @@ type DecisionKey struct {
 }
 
 // DecisionTrace is the overload plane's decision log: every
-// admit/throttle/quarantine/shed/drop/busy verdict the fleet issues,
+// admit/throttle/shed/drop/busy/rebalance verdict the fleet issues,
 // with per-(tenant,verdict) counts that keep accumulating after the
 // bounded event log fills. Everything is simulated-time ordered and
 // seeded upstream, so two same-seed runs record identical traces —

@@ -1,12 +1,12 @@
 // Package overload provides the deterministic overload-control
 // primitives the fleet scheduler and the ring datapath share: token-
 // bucket admission control, a watermark load shedder with priority
-// classes, a fault circuit breaker, and jittered exponential backoff.
+// classes, and jittered exponential backoff.
 //
 // Everything here is driven by simulated time and seeded RNG — no wall
 // clocks, no global randomness — so two runs with the same seed make
-// identical admission, shedding, and quarantine decisions, and the
-// fleet's byte-identical-report property survives saturation.
+// identical admission and shedding decisions, and the fleet's
+// byte-identical-report property survives saturation.
 package overload
 
 import (
@@ -25,6 +25,11 @@ type TokenBucket struct {
 	tokens float64
 	last   simtime.Time
 }
+
+// DefaultBurst is the burst of every admission bucket whose owner does
+// not size it: a fleet tenant spec without AdmitBurst, and the cluster
+// fleet's global per-tenant buckets.
+const DefaultBurst = 16
 
 // NewTokenBucket builds a bucket admitting ratePerSec operations per
 // simulated second with the given burst capacity (minimum 1). The bucket
@@ -139,139 +144,6 @@ func (s *Shedder) Admit(now simtime.Time, occupancy float64, class int) bool {
 
 // Shed returns how many arrivals this shedder has refused.
 func (s *Shedder) Shed() uint64 { return s.shed }
-
-// BreakerState enumerates circuit-breaker states.
-type BreakerState int
-
-// The circuit-breaker states: Closed passes traffic, Open quarantines
-// the tenant until its cooldown expires, HalfOpen probes whether the
-// fault storm has passed.
-const (
-	BreakerClosed BreakerState = iota
-	BreakerOpen
-	BreakerHalfOpen
-)
-
-// String names the state for reports and traces.
-func (s BreakerState) String() string {
-	switch s {
-	case BreakerOpen:
-		return "open"
-	case BreakerHalfOpen:
-		return "half-open"
-	default:
-		return "closed"
-	}
-}
-
-// BreakerConfig shapes a Breaker.
-type BreakerConfig struct {
-	// Threshold is how many faults within Window trip the breaker
-	// (default 3).
-	Threshold int
-	// Window is the sliding fault-counting window (default 1ms).
-	Window simtime.Duration
-	// Cooldown is how long the breaker stays open after tripping; each
-	// re-trip doubles it, up to MaxCooldown (defaults 100µs and 16x).
-	Cooldown    simtime.Duration
-	MaxCooldown simtime.Duration
-	// OnTrip, when non-nil, observes every trip (with the cooldown now
-	// in force and the lifetime trip count), so callers can link
-	// quarantine decisions into a causal event log. Observation must not
-	// mutate breaker state.
-	OnTrip func(now simtime.Time, cooldown simtime.Duration, trips uint64)
-}
-
-// Breaker is a per-tenant circuit breaker over fault/recovery events: a
-// tenant tripping repeated fault cycles is quarantined (Open) for a
-// cooldown that doubles on every re-trip, instead of being allowed to
-// churn the manager's repair path. A quiet probe in HalfOpen closes it.
-type Breaker struct {
-	cfg      BreakerConfig
-	state    BreakerState
-	recent   []simtime.Time // fault stamps within the sliding window
-	openedAt simtime.Time
-	cool     simtime.Duration
-	trips    uint64
-}
-
-// NewBreaker builds a closed breaker, applying config defaults.
-func NewBreaker(cfg BreakerConfig) *Breaker {
-	if cfg.Threshold < 1 {
-		cfg.Threshold = 3
-	}
-	if cfg.Window <= 0 {
-		cfg.Window = simtime.Millisecond
-	}
-	if cfg.Cooldown <= 0 {
-		cfg.Cooldown = 100 * simtime.Microsecond
-	}
-	if cfg.MaxCooldown < cfg.Cooldown {
-		cfg.MaxCooldown = 16 * cfg.Cooldown
-	}
-	return &Breaker{cfg: cfg, cool: cfg.Cooldown}
-}
-
-// State returns the breaker's state at now, advancing Open to HalfOpen
-// once the cooldown has elapsed.
-func (b *Breaker) State(now simtime.Time) BreakerState {
-	if b.state == BreakerOpen && now.Sub(b.openedAt) >= b.cool {
-		b.state = BreakerHalfOpen
-	}
-	return b.state
-}
-
-// RecordFault feeds one fault event. Reaching the threshold within the
-// window — or any fault during a HalfOpen probe — trips the breaker.
-func (b *Breaker) RecordFault(now simtime.Time) {
-	if b.State(now) == BreakerHalfOpen {
-		b.trip(now)
-		return
-	}
-	if b.state == BreakerOpen {
-		return // already quarantined; the cooldown owns the clock
-	}
-	keep := b.recent[:0]
-	for _, t := range b.recent {
-		if now.Sub(t) < b.cfg.Window {
-			keep = append(keep, t)
-		}
-	}
-	b.recent = append(keep, now)
-	if len(b.recent) >= b.cfg.Threshold {
-		b.trip(now)
-	}
-}
-
-func (b *Breaker) trip(now simtime.Time) {
-	if b.trips > 0 {
-		b.cool *= 2
-		if b.cool > b.cfg.MaxCooldown {
-			b.cool = b.cfg.MaxCooldown
-		}
-	}
-	b.trips++
-	b.state = BreakerOpen
-	b.openedAt = now
-	b.recent = b.recent[:0]
-	if b.cfg.OnTrip != nil {
-		b.cfg.OnTrip(now, b.cool, b.trips)
-	}
-}
-
-// RecordSuccess feeds one quiet probe: a HalfOpen breaker closes. It is
-// a no-op in any other state.
-func (b *Breaker) RecordSuccess(now simtime.Time) {
-	if b.State(now) == BreakerHalfOpen {
-		b.state = BreakerClosed
-	}
-}
-
-// Trips returns how many times the breaker has opened.
-func (b *Breaker) Trips() uint64 { return b.trips }
-
-// Cooldown returns the breaker's current (possibly doubled) cooldown.
-func (b *Breaker) Cooldown() simtime.Duration { return b.cool }
 
 // Backoff returns the jittered exponential backoff for a 0-based retry
 // attempt: base doubling per attempt, capped at max, plus up to 25%

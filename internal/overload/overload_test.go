@@ -86,68 +86,6 @@ func TestOverloadShedderSustainedDelay(t *testing.T) {
 	}
 }
 
-func TestOverloadBreakerLifecycle(t *testing.T) {
-	b := NewBreaker(BreakerConfig{Threshold: 3, Window: 100 * simtime.Microsecond,
-		Cooldown: 50 * simtime.Microsecond})
-	if b.State(at(0)) != BreakerClosed {
-		t.Fatal("new breaker not closed")
-	}
-	b.RecordFault(at(0))
-	b.RecordFault(at(1))
-	if b.State(at(1)) != BreakerClosed {
-		t.Fatal("tripped below threshold")
-	}
-	b.RecordFault(at(2))
-	if b.State(at(2)) != BreakerOpen {
-		t.Fatal("three faults in the window must trip the breaker")
-	}
-	if b.Trips() != 1 {
-		t.Fatalf("trips = %d, want 1", b.Trips())
-	}
-	// Cooldown expiry: open -> half-open; a quiet probe closes it.
-	if b.State(at(2+49)) != BreakerOpen {
-		t.Fatal("breaker reopened before its cooldown")
-	}
-	if b.State(at(2+50)) != BreakerHalfOpen {
-		t.Fatal("breaker must probe after its cooldown")
-	}
-	b.RecordSuccess(at(2 + 51))
-	if b.State(at(2+51)) != BreakerClosed {
-		t.Fatal("quiet half-open probe must close the breaker")
-	}
-	// A fault during a half-open probe re-trips with a doubled cooldown.
-	b.RecordFault(at(200))
-	b.RecordFault(at(201))
-	b.RecordFault(at(202))
-	if b.State(at(202)) != BreakerOpen {
-		t.Fatal("second fault storm must re-trip")
-	}
-	if b.Cooldown() != 100*simtime.Microsecond {
-		t.Fatalf("cooldown = %v, want doubled once to 100µs", b.Cooldown())
-	}
-	_ = b.State(at(202 + 100)) // doubled cooldown elapsed: half-open
-	b.RecordFault(at(202 + 101))
-	if b.State(at(202+101)) != BreakerOpen {
-		t.Fatal("a fault during the half-open probe must re-trip immediately")
-	}
-	if b.Cooldown() != 200*simtime.Microsecond {
-		t.Fatalf("cooldown = %v, want doubled twice to 200µs", b.Cooldown())
-	}
-}
-
-func TestOverloadBreakerWindowSlides(t *testing.T) {
-	b := NewBreaker(BreakerConfig{Threshold: 2, Window: 10 * simtime.Microsecond})
-	b.RecordFault(at(0))
-	b.RecordFault(at(20)) // the first fault has aged out of the window
-	if b.State(at(20)) != BreakerClosed {
-		t.Fatal("faults outside the window must not count toward the threshold")
-	}
-	b.RecordFault(at(25))
-	if b.State(at(25)) != BreakerOpen {
-		t.Fatal("two faults inside the window must trip")
-	}
-}
-
 func TestOverloadBackoffDeterministicAndBounded(t *testing.T) {
 	base, max := 2*simtime.Microsecond, 16*simtime.Microsecond
 	a := rand.New(rand.NewSource(7))

@@ -489,7 +489,7 @@ func prepareRebalanceConverge(quick bool) (func() (int64, simtime.Duration, erro
 	}
 	f, err := c.NewFleet(cluster.FleetConfig{
 		Config:    fleet.Config{Cores: 2, Seed: 42, QueueDepth: 32, RingDepth: 16},
-		Rebalance: &cluster.RebalanceConfig{},
+		Rebalance: true,
 	})
 	if err != nil {
 		return nil, err

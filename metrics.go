@@ -390,9 +390,7 @@ func collectFleets(c *cluster.Cluster) obs.Collector {
 		latency := obs.Metric{Name: "elisa_fleet_latency_ns",
 			Help: "Op completion latency quantiles (queueing included).", Type: obs.TypeGauge}
 		shed := obs.Metric{Name: "elisa_overload_shed_total",
-			Help: "Arrivals refused before the ring, by reason (admission = token bucket, shed = load shedder, breaker = quarantine).", Type: obs.TypeCounter}
-		quarantined := obs.Metric{Name: "elisa_overload_quarantined",
-			Help: "1 while the tenant's circuit breaker holds it quarantined.", Type: obs.TypeGauge}
+			Help: "Arrivals refused before the ring, by reason (admission = token bucket, shed = load shedder).", Type: obs.TypeCounter}
 		tenants := make([]int, c.NumShards())
 		for _, f := range fleets {
 			for _, tr := range f.Snapshot().Tenants {
@@ -408,13 +406,7 @@ func collectFleets(c *cluster.Cluster) obs.Collector {
 					obs.Sample{Labels: withLabel(labels, "q", "p99"), Value: float64(tr.P99)})
 				shed.Samples = append(shed.Samples,
 					obs.Sample{Labels: withLabel(labels, "reason", "admission"), Value: float64(tr.Throttled)},
-					obs.Sample{Labels: withLabel(labels, "reason", "shed"), Value: float64(tr.Shed)},
-					obs.Sample{Labels: withLabel(labels, "reason", "breaker"), Value: float64(tr.BreakerShed)})
-				q := 0.0
-				if tr.Quarantined {
-					q = 1
-				}
-				quarantined.Samples = append(quarantined.Samples, obs.Sample{Labels: labels, Value: q})
+					obs.Sample{Labels: withLabel(labels, "reason", "shed"), Value: float64(tr.Shed)})
 			}
 		}
 		admitted := obs.Metric{Name: "elisa_fleet_tenants", Help: "Admitted tenants, per shard.", Type: obs.TypeGauge}
@@ -424,6 +416,6 @@ func collectFleets(c *cluster.Cluster) obs.Collector {
 					Labels: map[string]string{"shard": strconv.Itoa(s)}, Value: float64(n)})
 			}
 		}
-		return []obs.Metric{submitted, completed, dropped, goodput, latency, shed, quarantined, admitted}
+		return []obs.Metric{submitted, completed, dropped, goodput, latency, shed, admitted}
 	}
 }
