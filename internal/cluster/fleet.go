@@ -244,6 +244,10 @@ func (f *Fleet) Replay(tr *workload.Trace, d simtime.Duration) (*fleet.Report, e
 		if ev.At < 0 || simtime.Duration(ev.At) >= d {
 			return nil, fmt.Errorf("cluster: replay event %d at %d outside window [0,%d)", i, ev.At, d)
 		}
+		if i > 0 && ev.At < tr.Events[i-1].At {
+			return nil, fmt.Errorf("cluster: replay event %d at %d is before event %d at %d; events must be in time order",
+				i, ev.At, i-1, tr.Events[i-1].At)
+		}
 	}
 	var perShard [][]workload.Event
 	next := 0 // global cursor into the time-ordered trace

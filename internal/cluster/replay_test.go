@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -141,6 +142,51 @@ func TestReplayClusterRejectsBadTrace(t *testing.T) {
 	}
 	if _, err := f.Replay(nil, workload.RegressionHorizon); err == nil {
 		t.Fatal("replay accepted a nil trace")
+	}
+}
+
+// TestReplayClusterRefusesUnorderedTrace: a trace that goes back in time
+// refuses up front, with an error naming the first event out of order
+// and both times — whether the step back crosses windows (the last
+// event moved to the front) or stays inside one (two neighbours
+// swapped).
+func TestReplayClusterRefusesUnorderedTrace(t *testing.T) {
+	tr, err := workload.RegressionTrace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	orig := tr.Events
+	swap := 0
+	for orig[swap].At == orig[swap+1].At {
+		swap++
+	}
+	cases := []struct {
+		name   string
+		events []workload.Event
+		bad    int // first event out of order
+	}{
+		{"last moved to front", append([]workload.Event{orig[len(orig)-1]}, orig[:len(orig)-1]...), 1},
+		{"neighbours swapped", func() []workload.Event {
+			evs := append([]workload.Event(nil), orig...)
+			evs[swap], evs[swap+1] = evs[swap+1], evs[swap]
+			return evs
+		}(), swap + 1},
+	}
+	for _, tc := range cases {
+		f := replayCluster(t, 4, nil)
+		_, err := f.Replay(&workload.Trace{Events: tc.events}, workload.RegressionHorizon)
+		if err == nil {
+			t.Errorf("%s: replay accepted", tc.name)
+			continue
+		}
+		for _, want := range []string{
+			fmt.Sprintf("event %d at %d", tc.bad, tc.events[tc.bad].At),
+			fmt.Sprintf("event %d at %d", tc.bad-1, tc.events[tc.bad-1].At),
+		} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: error %q does not name %q", tc.name, err, want)
+			}
+		}
 	}
 }
 

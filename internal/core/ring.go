@@ -511,7 +511,7 @@ func (rc *RingCaller) Flush(v *cpu.VCPU) error {
 	if c.rec != nil {
 		// Batch-granularity pprof label: the whole drain session is
 		// "service" in wall-clock profiles, matching the sim-time phase.
-		obs.WithPhase(obs.RingPhaseService.String(), func() {
+		obs.WithPhase(obs.RingPhaseService, func() {
 			c.fn, n, drainErr = rc.flushDrain(v, c.rec, c.tSub, c.exch)
 		})
 	} else {
@@ -941,7 +941,7 @@ func (m *Manager) drainRing(a *Attachment, rs *ringState, limit int) (int, error
 	var bodyErr error
 	if m.rec != nil {
 		// Batch-granularity pprof label, matching the gate-flush side.
-		obs.WithPhase(obs.RingPhaseService.String(), func() { n, bodyErr = m.drainRingBody(a, rs, txn, limit) })
+		obs.WithPhase(obs.RingPhaseService, func() { n, bodyErr = m.drainRingBody(a, rs, txn, limit) })
 	} else {
 		// Direct call, no closure: the recorder-off path is the one the
 		// zero-alloc pins measure.

@@ -6,186 +6,199 @@ import (
 	"github.com/elisa-go/elisa/internal/simtime"
 )
 
-func TestEventsFireInTimeOrder(t *testing.T) {
-	s := New()
-	var order []int
-	_, _ = s.At(30, func(simtime.Time) { order = append(order, 3) })
-	_, _ = s.At(10, func(simtime.Time) { order = append(order, 1) })
-	_, _ = s.At(20, func(simtime.Time) { order = append(order, 2) })
-	s.Run()
-	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
-		t.Fatalf("order = %v", order)
+// recorder is a Sim[int] whose handler logs every event it fires.
+type recorder struct {
+	sim   *Sim[int]
+	order []int
+	times []simtime.Time
+}
+
+func newRecorder() *recorder {
+	r := &recorder{}
+	r.sim = New(func(now simtime.Time, id int) {
+		r.order = append(r.order, id)
+		r.times = append(r.times, now)
+	})
+	return r
+}
+
+func equalInts(a, b []int) bool {
+	if len(a) != len(b) {
+		return false
 	}
-	if s.Now() != 30 || s.Fired() != 3 {
-		t.Fatalf("now=%d fired=%d", s.Now(), s.Fired())
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// sliceSource pulls the given arrivals in order, with ids 100, 101, ...
+func sliceSource(times ...simtime.Time) Source[int] {
+	i := 0
+	return func() (simtime.Time, int, bool) {
+		if i == len(times) {
+			return 0, 0, false
+		}
+		i++
+		return times[i-1], 99 + i, true
+	}
+}
+
+func TestEventsFireInTimeOrder(t *testing.T) {
+	r := newRecorder()
+	_ = r.sim.At(30, 3)
+	_ = r.sim.At(10, 1)
+	_ = r.sim.At(20, 2)
+	r.sim.Run()
+	if !equalInts(r.order, []int{1, 2, 3}) {
+		t.Fatalf("order = %v", r.order)
+	}
+	if r.sim.Now() != 30 || r.sim.Fired() != 3 {
+		t.Fatalf("now=%d fired=%d", r.sim.Now(), r.sim.Fired())
 	}
 }
 
 func TestTieBreakIsFIFO(t *testing.T) {
-	s := New()
-	var order []int
+	r := newRecorder()
 	for i := 0; i < 5; i++ {
-		i := i
-		_, _ = s.At(100, func(simtime.Time) { order = append(order, i) })
+		_ = r.sim.At(100, i)
 	}
-	s.Run()
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("ties not FIFO: %v", order)
-		}
+	r.sim.Run()
+	if !equalInts(r.order, []int{0, 1, 2, 3, 4}) {
+		t.Fatalf("ties not FIFO: %v", r.order)
 	}
 }
 
 func TestScheduleValidation(t *testing.T) {
-	s := New()
-	if _, err := s.At(5, nil); err == nil {
-		t.Error("nil callback accepted")
-	}
-	_, _ = s.At(50, func(simtime.Time) {})
-	s.Run()
-	if _, err := s.At(10, func(simtime.Time) {}); err == nil {
+	r := newRecorder()
+	_ = r.sim.At(50, 0)
+	r.sim.Run()
+	if err := r.sim.At(10, 1); err == nil {
 		t.Error("past scheduling accepted")
 	}
-	if _, err := s.After(-1, func(simtime.Time) {}); err == nil {
+	if err := r.sim.After(-1, 1); err == nil {
 		t.Error("negative delay accepted")
 	}
-}
-
-func TestCancel(t *testing.T) {
-	s := New()
-	fired := false
-	e, _ := s.At(10, func(simtime.Time) { fired = true })
-	e.Cancel()
-	s.Run()
-	if fired {
-		t.Fatal("cancelled event fired")
+	if r.sim.Pending() != 0 {
+		t.Errorf("refused events pending: %d", r.sim.Pending())
 	}
-	if s.Fired() != 0 {
-		t.Fatalf("fired = %d", s.Fired())
-	}
+	defer func() {
+		if recover() == nil {
+			t.Error("nil handler accepted")
+		}
+	}()
+	New[int](nil)
 }
 
 func TestEventsCanSchedule(t *testing.T) {
-	s := New()
 	count := 0
-	var tick func(simtime.Time)
-	tick = func(simtime.Time) {
+	var sim *Sim[int]
+	sim = New(func(simtime.Time, int) {
 		count++
 		if count < 10 {
-			_, _ = s.After(5, tick)
+			_ = sim.After(5, 0)
 		}
-	}
-	_, _ = s.After(0, tick)
-	s.Run()
-	if count != 10 || s.Now() != 45 {
-		t.Fatalf("count=%d now=%d", count, s.Now())
+	})
+	_ = sim.After(0, 0)
+	sim.Run()
+	if count != 10 || sim.Now() != 45 {
+		t.Fatalf("count=%d now=%d", count, sim.Now())
 	}
 }
 
 func TestRunUntil(t *testing.T) {
-	s := New()
-	var fired []simtime.Time
+	r := newRecorder()
 	for _, at := range []simtime.Time{10, 20, 30, 40} {
-		at := at
-		_, _ = s.At(at, func(now simtime.Time) { fired = append(fired, now) })
+		_ = r.sim.At(at, int(at))
 	}
-	s.RunUntil(25)
-	if len(fired) != 2 || s.Now() != 25 {
-		t.Fatalf("fired=%v now=%d", fired, s.Now())
+	r.sim.RunUntil(25)
+	if len(r.order) != 2 || r.sim.Now() != 25 {
+		t.Fatalf("fired=%v now=%d", r.order, r.sim.Now())
 	}
-	if s.Pending() != 2 {
-		t.Fatalf("pending = %d", s.Pending())
+	if r.sim.Pending() != 2 {
+		t.Fatalf("pending = %d", r.sim.Pending())
 	}
 	// Deadline-inclusive.
-	s.RunUntil(30)
-	if len(fired) != 3 {
-		t.Fatalf("deadline event not fired: %v", fired)
+	r.sim.RunUntil(30)
+	if len(r.order) != 3 {
+		t.Fatalf("deadline event not fired: %v", r.order)
 	}
 }
 
-func TestQueueFIFOAndService(t *testing.T) {
-	s := New()
-	type rec struct{ enq, start, end simtime.Time }
-	var recs []rec
-	q, err := NewQueue[int](s,
-		func(job int, _ simtime.Time) simtime.Duration { return 100 },
-		func(job int, enq, start, end simtime.Time) {
-			recs = append(recs, rec{enq, start, end})
-		})
-	if err != nil {
-		t.Fatal(err)
+// The arrival source's head goes before a scheduled event at the same
+// instant, whatever order they were added in, and arrivals are pulled
+// one at a time.
+func TestSourceWinsTies(t *testing.T) {
+	r := newRecorder()
+	_ = r.sim.At(10, 1)
+	_ = r.sim.At(20, 2)
+	r.sim.Pull(sliceSource(10, 15, 20, 20))
+	if r.sim.Pending() != 3 {
+		t.Fatalf("pending = %d, want 2 scheduled + 1 pulled arrival", r.sim.Pending())
 	}
-	// Three jobs arrive at t=0: they serialise.
-	q.Enqueue(1)
-	q.Enqueue(2)
-	q.Enqueue(3)
-	if q.Len() != 2 { // one in service
-		t.Fatalf("waiting = %d", q.Len())
+	r.sim.Run()
+	if want := []int{100, 1, 101, 102, 103, 2}; !equalInts(r.order, want) {
+		t.Fatalf("order = %v, want %v", r.order, want)
 	}
-	s.Run()
-	if len(recs) != 3 {
-		t.Fatalf("completions = %d", len(recs))
+	if r.sim.Now() != 20 || r.sim.Fired() != 6 || r.sim.Pending() != 0 {
+		t.Fatalf("now=%d fired=%d pending=%d", r.sim.Now(), r.sim.Fired(), r.sim.Pending())
 	}
-	wantEnd := []simtime.Time{100, 200, 300}
-	for i, r := range recs {
-		if r.end != wantEnd[i] {
-			t.Fatalf("job %d end=%d want %d", i, r.end, wantEnd[i])
+	// RunUntil stops before an arrival past the deadline and leaves it
+	// pulled.
+	r.sim.Pull(sliceSource(30))
+	r.sim.RunUntil(29)
+	if r.sim.Now() != 29 || r.sim.Pending() != 1 {
+		t.Fatalf("now=%d pending=%d", r.sim.Now(), r.sim.Pending())
+	}
+}
+
+// A source that goes back in time is a bug, and the loop says so.
+func TestSourceBackInTimePanics(t *testing.T) {
+	r := newRecorder()
+	r.sim.Pull(sliceSource(10, 20, 15))
+	defer func() {
+		if recover() == nil {
+			t.Fatal("out-of-order arrival accepted")
 		}
-		if r.enq != 0 {
-			t.Fatalf("job %d enq=%d", i, r.enq)
+		if !equalInts(r.order, []int{100}) {
+			t.Fatalf("fired %v before the panic, want [100]", r.order)
 		}
-	}
-	if q.MaxLen() != 2 {
-		t.Fatalf("maxlen = %d", q.MaxLen())
-	}
+	}()
+	r.sim.Run()
 }
 
-func TestQueueIdleRestart(t *testing.T) {
-	s := New()
-	ends := []simtime.Time{}
-	q, _ := NewQueue[int](s,
-		func(int, simtime.Time) simtime.Duration { return 10 },
-		func(_ int, _, _, end simtime.Time) { ends = append(ends, end) })
-	q.Enqueue(1)
-	s.Run()
-	// Queue drained; a later arrival restarts service.
-	_, _ = s.After(100, func(simtime.Time) { q.Enqueue(2) })
-	s.Run()
-	if len(ends) != 2 || ends[1] != 120 {
-		t.Fatalf("ends = %v", ends)
-	}
-}
-
-func TestQueueValidation(t *testing.T) {
-	if _, err := NewQueue[int](nil, nil, nil); err == nil {
-		t.Fatal("nil sim/service accepted")
-	}
-}
-
-// An M/D/1-style sanity check: with utilisation near 1 the queue builds;
-// well below 1 it stays near-empty. This is the mechanism behind the
-// paper's hockey-stick latency curves.
-func TestQueueingBehaviour(t *testing.T) {
-	run := func(gap simtime.Duration) simtime.Time {
-		s := New()
-		var lastEnd simtime.Time
-		q, _ := NewQueue[int](s,
-			func(int, simtime.Time) simtime.Duration { return 100 },
-			func(_ int, _, _, end simtime.Time) { lastEnd = end })
-		for i := 0; i < 100; i++ {
-			at := simtime.Time(int64(i) * int64(gap))
-			_, _ = s.At(at, func(simtime.Time) { q.Enqueue(1) })
+// TestZeroAllocSim: once its heap has grown, a Sim running a fixed mix
+// of pulled arrivals, up-front events and events scheduled from
+// handlers makes no heap allocation.
+func TestZeroAllocSim(t *testing.T) {
+	var sim *Sim[int]
+	pulled := 0
+	src := func() (simtime.Time, int, bool) {
+		if pulled == 64 {
+			return 0, 0, false
 		}
-		s.Run()
-		return lastEnd
+		pulled++
+		return sim.Now().Add(3), 0, true
 	}
-	// Overloaded (gap 50 < service 100): completion time dominated by
-	// service serialisation: ~100*100.
-	if end := run(50); end < 9_900 {
-		t.Fatalf("overloaded queue finished too fast: %d", end)
+	sim = New(func(now simtime.Time, depth int) {
+		if depth < 3 {
+			_ = sim.After(simtime.Duration(7*depth+1), depth+1)
+			_ = sim.At(now, depth+1)
+		}
+	})
+	mix := func() {
+		pulled = 0
+		sim.Pull(src)
+		for i := 0; i < 32; i++ {
+			_ = sim.After(simtime.Duration(i%5), 0)
+		}
+		sim.RunUntil(sim.Now().Add(50))
+		sim.Run()
 	}
-	// Underloaded (gap 200): finishes right after the last arrival.
-	if end := run(200); end > 99*200+150 {
-		t.Fatalf("underloaded queue lagged: %d", end)
+	mix() // grow the heap to its working size
+	if n := testing.AllocsPerRun(100, mix); n != 0 {
+		t.Fatalf("Sim allocates %v per event mix, want 0", n)
 	}
 }

@@ -299,6 +299,9 @@ type Scheduler struct {
 	shedder     *overload.Shedder
 	shedByClass [MaxTenantClasses]uint64
 	shedThresh  int
+
+	// replayOps is Replay's resolved trace, reused from call to call.
+	replayOps []replayOp
 }
 
 // causalEvent links one pre-submission overload refusal into the causal
@@ -499,8 +502,8 @@ func (s *Scheduler) Run(d simtime.Duration) (*Report, error) {
 // refusal ladder, queues, and scheduler as generated load. The same
 // (trace, seed, config) always renders a byte-identical report — a
 // committed trace plus its golden report is a whole-scenario regression
-// test. Events must land inside [0, d) and name admitted tenants and
-// attached objects; anything else refuses up front.
+// test. Events must be in time order, land inside [0, d) and name
+// admitted tenants and attached objects; anything else refuses up front.
 func (s *Scheduler) Replay(events []workload.Event, d simtime.Duration) (*Report, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -508,6 +511,7 @@ func (s *Scheduler) Replay(events []workload.Event, d simtime.Duration) (*Report
 	for _, t := range s.tenants {
 		byName[t.spec.Name] = t
 	}
+	ops := s.replayOps[:0]
 	for i, ev := range events {
 		t := byName[ev.Tenant]
 		if t == nil {
@@ -516,20 +520,64 @@ func (s *Scheduler) Replay(events []workload.Event, d simtime.Duration) (*Report
 		if t.migrated {
 			return nil, fmt.Errorf("fleet: replay event %d names migrated tenant %q (route it to the adopting scheduler)", i, ev.Tenant)
 		}
-		if _, ok := t.objIdx[ev.Object]; !ok {
+		obj, ok := t.objIdx[ev.Object]
+		if !ok {
 			return nil, fmt.Errorf("fleet: replay event %d: tenant %q has no attachment for object %q", i, ev.Tenant, ev.Object)
 		}
 		if ev.At < 0 || simtime.Duration(ev.At) >= d {
 			return nil, fmt.Errorf("fleet: replay event %d at %d outside window [0,%d)", i, ev.At, d)
 		}
+		if i > 0 && ev.At < events[i-1].At {
+			return nil, fmt.Errorf("fleet: replay event %d at %d is before event %d at %d; events must be in time order",
+				i, ev.At, i-1, events[i-1].At)
+		}
+		ops = append(ops, replayOp{at: simtime.Time(ev.At), tenant: t, obj: obj, fn: ev.Fn})
 	}
-	return s.runLocked(d, true, events)
+	s.replayOps = ops
+	return s.runLocked(d, true, ops)
+}
+
+// eventKind is one of the four kinds of event a fleet window runs.
+type eventKind uint8
+
+const (
+	coreFree  eventKind = iota // a core ends its quantum (idx: core)
+	generated                  // a tenant's arrival process fires (idx: tenant)
+	replayed                   // a trace event arrives (idx: replay op)
+	pump                       // the fault pump's periodic pass
+)
+
+// event is one fleet window event: its kind and the index of its
+// subject.
+type event struct {
+	kind eventKind
+	idx  int
+}
+
+// replayOp is one validated trace event, resolved to its tenant and
+// handle index.
+type replayOp struct {
+	at     simtime.Time
+	tenant *Tenant
+	obj    int
+	fn     uint64
+}
+
+// window is the state one Run or Replay call's event loop shares between
+// its events.
+type window struct {
+	s    *Scheduler
+	sim  *des.Sim[event]
+	idle []bool           // per core
+	ops  []replayOp       // the trace, in replay mode
+	base simtime.Duration // fleet time at the window's start
 }
 
 // runLocked is the shared simulation core behind Run (replay=false:
-// tenants' arrival processes self-schedule) and Replay (replay=true:
-// the pre-validated event list is the arrival source). Callers hold s.mu.
-func (s *Scheduler) runLocked(d simtime.Duration, replay bool, events []workload.Event) (*Report, error) {
+// tenants' arrival processes self-schedule) and Replay (replay=true: the
+// pre-validated, time-ordered trace is the arrival source). Callers hold
+// s.mu.
+func (s *Scheduler) runLocked(d simtime.Duration, replay bool, ops []replayOp) (*Report, error) {
 	if d <= 0 {
 		return nil, fmt.Errorf("fleet: run duration %d must be positive", d)
 	}
@@ -537,198 +585,31 @@ func (s *Scheduler) runLocked(d simtime.Duration, replay bool, events []workload
 		return nil, fmt.Errorf("fleet: no tenants admitted")
 	}
 
-	sim := des.New()
-	deadline := sim.Now().Add(d)
-	idle := make([]bool, s.cfg.Cores)
-	for i := range idle {
-		idle[i] = true
-	}
-
-	// dispatch hands every idle core the min-pass runnable tenant and
-	// runs one quantum's worth of its queue as back-to-back calls.
-	var dispatch func(now simtime.Time)
-	dispatch = func(now simtime.Time) {
-		for {
-			coreID := -1
-			for i, free := range idle {
-				if free {
-					coreID = i
-					break
-				}
-			}
-			if coreID < 0 {
-				return
-			}
-			var next *Tenant
-			for _, t := range s.tenants {
-				if t.crashed || t.migrated || len(t.queue) == 0 {
-					continue
-				}
-				if next == nil || t.pass < next.pass || (t.pass == next.pass && t.index < next.index) {
-					next = t
-				}
-			}
-			if next == nil {
-				return
-			}
-			t := next
-			v := t.vm.VCPU()
-			ringMode := s.cfg.RingDepth > 0
-			var spent simtime.Duration
-			for len(t.queue) > 0 && spent < s.cfg.Quantum {
-				op := t.queue[0]
-				t.queue = t.queue[1:]
-				// Generated load cycles handles round-robin (obj < 0);
-				// trace replay targets the handle the trace row named and
-				// leaves the cursor alone.
-				hi := op.obj
-				if hi < 0 {
-					hi = t.rr
-					t.rr = (t.rr + 1) % len(t.handles)
-				}
-				c0 := v.Clock().Now()
-				var err error
-				if ringMode {
-					// Ring datapath: enqueue the op exit-lessly; the
-					// adaptive policy (deadline, depth, full queue) decides
-					// when a gate crossing actually happens. Completion
-					// latency is recorded at harvest time. Harvest before
-					// the completion queue can fill, or flushes stall on
-					// backpressure.
-					if t.rings[hi].Pending() >= s.cfg.RingDepth {
-						spent += s.harvestTenant(t, now.Add(spent))
-					}
-					err = t.rings[hi].Submit(v, op.fn)
-					if err == nil {
-						t.ringPend[hi] = append(t.ringPend[hi], op.arrived)
-					}
-				} else {
-					_, err = t.handles[hi].Call(v, op.fn)
-				}
-				cost := v.Clock().Elapsed(c0)
-				spent += cost
-				if err != nil {
-					t.fnErrors++
-					if t.vm.Dead() {
-						// The guest died mid-call (injected crash or a
-						// protocol kill). Its pending ops are lost; the
-						// pump's next sweep quarantines its attachments.
-						t.markCrashed()
-						break
-					}
-					continue
-				}
-				if !ringMode {
-					t.completed++
-					t.hist.Record(int64(now.Add(spent).Sub(op.arrived)))
-				}
-			}
-			if ringMode && !t.crashed {
-				// Interleave one budget-bounded manager poller pass with the
-				// quantum (host-side work, charged to the manager clock),
-				// then harvest whatever completions have landed.
-				if s.cfg.PollBudget > 0 {
-					_, _ = s.mgr.DrainRings(s.cfg.PollBudget)
-				}
-				spent += s.harvestTenant(t, now.Add(spent))
-			}
-			t.pass += t.stride
-			t.coreTime += spent
-			idle[coreID] = false
-			id := coreID
-			if _, err := sim.After(spent, func(now2 simtime.Time) {
-				idle[id] = true
-				dispatch(now2)
-			}); err != nil {
-				idle[id] = true // negative-delay can't happen; keep the core alive
-			}
-		}
-	}
-
-	// admit runs one arrival through the refusal ladder — cheapest
-	// refusal first: the token buckets refuse before any state is
-	// touched, the shedder refuses by fleet-wide occupancy and class, and
-	// only then does the bounded queue drop blindly — queueing it and
-	// kicking dispatch when every gate passes. Generated and replayed
-	// arrivals share this path, so a decision trace covers both
-	// identically. Notes are built only when a sink will read them.
-	admit := func(t *Tenant, now simtime.Time, op pendingOp) {
-		t.submitted++
-		switch {
-		case s.cfg.GlobalAdmit != nil && !s.cfg.GlobalAdmit(now, t.spec.Name, int(t.spec.Class)):
-			// Cluster-wide cap: the outermost gate, so a globally-refused
-			// arrival consumes no per-shard bucket token.
-			t.throttled++
-			s.cfg.Decisions.Record(now, t.spec.Name, overload.VerdictThrottle, int(t.spec.Class), "global-bucket")
-			s.causalEvent(now, t.spec.Name, obs.EvThrottle, "global-bucket")
-		case t.bucket != nil && !t.bucket.Allow(now):
-			t.throttled++
-			s.cfg.Decisions.Record(now, t.spec.Name, overload.VerdictThrottle, int(t.spec.Class), "token-bucket")
-			s.causalEvent(now, t.spec.Name, obs.EvThrottle, "token-bucket")
-		case s.shedder != nil && !s.shedder.Admit(now, s.occupancyLocked(), int(t.spec.Class)):
-			t.shed++
-			s.shedByClass[t.spec.Class]++
-			if s.cfg.Decisions != nil {
-				s.cfg.Decisions.Record(now, t.spec.Name, overload.VerdictShed, int(t.spec.Class),
-					fmt.Sprintf("threshold %d", s.shedThresh))
-			}
-			if s.mgr.Recorder() != nil {
-				s.causalEvent(now, t.spec.Name, obs.EvShed,
-					fmt.Sprintf("class %d below threshold %d", t.spec.Class, s.shedThresh))
-			}
-		case len(t.queue) >= s.cfg.QueueDepth:
-			t.dropped++
-			s.cfg.Decisions.Record(now, t.spec.Name, overload.VerdictDrop, int(t.spec.Class), "queue-full")
-		default:
-			t.queue = append(t.queue, op)
-			if len(t.queue) > t.maxQueue {
-				t.maxQueue = len(t.queue)
-			}
-			s.cfg.Decisions.Record(now, t.spec.Name, overload.VerdictAdmit, int(t.spec.Class), "")
-			dispatch(now)
-		}
+	w := &window{s: s, idle: make([]bool, s.cfg.Cores), ops: ops, base: s.elapsed}
+	w.sim = des.New(w.handle)
+	deadline := w.sim.Now().Add(d)
+	for i := range w.idle {
+		w.idle[i] = true
 	}
 
 	if replay {
-		// Trace-driven arrivals: every event is pre-scheduled at its
+		// Trace-driven arrivals: the loop pulls each event at its
 		// recorded instant, targeting the handle and fn the row named.
-		byName := make(map[string]*Tenant, len(s.tenants))
-		for _, t := range s.tenants {
-			byName[t.spec.Name] = t
-		}
-		for _, ev := range events {
-			t := byName[ev.Tenant]
-			obj := t.objIdx[ev.Object]
-			fn := ev.Fn
-			if _, err := sim.At(simtime.Time(ev.At), func(now simtime.Time) {
-				if t.crashed {
-					return // arrivals to a dead tenant evaporate
-				}
-				admit(t, now, pendingOp{arrived: now, obj: obj, fn: fn})
-			}); err != nil {
-				return nil, err
+		next := 0
+		w.sim.Pull(func() (simtime.Time, event, bool) {
+			if next == len(ops) {
+				return 0, event{}, false
 			}
-		}
+			next++
+			return ops[next-1].at, event{kind: replayed, idx: next - 1}, true
+		})
 	} else {
 		// One self-rescheduling arrival chain per tenant.
-		var arrive func(t *Tenant) func(now simtime.Time)
-		arrive = func(t *Tenant) func(now simtime.Time) {
-			return func(now simtime.Time) {
-				if t.crashed {
-					return // a dead tenant's arrival chain ends
-				}
-				if t.spec.Ops > 0 && t.submitted >= uint64(t.spec.Ops) {
-					return
-				}
-				admit(t, now, pendingOp{arrived: now, obj: -1, fn: t.spec.Fn})
-				_, _ = sim.After(t.arrival.NextInterval(), arrive(t))
-			}
-		}
 		for _, t := range s.tenants {
 			if t.migrated {
 				continue // a stub has no arrival process — it moved with the tenant
 			}
-			if _, err := sim.After(t.arrival.NextInterval(), arrive(t)); err != nil {
+			if err := w.sim.After(t.arrival.NextInterval(), event{kind: generated, idx: t.index}); err != nil {
 				return nil, err
 			}
 		}
@@ -740,27 +621,20 @@ func (s *Scheduler) runLocked(d simtime.Duration, replay bool, events []workload
 	// call can stumble into a scribbled entry — and quarantines tenants
 	// that died, reclaiming their attachments without touching the rest.
 	// Plan times are fleet time: the run time accumulated before this
-	// window plus the window's event clock, so an injection fires in the
-	// window that contains it however the run is split into windows.
+	// window (base) plus the window's event clock, so an injection fires
+	// in the window that contains it however the run is split into
+	// windows.
 	if s.inj != nil {
-		base := s.elapsed
-		var pump func(now simtime.Time)
-		pump = func(now simtime.Time) {
-			s.mgr.PumpFaults(now.Add(base))
-			_, _ = s.mgr.FsckRepair()
-			s.sweepDead()
-			_, _ = sim.After(s.cfg.Quantum, pump)
-		}
-		if _, err := sim.After(s.cfg.Quantum, pump); err != nil {
+		if err := w.sim.After(s.cfg.Quantum, event{kind: pump}); err != nil {
 			return nil, err
 		}
 	}
 
-	sim.RunUntil(deadline)
+	w.sim.RunUntil(deadline)
 	if s.cfg.RingDepth > 0 {
 		// Ring epilogue: flush and harvest every live tenant's rings so ops
 		// still queued at the deadline complete before the report is cut.
-		s.drainTenantRings(sim.Now())
+		s.drainTenantRings(w.sim.Now())
 	}
 	if s.inj != nil {
 		// Final sweep: a tenant that died after the last pump tick is
@@ -770,6 +644,179 @@ func (s *Scheduler) runLocked(d simtime.Duration, replay bool, events []workload
 	s.elapsed += d
 	s.ran = true
 	return s.reportLocked(), nil
+}
+
+// handle fires one window event.
+func (w *window) handle(now simtime.Time, ev event) {
+	s := w.s
+	switch ev.kind {
+	case coreFree:
+		w.idle[ev.idx] = true
+		w.dispatch(now)
+	case generated:
+		t := s.tenants[ev.idx]
+		if t.crashed {
+			return // a dead tenant's arrival chain ends
+		}
+		if t.spec.Ops > 0 && t.submitted >= uint64(t.spec.Ops) {
+			return
+		}
+		w.admit(t, now, pendingOp{arrived: now, obj: -1, fn: t.spec.Fn})
+		_ = w.sim.After(t.arrival.NextInterval(), ev)
+	case replayed:
+		op := &w.ops[ev.idx]
+		if op.tenant.crashed {
+			return // arrivals to a dead tenant evaporate
+		}
+		w.admit(op.tenant, now, pendingOp{arrived: now, obj: op.obj, fn: op.fn})
+	case pump:
+		s.mgr.PumpFaults(now.Add(w.base))
+		_, _ = s.mgr.FsckRepair()
+		s.sweepDead()
+		_ = w.sim.After(s.cfg.Quantum, ev)
+	}
+}
+
+// dispatch hands every idle core the min-pass runnable tenant and runs
+// one quantum's worth of its queue as back-to-back calls.
+func (w *window) dispatch(now simtime.Time) {
+	s := w.s
+	for {
+		coreID := -1
+		for i, free := range w.idle {
+			if free {
+				coreID = i
+				break
+			}
+		}
+		if coreID < 0 {
+			return
+		}
+		var next *Tenant
+		for _, t := range s.tenants {
+			if t.crashed || t.migrated || len(t.queue) == 0 {
+				continue
+			}
+			if next == nil || t.pass < next.pass || (t.pass == next.pass && t.index < next.index) {
+				next = t
+			}
+		}
+		if next == nil {
+			return
+		}
+		t := next
+		v := t.vm.VCPU()
+		ringMode := s.cfg.RingDepth > 0
+		var spent simtime.Duration
+		for len(t.queue) > 0 && spent < s.cfg.Quantum {
+			op := t.queue[0]
+			t.queue = t.queue[1:]
+			// Generated load cycles handles round-robin (obj < 0);
+			// trace replay targets the handle the trace row named and
+			// leaves the cursor alone.
+			hi := op.obj
+			if hi < 0 {
+				hi = t.rr
+				t.rr = (t.rr + 1) % len(t.handles)
+			}
+			c0 := v.Clock().Now()
+			var err error
+			if ringMode {
+				// Ring datapath: enqueue the op exit-lessly; the
+				// adaptive policy (deadline, depth, full queue) decides
+				// when a gate crossing actually happens. Completion
+				// latency is recorded at harvest time. Harvest before
+				// the completion queue can fill, or flushes stall on
+				// backpressure.
+				if t.rings[hi].Pending() >= s.cfg.RingDepth {
+					spent += s.harvestTenant(t, now.Add(spent))
+				}
+				err = t.rings[hi].Submit(v, op.fn)
+				if err == nil {
+					t.ringPend[hi] = append(t.ringPend[hi], op.arrived)
+				}
+			} else {
+				_, err = t.handles[hi].Call(v, op.fn)
+			}
+			cost := v.Clock().Elapsed(c0)
+			spent += cost
+			if err != nil {
+				t.fnErrors++
+				if t.vm.Dead() {
+					// The guest died mid-call (injected crash or a
+					// protocol kill). Its pending ops are lost; the
+					// pump's next sweep quarantines its attachments.
+					t.markCrashed()
+					break
+				}
+				continue
+			}
+			if !ringMode {
+				t.completed++
+				t.hist.Record(int64(now.Add(spent).Sub(op.arrived)))
+			}
+		}
+		if ringMode && !t.crashed {
+			// Interleave one budget-bounded manager poller pass with the
+			// quantum (host-side work, charged to the manager clock),
+			// then harvest whatever completions have landed.
+			if s.cfg.PollBudget > 0 {
+				_, _ = s.mgr.DrainRings(s.cfg.PollBudget)
+			}
+			spent += s.harvestTenant(t, now.Add(spent))
+		}
+		t.pass += t.stride
+		t.coreTime += spent
+		w.idle[coreID] = false
+		if err := w.sim.After(spent, event{kind: coreFree, idx: coreID}); err != nil {
+			w.idle[coreID] = true // negative-delay can't happen; keep the core alive
+		}
+	}
+}
+
+// admit runs one arrival through the refusal ladder — cheapest refusal
+// first: the token buckets refuse before any state is touched, the
+// shedder refuses by fleet-wide occupancy and class, and only then does
+// the bounded queue drop blindly — queueing it and kicking dispatch when
+// every gate passes. Generated and replayed arrivals share this path, so
+// a decision trace covers both identically. Notes are built only when a
+// sink will read them.
+func (w *window) admit(t *Tenant, now simtime.Time, op pendingOp) {
+	s := w.s
+	t.submitted++
+	switch {
+	case s.cfg.GlobalAdmit != nil && !s.cfg.GlobalAdmit(now, t.spec.Name, int(t.spec.Class)):
+		// Cluster-wide cap: the outermost gate, so a globally-refused
+		// arrival consumes no per-shard bucket token.
+		t.throttled++
+		s.cfg.Decisions.Record(now, t.spec.Name, overload.VerdictThrottle, int(t.spec.Class), "global-bucket")
+		s.causalEvent(now, t.spec.Name, obs.EvThrottle, "global-bucket")
+	case t.bucket != nil && !t.bucket.Allow(now):
+		t.throttled++
+		s.cfg.Decisions.Record(now, t.spec.Name, overload.VerdictThrottle, int(t.spec.Class), "token-bucket")
+		s.causalEvent(now, t.spec.Name, obs.EvThrottle, "token-bucket")
+	case s.shedder != nil && !s.shedder.Admit(now, s.occupancyLocked(), int(t.spec.Class)):
+		t.shed++
+		s.shedByClass[t.spec.Class]++
+		if s.cfg.Decisions != nil {
+			s.cfg.Decisions.Record(now, t.spec.Name, overload.VerdictShed, int(t.spec.Class),
+				fmt.Sprintf("threshold %d", s.shedThresh))
+		}
+		if s.mgr.Recorder() != nil {
+			s.causalEvent(now, t.spec.Name, obs.EvShed,
+				fmt.Sprintf("class %d below threshold %d", t.spec.Class, s.shedThresh))
+		}
+	case len(t.queue) >= s.cfg.QueueDepth:
+		t.dropped++
+		s.cfg.Decisions.Record(now, t.spec.Name, overload.VerdictDrop, int(t.spec.Class), "queue-full")
+	default:
+		t.queue = append(t.queue, op)
+		if len(t.queue) > t.maxQueue {
+			t.maxQueue = len(t.queue)
+		}
+		s.cfg.Decisions.Record(now, t.spec.Name, overload.VerdictAdmit, int(t.spec.Class), "")
+		w.dispatch(now)
+	}
 }
 
 // occupancyLocked is the shedder's input: the fleet-wide fraction of

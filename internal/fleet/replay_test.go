@@ -119,7 +119,8 @@ func TestReplayMatchesTraceAccounting(t *testing.T) {
 }
 
 // TestReplayRejectsBadEvents: events naming unadmitted tenants, foreign
-// objects, or instants outside the window refuse up front.
+// objects, instants outside the window, or instants before the previous
+// event's refuse up front.
 func TestReplayRejectsBadEvents(t *testing.T) {
 	s := replayRig(t, Config{Seed: 1})
 	ok := workload.Event{At: 10, Tenant: "web", Object: "wk-00", Fn: workload.RegressionFn}
@@ -131,6 +132,7 @@ func TestReplayRejectsBadEvents(t *testing.T) {
 		{"foreign object", workload.Event{At: 10, Tenant: "svc", Object: "wk-07"}},
 		{"past window", workload.Event{At: simtime.Time(workload.RegressionHorizon), Tenant: "web", Object: "wk-00"}},
 		{"negative time", workload.Event{At: -1, Tenant: "web", Object: "wk-00"}},
+		{"out of time order", workload.Event{At: 9, Tenant: "web", Object: "wk-00", Fn: workload.RegressionFn}},
 	}
 	for _, tc := range cases {
 		if _, err := s.Replay([]workload.Event{ok, tc.ev}, workload.RegressionHorizon); err == nil {

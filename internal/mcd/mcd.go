@@ -165,40 +165,116 @@ func Sweep(scheme string, requestsPerPoint int) (*Curve, error) {
 }
 
 // runPoint simulates one offered load with Poisson arrivals into an M/D/1
-// server and returns the latency percentiles.
+// server and returns the latency percentiles. Arrivals are pulled from
+// the Poisson stream one at a time, in the order the stream draws them.
 func runPoint(seed int64, ratePerSec float64, service simtime.Duration, n int) (*Point, error) {
-	sim := des.New()
 	arrivals, err := workload.NewPoisson(seed, ratePerSec)
 	if err != nil {
 		return nil, err
 	}
-	lat := stats.NewHistogram()
-	var lastDone simtime.Time
-	q, err := des.NewQueue[int](sim,
-		func(int, simtime.Time) simtime.Duration { return service },
-		func(_ int, enq, _, end simtime.Time) {
-			lat.RecordDuration(end.Sub(enq) + NetRTT)
-			lastDone = end
-		})
-	if err != nil {
-		return nil, err
-	}
-	t := simtime.Time(0)
-	for i := 0; i < n; i++ {
-		t = t.Add(arrivals.NextInterval())
-		if _, err := sim.At(t, func(simtime.Time) { q.Enqueue(1) }); err != nil {
-			return nil, err
+	t, pulled := simtime.Time(0), 0
+	srv := serve(service, func() (simtime.Time, serverEvent, bool) {
+		if pulled == n {
+			return 0, 0, false
 		}
-	}
-	sim.Run()
+		pulled++
+		t = t.Add(arrivals.NextInterval())
+		return t, arrive, true
+	})
+	lat := srv.lat
 	if lat.Count() != int64(n) {
 		return nil, fmt.Errorf("mcd: %d/%d requests completed", lat.Count(), n)
 	}
-	achieved := stats.Throughput(int64(n), simtime.Duration(lastDone)) / 1e3
+	achieved := stats.Throughput(int64(n), simtime.Duration(srv.lastDone)) / 1e3
 	return &Point{
 		OfferedKRPS:  ratePerSec / 1e3,
 		AchievedKRPS: achieved,
 		P50:          simtime.Duration(lat.Percentile(0.50)),
 		P99:          simtime.Duration(lat.Percentile(0.99)),
 	}, nil
+}
+
+// serverEvent is one of the server's two event kinds.
+type serverEvent uint8
+
+const (
+	arrive serverEvent = iota // a request reaches the server
+	done                      // the request in service completes
+)
+
+// server is runPoint's M/D/1 server: one request in service at a time,
+// the rest waiting in arrival order. Requests carry no payload, so the
+// server keeps only their enqueue stamps.
+type server struct {
+	sim       *des.Sim[serverEvent]
+	service   simtime.Duration
+	busy      bool
+	inService simtime.Time // enqueue stamp of the request in service
+	waiting   stampFIFO
+	lat       *stats.Histogram
+	lastDone  simtime.Time
+}
+
+// serve runs a server with the given service time over the arrivals src
+// yields, until every request has completed.
+func serve(service simtime.Duration, src des.Source[serverEvent]) *server {
+	srv := &server{service: service, lat: stats.NewHistogram()}
+	srv.sim = des.New(srv.handle)
+	srv.sim.Pull(src)
+	srv.sim.Run()
+	return srv
+}
+
+func (s *server) handle(now simtime.Time, ev serverEvent) {
+	if ev == arrive {
+		if s.busy {
+			s.waiting.push(now)
+		} else {
+			s.start(now)
+		}
+		return
+	}
+	s.lat.RecordDuration(now.Sub(s.inService) + NetRTT)
+	s.lastDone = now
+	s.busy = false
+	if s.waiting.n > 0 {
+		s.start(s.waiting.pop())
+	}
+}
+
+// start puts the request enqueued at enq into service now.
+func (s *server) start(enq simtime.Time) {
+	s.busy = true
+	s.inService = enq
+	// The service time is a calibrated, non-negative duration, the only
+	// case in which After fails.
+	_ = s.sim.After(s.service, done)
+}
+
+// stampFIFO is a ring buffer of enqueue stamps holding n of them, oldest
+// at head. It reallocates only to double when full, so the longest queue
+// of a run sets its size and the request count does not.
+type stampFIFO struct {
+	buf  []simtime.Time // len is zero or a power of two
+	head int
+	n    int
+}
+
+func (q *stampFIFO) push(t simtime.Time) {
+	if q.n == len(q.buf) {
+		grown := make([]simtime.Time, max(2*len(q.buf), 64))
+		for i := 0; i < q.n; i++ {
+			grown[i] = q.buf[(q.head+i)&(len(q.buf)-1)]
+		}
+		q.buf, q.head = grown, 0
+	}
+	q.buf[(q.head+q.n)&(len(q.buf)-1)] = t
+	q.n++
+}
+
+func (q *stampFIFO) pop() simtime.Time {
+	t := q.buf[q.head]
+	q.head = (q.head + 1) & (len(q.buf) - 1)
+	q.n--
+	return t
 }

@@ -3,6 +3,7 @@ package mcd
 import (
 	"testing"
 
+	"github.com/elisa-go/elisa/internal/des"
 	"github.com/elisa-go/elisa/internal/simtime"
 	"github.com/elisa-go/elisa/internal/vnet"
 )
@@ -100,5 +101,103 @@ func TestSweepValidation(t *testing.T) {
 	}
 	if _, err := Sweep("bogus", 10); err == nil {
 		t.Error("bogus scheme accepted")
+	}
+}
+
+// arrivalsAt is a source of requests arriving at the given times.
+func arrivalsAt(times ...simtime.Time) des.Source[serverEvent] {
+	i := 0
+	return func() (simtime.Time, serverEvent, bool) {
+		if i == len(times) {
+			return 0, 0, false
+		}
+		i++
+		return times[i-1], arrive, true
+	}
+}
+
+// Requests that queue are served in arrival order, back to back.
+func TestServerFIFO(t *testing.T) {
+	srv := serve(100, arrivalsAt(0, 10, 20))
+	if srv.lat.Count() != 3 || srv.lastDone != 300 {
+		t.Fatalf("completions = %d, last at %d; want 3, last at 300", srv.lat.Count(), srv.lastDone)
+	}
+	// FIFO: the request enqueued at 20 leaves last, at 300. Serving the
+	// waiting requests newest first would keep the one from 10 to the end.
+	if lo, hi := srv.lat.Min(), srv.lat.Max(); lo != int64(100+NetRTT) || hi != int64(280+NetRTT) {
+		t.Fatalf("latency range [%d, %d], want [%d, %d]", lo, hi, 100+NetRTT, 280+NetRTT)
+	}
+}
+
+// A server that drained its queue restarts service on the next arrival.
+func TestServerIdleRestart(t *testing.T) {
+	srv := serve(10, arrivalsAt(0, 110))
+	if srv.lastDone != 120 || srv.lat.Max() != int64(10+NetRTT) {
+		t.Fatalf("last done %d, max latency %d", srv.lastDone, srv.lat.Max())
+	}
+}
+
+// An M/D/1-style sanity check: with utilisation above 1 the queue
+// builds; well below 1 it stays near-empty. This is the mechanism behind
+// the paper's hockey-stick latency curves.
+func TestServerQueueingBehaviour(t *testing.T) {
+	run := func(gap simtime.Duration) simtime.Time {
+		times := make([]simtime.Time, 100)
+		for i := range times {
+			times[i] = simtime.Time(int64(i) * int64(gap))
+		}
+		return serve(100, arrivalsAt(times...)).lastDone
+	}
+	// Overloaded (gap 50 < service 100): completion time dominated by
+	// service serialisation: ~100*100.
+	if end := run(50); end < 9_900 {
+		t.Fatalf("overloaded queue finished too fast: %d", end)
+	}
+	// Underloaded (gap 200): finishes right after the last arrival.
+	if end := run(200); end > 99*200+150 {
+		t.Fatalf("underloaded queue lagged: %d", end)
+	}
+}
+
+// TestRunPointAllocsFlat: one load point's heap allocations do not grow
+// with its request count — ten times the requests make the same number
+// of mallocs, so none is made per request. The latency histogram's
+// bucket map and the wait FIFO grow with the spread of latencies and
+// the longest queue, not with the count; at the sweep's lowest load
+// both settle within the first 2,000 requests.
+func TestRunPointAllocsFlat(t *testing.T) {
+	const service = 2623 * simtime.Nanosecond // ELISA's calibrated service time
+	rate := LoadFractions[0] * 1e9 / float64(service)
+	mallocs := func(n int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if _, err := runPoint(1, rate, service, n); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if a, b := mallocs(2_000), mallocs(20_000); a != b {
+		t.Fatalf("runPoint makes %v mallocs at 2,000 requests, %v at 20,000", a, b)
+	}
+}
+
+// The wait FIFO keeps arrival order across wrap-around and growth.
+func TestStampFIFOWrapsAndGrows(t *testing.T) {
+	var q stampFIFO
+	next, want := simtime.Time(0), simtime.Time(0)
+	for _, step := range []struct{ push, pop int }{{50, 30}, {40, 10}, {100, 150}, {3, 3}} {
+		for i := 0; i < step.push; i++ {
+			q.push(next)
+			next++
+		}
+		for i := 0; i < step.pop; i++ {
+			if got := q.pop(); got != want {
+				t.Fatalf("popped %d, want %d", got, want)
+			}
+			want++
+		}
+	}
+	// At most 150 stamps waited at once: 64 doubled twice.
+	if q.n != 0 || len(q.buf) != 256 {
+		t.Fatalf("%d stamps left in a buffer of %d, want 0 in 256", q.n, len(q.buf))
 	}
 }

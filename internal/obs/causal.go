@@ -485,13 +485,26 @@ func phaseBetween(from, to EventKind) (RingPhase, bool) {
 // wall-clock CPU profiles and simulated spans line up.
 const PhaseLabel = "elisa_phase"
 
-// WithPhase runs f under a pprof label (PhaseLabel=name) so wall-clock
-// CPU profiles attribute samples to the same phase names as the
-// sim-time spans. Callers apply it at batch granularity (one drain
-// session, one flush) — never per descriptor — to keep the hot path's
-// wall cost flat.
-func WithPhase(name string, f func()) {
-	pprof.Do(context.Background(), pprof.Labels(PhaseLabel, name), func(context.Context) { f() })
+// phaseLabels holds one pprof label context per ring phase, built once so
+// that WithPhase switches labels without allocating.
+var phaseLabels = func() (ctxs [NumRingPhases]context.Context) {
+	for p := range ctxs {
+		ctxs[p] = pprof.WithLabels(context.Background(), pprof.Labels(PhaseLabel, RingPhase(p).String()))
+	}
+	return ctxs
+}()
+
+// WithPhase runs f under the pprof label PhaseLabel=p.String() so
+// wall-clock CPU profiles attribute samples to the same phase names as
+// the sim-time spans. On return it restores the empty label set of
+// context.Background, as pprof.Do(context.Background(), …) does, so a
+// nested call leaves the rest of the outer one unlabelled. Callers apply
+// it at batch granularity (one drain, one flush) — never per
+// descriptor — to keep the hot path's wall cost flat.
+func WithPhase(p RingPhase, f func()) {
+	pprof.SetGoroutineLabels(phaseLabels[p])
+	defer pprof.SetGoroutineLabels(context.Background())
+	f()
 }
 
 // CollectCausal builds the elisa_ring_phase_* metric families from a

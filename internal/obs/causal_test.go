@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"runtime/pprof"
 	"strings"
 	"testing"
 
@@ -225,13 +226,28 @@ func TestCollectCausalMetrics(t *testing.T) {
 	}
 }
 
-// WithPhase must run f synchronously and survive nesting.
+// WithPhase must run f synchronously, survive nesting, label each phase
+// with its own name, and allocate nothing.
 func TestWithPhaseRunsInline(t *testing.T) {
 	ran := false
-	WithPhase(RingPhaseService.String(), func() {
-		WithPhase(RingPhaseDeliver.String(), func() { ran = true })
+	WithPhase(RingPhaseService, func() {
+		WithPhase(RingPhaseDeliver, func() { ran = true })
 	})
 	if !ran {
 		t.Fatal("WithPhase did not run f")
+	}
+	for p := RingPhase(0); p < NumRingPhases; p++ {
+		if got, ok := pprof.Label(phaseLabels[p], PhaseLabel); !ok || got != p.String() {
+			t.Errorf("phase %d labelled %q (ok=%v), want %q", int(p), got, ok, p.String())
+		}
+	}
+	n := 0
+	if a := testing.AllocsPerRun(100, func() {
+		WithPhase(RingPhaseService, func() { n++ })
+	}); a != 0 {
+		t.Fatalf("WithPhase allocates %v per call, want 0", a)
+	}
+	if n != 101 { // AllocsPerRun's warm-up call plus 100 measured ones
+		t.Fatalf("WithPhase ran f %d times, want 101", n)
 	}
 }

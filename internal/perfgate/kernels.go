@@ -7,6 +7,7 @@ import (
 
 	"github.com/elisa-go/elisa/internal/cluster"
 	"github.com/elisa-go/elisa/internal/core"
+	"github.com/elisa-go/elisa/internal/des"
 	"github.com/elisa-go/elisa/internal/fleet"
 	"github.com/elisa-go/elisa/internal/hv"
 	"github.com/elisa-go/elisa/internal/mem"
@@ -526,6 +527,66 @@ func prepareRebalanceConverge(quick bool) (func() (int64, simtime.Duration, erro
 	}, nil
 }
 
+// prepareDESStep measures the event core alone: 16 servers behind one
+// FIFO queue at 90 % load, each request an arrival pulled from a
+// source plus a completion scheduled on the heap. The arrival gaps come
+// from a fixed xorshift stream, so nothing else runs between events.
+// The fixture runs the workload once to grow the heap, so the measured
+// pass reads the steady-state cost. An event is true when a request
+// finishes service and false when one arrives. Ops are events fired;
+// elapsed is the simulated span they cover.
+func prepareDESStep(quick bool) (func() (int64, simtime.Duration, error), error) {
+	const servers, service = 16, 1_600 // one completion per 100ns at full load
+	requests := scale(quick, 1_000_000, 100_000)
+	var (
+		sim          *des.Sim[bool]
+		idle, queued = servers, 0
+		pulled       int
+		at           simtime.Time
+		x            uint64
+	)
+	src := func() (simtime.Time, bool, bool) {
+		if pulled == requests {
+			return 0, false, false
+		}
+		pulled++
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		at = at.Add(simtime.Duration(x % 223)) // mean gap 111ns
+		return at, false, true
+	}
+	sim = des.New(func(_ simtime.Time, done bool) {
+		switch {
+		case done && queued > 0:
+			queued-- // the freed server takes the oldest waiting request
+		case done:
+			idle++
+			return
+		case idle == 0:
+			queued++
+			return
+		default:
+			idle--
+		}
+		_ = sim.After(service, true)
+	})
+	run := func() (int64, simtime.Duration, error) {
+		pulled, at, x = 0, sim.Now(), 88172645463325252
+		fired, start := sim.Fired(), sim.Now()
+		sim.Pull(src)
+		sim.Run()
+		if queued != 0 || idle != servers {
+			return 0, 0, fmt.Errorf("perfgate: des_step left %d queued, %d of %d servers idle", queued, idle, servers)
+		}
+		return int64(sim.Fired() - fired), sim.Now().Sub(start), nil
+	}
+	if _, _, err := run(); err != nil {
+		return nil, err
+	}
+	return run, nil
+}
+
 // Kernels returns the bench-kernel registry in snapshot order.
 func Kernels() []Kernel {
 	return []Kernel{
@@ -538,6 +599,7 @@ func Kernels() []Kernel {
 		{ID: "parallel_fleet", Title: "8-tenant 4-shard fleet through parallel lanes", Prepare: prepareParallelFleet},
 		{ID: "cluster_route", Title: "routed calls + 4-shard CallMulti fan-out", Prepare: prepareClusterRoute},
 		{ID: "rebalance_converge", Title: "auto-rebalancer convergence on the committed skewed trace", Prepare: prepareRebalanceConverge},
+		{ID: "des_step", Title: "event core alone: pulled arrivals and heap completions, 16 servers", Prepare: prepareDESStep},
 	}
 }
 
