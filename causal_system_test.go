@@ -62,7 +62,9 @@ func buildCausalRig(t *testing.T, trace bool, retry RetryPolicy) (*System, *Gues
 func TestCausalRingChainEndToEnd(t *testing.T) {
 	sys, g, rc := buildCausalRig(t, true, RetryPolicy{MaxAttempts: 3, BaseBackoff: 2_000, Seed: 7})
 	mgr := sys.Manager()
-	mgr.SetOverload(OverloadConfig{Enabled: true, BusyFrac: 0.25})
+	if err := mgr.SetOverload(OverloadConfig{Enabled: true, BusyFrac: 0.25}); err != nil {
+		t.Fatal(err)
+	}
 	v := g.VCPU()
 
 	// Guest and manager VMs run independent virtual clocks; align them at

@@ -530,7 +530,9 @@ func TestChaosOverloadRevokeDuringBackoff(t *testing.T) {
 				t.Fatal(err)
 			}
 			mgr := sys.Manager()
-			mgr.SetOverload(OverloadConfig{Enabled: true, BusyFrac: 0.5})
+			if err := mgr.SetOverload(OverloadConfig{Enabled: true, BusyFrac: 0.5}); err != nil {
+				t.Fatal(err)
+			}
 			if err := mgr.RegisterFunc(fn, func(*CallContext) (uint64, error) { return 0, nil }); err != nil {
 				t.Fatal(err)
 			}

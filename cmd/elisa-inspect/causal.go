@@ -45,7 +45,9 @@ func runCausal(arg string) error {
 	if err != nil {
 		return err
 	}
-	mgr.SetOverload(core.OverloadConfig{Enabled: true, BusyFrac: 0.25})
+	if err := mgr.SetOverload(core.OverloadConfig{Enabled: true, BusyFrac: 0.25}); err != nil {
+		return err
+	}
 	v := g.VCPU()
 	rc, err := h.Ring(v, elisa.RingConfig{
 		Depth:    16,

@@ -53,8 +53,8 @@ func checkFlags(guests, objects, slotBudget, faults int) error {
 		return fmt.Errorf("-guests %d: must be at least 1", guests)
 	case objects < 1:
 		return fmt.Errorf("-objects %d: must be at least 1", objects)
-	case slotBudget < 0:
-		return fmt.Errorf("-slot-budget %d: must be at least 0 (0 = the whole list)", slotBudget)
+	case slotBudget < 0 || slotBudget > core.MaxSlotBudget:
+		return fmt.Errorf("-slot-budget %d: must be in [0, %d] (0 = the whole list)", slotBudget, core.MaxSlotBudget)
 	case faults < 0:
 		return fmt.Errorf("-faults %d: must be at least 0 (0 = off)", faults)
 	}

@@ -17,6 +17,7 @@ func TestCheckFlagsRejectsIgnoredValues(t *testing.T) {
 		{"-guests", 0, 2, 0, 0},
 		{"-objects", 2, 0, 0, 0},
 		{"-slot-budget", 2, 2, -1, 0},
+		{"-slot-budget", 2, 2, 511, 0},
 		{"-faults", 2, 2, 0, -1},
 	}
 	for _, c := range cases {

@@ -166,6 +166,9 @@ func build(o options) (*machine, error) {
 			return nil, usageError(fmt.Sprintf("-%s %d: must be at least 1", f.name, f.v))
 		}
 	}
+	if o.slotBudget < 0 || o.slotBudget > elisa.MaxSlotBudget {
+		return nil, usageError(fmt.Sprintf("-slot-budget %d: must be in [0, %d] (0 = the whole list)", o.slotBudget, elisa.MaxSlotBudget))
+	}
 	sys, err := elisa.NewSystem(elisa.Config{
 		PhysBytes:   o.shards * (256*1024*1024 + o.guests*o.objects*64*1024),
 		Shards:      o.shards,
@@ -180,7 +183,9 @@ func build(o options) (*machine, error) {
 	c := sys.Cluster()
 	if o.overload {
 		for _, sh := range c.Shards() {
-			sh.Manager().SetOverload(elisa.OverloadConfig{Enabled: true})
+			if err := sh.Manager().SetOverload(elisa.OverloadConfig{Enabled: true}); err != nil {
+				return nil, err
+			}
 		}
 	}
 	// GET: object -> exchange at the keyed offset; PUT: exchange -> object.

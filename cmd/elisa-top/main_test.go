@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	elisa "github.com/elisa-go/elisa"
 	"github.com/elisa-go/elisa/internal/simtime"
 )
 
@@ -168,5 +169,19 @@ func TestBuildRejectsFlagsBelowOne(t *testing.T) {
 	}
 	if _, err := build(onceFlags); err != nil {
 		t.Fatalf("valid flags rejected: %v", err)
+	}
+}
+
+// build refuses a -slot-budget outside [0, MaxSlotBudget] with a usage
+// error rather than running with the whole list, as if it were unset.
+func TestBuildRejectsSlotBudgetOutsideList(t *testing.T) {
+	for _, budget := range []int{-1, elisa.MaxSlotBudget + 1} {
+		o := onceFlags
+		o.slotBudget = budget
+		_, err := build(o)
+		var ue usageError
+		if !errors.As(err, &ue) || !strings.HasPrefix(err.Error(), "-slot-budget ") {
+			t.Errorf("-slot-budget %d: build error %v, want a usage error naming -slot-budget", budget, err)
+		}
 	}
 }

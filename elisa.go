@@ -197,6 +197,9 @@ const (
 	DefaultRingDepth = core.DefaultRingDepth
 	// MaxRingDepth caps the negotiable ring depth.
 	MaxRingDepth = core.MaxRingDepth
+	// MaxSlotBudget caps Config.SlotBudget: the whole EPTP list but the
+	// default and gate slots.
+	MaxSlotBudget = core.MaxSlotBudget
 )
 
 // The injectable fault classes (see package fault for the fault model).
@@ -246,7 +249,8 @@ type Config struct {
 	// leaves observability off; the fast path then pays only a nil check.
 	Observe *ObserveConfig
 	// SlotBudget caps the physical EPTP-list slots each guest may occupy
-	// at once (0 = the whole list minus the default and gate slots).
+	// at once, in [0, MaxSlotBudget] (0 = the whole list minus the
+	// default and gate slots); NewSystem refuses a value outside it.
 	// Attachments beyond the budget still succeed virtualised: their
 	// first call re-negotiates a physical slot over one HCSlotFault exit.
 	SlotBudget int

@@ -2,6 +2,8 @@ package elisa
 
 import (
 	"bytes"
+	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -171,5 +173,19 @@ func TestDetachViaFacade(t *testing.T) {
 	}
 	if g.Dead() {
 		t.Fatal("graceful detach killed the guest")
+	}
+}
+
+// NewSystem returns the manager's refusal of a SlotBudget outside
+// [0, MaxSlotBudget] rather than booting with the whole list.
+func TestNewSystemRefusesSlotBudgetOutsideList(t *testing.T) {
+	for _, budget := range []int{-1, MaxSlotBudget + 1} {
+		sys, err := NewSystem(Config{SlotBudget: budget})
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprint(MaxSlotBudget)) {
+			t.Errorf("SlotBudget %d: NewSystem = %v, %v; want an error naming the limit", budget, sys, err)
+		}
+	}
+	if _, err := NewSystem(Config{SlotBudget: MaxSlotBudget}); err != nil {
+		t.Fatalf("SlotBudget %d refused: %v", MaxSlotBudget, err)
 	}
 }

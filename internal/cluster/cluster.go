@@ -31,7 +31,8 @@ type Config struct {
 	// Cost overrides the calibrated cost model on every shard.
 	Cost *simtime.CostModel
 	// SlotBudget caps the physical EPTP-list slots each guest may occupy
-	// per shard (0 = the whole list; see core.ManagerConfig.SlotBudget).
+	// per shard, in [0, core.MaxSlotBudget] (0 = the whole list; see
+	// core.ManagerConfig.SlotBudget). New refuses a value outside it.
 	SlotBudget int
 	// TraceEvents, when positive, retains the last N machine events per
 	// shard.

@@ -72,7 +72,7 @@ func (m *Manager) ensureGuest(guest *hv.VM) (*guestState, error) {
 	}
 	m.guests[guest.ID()] = gs
 	// Manager-side construction work (table edits, list install).
-	m.vm.VCPU().Charge(8 * m.hv.Cost().MemAccess)
+	m.vm.VCPU().Charge(8 * m.cost.MemAccess)
 	return gs, nil
 }
 
@@ -165,7 +165,7 @@ func (m *Manager) attach(guest *hv.VM, objName string) (*Attachment, error) {
 		"object %q vslot %d phys %d perm %v", objName, vslot, a.phys, perm)
 	// Manager-side construction work: proportional to pages mapped.
 	pages := 3 + obj.region.Pages() + exchange.Pages()
-	m.vm.VCPU().Charge(simtime.Duration(pages) * m.hv.Cost().MemAccess * 4)
+	m.vm.VCPU().Charge(simtime.Duration(pages) * m.cost.MemAccess * 4)
 	return a, nil
 }
 

@@ -539,6 +539,7 @@ func (m *Manager) invoke(v *cpu.VCPU, h *Handle, fnID uint64, args [4]uint64, ex
 			m.hv.Trace().Emit(v.Clock().Now(), h.g.vm.Name(), trace.KindInject,
 				"%s: object %q vslot %d revoked mid-call", in.Class, h.objName, a.vslot)
 			a.revoked = true
+			m.gen++
 			_ = m.unbindLocked(gs, a)
 			gs.pendingReap = append(gs.pendingReap, a)
 		}

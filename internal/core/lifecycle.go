@@ -53,6 +53,10 @@ func (m *Manager) cleanupGuestLocked(guest *hv.VM) ([]*hv.HostRegion, error) {
 // ring regions go to releaseRings once m.mu is dropped; what names the
 // caller in errors.
 func (m *Manager) teardownLocked(gs *guestState, what string) (rings []*hv.HostRegion, err error) {
+	// One bump covers every revocation, ring detach and the state's
+	// deletion below: a DrainRings pass reads gen under m.mu, so it never
+	// sees this teardown half done, even one that fails part way.
+	m.gen++
 	guest := gs.vm
 	tlb := guest.VCPU().TLB()
 	// Revocations the guest never serviced: destroy their contexts first;

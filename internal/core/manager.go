@@ -123,8 +123,9 @@ type ObjectFunc func(ctx *CallContext) (uint64, error)
 // system. The fast path takes the lock only for the gate's slot-table
 // lookups, never while a manager function runs.
 type Manager struct {
-	hv *hv.Hypervisor
-	vm *hv.VM // the manager VM itself
+	hv   *hv.Hypervisor
+	vm   *hv.VM            // the manager VM itself
+	cost simtime.CostModel // the machine's cost model, read per ring visit
 
 	gateCode *hv.HostRegion // 1 page, RX in default+gate+sub contexts
 	mgrCode  *hv.HostRegion // 1 page, RX in sub contexts only
@@ -172,9 +173,18 @@ type Manager struct {
 	ov          OverloadConfig
 	drainCursor int
 
-	// DrainRings worklist scratch, guarded by pollMu like drainCursor.
-	// The poller snapshots the live rings on every pass; reusing these
-	// slices keeps the steady-state pass allocation-free.
+	// gen counts changes to what the DrainRings worklist is built from:
+	// guest state torn down, an attachment revoked, a ring set up, a poll
+	// weight set. Guarded by mu. Creating guest state or binding a vslot
+	// does not bump it: the worklist holds only rings, and a guest or
+	// attachment joins it only through ring setup, which does.
+	gen uint64
+
+	// The DrainRings worklist, guarded by pollMu like drainCursor: the live
+	// rings in (VM id, vslot) order, grouped by guest, as built when gen
+	// read drainGen. A pass rebuilds it, into the same slices, only when
+	// gen has moved since.
+	drainGen     uint64
 	drainIDs     []int
 	drainVslots  []int
 	drainTargets []drainTarget
@@ -300,11 +310,17 @@ func (a *Attachment) ExchangeGPA() mem.GPA { return a.exchangeGPA }
 // ManagerConfig configures NewManager.
 type ManagerConfig struct {
 	// SlotBudget caps the physical EPTP-list slots each guest's sub
-	// contexts may occupy at once. 0 means the whole list (minus the
-	// default and gate slots). Attachments beyond the budget still
-	// succeed; their first call re-negotiates a slot over HCSlotFault.
+	// contexts may occupy at once, in [0, MaxSlotBudget]; 0 means the
+	// whole list (minus the default and gate slots), and NewManager
+	// refuses a value outside that range. Attachments beyond the budget
+	// still succeed; their first call re-negotiates a slot over
+	// HCSlotFault.
 	SlotBudget int
 }
+
+// MaxSlotBudget is the largest SlotBudget: every EPTP-list entry but the
+// default and gate slots.
+const MaxSlotBudget = ept.ListEntries - firstSubIdx
 
 // managerRAM is the manager VM's private RAM.
 const managerRAM = 16 * mem.PageSize
@@ -312,9 +328,11 @@ const managerRAM = 16 * mem.PageSize
 // NewManager boots the manager VM and its runtime, and registers the
 // negotiation hypercalls with the hypervisor.
 func NewManager(h *hv.Hypervisor, cfg ManagerConfig) (*Manager, error) {
-	maxBudget := ept.ListEntries - firstSubIdx
-	if cfg.SlotBudget <= 0 || cfg.SlotBudget > maxBudget {
-		cfg.SlotBudget = maxBudget
+	if cfg.SlotBudget < 0 || cfg.SlotBudget > MaxSlotBudget {
+		return nil, fmt.Errorf("core: SlotBudget %d outside [0, %d] (0 = the whole list)", cfg.SlotBudget, MaxSlotBudget)
+	}
+	if cfg.SlotBudget == 0 {
+		cfg.SlotBudget = MaxSlotBudget
 	}
 	vm, err := h.CreateVM("elisa-manager", managerRAM)
 	if err != nil {
@@ -339,6 +357,7 @@ func NewManager(h *hv.Hypervisor, cfg ManagerConfig) (*Manager, error) {
 	m := &Manager{
 		hv:         h,
 		vm:         vm,
+		cost:       h.Cost(),
 		gateCode:   gate,
 		mgrCode:    mcode,
 		objects:    make(map[string]*Object),
@@ -447,7 +466,7 @@ func (m *Manager) publishLocked(name string, region *hv.HostRegion, huge bool) *
 	m.nextObjGPA = gpa + mem.GPA((region.Pages()+1)*mem.PageSize)
 	m.objects[name] = o
 	// Building the object is manager-side work.
-	m.vm.VCPU().Charge(m.hv.Cost().MemAccess * 4)
+	m.vm.VCPU().Charge(m.cost.MemAccess * 4)
 	return o
 }
 
@@ -534,6 +553,7 @@ func (m *Manager) Revoke(guest *hv.VM, objName string) error {
 		return fmt.Errorf("core: guest %q is not attached to %q", guest.Name(), objName)
 	}
 	a.revoked = true
+	m.gen++
 	if err := m.unbindLocked(gs, a); err != nil {
 		m.mu.Unlock()
 		return err

@@ -109,6 +109,7 @@ func (m *Manager) hcDetach(vm *hv.VM, args [4]uint64) (uint64, error) {
 		return 0, fmt.Errorf("core: guest %q is not attached to %q", vm.Name(), name)
 	}
 	a.revoked = true
+	m.gen++
 	delete(gs.attachments, name)
 	if err := m.unbindLocked(gs, a); err != nil {
 		m.mu.Unlock()
@@ -169,6 +170,6 @@ func (m *Manager) hcSlotFault(vm *hv.VM, args [4]uint64) (uint64, error) {
 	m.hv.Trace().Emit(vm.VCPU().Clock().Now(), vm.Name(), trace.KindSlotFault,
 		"object %q vslot %d -> phys %d", a.obj.name, vslot, a.phys)
 	// Manager-side work: the list write plus slot-table bookkeeping.
-	m.vm.VCPU().Charge(m.hv.Cost().MemAccess * 4)
+	m.vm.VCPU().Charge(m.cost.MemAccess * 4)
 	return uint64(a.phys), nil
 }

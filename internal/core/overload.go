@@ -23,21 +23,27 @@ type OverloadConfig struct {
 	Enabled bool
 	// BusyFrac is the submission-queue occupancy fraction, of ring depth,
 	// a budget-exhausted drain pass trims the queue down to by bouncing
-	// the excess back as CompBusy (default 0.5). Bouncing costs the
-	// manager clock only the completion writes; the refused work never
-	// runs.
+	// the excess back as CompBusy, in [0, 1); 0 picks 0.5. Bouncing costs
+	// the manager clock only the completion writes; the refused work
+	// never runs.
 	BusyFrac float64
 }
 
 // SetOverload arms (or, with the zero value, disarms) drain-side overload
-// control. Like SetRecorder and SetInjector it must be called before
-// traffic starts; with the zero value armed, the drain path costs exactly
-// one boolean check and the single-op Call path is untouched.
-func (m *Manager) SetOverload(cfg OverloadConfig) {
-	if cfg.BusyFrac <= 0 || cfg.BusyFrac >= 1 {
+// control. It refuses a BusyFrac below 0, or at or above 1, and leaves
+// the armed configuration unchanged. Like SetRecorder and SetInjector it
+// must be called before traffic starts; with the zero value armed, the
+// drain path costs exactly one boolean check and the single-op Call path
+// is untouched.
+func (m *Manager) SetOverload(cfg OverloadConfig) error {
+	if cfg.BusyFrac < 0 || cfg.BusyFrac >= 1 {
+		return fmt.Errorf("core: overload BusyFrac %g outside [0, 1) (0 picks 0.5)", cfg.BusyFrac)
+	}
+	if cfg.BusyFrac == 0 {
 		cfg.BusyFrac = 0.5
 	}
 	m.ov = cfg
+	return nil
 }
 
 // Overload returns the armed overload configuration.
@@ -55,6 +61,7 @@ func (m *Manager) SetPollWeight(vm *hv.VM, weight int) error {
 		return fmt.Errorf("core: guest %q has no ELISA state", vm.Name())
 	}
 	gs.pollWeight = weight
+	m.gen++
 	return nil
 }
 

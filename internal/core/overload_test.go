@@ -154,7 +154,9 @@ func TestOverloadWeightedFairDrainBudget(t *testing.T) {
 // OK once capacity returns.
 func TestOverloadBusyBounceAndRetry(t *testing.T) {
 	f := newFixture(t)
-	f.mgr.SetOverload(OverloadConfig{Enabled: true, BusyFrac: 0.5})
+	if err := f.mgr.SetOverload(OverloadConfig{Enabled: true, BusyFrac: 0.5}); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := f.mgr.CreateObject("obj", 4096); err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +237,9 @@ func TestOverloadBusyBounceAndRetry(t *testing.T) {
 // retry loop must not spin against a dead attachment.
 func TestOverloadBusyThenRevokeDeliversErr(t *testing.T) {
 	f := newFixture(t)
-	f.mgr.SetOverload(OverloadConfig{Enabled: true, BusyFrac: 0.5})
+	if err := f.mgr.SetOverload(OverloadConfig{Enabled: true, BusyFrac: 0.5}); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := f.mgr.CreateObject("obj", 4096); err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +303,9 @@ func TestOverloadBusyThenRevokeDeliversErr(t *testing.T) {
 // exactly the paper's 196 ns.
 func TestOverloadCallPathStill196ns(t *testing.T) {
 	f := newFixture(t)
-	f.mgr.SetOverload(OverloadConfig{Enabled: true})
+	if err := f.mgr.SetOverload(OverloadConfig{Enabled: true}); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := f.mgr.CreateObject("obj", 4096); err != nil {
 		t.Fatal(err)
 	}
@@ -325,5 +331,44 @@ func TestOverloadCallPathStill196ns(t *testing.T) {
 	}
 	if got := v.Clock().Elapsed(start) / iters; got != 196 {
 		t.Fatalf("Call round trip with overload armed = %dns, want 196", int64(got))
+	}
+}
+
+// SetOverload refuses a BusyFrac it would otherwise replace with 0.5
+// (below 0, or at or above 1) and keeps the armed configuration; 0 still
+// picks the documented default.
+func TestSetOverloadRefusesBusyFracOutsideRange(t *testing.T) {
+	cases := []struct {
+		frac float64
+		want float64 // the armed BusyFrac; -1 = refused
+	}{
+		{-0.25, -1},
+		{1, -1},
+		{1.5, -1},
+		{0, 0.5},
+		{0.25, 0.25},
+		{0.999, 0.999},
+	}
+	f := newFixture(t)
+	armed := OverloadConfig{Enabled: true, BusyFrac: 0.3}
+	for _, c := range cases {
+		if err := f.mgr.SetOverload(armed); err != nil {
+			t.Fatal(err)
+		}
+		err := f.mgr.SetOverload(OverloadConfig{Enabled: true, BusyFrac: c.frac})
+		if c.want < 0 {
+			if err == nil {
+				t.Errorf("BusyFrac %v accepted", c.frac)
+			}
+			if got := f.mgr.Overload(); got != armed {
+				t.Errorf("BusyFrac %v refused but the armed config became %+v", c.frac, got)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("BusyFrac %v refused: %v", c.frac, err)
+		} else if got := f.mgr.Overload().BusyFrac; got != c.want {
+			t.Errorf("BusyFrac %v armed as %v, want %v", c.frac, got, c.want)
+		}
 	}
 }

@@ -227,11 +227,12 @@ func (m *Manager) hcRingSetup(vm *hv.VM, args [4]uint64) (uint64, error) {
 		mgrExchGPA: mgrExchGPA,
 		batch:      stats.NewHistogram(),
 	}
+	m.gen++
 	m.hv.Trace().Emit(vm.VCPU().Clock().Now(), vm.Name(), trace.KindRing,
 		"object %q vslot %d depth %d gpa %#x", a.obj.name, vslot, depth, uint64(gpa))
 	// Manager-side construction work: proportional to ring pages mapped
 	// into three contexts.
-	m.vm.VCPU().Charge(simtime.Duration(3*region.Pages()) * m.hv.Cost().MemAccess)
+	m.vm.VCPU().Charge(simtime.Duration(3*region.Pages()) * m.cost.MemAccess)
 	return uint64(gpa), nil
 }
 
@@ -754,42 +755,12 @@ func (m *Manager) DrainRings(budget int) (int, error) {
 	m.pollMu.Lock()
 	defer m.pollMu.Unlock()
 
-	// Snapshot the live rings in (VM id, vslot) order, grouped by guest.
-	// The snapshot slices are pollMu-guarded scratch reused across passes:
-	// the poller runs on every scheduler tick, and rebuilding its worklist
-	// from fresh slices dominated the ring kernels' allocation profile.
+	// The worklist outlives the pass: rebuild it only if gen has moved.
 	m.mu.Lock()
-	ids := m.drainIDs[:0]
-	for id := range m.guests {
-		ids = append(ids, id)
+	if m.drainGen != m.gen {
+		m.buildWorklistLocked()
 	}
-	sort.Ints(ids)
-	targets := m.drainTargets[:0]
-	groups := m.drainGroups[:0]
-	for _, id := range ids {
-		gs := m.guests[id]
-		vslots := m.drainVslots[:0]
-		for vs := range gs.vslots {
-			vslots = append(vslots, vs)
-		}
-		sort.Ints(vslots)
-		groupStart := len(targets)
-		for _, vs := range vslots {
-			a := gs.vslots[vs]
-			if a != nil && !a.revoked && a.ring != nil {
-				targets = append(targets, drainTarget{a, a.ring})
-			}
-		}
-		m.drainVslots = vslots[:0]
-		if len(targets) > groupStart {
-			w := gs.pollWeight
-			if w <= 0 {
-				w = 1
-			}
-			groups = append(groups, drainGroup{weight: w, start: groupStart, end: len(targets)})
-		}
-	}
-	m.drainIDs, m.drainTargets, m.drainGroups = ids, targets, groups
+	targets, groups := m.drainTargets, m.drainGroups
 	m.mu.Unlock()
 	if len(groups) == 0 {
 		return 0, nil
@@ -861,6 +832,45 @@ func (m *Manager) DrainRings(budget int) (int, error) {
 	return total, nil
 }
 
+// buildWorklistLocked rebuilds the DrainRings worklist: the live rings
+// in (VM id, vslot) order, grouped by guest with its poll weight. It
+// reuses the worklist's slices, so a rebuild allocates only when the
+// fleet outgrows them. Callers hold pollMu and m.mu.
+func (m *Manager) buildWorklistLocked() {
+	ids := m.drainIDs[:0]
+	for id := range m.guests {
+		ids = append(ids, id)
+	}
+	sort.Ints(ids)
+	targets := m.drainTargets[:0]
+	groups := m.drainGroups[:0]
+	for _, id := range ids {
+		gs := m.guests[id]
+		vslots := m.drainVslots[:0]
+		for vs := range gs.vslots {
+			vslots = append(vslots, vs)
+		}
+		sort.Ints(vslots)
+		groupStart := len(targets)
+		for _, vs := range vslots {
+			a := gs.vslots[vs]
+			if a != nil && !a.revoked && a.ring != nil {
+				targets = append(targets, drainTarget{a, a.ring})
+			}
+		}
+		m.drainVslots = vslots[:0]
+		if len(targets) > groupStart {
+			w := gs.pollWeight
+			if w <= 0 {
+				w = 1
+			}
+			groups = append(groups, drainGroup{weight: w, start: groupStart, end: len(targets)})
+		}
+	}
+	m.drainIDs, m.drainTargets, m.drainGroups = ids, targets, groups
+	m.drainGen = m.gen
+}
+
 // trimRing bounces a saturated ring's excess descriptors back as
 // CompBusy, down to the armed BusyFrac occupancy. Host-side manager code
 // under pollMu: the completion writes charge the manager clock; the
@@ -870,9 +880,8 @@ func (m *Manager) trimRing(a *Attachment, rs *ringState) error {
 	rs.drainMu.Lock()
 	defer rs.drainMu.Unlock()
 	clk := m.vm.VCPU().Clock()
-	cost := m.hv.Cost()
-	clk.Advance(cost.LockAcquire)
-	defer clk.Advance(cost.LockRelease)
+	clk.Advance(m.cost.LockAcquire)
+	defer clk.Advance(m.cost.LockRelease)
 	txn, err := rs.host.BeginDrain()
 	if err != nil {
 		return err
@@ -930,12 +939,18 @@ func (m *Manager) drainRing(a *Attachment, rs *ringState, limit int) (int, error
 	rs.drainMu.Lock()
 	defer rs.drainMu.Unlock()
 	clk := m.vm.VCPU().Clock()
-	cost := m.hv.Cost()
-	clk.Advance(cost.LockAcquire)
-	defer clk.Advance(cost.LockRelease)
+	clk.Advance(m.cost.LockAcquire)
+	defer clk.Advance(m.cost.LockRelease)
+	// Every visit takes the drain lock and re-reads the four cursors from
+	// guest-writable memory (BeginDrain), whatever it finds.
 	txn, err := rs.host.BeginDrain()
 	if err != nil {
 		return 0, err
+	}
+	if txn.Pending() == 0 {
+		// Idle ring: the body would pop nothing and charge nothing, and
+		// Close would publish nothing, so skip them and the phase label.
+		return 0, nil
 	}
 	var n int
 	var bodyErr error

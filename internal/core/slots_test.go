@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -384,5 +385,41 @@ func TestFleetStaleHandleAfterRecycling(t *testing.T) {
 	}
 	if _, err := hNew.Call(vm.VCPU(), fnNop); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// NewManager refuses a SlotBudget outside [0, MaxSlotBudget] rather than
+// running with the whole list as if it were unset; 0 still means the
+// whole list.
+func TestNewManagerRefusesSlotBudgetOutsideList(t *testing.T) {
+	cases := []struct {
+		budget int
+		want   int // the per-guest budget the manager runs with; -1 = refused
+	}{
+		{-1, -1},
+		{MaxSlotBudget + 1, -1},
+		{0, MaxSlotBudget},
+		{1, 1},
+		{MaxSlotBudget, MaxSlotBudget},
+	}
+	for _, c := range cases {
+		h, err := hv.New(hv.Config{PhysBytes: 64 * 1024 * 1024})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := NewManager(h, ManagerConfig{SlotBudget: c.budget})
+		if c.want < 0 {
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprint(MaxSlotBudget)) {
+				t.Errorf("SlotBudget %d: error %v, want one naming the limit %d", c.budget, err, MaxSlotBudget)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("SlotBudget %d refused: %v", c.budget, err)
+			continue
+		}
+		if m.slotBudget != c.want {
+			t.Errorf("SlotBudget %d: manager runs with %d, want %d", c.budget, m.slotBudget, c.want)
+		}
 	}
 }

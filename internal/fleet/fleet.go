@@ -371,7 +371,9 @@ func New(h *hv.Hypervisor, mgr *core.Manager, cfg Config) (*Scheduler, error) {
 		})
 	}
 	if cfg.Overload.Enabled {
-		mgr.SetOverload(cfg.Overload)
+		if err := mgr.SetOverload(cfg.Overload); err != nil {
+			return nil, err
+		}
 	}
 	return s, nil
 }
@@ -708,9 +710,10 @@ func (w *window) dispatch(now simtime.Time) {
 		v := t.vm.VCPU()
 		ringMode := s.cfg.RingDepth > 0
 		var spent simtime.Duration
-		for len(t.queue) > 0 && spent < s.cfg.Quantum {
-			op := t.queue[0]
-			t.queue = t.queue[1:]
+		served, died := 0, false
+		for served < len(t.queue) && spent < s.cfg.Quantum {
+			op := t.queue[served]
+			served++
 			// Generated load cycles handles round-robin (obj < 0);
 			// trace replay targets the handle the trace row named and
 			// leaves the cursor alone.
@@ -746,7 +749,7 @@ func (w *window) dispatch(now simtime.Time) {
 					// The guest died mid-call (injected crash or a
 					// protocol kill). Its pending ops are lost; the
 					// pump's next sweep quarantines its attachments.
-					t.markCrashed()
+					died = true
 					break
 				}
 				continue
@@ -755,6 +758,13 @@ func (w *window) dispatch(now simtime.Time) {
 				t.completed++
 				t.hist.Record(int64(now.Add(spent).Sub(op.arrived)))
 			}
+		}
+		// Pop the served ops by shifting the rest down: re-slicing past
+		// them would use up the backing array's capacity, and the next
+		// admit would reallocate it.
+		t.queue = t.queue[:copy(t.queue, t.queue[served:])]
+		if died {
+			t.markCrashed()
 		}
 		if ringMode && !t.crashed {
 			// Interleave one budget-bounded manager poller pass with the
@@ -855,12 +865,10 @@ func (s *Scheduler) harvestTenant(t *Tenant, now simtime.Time) simtime.Duration 
 			if err != nil || n == 0 {
 				break
 			}
-			for j := 0; j < n; j++ {
-				if len(t.ringPend[i]) == 0 {
-					continue
-				}
-				arrived := t.ringPend[i][0]
-				t.ringPend[i] = t.ringPend[i][1:]
+			pend := t.ringPend[i]
+			matched := min(n, len(pend))
+			for j := 0; j < matched; j++ {
+				arrived := pend[j]
 				if comps[j].Status == shm.CompBusy {
 					t.busied++
 					s.cfg.Decisions.Record(now, t.spec.Name, overload.VerdictBusy, int(t.spec.Class), "ring-busy")
@@ -873,6 +881,8 @@ func (s *Scheduler) harvestTenant(t *Tenant, now simtime.Time) simtime.Duration 
 				t.completed++
 				t.hist.Record(int64(now.Sub(arrived)))
 			}
+			// Pop the matched stamps in place, as dispatch pops its queue.
+			t.ringPend[i] = pend[:copy(pend, pend[matched:])]
 		}
 	}
 	return v.Clock().Elapsed(c0)

@@ -221,7 +221,7 @@ type CausalLog struct {
 	seq    uint64
 	shard  int // stamped onto every event; -1 = no owning shard
 	phases [NumRingPhases]*stats.Histogram
-	open   map[uint64]*openTrace
+	open   map[uint64]openTrace // by value: a submit allocates nothing
 }
 
 // NewCausalLog creates a causal log retaining at most capEvents events
@@ -234,7 +234,7 @@ func NewCausalLog(capEvents int) *CausalLog {
 	l := &CausalLog{
 		ring:  make([]RingEvent, 0, capEvents),
 		shard: -1,
-		open:  make(map[uint64]*openTrace),
+		open:  make(map[uint64]openTrace),
 	}
 	for i := range l.phases {
 		l.phases[i] = stats.NewHistogram()
@@ -296,46 +296,48 @@ func (l *CausalLog) attributeLocked(e RingEvent) {
 	if e.Trace == 0 {
 		return // pre-submission refusals carry no chain
 	}
-	switch e.Kind {
-	case EvSubmit:
-		l.open[e.Trace] = &openTrace{first: e.Time, submit: e.Time}
-	case EvFlush:
-		if o := l.open[e.Trace]; o != nil {
-			o.flush, o.hasFlush = e.Time, true
-			l.recordPhase(RingPhaseSubmit, e.Time.Sub(o.submit))
-		}
-	case EvDrain:
-		if o := l.open[e.Trace]; o != nil {
-			o.drain, o.hasDrain = e.Time, true
-			from := o.submit
-			if o.hasFlush {
-				from = o.flush
-			}
-			l.recordPhase(RingPhaseQueue, e.Time.Sub(from))
-		}
-	case EvComplete, EvBusy:
-		if o := l.open[e.Trace]; o != nil {
-			o.complete, o.hasComplete = e.Time, true
-			if o.hasDrain {
-				l.recordPhase(RingPhaseService, e.Time.Sub(o.drain))
-			}
-		}
-	case EvBackoff:
-		l.recordPhase(RingPhaseBackoff, e.Dur)
-	case EvRetry:
-		if o := l.open[e.Trace]; o != nil {
-			o.submit = e.Time
-			o.hasFlush, o.hasDrain, o.hasComplete = false, false, false
-		}
-	case EvDeliver, EvFail:
-		if o := l.open[e.Trace]; o != nil {
-			if o.hasComplete {
-				l.recordPhase(RingPhaseDeliver, e.Time.Sub(o.complete))
-			}
-			l.recordPhase(RingPhaseTotal, e.Time.Sub(o.first))
-			delete(l.open, e.Trace)
-		}
+	if e.Kind == EvSubmit {
+		l.open[e.Trace] = openTrace{first: e.Time, submit: e.Time}
+		return
 	}
+	if e.Kind == EvBackoff {
+		l.recordPhase(RingPhaseBackoff, e.Dur)
+		return
+	}
+	o, ok := l.open[e.Trace]
+	if !ok {
+		return
+	}
+	switch e.Kind {
+	case EvFlush:
+		o.flush, o.hasFlush = e.Time, true
+		l.recordPhase(RingPhaseSubmit, e.Time.Sub(o.submit))
+	case EvDrain:
+		o.drain, o.hasDrain = e.Time, true
+		from := o.submit
+		if o.hasFlush {
+			from = o.flush
+		}
+		l.recordPhase(RingPhaseQueue, e.Time.Sub(from))
+	case EvComplete, EvBusy:
+		o.complete, o.hasComplete = e.Time, true
+		if o.hasDrain {
+			l.recordPhase(RingPhaseService, e.Time.Sub(o.drain))
+		}
+	case EvRetry:
+		o.submit = e.Time
+		o.hasFlush, o.hasDrain, o.hasComplete = false, false, false
+	case EvDeliver, EvFail:
+		if o.hasComplete {
+			l.recordPhase(RingPhaseDeliver, e.Time.Sub(o.complete))
+		}
+		l.recordPhase(RingPhaseTotal, e.Time.Sub(o.first))
+		delete(l.open, e.Trace)
+		return
+	default:
+		return
+	}
+	l.open[e.Trace] = o
 }
 
 // Events returns the retained events, oldest first.

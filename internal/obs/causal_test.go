@@ -251,3 +251,25 @@ func TestWithPhaseRunsInline(t *testing.T) {
 		t.Fatalf("WithPhase ran f %d times, want 101", n)
 	}
 }
+
+// TestZeroAllocCausalChain: once warm, recording a descriptor's whole
+// submit → flush → drain → complete → deliver chain allocates nothing —
+// the open trace lives in the map by value, not behind a pointer.
+func TestZeroAllocCausalChain(t *testing.T) {
+	l := NewCausalLog(64)
+	kinds := [...]EventKind{EvSubmit, EvFlush, EvDrain, EvComplete, EvDeliver}
+	var trace uint64
+	chain := func() {
+		trace++
+		for i, k := range kinds {
+			l.Event(RingEvent{Trace: trace, Kind: k, Time: simtime.Time(10 * i), Guest: "g", Object: "o", Fn: 1})
+		}
+	}
+	chain()
+	if n := testing.AllocsPerRun(100, chain); n != 0 {
+		t.Fatalf("a warm causal chain allocates %v per descriptor, want 0", n)
+	}
+	if h := l.PhaseHistogram(RingPhaseTotal); h.Count() != 102 {
+		t.Fatalf("total-phase histogram holds %d chains, want 102", h.Count())
+	}
+}

@@ -7,6 +7,7 @@ import (
 
 	"github.com/elisa-go/elisa/internal/cluster"
 	"github.com/elisa-go/elisa/internal/core"
+	"github.com/elisa-go/elisa/internal/cpu"
 	"github.com/elisa-go/elisa/internal/des"
 	"github.com/elisa-go/elisa/internal/fleet"
 	"github.com/elisa-go/elisa/internal/hv"
@@ -225,6 +226,84 @@ func prepareRingPoller(quick bool) (func() (int64, simtime.Duration, error), err
 			}
 		}
 		return int64(batch * batches), v.Clock().Elapsed(start), nil
+	}, nil
+}
+
+// prepareRingPollerSparse measures the manager poller where most of its
+// ring visits find nothing: eight guests each hold a ring, and one
+// descriptor is queued per DrainRings pass, round-robin over the guests
+// — about the one descriptor per crossing of a fleet whose poller runs
+// after every quantum. Each pass visits all eight rings twice (the
+// budget is never used up), so the wall figure is dominated by idle
+// visits. Ops are descriptors; elapsed is the manager clock, which pays
+// for every visit.
+func prepareRingPollerSparse(quick bool) (func() (int64, simtime.Duration, error), error) {
+	f, err := newKernelFixture()
+	if err != nil {
+		return nil, err
+	}
+	const guests = 8
+	vcpus := []*cpu.VCPU{f.vm.VCPU()}
+	rc, err := f.h.Ring(f.vm.VCPU(), core.RingConfig{Depth: 64, Deadline: simtime.Duration(1) << 40})
+	if err != nil {
+		return nil, err
+	}
+	rings := []*core.RingCaller{rc}
+	for i := 1; i < guests; i++ {
+		vm, err := f.hv.CreateVM(fmt.Sprintf("perf-guest-%d", i), 16*mem.PageSize)
+		if err != nil {
+			return nil, err
+		}
+		g, err := core.NewGuest(vm, f.mgr)
+		if err != nil {
+			return nil, err
+		}
+		h, err := g.Attach("perf")
+		if err != nil {
+			return nil, err
+		}
+		rc, err := h.Ring(vm.VCPU(), core.RingConfig{Depth: 64, Deadline: simtime.Duration(1) << 40})
+		if err != nil {
+			return nil, err
+		}
+		vcpus = append(vcpus, vm.VCPU())
+		rings = append(rings, rc)
+	}
+	var comps [1]shm.Comp
+	// pass queues descriptor i on guest i mod 8's ring, runs one poller
+	// pass and polls the completion back.
+	pass := func(i int) error {
+		v, rc := vcpus[i%guests], rings[i%guests]
+		if err := rc.Submit(v, kfnNop, uint64(i)); err != nil {
+			return err
+		}
+		if n, err := f.mgr.DrainRings(64); err != nil {
+			return err
+		} else if n != 1 {
+			return fmt.Errorf("perfgate: ring_poller_sparse pass drained %d descriptors, want 1", n)
+		}
+		if n, err := rc.Poll(v, comps[:]); err != nil {
+			return err
+		} else if n != 1 {
+			return fmt.Errorf("perfgate: ring_poller_sparse polled %d completions, want 1", n)
+		}
+		return nil
+	}
+	for i := 0; i < guests; i++ { // warm every ring once
+		if err := pass(i); err != nil {
+			return nil, err
+		}
+	}
+	ops := scale(quick, 8192, 512)
+	clk := f.mgr.VM().VCPU().Clock()
+	return func() (int64, simtime.Duration, error) {
+		start := clk.Now()
+		for i := 0; i < ops; i++ {
+			if err := pass(i); err != nil {
+				return 0, 0, err
+			}
+		}
+		return int64(ops), clk.Elapsed(start), nil
 	}, nil
 }
 
@@ -594,6 +673,7 @@ func Kernels() []Kernel {
 		{ID: "vmcall_rtt", Title: "VMCALL hypercall round trip (exit-ful baseline)", Prepare: prepareVMCallRTT},
 		{ID: "ring_flush", Title: "call ring, guest-flushed 32-op batches", Prepare: prepareRingFlush},
 		{ID: "ring_poller", Title: "call ring, manager-poller drained (exit-less)", Prepare: prepareRingPoller},
+		{ID: "ring_poller_sparse", Title: "manager poller over 8 guests' rings, one descriptor per pass", Prepare: prepareRingPollerSparse},
 		{ID: "exchange_put", Title: "exchange-buffer put + consuming call", Prepare: prepareExchangePut},
 		{ID: "fleet_mix", Title: "4-tenant fleet on 2 cores over rings", Prepare: prepareFleetMix},
 		{ID: "parallel_fleet", Title: "8-tenant 4-shard fleet through parallel lanes", Prepare: prepareParallelFleet},

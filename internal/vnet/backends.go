@@ -65,6 +65,8 @@ type DirectBackend struct {
 	extra simtime.Duration
 	rxSeq int
 	txSeq int
+
+	scratch frameScratch
 }
 
 // NewDirectBackend wires a guest to the NIC by direct mapping.
@@ -114,7 +116,7 @@ func (b *DirectBackend) Guest() *hv.VM { return b.vm }
 // RecvBatch implements Backend.
 func (b *DirectBackend) RecvBatch(max int) (int, error) {
 	v := b.vm.VCPU()
-	buf := make([]byte, SlotBytes)
+	buf := b.scratch.buf[:]
 	got := 0
 	for got < max {
 		v.ChargeInstr(driverInstr)
@@ -138,7 +140,10 @@ func (b *DirectBackend) RecvBatch(max int) (int, error) {
 // SendBatch implements Backend.
 func (b *DirectBackend) SendBatch(count, size int) (int, error) {
 	v := b.vm.VCPU()
-	buf := make([]byte, size)
+	buf, err := b.scratch.frame(size)
+	if err != nil {
+		return 0, err
+	}
 	sent := 0
 	for sent < count {
 		// Produce the payload in guest memory, then hand it to the ring.
@@ -180,6 +185,8 @@ type InterposedService struct {
 	h     *hv.Hypervisor
 	vhost bool
 	nics  map[int]*NIC // by VM id
+
+	scratch frameScratch
 }
 
 // NewInterposedService registers the network hypercalls. One service per
@@ -236,7 +243,7 @@ func (s *InterposedService) hcRX(vm *hv.VM, args [4]uint64) (uint64, error) {
 		return 0, err
 	}
 	v := vm.VCPU()
-	buf := make([]byte, SlotBytes)
+	buf, hdr := s.scratch.buf[:], s.scratch.hdr[:]
 	hw, err := shm.NewHostWindow(nic.RXRegion(), v.Clock())
 	if err != nil {
 		return 0, err
@@ -256,7 +263,6 @@ func (s *InterposedService) hcRX(vm *hv.VM, args [4]uint64) (uint64, error) {
 			break
 		}
 		off := staging + mem.GPA(got*frameStride)
-		hdr := make([]byte, 8)
 		putU64(hdr, uint64(n))
 		if err := vm.GuestWrite(off, hdr); err != nil {
 			return 0, err
@@ -292,7 +298,7 @@ func (s *InterposedService) hcTX(vm *hv.VM, args [4]uint64) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	buf := make([]byte, size)
+	buf := s.scratch.buf[:size]
 	sent := 0
 	for sent < count {
 		v.Charge(s.perPkt())
@@ -323,6 +329,8 @@ type InterposedBackend struct {
 	vm    *hv.VM
 	rxSeq int
 	txSeq int
+
+	scratch frameScratch
 }
 
 // NewVMCallBackend builds a single-guest host-interposition path
@@ -361,8 +369,7 @@ func (b *InterposedBackend) RecvBatch(max int) (int, error) {
 		return 0, err
 	}
 	got := int(ret)
-	hdr := make([]byte, 8)
-	buf := make([]byte, SlotBytes)
+	hdr, buf := b.scratch.hdr[:], b.scratch.buf[:]
 	for i := 0; i < got; i++ {
 		v.ChargeInstr(driverInstr)
 		off := stagingBase + mem.GPA(i*frameStride)
@@ -387,12 +394,15 @@ func (b *InterposedBackend) RecvBatch(max int) (int, error) {
 // SendBatch implements Backend.
 func (b *InterposedBackend) SendBatch(count, size int) (int, error) {
 	v := b.vm.VCPU()
-	buf := make([]byte, size)
+	buf, err := b.scratch.frame(size)
+	if err != nil {
+		return 0, err
+	}
+	hdr := b.scratch.hdr[:]
 	for i := 0; i < count; i++ {
 		v.ChargeInstr(driverInstr)
 		fillPattern(buf, b.txSeq+i)
 		off := stagingBase + mem.GPA(i*frameStride)
-		hdr := make([]byte, 8)
 		putU64(hdr, uint64(size))
 		if err := v.WriteGPA(off, hdr); err != nil {
 			return 0, err
@@ -431,6 +441,8 @@ type ELISANetService struct {
 	mgr   *core.Manager
 	rings map[mem.GPA]*shm.Ring // device ring views, keyed by object GPA
 	seq   int                   // per-guest object name uniquifier
+
+	scratch frameScratch
 }
 
 // NewELISANetService registers the manager functions.
@@ -492,7 +504,7 @@ func (s *ELISANetService) fnRX(ctx *core.CallContext) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	buf := make([]byte, SlotBytes)
+	buf, hdr := s.scratch.buf[:], s.scratch.hdr[:]
 	got := 0
 	for got < max {
 		ctx.VCPU.Charge(mgrExtra)
@@ -504,7 +516,6 @@ func (s *ELISANetService) fnRX(ctx *core.CallContext) (uint64, error) {
 			break
 		}
 		off := got * frameStride
-		hdr := make([]byte, 8)
 		putU64(hdr, uint64(n))
 		if err := ctx.WriteExchange(off, hdr); err != nil {
 			return 0, err
@@ -526,7 +537,7 @@ func (s *ELISANetService) fnTX(ctx *core.CallContext) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	buf := make([]byte, size)
+	buf := s.scratch.buf[:size]
 	sent := 0
 	for sent < count {
 		ctx.VCPU.Charge(mgrExtra)
@@ -554,6 +565,8 @@ type ELISABackend struct {
 	hTX   *core.Handle
 	rxSeq int
 	txSeq int
+
+	scratch frameScratch
 }
 
 // NewELISABackend builds a single-guest ELISA path (convenience wrapper:
@@ -583,8 +596,7 @@ func (b *ELISABackend) RecvBatch(max int) (int, error) {
 		return 0, err
 	}
 	got := int(ret)
-	hdr := make([]byte, 8)
-	buf := make([]byte, SlotBytes)
+	hdr, buf := b.scratch.hdr[:], b.scratch.buf[:]
 	for i := 0; i < got; i++ {
 		v.ChargeInstr(driverInstr)
 		off := i * frameStride
@@ -612,8 +624,11 @@ func (b *ELISABackend) SendBatch(count, size int) (int, error) {
 	if cap := b.hTX.ExchangeSize() / frameStride; count > cap {
 		count = cap
 	}
-	buf := make([]byte, size)
-	hdr := make([]byte, 8)
+	buf, err := b.scratch.frame(size)
+	if err != nil {
+		return 0, err
+	}
+	hdr := b.scratch.hdr[:]
 	for i := 0; i < count; i++ {
 		v.ChargeInstr(driverInstr)
 		fillPattern(buf, b.txSeq+i)

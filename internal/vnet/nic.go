@@ -49,6 +49,8 @@ type NIC struct {
 
 	wire *Wire
 
+	scratch frameScratch // GenerateRX's and DrainTX's frame buffer
+
 	rxSeq int // pattern sequence for generated frames
 	txSeq int // expected pattern sequence for transmitted frames
 	txOK  int // verified transmitted frames
@@ -108,7 +110,7 @@ func (n *NIC) GenerateRX(want, size int, deadline simtime.Time) (int, simtime.Ti
 		return 0, n.wire.rx, fmt.Errorf("vnet: frame size %d outside (0,%d]", size, SlotBytes)
 	}
 	added := 0
-	buf := make([]byte, size)
+	buf := n.scratch.buf[:size]
 	for added < want {
 		arrival := n.wire.rx.Add(n.cost.NICWireTime(size))
 		if arrival > deadline {
@@ -139,7 +141,7 @@ func (n *NIC) DrainTX(from simtime.Time) (int, simtime.Time, error) {
 	if n.wire.tx < from {
 		n.wire.tx = from
 	}
-	buf := make([]byte, SlotBytes)
+	buf := n.scratch.buf[:]
 	drained := 0
 	for {
 		ln, ok, err := n.txRing.Pop(buf)
@@ -157,6 +159,26 @@ func (n *NIC) DrainTX(from simtime.Time) (int, simtime.Time, error) {
 		n.wire.tx = n.wire.tx.Add(n.cost.NICWireTime(ln))
 		drained++
 	}
+}
+
+// frameScratch is the frame staging one packet-path owner — a NIC,
+// backend, service or VM-to-VM path — reuses on every batch instead of
+// allocating it: an MTU payload buffer and a length header. One
+// goroutine drives each owner, so one scratch per owner (per side, where
+// an owner has both a guest side and the service side its calls run)
+// is never used by two batches at once.
+type frameScratch struct {
+	buf [SlotBytes]byte
+	hdr [8]byte
+}
+
+// frame returns the payload buffer cut to size bytes, refusing a size
+// no MTU slot can hold.
+func (f *frameScratch) frame(size int) ([]byte, error) {
+	if size < 0 || size > SlotBytes {
+		return nil, fmt.Errorf("vnet: frame size %d outside [0,%d]", size, SlotBytes)
+	}
+	return f.buf[:size], nil
 }
 
 // TXVerified returns how many transmitted frames passed integrity checks.

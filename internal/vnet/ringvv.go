@@ -77,6 +77,13 @@ type RingVVPath struct {
 	rxLat *stats.Histogram
 
 	comps []shm.Comp // scratch completion buffer
+
+	// Frame scratch: txBuf stages Send's frames, rxBuf (one stride) is
+	// harvestRx's, and svc is the manager functions' — a function runs
+	// inside a guest's flush, or on the manager's poller.
+	txBuf frameScratch
+	rxBuf []byte
+	svc   frameScratch
 }
 
 // NewRingVVPath publishes the forwarding ring as a manager object
@@ -103,6 +110,7 @@ func NewRingVVPath(h *hv.Hypervisor, mgr *core.Manager, a, b *core.Guest, cfg Ri
 		rxLat: stats.NewHistogram(),
 	}
 	p.stride = (cfg.MaxFrame + 7) &^ 7
+	p.rxBuf = make([]byte, p.stride)
 	if _, err := mgr.CreateObjectFromRegion("vv-ring", region); err != nil {
 		return nil, err
 	}
@@ -198,7 +206,10 @@ func (p *RingVVPath) fnSendAt(ctx *core.CallContext) (uint64, error) {
 		return 0, err
 	}
 	ctx.VCPU.Charge(mgrExtra)
-	buf := make([]byte, size)
+	buf, err := p.svc.frame(size)
+	if err != nil {
+		return 0, err
+	}
 	if err := ctx.ReadExchange(off, buf); err != nil {
 		return 0, err
 	}
@@ -225,7 +236,7 @@ func (p *RingVVPath) fnRecvAt(ctx *core.CallContext) (uint64, error) {
 		return 0, err
 	}
 	ctx.VCPU.Charge(mgrExtra)
-	buf := make([]byte, SlotBytes)
+	buf := p.svc.buf[:]
 	n, ok, err := ring.Pop(buf)
 	if err != nil {
 		return 0, err
@@ -284,7 +295,10 @@ func (p *RingVVPath) Send(count, size int) (int, error) {
 	}
 	v := p.a.VM().VCPU()
 	p.harvested = 0
-	buf := make([]byte, size)
+	buf, err := p.txBuf.frame(size)
+	if err != nil {
+		return 0, err
+	}
 	for i := 0; i < count; i++ {
 		if p.outA >= p.windowA {
 			if err := p.harvestTx(v); err != nil {
@@ -316,7 +330,7 @@ func (p *RingVVPath) Send(count, size int) (int, error) {
 // are verified against the expected pattern as they land.
 func (p *RingVVPath) harvestRx(v *cpu.VCPU) (int, error) {
 	got := 0
-	buf := make([]byte, p.stride)
+	buf := p.rxBuf
 	for p.outB > 0 {
 		n, err := p.rcB.Poll(v, p.comps[:min(p.outB, len(p.comps))])
 		if err != nil {

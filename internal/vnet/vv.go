@@ -63,6 +63,8 @@ type DirectVVPath struct {
 	ringB *shm.Ring
 	txSeq int
 	rxSeq int
+
+	scratch frameScratch
 }
 
 // NewDirectVVPath direct-maps a fresh shared ring into both guests.
@@ -105,7 +107,10 @@ func (p *DirectVVPath) Receiver() *hv.VM { return p.b }
 // Send implements VVPath.
 func (p *DirectVVPath) Send(count, size int) (int, error) {
 	v := p.a.VCPU()
-	buf := make([]byte, size)
+	buf, err := p.scratch.frame(size)
+	if err != nil {
+		return 0, err
+	}
 	sent := 0
 	for sent < count {
 		v.ChargeInstr(driverInstr)
@@ -127,7 +132,7 @@ func (p *DirectVVPath) Send(count, size int) (int, error) {
 // Recv implements VVPath.
 func (p *DirectVVPath) Recv(max int) (int, error) {
 	v := p.b.VCPU()
-	buf := make([]byte, SlotBytes)
+	buf := p.scratch.buf[:]
 	got := 0
 	for got < max {
 		v.ChargeInstr(driverInstr + vvAppInstr)
@@ -160,6 +165,10 @@ type InterposedVVPath struct {
 	vhost bool
 	txSeq int
 	rxSeq int
+
+	// drv is the guests' own scratch, svc the hypercall handlers': a
+	// handler runs inside its guest's VMCALL.
+	drv, svc frameScratch
 }
 
 // NewVMCallVVPath builds the VMCALL forwarding path.
@@ -214,7 +223,10 @@ func (p *InterposedVVPath) hcSend(vm *hv.VM, args [4]uint64) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	buf := make([]byte, size)
+	buf, err := p.svc.frame(size)
+	if err != nil {
+		return 0, err
+	}
 	sent := 0
 	for sent < count {
 		v.Charge(p.perPkt())
@@ -247,9 +259,8 @@ func (p *InterposedVVPath) hcRecv(vm *hv.VM, args [4]uint64) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	buf := make([]byte, SlotBytes)
+	buf, hdr := p.svc.buf[:], p.svc.hdr[:]
 	got := 0
-	hdr := make([]byte, 8)
 	for got < max {
 		v.Charge(p.perPkt())
 		n, ok, err := ring.Pop(buf)
@@ -278,8 +289,11 @@ func (p *InterposedVVPath) hcRecv(vm *hv.VM, args [4]uint64) (uint64, error) {
 // Send implements VVPath.
 func (p *InterposedVVPath) Send(count, size int) (int, error) {
 	v := p.a.VCPU()
-	buf := make([]byte, size)
-	hdr := make([]byte, 8)
+	buf, err := p.drv.frame(size)
+	if err != nil {
+		return 0, err
+	}
+	hdr := p.drv.hdr[:]
 	for i := 0; i < count; i++ {
 		v.ChargeInstr(driverInstr)
 		fillPattern(buf, p.txSeq+i)
@@ -314,8 +328,7 @@ func (p *InterposedVVPath) Recv(max int) (int, error) {
 		return 0, err
 	}
 	got := int(ret)
-	hdr := make([]byte, 8)
-	buf := make([]byte, SlotBytes)
+	hdr, buf := p.drv.hdr[:], p.drv.buf[:]
 	for i := 0; i < got; i++ {
 		v.ChargeInstr(driverInstr + vvAppInstr)
 		off := stagingBase + mem.GPA(i*frameStride)
@@ -351,6 +364,10 @@ type ELISAVVPath struct {
 	rings map[ringViewKey]*shm.Ring
 	txSeq int
 	rxSeq int
+
+	// drv is the guests' own scratch, svc the manager functions': a
+	// function runs inside its guest's gate call.
+	drv, svc frameScratch
 }
 
 // ringViewKey identifies one view of the shared payload ring: the same
@@ -422,7 +439,10 @@ func (p *ELISAVVPath) fnSend(ctx *core.CallContext) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	buf := make([]byte, size)
+	buf, err := p.svc.frame(size)
+	if err != nil {
+		return 0, err
+	}
 	sent := 0
 	for sent < count {
 		ctx.VCPU.Charge(mgrExtra)
@@ -447,8 +467,7 @@ func (p *ELISAVVPath) fnRecv(ctx *core.CallContext) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	buf := make([]byte, SlotBytes)
-	hdr := make([]byte, 8)
+	buf, hdr := p.svc.buf[:], p.svc.hdr[:]
 	got := 0
 	for got < max {
 		ctx.VCPU.Charge(mgrExtra)
@@ -478,8 +497,11 @@ func (p *ELISAVVPath) Send(count, size int) (int, error) {
 	if cap := p.hA.ExchangeSize() / frameStride; count > cap {
 		count = cap
 	}
-	buf := make([]byte, size)
-	hdr := make([]byte, 8)
+	buf, err := p.drv.frame(size)
+	if err != nil {
+		return 0, err
+	}
+	hdr := p.drv.hdr[:]
 	for i := 0; i < count; i++ {
 		v.ChargeInstr(driverInstr)
 		fillPattern(buf, p.txSeq+i)
@@ -511,8 +533,7 @@ func (p *ELISAVVPath) Recv(max int) (int, error) {
 		return 0, err
 	}
 	got := int(ret)
-	hdr := make([]byte, 8)
-	buf := make([]byte, SlotBytes)
+	hdr, buf := p.drv.hdr[:], p.drv.buf[:]
 	for i := 0; i < got; i++ {
 		v.ChargeInstr(driverInstr + vvAppInstr)
 		off := i * frameStride
@@ -550,6 +571,8 @@ type SRIOVVVPath struct {
 	txSeq   int
 	rxSeq   int
 	cost    simtime.CostModel
+
+	scratch frameScratch
 }
 
 // NewSRIOVVVPath allocates per-VF rings and the hairpin plumbing.
@@ -598,7 +621,10 @@ func (p *SRIOVVVPath) Receiver() *hv.VM { return p.b }
 // CPU charge).
 func (p *SRIOVVVPath) Send(count, size int) (int, error) {
 	v := p.a.VCPU()
-	buf := make([]byte, size)
+	buf, err := p.scratch.frame(size)
+	if err != nil {
+		return 0, err
+	}
 	sent := 0
 	for sent < count {
 		v.ChargeInstr(driverInstr)
@@ -619,7 +645,7 @@ func (p *SRIOVVVPath) Send(count, size int) (int, error) {
 	if p.hairpin < v.Clock().Now() {
 		p.hairpin = v.Clock().Now()
 	}
-	hbuf := make([]byte, SlotBytes)
+	hbuf := p.scratch.buf[:]
 	for {
 		n, ok, err := p.devA.Pop(hbuf)
 		if err != nil {
@@ -641,7 +667,7 @@ func (p *SRIOVVVPath) Send(count, size int) (int, error) {
 func (p *SRIOVVVPath) Recv(max int) (int, error) {
 	v := p.b.VCPU()
 	v.Clock().AdvanceTo(p.hairpin)
-	buf := make([]byte, SlotBytes)
+	buf := p.scratch.buf[:]
 	got := 0
 	for got < max {
 		v.ChargeInstr(driverInstr + vvAppInstr)
