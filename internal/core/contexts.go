@@ -15,7 +15,7 @@ import (
 // EPT context, and the per-guest ELISA stack. This is the manager half of
 // the negotiation slow path.
 func (m *Manager) ensureGuest(guest *hv.VM) (*guestState, error) {
-	if gs, ok := m.guests[guest.ID()]; ok {
+	if gs := m.guest(guest.ID()); gs != nil {
 		return gs, nil
 	}
 	if guest == m.vm {
@@ -65,10 +65,11 @@ func (m *Manager) ensureGuest(guest *hv.VM) (*guestState, error) {
 		stack:       stack,
 		budget:      m.slotBudget,
 		nextVSlot:   firstSubIdx,
-		vslots:      make(map[int]*Attachment),
-		physAtt:     make(map[int]*Attachment),
+		vslots:      make([]*Attachment, firstSubIdx),
 		attachments: make(map[string]*Attachment),
-		granted:     make(map[int]bool),
+	}
+	if id := guest.ID(); id >= len(m.guests) {
+		m.guests = append(m.guests, make([]*guestState, id+1-len(m.guests))...)
 	}
 	m.guests[guest.ID()] = gs
 	// Manager-side construction work (table edits, list install).
@@ -149,12 +150,12 @@ func (m *Manager) attach(guest *hv.VM, objName string) (*Attachment, error) {
 		exchangeGPA: exchangeGPA,
 	}
 	gs.attachments[objName] = a
-	gs.vslots[vslot] = a
+	gs.vslots = append(gs.vslots, a)
 	// Back the virtual slot eagerly while the guest is under its slot
 	// budget and the list has room: the first call is then already hot.
 	// Past the budget the attachment stays virtual — the first call takes
 	// a slot fault and the LRU binding makes way.
-	if len(gs.physAtt) < gs.budget {
+	if gs.backed < gs.budget {
 		if idx, ok := gs.list.FindFree(firstSubIdx); ok {
 			if err := m.bindLocked(gs, a, idx); err != nil {
 				return nil, err
@@ -178,8 +179,13 @@ func (m *Manager) bindLocked(gs *guestState, a *Attachment, idx int) error {
 	a.phys = idx
 	m.lruTick++
 	a.lastUse = m.lruTick
+	if idx >= len(gs.physAtt) {
+		gs.physAtt = append(gs.physAtt, make([]*Attachment, idx+1-len(gs.physAtt))...)
+		gs.granted = append(gs.granted, make([]bool, idx+1-len(gs.granted))...)
+	}
 	gs.physAtt[idx] = a
 	gs.granted[idx] = true
+	gs.backed++
 	return nil
 }
 
@@ -190,7 +196,7 @@ func (m *Manager) bindLocked(gs *guestState, a *Attachment, idx int) error {
 func (m *Manager) evictLocked(gs *guestState) error {
 	var victim *Attachment
 	for _, a := range gs.physAtt {
-		if victim == nil || a.lastUse < victim.lastUse {
+		if a != nil && (victim == nil || a.lastUse < victim.lastUse) {
 			victim = a
 		}
 	}
@@ -211,7 +217,7 @@ func (m *Manager) evictLocked(gs *guestState) error {
 // evicting the guest's LRU binding when the budget or the list is
 // exhausted. This is the slow half of the slot-fault path.
 func (m *Manager) faultBindLocked(gs *guestState, a *Attachment) error {
-	if len(gs.physAtt) >= gs.budget {
+	if gs.backed >= gs.budget {
 		if err := m.evictLocked(gs); err != nil {
 			return err
 		}

@@ -115,8 +115,8 @@ func (h *Handle) SubIndex() int { return h.subIdx }
 func (m *Manager) resolveSlot(vmID, vslot int) (phys int, hit bool, err error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	gs, ok := m.guests[vmID]
-	if !ok {
+	gs := m.guest(vmID)
+	if gs == nil {
 		return IdxDefault, true, nil // stale: no ELISA state; gate refuses
 	}
 	// Service pending revocations first: this runs on the guest's own
@@ -127,7 +127,7 @@ func (m *Manager) resolveSlot(vmID, vslot int) (phys int, hit bool, err error) {
 			return 0, false, err
 		}
 	}
-	a := gs.vslots[vslot]
+	a := gs.vslot(vslot)
 	if a == nil || a.revoked {
 		return IdxDefault, true, nil // stale: gate refuses at the grant check
 	}
@@ -494,11 +494,13 @@ func (h *Handle) ExchangeRead(v *cpu.VCPU, off int, p []byte) error {
 func (m *Manager) gateAllowsBinding(vmID, vslot, phys int) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	gs, ok := m.guests[vmID]
-	if !ok {
+	gs := m.guest(vmID)
+	if gs == nil {
 		return false
 	}
-	a := gs.vslots[vslot]
+	a := gs.vslot(vslot)
+	// a.phys == phys bounds the table reads: a backed slot is always
+	// inside physAtt and granted, which never shrink.
 	admit := a != nil && !a.revoked && phys >= firstSubIdx &&
 		a.phys == phys && gs.physAtt[phys] == a && gs.granted[phys]
 	if admit {
@@ -518,15 +520,20 @@ func (m *Manager) gateAllowsBinding(vmID, vslot, phys int) bool {
 // when non-nil, receives the time the function spends in exchange-buffer
 // helpers (flight-recorder phase accounting). The manager lock is held
 // only for the dispatch lookups, never while the function body runs.
+//
+// The attachment is the one at the handle's virtual slot: the binding
+// the gate just admitted. Were it revoked after the gate check — even
+// if the guest re-attached the object since, under a new slot — the
+// dispatch is refused.
 func (m *Manager) invoke(v *cpu.VCPU, h *Handle, fnID uint64, args [4]uint64, exchange *simtime.Duration) (uint64, error) {
 	if err := v.FetchExec(mem.GVA(MgrCodeGPA)); err != nil {
 		return 0, err
 	}
 	m.mu.Lock()
-	gs := m.guests[h.g.vm.ID()]
+	gs := m.guest(h.g.vm.ID())
 	var a *Attachment
 	if gs != nil {
-		a = gs.attachments[h.objName]
+		a = gs.vslot(h.subIdx)
 	}
 	if a != nil && !a.revoked && m.inj != nil {
 		if in := m.inj.Fire(fault.PointInvoke, h.g.vm.Name(), v.Clock().Now()); in != nil {

@@ -380,3 +380,45 @@ func TestAttackExecuteExchangeBuffer(t *testing.T) {
 	})
 	wantKilled(t, err, cpu.ExitEPTViolation)
 }
+
+// Attack: a live guest whose ELISA state was cleaned up keeps using its
+// old exchange-buffer address. CleanupGuest frees those frames, and the
+// next VM's RAM reuses them; the old address must no longer translate,
+// or the first guest reads the second's private memory with no exit.
+func TestAttackExchangeBufferAfterCleanupGuest(t *testing.T) {
+	f := newFixture(t)
+	if _, err := f.mgr.CreateObject("obj", mem.PageSize); err != nil {
+		t.Fatal(err)
+	}
+	vmA, gA := f.newGuest(t, "a")
+	h, err := gA.Attach("obj")
+	if err != nil {
+		t.Fatal(err)
+	}
+	exch := h.ExchangeGPA()
+	if err := h.ExchangeWrite(vmA.VCPU(), 0, []byte("A staged")); err != nil { // warms A's TLB
+		t.Fatal(err)
+	}
+	if err := f.mgr.CleanupGuest(vmA); err != nil {
+		t.Fatal(err)
+	}
+	vmB, err := f.hv.CreateVM("b", 16*mem.PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	secret := []byte("B private")
+	for p := 0; p < 16; p++ {
+		if err := vmB.VCPU().WriteGPA(mem.GPA(p*mem.PageSize), secret); err != nil {
+			t.Fatal(err)
+		}
+	}
+	buf := make([]byte, len(secret))
+	err = vmA.VCPU().ReadGPA(exch, buf)
+	if err == nil {
+		t.Fatalf("guest a read %q through its freed exchange buffer", buf)
+	}
+	wantKilled(t, err, cpu.ExitEPTViolation)
+	if _, perm, err := vmA.DefaultEPT().Lookup(exch); err != nil || perm != 0 {
+		t.Fatalf("default context still maps the freed exchange buffer (%v, %v)", perm, err)
+	}
+}

@@ -6,6 +6,7 @@ import (
 
 	"github.com/elisa-go/elisa/internal/ept"
 	"github.com/elisa-go/elisa/internal/hv"
+	"github.com/elisa-go/elisa/internal/mem"
 	"github.com/elisa-go/elisa/internal/trace"
 )
 
@@ -29,8 +30,8 @@ func (m *Manager) CleanupGuest(guest *hv.VM) error {
 }
 
 func (m *Manager) cleanupGuestLocked(guest *hv.VM) ([]*hv.HostRegion, error) {
-	gs, ok := m.guests[guest.ID()]
-	if !ok {
+	gs := m.guest(guest.ID())
+	if gs == nil {
 		return nil, fmt.Errorf("core: guest %q has no ELISA state", guest.Name())
 	}
 	rings, err := m.teardownLocked(gs, "cleanup")
@@ -47,7 +48,10 @@ func (m *Manager) cleanupGuestLocked(guest *hv.VM) ([]*hv.HostRegion, error) {
 // buffer and ring, the retired attachments' exchange buffers and rings,
 // the gate context and the per-guest stack, and finally the state
 // itself. It needs no cooperation from the guest, so it works the same
-// on a live guest and a dead one. Attachments are reclaimed in sorted
+// on a live guest and a dead one: exchange buffers and rings are
+// unmapped from the guest's default context, and their translations
+// dropped from its TLB, before their frames are freed, so no default
+// context maps a freed frame. Attachments are reclaimed in sorted
 // object order: the frees feed the allocator's free list, and the same
 // run must hand the same frames to the next allocation. The returned
 // ring regions go to releaseRings once m.mu is dropped; what names the
@@ -76,19 +80,13 @@ func (m *Manager) teardownLocked(gs *guestState, what string) (rings []*hv.HostR
 				return rings, fmt.Errorf("core: %s %q/%q: %w", what, guest.Name(), name, err)
 			}
 		}
-		if err := a.exchange.Free(); err != nil {
-			return rings, fmt.Errorf("core: %s %q/%q exchange: %w", what, guest.Name(), name, err)
-		}
-		if r := detachRingLocked(a); r != nil {
-			rings = append(rings, r)
+		if rings, err = releaseGuestBuffersLocked(a, rings); err != nil {
+			return rings, fmt.Errorf("core: %s %q/%q: %w", what, guest.Name(), name, err)
 		}
 	}
 	for _, a := range gs.retired {
-		if err := a.exchange.Free(); err != nil {
-			return rings, fmt.Errorf("core: %s retired exchange: %w", what, err)
-		}
-		if r := detachRingLocked(a); r != nil {
-			rings = append(rings, r)
+		if rings, err = releaseGuestBuffersLocked(a, rings); err != nil {
+			return rings, fmt.Errorf("core: %s retired %q/%q: %w", what, guest.Name(), a.obj.name, err)
 		}
 	}
 	if err := gs.list.Revoke(IdxGate); err != nil {
@@ -101,8 +99,41 @@ func (m *Manager) teardownLocked(gs *guestState, what string) (rings []*hv.HostR
 	if err := gs.stack.Free(); err != nil {
 		return rings, err
 	}
-	delete(m.guests, guest.ID())
+	m.guests[guest.ID()] = nil
 	return rings, nil
+}
+
+// releaseGuestBuffersLocked takes an attachment's guest-visible buffers
+// out of the guest's default context and releases them: the exchange
+// buffer's frames now, the ring's appended to rings for releaseRings.
+func releaseGuestBuffersLocked(a *Attachment, rings []*hv.HostRegion) ([]*hv.HostRegion, error) {
+	if err := unmapDefault(a.guest, a.exchangeGPA, a.exchange.Pages()); err != nil {
+		return rings, fmt.Errorf("exchange: %w", err)
+	}
+	if err := a.exchange.Free(); err != nil {
+		return rings, fmt.Errorf("exchange: %w", err)
+	}
+	if a.ring != nil {
+		if err := unmapDefault(a.guest, a.ring.gpa, a.ring.region.Pages()); err != nil {
+			return rings, fmt.Errorf("ring: %w", err)
+		}
+		rings = append(rings, detachRingLocked(a))
+	}
+	return rings, nil
+}
+
+// unmapDefault removes pages pages at gpa from the guest's default
+// context and drops their translations from its TLB.
+func unmapDefault(guest *hv.VM, gpa mem.GPA, pages int) error {
+	tbl, tlb := guest.DefaultEPT(), guest.VCPU().TLB()
+	for i := 0; i < pages; i++ {
+		g := gpa + mem.GPA(i*mem.PageSize)
+		if err := tbl.Unmap(g); err != nil {
+			return err
+		}
+		tlb.InvalidatePage(tbl.Pointer(), g.Frame())
+	}
+	return nil
 }
 
 // attachmentNames returns the guest's attachment names (live, revoked
@@ -127,6 +158,9 @@ func (m *Manager) Fsck() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for id, gs := range m.guests {
+		if gs == nil {
+			continue
+		}
 		gate, err := gs.list.Get(IdxGate)
 		if err != nil {
 			return err
@@ -152,7 +186,7 @@ func (m *Manager) Fsck() error {
 				continue // virtual-only: must own no slot (checked by the scan)
 			}
 			backed++
-			if !gs.granted[a.phys] {
+			if a.phys >= len(gs.physAtt) || !gs.granted[a.phys] {
 				return fmt.Errorf("core: fsck: guest %d attachment %q phys slot %d not granted", id, name, a.phys)
 			}
 			if gs.physAtt[a.phys] != a {
@@ -160,9 +194,18 @@ func (m *Manager) Fsck() error {
 			}
 			want[a.phys] = a.subCtx.Pointer()
 		}
-		if backed != len(gs.granted) || backed != len(gs.physAtt) {
-			return fmt.Errorf("core: fsck: guest %d has %d grants / %d slot-table entries for %d backed attachments",
-				id, len(gs.granted), len(gs.physAtt), backed)
+		grants, entries := 0, 0
+		for idx := range gs.physAtt {
+			if gs.granted[idx] {
+				grants++
+			}
+			if gs.physAtt[idx] != nil {
+				entries++
+			}
+		}
+		if backed != grants || backed != entries || backed != gs.backed {
+			return fmt.Errorf("core: fsck: guest %d has %d grants / %d slot-table entries (%d counted) for %d backed attachments",
+				id, grants, entries, gs.backed, backed)
 		}
 		if backed > gs.budget {
 			return fmt.Errorf("core: fsck: guest %d has %d backed slots over budget %d", id, backed, gs.budget)
@@ -193,8 +236,8 @@ func (m *Manager) Fsck() error {
 func (m *Manager) SubContextMappings(guest *hv.VM, objName string) ([]ept.Mapping, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	gs, ok := m.guests[guest.ID()]
-	if !ok {
+	gs := m.guest(guest.ID())
+	if gs == nil {
 		return nil, fmt.Errorf("core: guest %q is not attached to %q", guest.Name(), objName)
 	}
 	a, ok := gs.attachments[objName]
@@ -209,8 +252,8 @@ func (m *Manager) SubContextMappings(guest *hv.VM, objName string) ([]ept.Mappin
 func (m *Manager) GateContextMappings(guest *hv.VM) ([]ept.Mapping, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	gs, ok := m.guests[guest.ID()]
-	if !ok {
+	gs := m.guest(guest.ID())
+	if gs == nil {
 		return nil, fmt.Errorf("core: guest %q has no ELISA state", guest.Name())
 	}
 	return gs.gateCtx.Mappings()
@@ -220,8 +263,8 @@ func (m *Manager) GateContextMappings(guest *hv.VM) ([]ept.Mapping, error) {
 func (m *Manager) GateGPA(guest *hv.VM) (gpa uint64, ok bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	gs, found := m.guests[guest.ID()]
-	if !found {
+	gs := m.guest(guest.ID())
+	if gs == nil {
 		return 0, false
 	}
 	return uint64(gs.gateGPA), true

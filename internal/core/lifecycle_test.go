@@ -224,7 +224,7 @@ func TestLifecycleProperty(t *testing.T) {
 				return false
 			}
 		}
-		if _, ok := f.mgr.guests[vm.ID()]; ok {
+		if f.mgr.guest(vm.ID()) != nil {
 			if err := f.mgr.CleanupGuest(vm); err != nil {
 				t.Logf("cleanup: %v", err)
 				return false

@@ -143,7 +143,9 @@ type Manager struct {
 	objects    map[string]*Object
 	nextObjGPA mem.GPA
 
-	guests map[int]*guestState // by VM id
+	// guests holds each guest's ELISA state by VM id (a hypervisor hands
+	// ids out densely from 0), nil for a VM without one; see guest.
+	guests []*guestState
 	funcs  map[uint64]ObjectFunc
 
 	// slotBudget is the per-guest cap on physical EPTP-list slots handed
@@ -185,8 +187,6 @@ type Manager struct {
 	// read drainGen. A pass rebuilds it, into the same slices, only when
 	// gen has moved since.
 	drainGen     uint64
-	drainIDs     []int
-	drainVslots  []int
 	drainTargets []drainTarget
 	drainGroups  []drainGroup
 
@@ -228,17 +228,26 @@ type guestState struct {
 	// backed at once, and the LRU binding is evicted to make room. The
 	// gate switches only to physical slots; the vslot->phys table below is
 	// the gate code's slot table.
+	//
+	// The slot tables are dense slices indexed by slot, so the gate's
+	// lookups are array reads: virtual slots are handed out in order and
+	// never reused, and physical slots are bounded by ept.ListEntries.
+	// vslots holds every attachment by virtual slot, revoked (stale) ones
+	// included, with len(vslots) == nextVSlot; physAtt holds the backed
+	// attachments by physical slot, nil elsewhere; backed counts them.
 	budget    int
 	nextVSlot int
-	vslots    map[int]*Attachment // by virtual slot, incl. revoked (stale)
-	physAtt   map[int]*Attachment // by physical slot, backed only
+	vslots    []*Attachment
+	physAtt   []*Attachment
+	backed    int
 
 	// attachments by object name; granted marks live *physical* EPTP-list
-	// slots the gate will let this guest switch to; retired holds detached
-	// attachments whose exchange buffers await CleanupGuest (the guest's
-	// default context may still map them).
+	// slots the gate will let this guest switch to (indexed like physAtt,
+	// a separate table so Fsck can check one against the other); retired
+	// holds detached attachments whose exchange buffers await CleanupGuest
+	// (the guest's default context may still map them).
 	attachments map[string]*Attachment
-	granted     map[int]bool
+	granted     []bool
 	retired     []*Attachment
 
 	// pendingReap holds revoked attachments whose sub context and TLB
@@ -265,6 +274,24 @@ type guestState struct {
 	// inside a gate or sub context — the signal RecoverGuest keys on.
 	gateEntries uint64
 	gateExits   uint64
+}
+
+// guest returns the ELISA state of the VM with id, or nil.
+func (m *Manager) guest(id int) *guestState {
+	if id < 0 || id >= len(m.guests) {
+		return nil
+	}
+	return m.guests[id]
+}
+
+// vslot returns the attachment at virtual slot v, or nil when none was
+// ever bound there. v comes from guest registers and handles, so any
+// int is a valid question.
+func (gs *guestState) vslot(v int) *Attachment {
+	if v < 0 || v >= len(gs.vslots) {
+		return nil
+	}
+	return gs.vslots[v]
 }
 
 // Attachment is one (guest, object) grant: a sub EPT context plus its
@@ -357,12 +384,11 @@ func NewManager(h *hv.Hypervisor, cfg ManagerConfig) (*Manager, error) {
 	m := &Manager{
 		hv:         h,
 		vm:         vm,
-		cost:       h.Cost(),
+		cost:       *h.Cost(),
 		gateCode:   gate,
 		mgrCode:    mcode,
 		objects:    make(map[string]*Object),
 		nextObjGPA: objectBaseGPA,
-		guests:     make(map[int]*guestState),
 		funcs:      make(map[uint64]ObjectFunc),
 		slotBudget: cfg.SlotBudget,
 	}
@@ -524,8 +550,8 @@ func (m *Manager) RegisterFunc(id uint64, fn ObjectFunc) error {
 func (m *Manager) Attachment(guest *hv.VM, objName string) (*Attachment, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	gs, ok := m.guests[guest.ID()]
-	if !ok {
+	gs := m.guest(guest.ID())
+	if gs == nil {
 		return nil, false
 	}
 	a, ok := gs.attachments[objName]
@@ -542,8 +568,8 @@ func (m *Manager) Attachment(guest *hv.VM, objName string) (*Attachment, bool) {
 // it — revocation is immediate and non-negotiable.
 func (m *Manager) Revoke(guest *hv.VM, objName string) error {
 	m.mu.Lock()
-	gs, ok := m.guests[guest.ID()]
-	if !ok {
+	gs := m.guest(guest.ID())
+	if gs == nil {
 		m.mu.Unlock()
 		return fmt.Errorf("core: guest %q has no ELISA state", guest.Name())
 	}
@@ -584,8 +610,9 @@ func (m *Manager) unbindLocked(gs *guestState, a *Attachment) error {
 	if a.phys == physNone {
 		return nil
 	}
-	delete(gs.granted, a.phys)
-	delete(gs.physAtt, a.phys)
+	gs.granted[a.phys] = false
+	gs.physAtt[a.phys] = nil
+	gs.backed--
 	if err := gs.list.Revoke(a.phys); err != nil {
 		return err
 	}

@@ -76,7 +76,7 @@ func (m *Manager) hcAttach(vm *hv.VM, args [4]uint64) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	gs := m.guests[vm.ID()]
+	gs := m.guest(vm.ID())
 	resp := make([]byte, attachRespBytes)
 	binary.LittleEndian.PutUint64(resp[0:], uint64(a.vslot))
 	binary.LittleEndian.PutUint64(resp[8:], uint64(gs.gateGPA))
@@ -98,8 +98,8 @@ func (m *Manager) hcDetach(vm *hv.VM, args [4]uint64) (uint64, error) {
 		m.mu.Unlock()
 		return 0, err
 	}
-	gs, ok := m.guests[vm.ID()]
-	if !ok {
+	gs := m.guest(vm.ID())
+	if gs == nil {
 		m.mu.Unlock()
 		return 0, fmt.Errorf("core: guest %q has no ELISA state", vm.Name())
 	}
@@ -150,12 +150,12 @@ func (m *Manager) hcSlotFault(vm *hv.VM, args [4]uint64) (uint64, error) {
 	if err := m.fireNegotiate(vm, "slot-fault"); err != nil {
 		return 0, err
 	}
-	gs, ok := m.guests[vm.ID()]
-	if !ok {
+	gs := m.guest(vm.ID())
+	if gs == nil {
 		return 0, fmt.Errorf("core: guest %q has no ELISA state", vm.Name())
 	}
 	vslot := int(args[0])
-	a := gs.vslots[vslot]
+	a := gs.vslot(vslot)
 	if a == nil || a.revoked {
 		return 0, fmt.Errorf("core: guest %q has no live attachment at virtual slot %d", vm.Name(), vslot)
 	}

@@ -56,8 +56,8 @@ func (m *Manager) Overload() OverloadConfig { return m.ov }
 func (m *Manager) SetPollWeight(vm *hv.VM, weight int) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	gs, ok := m.guests[vm.ID()]
-	if !ok {
+	gs := m.guest(vm.ID())
+	if gs == nil {
 		return fmt.Errorf("core: guest %q has no ELISA state", vm.Name())
 	}
 	gs.pollWeight = weight

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/elisa-go/elisa/internal/ept"
 	"github.com/elisa-go/elisa/internal/fault"
@@ -31,7 +30,7 @@ func (m *Manager) noteRetry() {
 // outbound crossing; paired with the entry bump in gateAllowsBinding.
 func (m *Manager) noteGateExit(vmID int) {
 	m.mu.Lock()
-	if gs := m.guests[vmID]; gs != nil {
+	if gs := m.guest(vmID); gs != nil {
 		gs.gateExits++
 	}
 	m.mu.Unlock()
@@ -43,7 +42,7 @@ func (m *Manager) noteGateExit(vmID int) {
 func (m *Manager) GateEpochs(guest *hv.VM) (entries, exits uint64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if gs := m.guests[guest.ID()]; gs != nil {
+	if gs := m.guest(guest.ID()); gs != nil {
 		return gs.gateEntries, gs.gateExits
 	}
 	return 0, 0
@@ -99,8 +98,8 @@ func (m *Manager) RecoverGuest(guest *hv.VM) (midGate bool, err error) {
 }
 
 func (m *Manager) recoverGuestLocked(guest *hv.VM) (midGate bool, rings []*hv.HostRegion, err error) {
-	gs, ok := m.guests[guest.ID()]
-	if !ok {
+	gs := m.guest(guest.ID())
+	if gs == nil {
 		return false, nil, fmt.Errorf("core: guest %q has no ELISA state to recover", guest.Name())
 	}
 	midGate = gs.gateEntries > gs.gateExits
@@ -127,13 +126,8 @@ func (m *Manager) recoverGuestLocked(guest *hv.VM) (midGate bool, rings []*hv.Ho
 func (m *Manager) RecoverDead() (int, error) {
 	m.mu.Lock()
 	var dead []*hv.VM
-	ids := make([]int, 0, len(m.guests))
-	for id := range m.guests {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		if gs := m.guests[id]; gs.vm.Dead() {
+	for _, gs := range m.guests {
+		if gs != nil && gs.vm.Dead() {
 			dead = append(dead, gs.vm)
 		}
 	}
@@ -157,13 +151,10 @@ func (m *Manager) FsckRepair() (int, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	fixed := 0
-	ids := make([]int, 0, len(m.guests))
-	for id := range m.guests {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		gs := m.guests[id]
+	for _, gs := range m.guests {
+		if gs == nil {
+			continue
+		}
 		repair := func(idx int, want ept.Pointer) error {
 			got, err := gs.list.Get(idx)
 			if err != nil {
@@ -248,18 +239,17 @@ func (m *Manager) PumpFaults(now simtime.Time) int {
 			// Unbind every backed slot at once: the guest's next calls all
 			// take the HCSlotFault slow path back. The storm costs latency,
 			// never correctness.
-			phys := make([]int, 0, len(gs.physAtt))
-			for idx := range gs.physAtt {
-				phys = append(phys, idx)
-			}
-			sort.Ints(phys)
-			for _, idx := range phys {
-				if err := m.unbindLocked(gs, gs.physAtt[idx]); err != nil {
+			backed := gs.backed
+			for _, a := range gs.physAtt {
+				if a == nil {
+					continue
+				}
+				if err := m.unbindLocked(gs, a); err != nil {
 					break
 				}
 			}
 			m.hv.Trace().Emit(now, gs.vm.Name(), trace.KindInject,
-				"%s: %d backed slots dropped (armed #%02d)", in.Class, len(phys), in.Seq)
+				"%s: %d backed slots dropped (armed #%02d)", in.Class, backed, in.Seq)
 			applied++
 		}
 	}
@@ -270,24 +260,12 @@ func (m *Manager) PumpFaults(now simtime.Time) int {
 // the live guest with the lowest VM id, keeping wildcard injections
 // deterministic.
 func (m *Manager) targetLocked(name string) *guestState {
-	if name != "" {
-		for _, gs := range m.guests {
-			if gs.vm.Name() == name {
-				return gs
-			}
-		}
-		return nil
-	}
-	best := -1
-	for id := range m.guests {
-		if best == -1 || id < best {
-			best = id
+	for _, gs := range m.guests {
+		if gs != nil && (name == "" || gs.vm.Name() == name) {
+			return gs
 		}
 	}
-	if best == -1 {
-		return nil
-	}
-	return m.guests[best]
+	return nil
 }
 
 // RecoveryStats is the manager's recovery-side counter snapshot.

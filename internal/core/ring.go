@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -149,12 +148,12 @@ func (m *Manager) hcRingSetup(vm *hv.VM, args [4]uint64) (uint64, error) {
 	if err := m.fireNegotiate(vm, "ring-setup"); err != nil {
 		return 0, err
 	}
-	gs, ok := m.guests[vm.ID()]
-	if !ok {
+	gs := m.guest(vm.ID())
+	if gs == nil {
 		return 0, fmt.Errorf("core: guest %q has no ELISA state", vm.Name())
 	}
 	vslot := int(args[0])
-	a := gs.vslots[vslot]
+	a := gs.vslot(vslot)
 	if a == nil || a.revoked {
 		return 0, fmt.Errorf("core: guest %q has no live attachment at virtual slot %d", vm.Name(), vslot)
 	}
@@ -346,11 +345,11 @@ func (h *Handle) Ring(v *cpu.VCPU, cfg RingConfig) (*RingCaller, error) {
 func (m *Manager) ringStateFor(vmID, vslot int) *ringState {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	gs, ok := m.guests[vmID]
-	if !ok {
+	gs := m.guest(vmID)
+	if gs == nil {
 		return nil
 	}
-	a := gs.vslots[vslot]
+	a := gs.vslot(vslot)
 	if a == nil || a.revoked {
 		return nil
 	}
@@ -837,28 +836,18 @@ func (m *Manager) DrainRings(budget int) (int, error) {
 // reuses the worklist's slices, so a rebuild allocates only when the
 // fleet outgrows them. Callers hold pollMu and m.mu.
 func (m *Manager) buildWorklistLocked() {
-	ids := m.drainIDs[:0]
-	for id := range m.guests {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
 	targets := m.drainTargets[:0]
 	groups := m.drainGroups[:0]
-	for _, id := range ids {
-		gs := m.guests[id]
-		vslots := m.drainVslots[:0]
-		for vs := range gs.vslots {
-			vslots = append(vslots, vs)
+	for _, gs := range m.guests {
+		if gs == nil {
+			continue
 		}
-		sort.Ints(vslots)
 		groupStart := len(targets)
-		for _, vs := range vslots {
-			a := gs.vslots[vs]
+		for _, a := range gs.vslots {
 			if a != nil && !a.revoked && a.ring != nil {
 				targets = append(targets, drainTarget{a, a.ring})
 			}
 		}
-		m.drainVslots = vslots[:0]
 		if len(targets) > groupStart {
 			w := gs.pollWeight
 			if w <= 0 {
@@ -867,7 +856,7 @@ func (m *Manager) buildWorklistLocked() {
 			groups = append(groups, drainGroup{weight: w, start: groupStart, end: len(targets)})
 		}
 	}
-	m.drainIDs, m.drainTargets, m.drainGroups = ids, targets, groups
+	m.drainTargets, m.drainGroups = targets, groups
 	m.drainGen = m.gen
 }
 
@@ -1194,21 +1183,12 @@ func (m *Manager) RingStats() []RingStats {
 		rs     *ringState
 	}
 	m.mu.Lock()
-	ids := make([]int, 0, len(m.guests))
-	for id := range m.guests {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
 	var targets []target
-	for _, id := range ids {
-		gs := m.guests[id]
-		vslots := make([]int, 0, len(gs.vslots))
-		for vs := range gs.vslots {
-			vslots = append(vslots, vs)
+	for _, gs := range m.guests {
+		if gs == nil {
+			continue
 		}
-		sort.Ints(vslots)
-		for _, vs := range vslots {
-			a := gs.vslots[vs]
+		for vs, a := range gs.vslots {
 			if a != nil && a.ring != nil {
 				targets = append(targets, target{gs.vm.Name(), a.obj.name, vs, a.ring})
 			}

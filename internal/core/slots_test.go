@@ -423,3 +423,96 @@ func TestNewManagerRefusesSlotBudgetOutsideList(t *testing.T) {
 		}
 	}
 }
+
+// TestGateRefusesBindingRevokedAfterResolve: the attachment is revoked
+// between the crossing's slot resolve and the gate's grant check, and
+// the guest re-attaches the object at once, so the physical slot the
+// resolve returned now backs the new attachment. The gate must refuse
+// the old virtual slot at that physical slot, and the old handle's
+// crossing is refused without a kill while the new one runs.
+func TestGateRefusesBindingRevokedAfterResolve(t *testing.T) {
+	f := newFixture(t)
+	if _, err := f.mgr.CreateObject("obj", mem.PageSize); err != nil {
+		t.Fatal(err)
+	}
+	vm, g := f.newGuest(t, "g")
+	h, err := g.Attach("obj")
+	if err != nil {
+		t.Fatal(err)
+	}
+	phys, hit, err := f.mgr.resolveSlot(vm.ID(), h.SubIndex())
+	if err != nil || !hit || phys < firstSubIdx {
+		t.Fatalf("resolveSlot = %d %v %v, want a backed hit", phys, hit, err)
+	}
+	if err := f.mgr.Revoke(vm, "obj"); err != nil {
+		t.Fatal(err)
+	}
+	h2, err := g.Attach("obj")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, _ := f.mgr.Attachment(vm, "obj"); a.PhysIndex() != phys || h2.SubIndex() == h.SubIndex() {
+		t.Fatalf("re-attach got vslot %d phys %d; the race needs a new vslot on recycled phys %d", h2.SubIndex(), a.PhysIndex(), phys)
+	}
+	if f.mgr.gateAllowsBinding(vm.ID(), h.SubIndex(), phys) {
+		t.Fatalf("gate admitted revoked vslot %d at recycled phys %d", h.SubIndex(), phys)
+	}
+	if _, err := h.Call(vm.VCPU(), fnNop); err == nil || vm.Dead() {
+		t.Fatalf("old handle's crossing: err %v, dead %v; want a clean refusal", err, vm.Dead())
+	}
+	if _, err := h2.Call(vm.VCPU(), fnNop); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.mgr.Fsck(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestInvokeRefusesBindingRevokedMidCall: inside an admitted crossing,
+// the first request of a batch revokes the attachment and the guest is
+// re-attached to the same object under a new virtual slot. The next
+// request of the same crossing must not reach the new attachment: the
+// gate admitted the old binding, so the dispatch is refused.
+func TestInvokeRefusesBindingRevokedMidCall(t *testing.T) {
+	const fnRevokeReattach uint64 = 100
+	f := newFixture(t)
+	if _, err := f.mgr.CreateObject("obj", mem.PageSize); err != nil {
+		t.Fatal(err)
+	}
+	vm, g := f.newGuest(t, "g")
+	if err := f.mgr.RegisterFunc(fnRevokeReattach, func(c *CallContext) (uint64, error) {
+		if err := f.mgr.Revoke(vm, "obj"); err != nil {
+			return 0, err
+		}
+		f.mgr.mu.Lock()
+		defer f.mgr.mu.Unlock()
+		_, err := f.mgr.attach(vm, "obj")
+		return 0, err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	h, err := g.Attach("obj")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs := []Req{{Fn: fnRevokeReattach}, {Fn: fnNop}}
+	if err := h.CallMulti(vm.VCPU(), reqs); err != nil {
+		t.Fatal(err)
+	}
+	if reqs[0].Err != nil {
+		t.Fatalf("revoke and re-attach: %v", reqs[0].Err)
+	}
+	if reqs[1].Err == nil {
+		t.Fatal("request after the revocation was dispatched to the re-attached binding")
+	}
+	if vm.Dead() {
+		t.Fatal("guest killed")
+	}
+	a, ok := f.mgr.Attachment(vm, "obj")
+	if !ok || a.SubIndex() == h.SubIndex() {
+		t.Fatal("re-attachment missing")
+	}
+	if got := a.calls.Load(); got != 0 {
+		t.Fatalf("re-attached binding served %d calls from the old crossing", got)
+	}
+}

@@ -37,6 +37,9 @@ func (m *Manager) Stats() []AttachmentStats {
 	defer m.mu.Unlock()
 	var out []AttachmentStats
 	for _, gs := range m.guests {
+		if gs == nil {
+			continue
+		}
 		for name, a := range gs.attachments {
 			out = append(out, AttachmentStats{
 				Guest:     gs.vm.Name(),
@@ -76,8 +79,11 @@ type SlotStats struct {
 func (m *Manager) SlotStats() []SlotStats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make([]SlotStats, 0, len(m.guests))
+	var out []SlotStats
 	for _, gs := range m.guests {
+		if gs == nil {
+			continue
+		}
 		live := 0
 		for _, a := range gs.attachments {
 			if !a.revoked {
@@ -87,7 +93,7 @@ func (m *Manager) SlotStats() []SlotStats {
 		out = append(out, SlotStats{
 			Guest:     gs.vm.Name(),
 			Budget:    gs.budget,
-			Backed:    len(gs.physAtt),
+			Backed:    gs.backed,
 			Live:      live,
 			Faults:    gs.faults,
 			Evictions: gs.evictions,
@@ -111,12 +117,15 @@ type SlotBinding struct {
 func (m *Manager) SlotTable(guest *hv.VM) ([]SlotBinding, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	gs, ok := m.guests[guest.ID()]
-	if !ok {
+	gs := m.guest(guest.ID())
+	if gs == nil {
 		return nil, fmt.Errorf("core: guest %q has no ELISA state", guest.Name())
 	}
 	out := make([]SlotBinding, 0, len(gs.vslots))
 	for vslot, a := range gs.vslots {
+		if a == nil {
+			continue
+		}
 		out = append(out, SlotBinding{
 			VSlot:   vslot,
 			Phys:    a.phys,
@@ -125,7 +134,6 @@ func (m *Manager) SlotTable(guest *hv.VM) ([]SlotBinding, error) {
 			Revoked: a.revoked,
 		})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].VSlot < out[j].VSlot })
 	return out, nil
 }
 
@@ -145,12 +153,12 @@ func (m *Manager) ObjectNames() []string {
 func (m *Manager) DescribeGuest(guest *hv.VM) (string, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	gs, ok := m.guests[guest.ID()]
-	if !ok {
+	gs := m.guest(guest.ID())
+	if gs == nil {
 		return "", fmt.Errorf("core: guest %q has no ELISA state", guest.Name())
 	}
 	s := fmt.Sprintf("guest %q: gate@%#x, %d attachment(s), %d/%d slots backed, next vslot %d, faults=%d evictions=%d\n",
-		guest.Name(), uint64(gs.gateGPA), len(gs.attachments), len(gs.physAtt), gs.budget, gs.nextVSlot, gs.faults, gs.evictions)
+		guest.Name(), uint64(gs.gateGPA), len(gs.attachments), gs.backed, gs.budget, gs.nextVSlot, gs.faults, gs.evictions)
 	for _, name := range gs.attachmentNames() {
 		a := gs.attachments[name]
 		state := "live"

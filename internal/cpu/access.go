@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"github.com/elisa-go/elisa/internal/ept"
@@ -118,9 +119,26 @@ func (v *VCPU) WriteGPA(gpa mem.GPA, p []byte) error {
 	})
 }
 
-// ReadU64GPA loads one 64-bit word (descriptor/pointer access cost).
+// ReadU64GPA loads one 64-bit word (descriptor/pointer access cost). A
+// word in the last 7 bytes of a page crosses into the next guest page,
+// which need not be the next host frame, so both pages are translated
+// (see splitWord).
 func (v *VCPU) ReadU64GPA(gpa mem.GPA) (uint64, error) {
 	v.clock.Advance(v.cost.MemAccess)
+	if gpa.Offset() > mem.PageSize-8 {
+		lo, hi, n, err := v.splitWord(gpa, ept.PermRead)
+		if err != nil {
+			return 0, err
+		}
+		var b [8]byte
+		if err := v.pm.Read(lo, b[:n]); err != nil {
+			return 0, err
+		}
+		if err := v.pm.Read(hi, b[n:]); err != nil {
+			return 0, err
+		}
+		return binary.LittleEndian.Uint64(b[:]), nil
+	}
 	hpa, err := v.translate(gpa, ept.PermRead)
 	if err != nil {
 		return 0, err
@@ -128,14 +146,41 @@ func (v *VCPU) ReadU64GPA(gpa mem.GPA) (uint64, error) {
 	return v.pm.ReadU64(hpa)
 }
 
-// WriteU64GPA stores one 64-bit word.
+// WriteU64GPA stores one 64-bit word; a page-crossing word translates
+// both pages before it writes either (see ReadU64GPA).
 func (v *VCPU) WriteU64GPA(gpa mem.GPA, val uint64) error {
 	v.clock.Advance(v.cost.MemAccess)
+	if gpa.Offset() > mem.PageSize-8 {
+		lo, hi, n, err := v.splitWord(gpa, ept.PermWrite)
+		if err != nil {
+			return err
+		}
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], val)
+		if err := v.pm.Write(lo, b[:n]); err != nil {
+			return err
+		}
+		return v.pm.Write(hi, b[n:])
+	}
 	hpa, err := v.translate(gpa, ept.PermWrite)
 	if err != nil {
 		return err
 	}
 	return v.pm.WriteU64(hpa, val)
+}
+
+// splitWord translates both pages of a word at gpa that crosses a page
+// boundary, each for access like any other access (an EPT violation on
+// either exits). The word's first n bytes are at lo, the rest at hi.
+func (v *VCPU) splitWord(gpa mem.GPA, access ept.Perm) (lo, hi mem.HPA, n int, err error) {
+	n = mem.PageSize - int(gpa.Offset())
+	if lo, err = v.translate(gpa, access); err != nil {
+		return 0, 0, 0, err
+	}
+	if hi, err = v.translate(gpa+mem.GPA(n), access); err != nil {
+		return 0, 0, 0, err
+	}
+	return lo, hi, n, nil
 }
 
 // gvaToGPA performs the guest stage of the walk. Guest faults go back to

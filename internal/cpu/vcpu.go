@@ -205,8 +205,10 @@ func (v *VCPU) ID() int { return v.id }
 // Clock returns the vCPU's simulated clock.
 func (v *VCPU) Clock() *simtime.Clock { return v.clock }
 
-// Cost returns the cost model the vCPU charges against.
-func (v *VCPU) Cost() simtime.CostModel { return v.cost }
+// Cost returns the cost model the vCPU charges against. It is the
+// vCPU's own model, returned in place so a hot path reads one field
+// without copying the whole struct; callers must not modify it.
+func (v *VCPU) Cost() *simtime.CostModel { return &v.cost }
 
 // GPT returns the guest page table (guest-managed state).
 func (v *VCPU) GPT() *gpt.Table { return v.gpt }

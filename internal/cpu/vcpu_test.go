@@ -516,3 +516,73 @@ func TestFlushTLBOnSwitch(t *testing.T) {
 		t.Fatalf("tagged TLB lost entries: %d -> %d", before, v2.TLB().Len())
 	}
 }
+
+// TestU64AccessCrossingPageTranslatesBothPages: an 8-byte access in the
+// last 7 bytes of a page reaches into the next guest page, which need not
+// be the next host frame. The tail must go through that page's own
+// translation: into whatever frame it maps, or an EPT violation when it
+// is unmapped — never into the host frame that happens to follow.
+func TestU64AccessCrossingPageTranslatesBothPages(t *testing.T) {
+	v, pm, h := newTestVCPU(t, 64)
+	h.verdict = func(v *VCPU, e *Exit) (Action, uint64, error) { return ActionKill, 0, nil }
+	run, err := pm.AllocFramesContiguous(2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	page0, next := run[0], run[1] // next: the host frame after page 0's
+	const sentinel = 0x5007       // say, a next-level EPT table pointer
+	if err := pm.WriteU64(next.Page(), sentinel); err != nil {
+		t.Fatal(err)
+	}
+	tbl, _ := ept.New(pm)
+	if err := tbl.Map(0, page0.Page(), ept.PermRW); err != nil {
+		t.Fatal(err)
+	}
+	v.SetVMCS(VMCS{EPTP: tbl.Pointer()})
+
+	// Guest page 1 unmapped: the crossing write exits, and the frame
+	// after page 0's keeps its word.
+	val := uint64(0xdeadbeefcafef00d)
+	if err := v.WriteU64GPA(0xffc, val); err == nil {
+		t.Fatal("page-crossing write into an unmapped page succeeded")
+	}
+	if len(h.exits) != 1 || h.exits[0].Reason != ExitEPTViolation || h.exits[0].Violation.Addr != 0x1000 {
+		t.Fatalf("exits %+v, want one EPT violation at 0x1000", h.exits)
+	}
+	if got, _ := pm.ReadU64(next.Page()); got != sentinel {
+		t.Fatalf("next host frame's first word %#x, want %#x: the write spilled past the page", got, sentinel)
+	}
+
+	// Guest page 1 mapped to a distant frame: the word is split between
+	// the two translated frames, and one word access is still charged once.
+	v2, pm2, _ := newTestVCPU(t, 64)
+	run2, _ := pm2.AllocFramesContiguous(2, 1)
+	far2, _ := pm2.AllocFrame()
+	tbl2, _ := ept.New(pm2)
+	if err := tbl2.Map(0, run2[0].Page(), ept.PermRW); err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl2.Map(0x1000, far2.Page(), ept.PermRW); err != nil {
+		t.Fatal(err)
+	}
+	v2.SetVMCS(VMCS{EPTP: tbl2.Pointer()})
+	if err := v2.WriteU64GPA(0xffc, val); err != nil {
+		t.Fatal(err)
+	}
+	start := v2.Clock().Now()
+	if got, err := v2.ReadU64GPA(0xffc); err != nil || got != val {
+		t.Fatalf("read back %#x, %v; want %#x", got, err, val)
+	}
+	if d := v2.Clock().Elapsed(start); d != v2.Cost().MemAccess { // both pages TLB-warm
+		t.Fatalf("crossing read charged %v, want one MemAccess (%v)", d, v2.Cost().MemAccess)
+	}
+	if lo, _ := pm2.ReadU32(run2[0].Page() + 0xffc); lo != uint32(val) {
+		t.Fatalf("low half %#x at the end of page 0's frame", lo)
+	}
+	if hi, _ := pm2.ReadU32(far2.Page()); hi != uint32(val>>32) {
+		t.Fatalf("high half %#x at the start of page 1's frame", hi)
+	}
+	if w, _ := pm2.ReadU64(run2[1].Page()); w != 0 {
+		t.Fatalf("frame after page 0's holds %#x", w)
+	}
+}

@@ -12,6 +12,7 @@ package ept
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"github.com/elisa-go/elisa/internal/mem"
 )
@@ -95,12 +96,64 @@ func (p Pointer) String() string { return fmt.Sprintf("eptp:%#x", uint64(p)) }
 
 // Table is one EPT: a 4-level translation from GPA to HPA. The zero value
 // is not usable; create tables with New.
+//
+// Lookup memoizes the last 4 KiB page it resolved (a page inside a 2 MiB
+// leaf included), so host code that walks one page again and again (a
+// hypercall handler copying through its staging page) pays one walk.
+// Only this package writes table frames, and every mutator — Map, Unmap,
+// Protect, Map2M, Unmap2M, Destroy, and MapRange and MapRange2M through
+// them — drops the memo by bumping gen after its last write. Lookup may
+// run on several goroutines at once and beside a mutator: gen is atomic,
+// and the memo is a seqlock over atomics.
 type Table struct {
 	pm    *mem.PhysMem
 	root  mem.HFN
 	owned []mem.HFN // table frames we allocated, for Destroy
 	count int       // number of mapped leaf pages
+
+	gen  atomic.Uint64 // mutations so far; the memo is valid only at its own gen
+	memo leafMemo
 }
+
+// leafMemo is one resolved 4 KiB page: its frame and permission bits,
+// packed like a leaf entry, as found for gfn at table generation gen.
+// seq is odd while a Lookup fills it; a reader trusts the fields only
+// when seq was even and unchanged across its reads. The zero memo says
+// page 0 is unmapped at generation 0, which holds for a new table.
+type leafMemo struct {
+	seq, gen, gfn, entry atomic.Uint64
+}
+
+// get returns the memoized entry for gfn if it was resolved at
+// generation gen.
+func (m *leafMemo) get(gen, gfn uint64) (uint64, bool) {
+	s := m.seq.Load()
+	if s&1 != 0 {
+		return 0, false
+	}
+	mgen, mgfn, e := m.gen.Load(), m.gfn.Load(), m.entry.Load()
+	if m.seq.Load() != s || mgen != gen || mgfn != gfn {
+		return 0, false
+	}
+	return e, true
+}
+
+// put memoizes an entry resolved at generation gen, unless another
+// Lookup is filling the memo right now.
+func (m *leafMemo) put(gen, gfn, e uint64) {
+	s := m.seq.Load()
+	if s&1 != 0 || !m.seq.CompareAndSwap(s, s+1) {
+		return
+	}
+	m.gen.Store(gen)
+	m.gfn.Store(gfn)
+	m.entry.Store(e)
+	m.seq.Store(s + 2)
+}
+
+// dropMemo invalidates Lookup's memo. Mutators defer it, so it runs
+// after their last table write.
+func (t *Table) dropMemo() { t.gen.Add(1) }
 
 // New allocates an empty EPT whose table pages come from pm.
 func New(pm *mem.PhysMem) (*Table, error) {
@@ -142,6 +195,7 @@ func (t *Table) Map(gpa mem.GPA, hpa mem.HPA, perm Perm) error {
 	if perm == 0 || perm&^PermRWX != 0 {
 		return fmt.Errorf("ept: Map(%v): invalid permissions %#x", gpa, uint8(perm))
 	}
+	defer t.dropMemo()
 	ix := indices(gpa)
 	table := t.root
 	for l := 0; l < levels-1; l++ {
@@ -192,6 +246,7 @@ func (t *Table) MapRange(gpa mem.GPA, frames []mem.HFN, perm Perm) error {
 // Unmap removes the translation for the page containing gpa. Unmapping an
 // unmapped page is an error (it indicates confused bookkeeping in a caller).
 func (t *Table) Unmap(gpa mem.GPA) error {
+	defer t.dropMemo()
 	ea, e, lvl, err := t.walkEntry(gpa)
 	if err != nil {
 		return err
@@ -211,6 +266,7 @@ func (t *Table) Protect(gpa mem.GPA, perm Perm) error {
 	if perm == 0 || perm&^PermRWX != 0 {
 		return fmt.Errorf("ept: Protect(%v): invalid permissions %#x", gpa, uint8(perm))
 	}
+	defer t.dropMemo()
 	ea, e, lvl, err := t.walkEntry(gpa)
 	if err != nil {
 		return err
@@ -269,8 +325,13 @@ func (t *Table) Translate(gpa mem.GPA, access Perm) (mem.HPA, error) {
 
 // Lookup returns the frame translation and permissions for the page
 // containing gpa. perm 0 means unmapped. Errors are internal (physical
-// memory corruption), never violations.
+// memory corruption), never violations. A page looked up again with no
+// mutation in between is answered from the memo (see Table).
 func (t *Table) Lookup(gpa mem.GPA) (mem.HPA, Perm, error) {
+	gen, gfn := t.gen.Load(), uint64(gpa.Frame())
+	if e, ok := t.memo.get(gen, gfn); ok {
+		return mem.HPA(e & frameMask), Perm(e & permMask), nil
+	}
 	_, e, lvl, err := t.walkEntry(gpa)
 	if err != nil {
 		return 0, 0, err
@@ -278,21 +339,26 @@ func (t *Table) Lookup(gpa mem.GPA) (mem.HPA, Perm, error) {
 	if e&permMask == 0 {
 		return 0, 0, nil
 	}
+	var frame mem.HPA
 	switch lvl {
 	case 0:
-		return mem.HPA(e & frameMask), Perm(e & permMask), nil
+		frame = mem.HPA(e & frameMask)
 	case -1:
 		// 2MiB leaf: return the 4KiB page's translation inside it.
 		in := uint64(gpa) % HugePageSize &^ uint64(mem.PageMask)
-		return mem.HPA(e&frameMask) + mem.HPA(in), Perm(e & permMask), nil
+		frame = mem.HPA(e&frameMask) + mem.HPA(in)
 	default:
 		return 0, 0, nil
 	}
+	perm := Perm(e & permMask)
+	t.memo.put(gen, gfn, uint64(frame)|uint64(perm))
+	return frame, perm, nil
 }
 
 // Destroy frees every table frame this EPT allocated. Mapped data frames
 // are not freed; they belong to whoever mapped them.
 func (t *Table) Destroy() error {
+	defer t.dropMemo()
 	for _, f := range t.owned {
 		if err := t.pm.FreeFrame(f); err != nil {
 			return err

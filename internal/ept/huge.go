@@ -30,6 +30,7 @@ func (t *Table) Map2M(gpa mem.GPA, hpa mem.HPA, perm Perm) error {
 	if perm == 0 || perm&^PermRWX != 0 {
 		return fmt.Errorf("ept: Map2M(%v): invalid permissions %#x", gpa, uint8(perm))
 	}
+	defer t.dropMemo()
 	ix := indices(gpa)
 	table := t.root
 	for l := 0; l < pdLevel; l++ {
@@ -70,6 +71,7 @@ func (t *Table) Unmap2M(gpa mem.GPA) error {
 	if uint64(gpa)%HugePageSize != 0 {
 		return fmt.Errorf("ept: Unmap2M(%v): address must be 2MiB-aligned", gpa)
 	}
+	defer t.dropMemo()
 	ix := indices(gpa)
 	table := t.root
 	for l := 0; l < pdLevel; l++ {

@@ -96,8 +96,9 @@ func (h *Hypervisor) Trace() *trace.Buffer { return h.trace }
 // Phys exposes host physical memory (host-side code only).
 func (h *Hypervisor) Phys() *mem.PhysMem { return h.pm }
 
-// Cost returns the machine's cost model.
-func (h *Hypervisor) Cost() simtime.CostModel { return h.cost }
+// Cost returns the machine's cost model, in place (see cpu.VCPU.Cost);
+// callers must not modify it.
+func (h *Hypervisor) Cost() *simtime.CostModel { return &h.cost }
 
 // RegisterHypercall installs a handler for hypercall number nr,
 // returning an error if the number is taken.

@@ -56,7 +56,7 @@ func NewDirectService(h *hv.Hypervisor, l Layout) (*DirectService, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := Format(w, l, h.Cost()); err != nil {
+	if _, err := Format(w, l, *h.Cost()); err != nil {
 		return nil, err
 	}
 	return &DirectService{hv: h, region: region, layout: l}, nil
@@ -82,11 +82,11 @@ func (s *DirectService) NewClient(vm *hv.VM) (*DirectClient, error) {
 	if err != nil {
 		return nil, err
 	}
-	store, err := Open(w, s.hv.Cost())
+	store, err := Open(w, *s.hv.Cost())
 	if err != nil {
 		return nil, err
 	}
-	return &DirectClient{vm: vm, store: store, cost: s.hv.Cost()}, nil
+	return &DirectClient{vm: vm, store: store, cost: *s.hv.Cost()}, nil
 }
 
 // Get implements Client.
@@ -148,7 +148,7 @@ func NewVMCallService(h *hv.Hypervisor, l Layout) (*VMCallService, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := Format(w, l, h.Cost()); err != nil {
+	if _, err := Format(w, l, *h.Cost()); err != nil {
 		return nil, err
 	}
 	s := &VMCallService{hv: h, region: region, layout: l, stores: make(map[int]*Store)}
@@ -177,7 +177,7 @@ func (s *VMCallService) storeFor(vm *hv.VM) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	st, err := Open(w, s.hv.Cost())
+	st, err := Open(w, *s.hv.Cost())
 	if err != nil {
 		return nil, err
 	}
@@ -380,7 +380,7 @@ func NewELISAService(h *hv.Hypervisor, mgr *core.Manager, objName string, l Layo
 	if err != nil {
 		return nil, err
 	}
-	if _, err := Format(w, l, h.Cost()); err != nil {
+	if _, err := Format(w, l, *h.Cost()); err != nil {
 		return nil, err
 	}
 	s := &ELISAService{hv: h, mgr: mgr, obj: obj, layout: l, stores: make(map[storeViewKey]*Store)}
@@ -414,7 +414,7 @@ func (s *ELISAService) storeFor(ctx *core.CallContext) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	st, err := Open(w, s.hv.Cost())
+	st, err := Open(w, *s.hv.Cost())
 	if err != nil {
 		return nil, err
 	}

@@ -80,11 +80,12 @@ func (l Layout) validate() error {
 // time — so it owns the scratch buffers every operation needs and the
 // datapath makes no heap allocation per op.
 type Store struct {
-	w    shm.Window
-	l    Layout
-	cost simtime.CostModel
-	lock *shm.Spinlock
-	seq  *shm.Seqlock
+	w       shm.Window
+	charger shm.Charger // w's clock for non-copy work, resolved once; nil: w keeps none
+	l       Layout
+	cost    simtime.CostModel
+	lock    *shm.Spinlock
+	seq     *shm.Seqlock
 
 	probeKey []byte // probe: the inspected bucket's key (KeySize)
 	keyPad   []byte // the operation's key, zero-padded to KeySize
@@ -166,8 +167,9 @@ func newStore(w shm.Window, l Layout, cost simtime.CostModel) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
+	charger, _ := w.(shm.Charger)
 	return &Store{
-		w: w, l: l, cost: cost, lock: lock, seq: seq,
+		w: w, charger: charger, l: l, cost: cost, lock: lock, seq: seq,
 		probeKey: make([]byte, l.KeySize),
 		keyPad:   make([]byte, l.KeySize),
 		valPad:   make([]byte, l.ValSize),
@@ -189,9 +191,16 @@ func (s *Store) Count() (int, error) {
 	return int(v), err
 }
 
+// charge bills d to the window's clock, when it keeps one.
+func (s *Store) charge(d simtime.Duration) {
+	if s.charger != nil {
+		s.charger.Charge(d)
+	}
+}
+
 // hash is FNV-1a 64; its compute cost is charged to the accessor.
 func (s *Store) hash(key []byte) uint64 {
-	shm.ChargeTo(s.w, simtime.Duration(4+len(key)/8)*s.cost.Instruction)
+	s.charge(simtime.Duration(4+len(key)/8) * s.cost.Instruction)
 	h := uint64(14695981039346656037)
 	for _, b := range key {
 		h ^= uint64(b)
@@ -222,7 +231,7 @@ func (s *Store) probe(key []byte) (off int, found bool, insertOff int, err error
 	clear(padded[copy(padded, key):])
 	for i := 0; i < s.l.Buckets; i++ {
 		bOff := s.bucketOff(h + uint64(i))
-		shm.ChargeTo(s.w, s.cost.DRAMAccess)
+		s.charge(s.cost.DRAMAccess)
 		state, err := s.w.ReadU64(bOff)
 		if err != nil {
 			return 0, false, -1, err
@@ -271,7 +280,7 @@ func (s *Store) Get(key, val []byte) (bool, error) {
 		if !ok {
 			return nil
 		}
-		shm.ChargeTo(s.w, s.cost.DRAMAccess)
+		s.charge(s.cost.DRAMAccess)
 		return s.w.Read(off+8+align8(s.l.KeySize), val[:s.l.ValSize])
 	})
 	return found, err
@@ -295,13 +304,13 @@ func (s *Store) Put(key, val []byte) error {
 		vpadded := s.valPad
 		clear(vpadded[copy(vpadded, val):])
 		if found {
-			shm.ChargeTo(s.w, s.cost.DRAMAccess)
+			s.charge(s.cost.DRAMAccess)
 			return s.w.Write(off+8+align8(s.l.KeySize), vpadded)
 		}
 		if insertOff < 0 {
 			return fmt.Errorf("kvs: table full (%d buckets)", s.l.Buckets)
 		}
-		shm.ChargeTo(s.w, s.cost.DRAMAccess)
+		s.charge(s.cost.DRAMAccess)
 		if err := s.w.Write(insertOff+8, s.keyPad); err != nil {
 			return err
 		}

@@ -26,7 +26,7 @@ func hostStore(t *testing.T, l Layout) *Store {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := Format(w, l, h.Cost())
+	s, err := Format(w, l, *h.Cost())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,14 +171,14 @@ func TestOpenSharesState(t *testing.T) {
 	h, _ := hv.New(hv.Config{PhysBytes: 32 * 1024 * 1024})
 	r, _ := h.AllocHostRegion(testLayout.Bytes())
 	w1, _ := shm.NewHostWindow(r, nil)
-	s1, err := Format(w1, testLayout, h.Cost())
+	s1, err := Format(w1, testLayout, *h.Cost())
 	if err != nil {
 		t.Fatal(err)
 	}
 	_ = s1.Put([]byte("shared"), []byte("bytes"))
 
 	w2, _ := shm.NewHostWindow(r, nil)
-	s2, err := Open(w2, h.Cost())
+	s2, err := Open(w2, *h.Cost())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestOpenRejectsGarbage(t *testing.T) {
 	h, _ := hv.New(hv.Config{PhysBytes: 8 * 1024 * 1024})
 	r, _ := h.AllocHostRegion(mem.PageSize)
 	w, _ := shm.NewHostWindow(r, nil)
-	if _, err := Open(w, h.Cost()); err == nil {
+	if _, err := Open(w, *h.Cost()); err == nil {
 		t.Fatal("opened store in zeroed memory")
 	}
 }
@@ -205,7 +205,7 @@ func TestFormatTooSmall(t *testing.T) {
 	h, _ := hv.New(hv.Config{PhysBytes: 8 * 1024 * 1024})
 	r, _ := h.AllocHostRegion(mem.PageSize)
 	w, _ := shm.NewHostWindow(r, nil)
-	if _, err := Format(w, Layout{Buckets: 1024, KeySize: 32, ValSize: 512}, h.Cost()); err == nil {
+	if _, err := Format(w, Layout{Buckets: 1024, KeySize: 32, ValSize: 512}, *h.Cost()); err == nil {
 		t.Fatal("formatted a table bigger than its window")
 	}
 }
@@ -261,7 +261,7 @@ func TestGetCostsRealTime(t *testing.T) {
 	r, _ := h.AllocHostRegion(testLayout.Bytes())
 	clk := simtime.NewClock()
 	w, _ := shm.NewHostWindow(r, clk)
-	s, _ := Format(w, testLayout, h.Cost())
+	s, _ := Format(w, testLayout, *h.Cost())
 	_ = s.Put([]byte("k"), []byte("v"))
 	before := clk.Now()
 	buf := make([]byte, testLayout.ValSize)

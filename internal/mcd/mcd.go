@@ -59,7 +59,7 @@ func CalibrateService(scheme string) (simtime.Duration, error) {
 	if err != nil {
 		return 0, err
 	}
-	store, err := kvs.Format(w, serverStore, v.Cost())
+	store, err := kvs.Format(w, serverStore, *v.Cost())
 	if err != nil {
 		return 0, err
 	}

@@ -9,6 +9,7 @@ import (
 	"github.com/elisa-go/elisa/internal/core"
 	"github.com/elisa-go/elisa/internal/cpu"
 	"github.com/elisa-go/elisa/internal/des"
+	"github.com/elisa-go/elisa/internal/ept"
 	"github.com/elisa-go/elisa/internal/fleet"
 	"github.com/elisa-go/elisa/internal/hv"
 	"github.com/elisa-go/elisa/internal/mem"
@@ -666,6 +667,58 @@ func prepareDESStep(quick bool) (func() (int64, simtime.Duration, error), error)
 	return run, nil
 }
 
+// prepareTLBWalk is the ept/TLB layer alone: one guest loads one word
+// per page, first over a working set the TLB holds (every load a hit),
+// then over a disjoint one four times larger that overflows it (every
+// load a miss and a four-level EPT walk).
+func prepareTLBWalk(quick bool) (func() (int64, simtime.Duration, error), error) {
+	const hot = ept.DefaultTLBCapacity * 2 / 3 // 1024 pages
+	const cold = 4 * hot
+	h, err := hv.New(hv.Config{PhysBytes: 64 * 1024 * 1024})
+	if err != nil {
+		return nil, err
+	}
+	vm, err := h.CreateVM("tlb-guest", (hot+cold)*mem.PageSize)
+	if err != nil {
+		return nil, err
+	}
+	v := vm.VCPU()
+	walk := func(first, pages int) error {
+		for p := first; p < first+pages; p++ {
+			if _, err := v.ReadU64GPA(mem.GPA(p * mem.PageSize)); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	// One overflowing pass grows the TLB's eviction ring to its steady
+	// size, so the measured runs allocate nothing.
+	if err := walk(hot, cold); err != nil {
+		return nil, err
+	}
+	passes := scale(quick, 20, 2)
+	return func() (int64, simtime.Duration, error) {
+		// Start every run from the same TLB: the hot set, loaded
+		// before the measured span.
+		v.TLB().Flush()
+		if err := walk(0, hot); err != nil {
+			return 0, 0, err
+		}
+		start := v.Clock().Now()
+		for i := 0; i < passes; i++ {
+			if err := walk(0, hot); err != nil {
+				return 0, 0, err
+			}
+		}
+		for i := 0; i < passes; i++ {
+			if err := walk(hot, cold); err != nil {
+				return 0, 0, err
+			}
+		}
+		return int64(passes * (hot + cold)), v.Clock().Elapsed(start), nil
+	}, nil
+}
+
 // Kernels returns the bench-kernel registry in snapshot order.
 func Kernels() []Kernel {
 	return []Kernel{
@@ -680,6 +733,7 @@ func Kernels() []Kernel {
 		{ID: "cluster_route", Title: "routed calls + 4-shard CallMulti fan-out", Prepare: prepareClusterRoute},
 		{ID: "rebalance_converge", Title: "auto-rebalancer convergence on the committed skewed trace", Prepare: prepareRebalanceConverge},
 		{ID: "des_step", Title: "event core alone: pulled arrivals and heap completions, 16 servers", Prepare: prepareDESStep},
+		{ID: "tlb_walk", Title: "one word per page: a TLB-resident set, then a 4x set of EPT walks", Prepare: prepareTLBWalk},
 	}
 }
 

@@ -202,10 +202,3 @@ func (s *SubWindow) Charge(d simtime.Duration) {
 		c.Charge(d)
 	}
 }
-
-// ChargeTo charges d to w if it supports accounting; no-op otherwise.
-func ChargeTo(w Window, d simtime.Duration) {
-	if c, ok := w.(Charger); ok {
-		c.Charge(d)
-	}
-}

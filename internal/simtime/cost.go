@@ -124,7 +124,10 @@ func (m CostModel) ELISARoundTrip() Duration {
 }
 
 // CopyCost is the simulated cost of copying n bytes (whole cache lines).
-func (m CostModel) CopyCost(n int) Duration {
+// Unlike the round-trip helpers above, which callers evaluate once on a
+// DefaultCostModel() value, it has a pointer receiver: every simulated
+// copy calls it, and a value receiver copies the whole model per call.
+func (m *CostModel) CopyCost(n int) Duration {
 	if n <= 0 {
 		return 0
 	}

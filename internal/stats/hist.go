@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
 
 	"github.com/elisa-go/elisa/internal/simtime"
 )
@@ -17,9 +16,14 @@ import (
 // bucketed with ~4.6% relative error at the default resolution (16
 // sub-buckets per octave), which is plenty for p50/p99 comparisons while
 // staying allocation-free per record.
+//
+// Counts live in a dense slice indexed by bucket, covering every int64
+// in 63 octaves. It is allocated whole on the first observation, so a
+// histogram allocates once however its values spread, and Percentile
+// walks the buckets in order with no sort.
 type Histogram struct {
-	buckets map[int]int64
-	sub     int // sub-buckets per octave (the bucket layout)
+	buckets []int64 // nil until the first observation; then numBuckets(sub) long
+	sub     int     // sub-buckets per octave (the bucket layout)
 	count   int64
 	sum     int64
 	min     int64
@@ -40,7 +44,19 @@ func NewHistogramRes(sub int) *Histogram {
 	if sub < 1 {
 		sub = 1
 	}
-	return &Histogram{buckets: make(map[int]int64), sub: sub, min: math.MaxInt64}
+	return &Histogram{sub: sub, min: math.MaxInt64}
+}
+
+// numBuckets is the length of a dense bucket slice at sub sub-buckets per
+// octave: bucketOf maps the largest int64 (octave 62) to 63·sub − 1.
+func numBuckets(sub int) int { return 63 * sub }
+
+// counts returns h's bucket slice, allocating it on first use.
+func (h *Histogram) counts() []int64 {
+	if h.buckets == nil {
+		h.buckets = make([]int64, numBuckets(h.sub))
+	}
+	return h.buckets
 }
 
 // Resolution returns the histogram's sub-buckets per octave.
@@ -74,7 +90,7 @@ func (h *Histogram) Record(v int64) {
 	if v < 0 {
 		v = 0
 	}
-	h.buckets[h.bucketOf(v)]++
+	h.counts()[h.bucketOf(v)]++
 	h.count++
 	h.sum += v
 	if v < h.min {
@@ -130,16 +146,11 @@ func (h *Histogram) Percentile(q float64) int64 {
 	if target < 1 {
 		target = 1
 	}
-	keys := make([]int, 0, len(h.buckets))
-	for k := range h.buckets {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
 	var seen int64
-	for _, k := range keys {
-		seen += h.buckets[k]
+	for b, n := range h.buckets {
+		seen += n
 		if seen >= target {
-			return h.bucketLow(k)
+			return h.bucketLow(b)
 		}
 	}
 	return h.max
@@ -158,14 +169,15 @@ func (h *Histogram) Merge(other *Histogram) {
 	if other == nil || other.count == 0 {
 		return
 	}
-	if other.sub == h.sub {
-		for b, n := range other.buckets {
-			h.buckets[b] += n
+	counts := h.counts()
+	for b, n := range other.buckets {
+		if n == 0 {
+			continue
 		}
-	} else {
-		for b, n := range other.buckets {
-			h.buckets[h.bucketOf(other.bucketLow(b))] += n
+		if other.sub != h.sub {
+			b = h.bucketOf(other.bucketLow(b))
 		}
+		counts[b] += n
 	}
 	h.count += other.count
 	h.sum += other.sum
@@ -186,7 +198,7 @@ func (h *Histogram) Clone() *Histogram {
 }
 
 // Reset discards every observation, returning the histogram to its
-// freshly-constructed state (the backing bucket map is retained).
+// freshly-constructed state (the bucket slice is retained).
 func (h *Histogram) Reset() {
 	clear(h.buckets)
 	h.count = 0

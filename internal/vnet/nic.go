@@ -68,7 +68,7 @@ func NewNICOnWire(h *hv.Hypervisor, w *Wire) (*NIC, error) {
 	if w == nil {
 		w = &Wire{}
 	}
-	n := &NIC{hv: h, cost: h.Cost(), wire: w}
+	n := &NIC{hv: h, cost: *h.Cost(), wire: w}
 	var err error
 	if n.rxRegion, err = h.AllocHostRegion(shm.RingBytes(RingSlots, SlotBytes)); err != nil {
 		return nil, err

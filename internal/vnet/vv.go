@@ -577,7 +577,7 @@ type SRIOVVVPath struct {
 
 // NewSRIOVVVPath allocates per-VF rings and the hairpin plumbing.
 func NewSRIOVVVPath(h *hv.Hypervisor, a, b *hv.VM) (*SRIOVVVPath, error) {
-	p := &SRIOVVVPath{h: h, a: a, b: b, cost: h.Cost()}
+	p := &SRIOVVVPath{h: h, a: a, b: b, cost: *h.Cost()}
 	build := func(vm *hv.VM) (guest, dev *shm.Ring, err error) {
 		region, devRing, err := newVVRing(h)
 		if err != nil {

@@ -105,3 +105,116 @@ func TestWorkloadZipfSingleKey(t *testing.T) {
 		}
 	}
 }
+
+// refAt is the Gray et al. draw as Zipf computed it before the
+// breakpoint table: the reference the table must reproduce bit for bit.
+func refAt(z *Zipf, u float64) int {
+	uz := u * z.zetan
+	if uz < 1 {
+		return 0
+	}
+	if uz < 1+z.half {
+		return 1
+	}
+	return refKey(z, z.eta*u-z.eta+1)
+}
+
+// refKey is refAt's key expression for a given b.
+func refKey(z *Zipf, b float64) int {
+	k := int(z.n * math.Pow(b, z.alpha))
+	if k < 0 {
+		k = 0
+	}
+	if k > z.max {
+		k = z.max
+	}
+	return k
+}
+
+// zipfGrid is the (n, s) grid the table is checked on: single-, two- and
+// three-key universes, kv_ycsb's 4096 keys, and skews from mild to the
+// edge of the harmonic singularity.
+var (
+	zipfGridN = []int{1, 2, 3, 16, 1024, 4096, 100000}
+	zipfGridS = []float64{0.2, 0.5, 0.9, 0.99, 0.999}
+)
+
+// TestWorkloadZipfTableMatchesPow draws 2·10^7 keys across the grid and
+// checks each against the math.Pow expression on the same uniform draw.
+func TestWorkloadZipfTableMatchesPow(t *testing.T) {
+	const total = 20_000_000
+	per := total / (len(zipfGridN) * len(zipfGridS))
+	for _, n := range zipfGridN {
+		for _, s := range zipfGridS {
+			z, err := NewZipf(1, n, s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(int64(n) ^ int64(s*1e6)))
+			for i := 0; i < per; i++ {
+				u := rng.Float64()
+				if got, want := z.at(u), refAt(z, u); got != want {
+					t.Fatalf("n=%d s=%v u=%v: table %d, math.Pow %d", n, s, u, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestWorkloadZipfTableAtBreakpoints checks every breakpoint of the
+// grid's n ≤ 20,000 choosers at ±64 ULP, where the table's comparison
+// and the Pow expression round differently; the guard must send each of
+// these b to math.Pow.
+func TestWorkloadZipfTableAtBreakpoints(t *testing.T) {
+	for _, n := range zipfGridN {
+		if n > 20_000 {
+			continue
+		}
+		for _, s := range zipfGridS {
+			z, err := NewZipf(1, n, s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j := 1; j <= n; j++ {
+				lo, hi := z.bp[j], z.bp[j]
+				for i := 0; i <= 64; i++ {
+					for _, b := range []float64{lo, hi} {
+						if got, want := z.key(b), refKey(z, b); got != want {
+							t.Fatalf("n=%d s=%v breakpoint %d, b=%v: table %d, math.Pow %d", n, s, j, b, got, want)
+						}
+					}
+					lo, hi = math.Nextafter(lo, 0), math.Nextafter(hi, 2)
+				}
+			}
+		}
+	}
+}
+
+// FuzzZipf checks the table draw against the math.Pow expression for
+// arbitrary (n, s, u). n is folded into [1, 65536], s into (0, 1) and u
+// into [0, 1).
+func FuzzZipf(f *testing.F) {
+	f.Add(uint16(4095), 0.99, 0.5)
+	f.Add(uint16(4095), 0.2, 0.9993)
+	f.Add(uint16(0), 0.5, 0.25)
+	f.Add(uint16(2), 0.999, 0.999999)
+	f.Fuzz(func(t *testing.T, n16 uint16, s, u float64) {
+		n := int(n16) + 1
+		s = math.Abs(s - math.Trunc(s))
+		u = math.Abs(u - math.Trunc(u))
+		if math.IsNaN(s) || s == 0 || math.IsNaN(u) {
+			return
+		}
+		z, err := NewZipf(1, n, s)
+		if err != nil {
+			t.Fatalf("NewZipf(%d, %v): %v", n, s, err)
+		}
+		if got, want := z.at(u), refAt(z, u); got != want {
+			t.Fatalf("n=%d s=%v u=%v: table %d, math.Pow %d", n, s, u, got, want)
+		}
+		b := z.eta*u - z.eta + 1
+		if got, want := z.key(b), refKey(z, b); got != want {
+			t.Fatalf("n=%d s=%v b=%v: table %d, math.Pow %d", n, s, b, got, want)
+		}
+	})
+}
