@@ -63,11 +63,11 @@ type Fleet struct {
 	c   *Cluster
 	cfg FleetConfig
 
-	scheds      []*fleet.Scheduler // indexed by shard; nil until a tenant lands there
-	admissions  []admission        // global admission order
-	names       []string           // tenant names, parallel to admissions
-	tenantShard map[string]int     // tenant name -> owning shard (trace replay routing)
-	elapsed     simtime.Duration
+	scheds     []*fleet.Scheduler // indexed by shard; nil until a tenant lands there
+	admissions []admission        // global admission order
+	names      []string           // tenant names, parallel to admissions
+	byName     map[string]int     // tenant name -> index into admissions
+	elapsed    simtime.Duration
 
 	// rebalancer support: each tenant's working set and how many tenants
 	// use each object (only exclusively-owned sets may migrate).
@@ -75,11 +75,16 @@ type Fleet struct {
 	objUse        map[string]int
 	reb           *Rebalancer
 
-	// global admission: per-tenant cluster-wide token buckets, and the
-	// absolute-time base of the scheduling window currently running (the
-	// schedulers hand the GlobalAdmit hook window-relative times).
-	global  map[string]*overload.TokenBucket
-	winBase simtime.Duration
+	// global admission: per-tenant cluster-wide token buckets. Each
+	// shard's scheduler resolves a tenant's bucket once, at admission,
+	// and reads it at fleet time: every live scheduler's elapsed time is
+	// the fleet's at each window start (TestFleetSchedulersShareFleetTime).
+	global map[string]*overload.TokenBucket
+
+	// replay scratch, reused from call to call: the trace resolved to
+	// admissions, and each shard's ops for the current window.
+	replayRefs []replayRef
+	perShard   [][]fleet.ReplayOp
 
 	// lane execution: live shards of the current window (scratch, rebuilt
 	// per window) and the cumulative lane-executor counters. Both are
@@ -92,7 +97,18 @@ type Fleet struct {
 // reports list tenants in global admission order regardless of shard.
 type admission struct {
 	shard int
-	idx   int // index within the shard scheduler's own admission order
+	idx   int           // index within the shard scheduler's own admission order
+	t     *fleet.Tenant // the live tenant on that scheduler
+}
+
+// replayRef is one trace event resolved once: its admission (whose
+// entry follows the tenant across migrations) and the handle index of
+// its object.
+type replayRef struct {
+	at  simtime.Time
+	adm int
+	obj int
+	fn  uint64
 }
 
 // NewFleet creates a cluster fleet. It refuses a fleet.Config that
@@ -115,7 +131,7 @@ func (c *Cluster) NewFleet(cfg FleetConfig) (*Fleet, error) {
 		c:             c,
 		cfg:           cfg,
 		scheds:        make([]*fleet.Scheduler, len(c.shards)),
-		tenantShard:   make(map[string]int),
+		byName:        make(map[string]int),
 		tenantObjects: make(map[string][]string),
 		objUse:        make(map[string]int),
 	}
@@ -127,16 +143,10 @@ func (c *Cluster) NewFleet(cfg FleetConfig) (*Fleet, error) {
 			}
 		}
 		// Installed into the per-shard fleet.Config before any scheduler
-		// exists, so every shard shares the same buckets. The hook
-		// translates the scheduler's window-relative clock to fleet time,
-		// so refill tracks the cluster-wide virtual-time frontier.
-		f.cfg.Config.GlobalAdmit = func(now simtime.Time, tenant string, class int) bool {
-			b := f.global[tenant]
-			if b == nil {
-				return true
-			}
-			return b.Allow(now.Add(f.winBase))
-		}
+		// exists, so every shard shares the same buckets; each scheduler
+		// reads a bucket at fleet time, so refill tracks the cluster-wide
+		// virtual-time frontier.
+		f.cfg.Config.GlobalAdmit = func(tenant string) *overload.TokenBucket { return f.global[tenant] }
 	}
 	if cfg.Rebalance {
 		f.reb = newRebalancer(f)
@@ -198,12 +208,13 @@ func (f *Fleet) Admit(spec fleet.TenantSpec) (int, error) {
 		return 0, err
 	}
 	idx := len(s.Snapshot().Tenants)
-	if _, err := s.Admit(spec); err != nil {
+	t, err := s.Admit(spec)
+	if err != nil {
 		return 0, err
 	}
-	f.admissions = append(f.admissions, admission{shard: shard, idx: idx})
+	f.byName[spec.Name] = len(f.admissions)
+	f.admissions = append(f.admissions, admission{shard: shard, idx: idx, t: t})
 	f.names = append(f.names, spec.Name)
-	f.tenantShard[spec.Name] = shard
 	f.tenantObjects[spec.Name] = append([]string(nil), spec.Objects...)
 	for _, obj := range spec.Objects {
 		f.objUse[obj]++
@@ -232,14 +243,23 @@ func (f *Fleet) Run(d simtime.Duration) (*fleet.Report, error) {
 // shard's tenant set, that shard's events, total duration). The same
 // trace through the same tenant placement renders byte-identical merged
 // reports at any shard count whose placement is identical per shard.
-// Events must be time-ordered within [0, d) and name admitted tenants.
+// Events must be time-ordered within [0, d) and name admitted tenants
+// and objects those tenants attached. One pass resolves and checks every
+// event before any shard advances, so a bad event refuses the whole call
+// with its index in the trace and leaves every shard where it was.
 func (f *Fleet) Replay(tr *workload.Trace, d simtime.Duration) (*fleet.Report, error) {
 	if tr == nil {
 		return nil, fmt.Errorf("cluster: fleet replay needs a trace")
 	}
+	refs := f.replayRefs[:0]
 	for i, ev := range tr.Events {
-		if _, ok := f.tenantShard[ev.Tenant]; !ok {
+		adm, ok := f.byName[ev.Tenant]
+		if !ok {
 			return nil, fmt.Errorf("cluster: replay event %d names unadmitted tenant %q", i, ev.Tenant)
+		}
+		obj := f.admissions[adm].t.ObjectIndex(ev.Object)
+		if obj < 0 {
+			return nil, fmt.Errorf("cluster: replay event %d: tenant %q has no attachment for object %q", i, ev.Tenant, ev.Object)
 		}
 		if ev.At < 0 || simtime.Duration(ev.At) >= d {
 			return nil, fmt.Errorf("cluster: replay event %d at %d outside window [0,%d)", i, ev.At, d)
@@ -248,26 +268,32 @@ func (f *Fleet) Replay(tr *workload.Trace, d simtime.Duration) (*fleet.Report, e
 			return nil, fmt.Errorf("cluster: replay event %d at %d is before event %d at %d; events must be in time order",
 				i, ev.At, i-1, tr.Events[i-1].At)
 		}
+		refs = append(refs, replayRef{at: ev.At, adm: adm, obj: obj, fn: ev.Fn})
 	}
-	var perShard [][]workload.Event
-	next := 0 // global cursor into the time-ordered trace
-	// Bucket each window's events by each tenant's *current* shard —
-	// placement can change between windows when the rebalancer is armed,
-	// and an event must land where its tenant lives now. With static
-	// placement the buckets are identical to routing the whole trace up
-	// front, keeping unarmed replays bit-identical.
+	f.replayRefs = refs
+	next := 0 // cursor into the time-ordered trace
+	// Bucket each window's events by each tenant's *current* admission
+	// entry — placement can change between windows when the rebalancer is
+	// armed, and an event must land where its tenant lives now. With
+	// static placement the buckets are identical to routing the whole
+	// trace up front, keeping unarmed replays bit-identical.
 	route := func(off, step simtime.Duration) {
-		perShard = make([][]workload.Event, len(f.scheds))
-		for next < len(tr.Events) && simtime.Duration(tr.Events[next].At) < off+step {
-			ev := tr.Events[next]
-			ev.At -= simtime.Time(off) // shift to window-relative time
-			shard := f.tenantShard[ev.Tenant]
-			perShard[shard] = append(perShard[shard], ev)
+		if len(f.perShard) != len(f.scheds) {
+			f.perShard = make([][]fleet.ReplayOp, len(f.scheds))
+		}
+		for i := range f.perShard {
+			f.perShard[i] = f.perShard[i][:0]
+		}
+		for next < len(refs) && simtime.Duration(refs[next].at) < off+step {
+			r := refs[next]
+			a := f.admissions[r.adm]
+			f.perShard[a.shard] = append(f.perShard[a.shard],
+				fleet.ReplayOp{At: r.at - simtime.Time(off), Tenant: a.t, Obj: r.obj, Fn: r.fn})
 			next++
 		}
 	}
 	return f.windows(d, route, func(shard int, s *fleet.Scheduler, step simtime.Duration) error {
-		_, err := s.Replay(perShard[shard], step)
+		_, err := s.ReplayOps(f.perShard[shard], step)
 		return err
 	})
 }
@@ -293,7 +319,6 @@ func (f *Fleet) windows(d simtime.Duration, prepare func(off, step simtime.Durat
 		if prepare != nil {
 			prepare(done, step)
 		}
-		f.winBase = base + done
 		if err := f.runWindowShards(step, run); err != nil {
 			return nil, err
 		}
@@ -311,14 +336,13 @@ func (f *Fleet) windows(d simtime.Duration, prepare func(off, step simtime.Durat
 // runWindowShards advances every populated shard through one window. Each
 // populated shard is one lane: an independent machine (own hypervisor,
 // manager, clock, RNGs) advancing by the same simulated step, with no
-// cross-shard reads during the window — f.winBase is set before the
-// fan-out and read-only within it. Lanes therefore commute, and
+// cross-shard reads during the window. Lanes therefore commute, and
 // fleet.RunLanes merges them by shard order, so reports are
 // byte-identical at any Parallelism and any GOMAXPROCS.
 //
 // Two configurations do share order-sensitive state across shards:
-// cluster-wide admission buckets (f.global — every shard's GlobalAdmit
-// hook draws tokens from the same buckets) and a decision trace
+// cluster-wide admission buckets (f.global — every shard's scheduler
+// draws tokens from the same buckets) and a decision trace
 // (cfg.Decisions — every shard appends verdicts to one log). Those
 // windows are demoted to serial execution and counted as ForcedSerial;
 // correctness always wins over wall-clock.
@@ -358,8 +382,11 @@ func (f *Fleet) runWindowShards(step simtime.Duration, run func(int, *fleet.Sche
 // TenantShard returns the shard an admitted tenant runs on now (the
 // rebalancer may have moved it since admission).
 func (f *Fleet) TenantShard(name string) (int, bool) {
-	s, ok := f.tenantShard[name]
-	return s, ok
+	i, ok := f.byName[name]
+	if !ok {
+		return 0, false
+	}
+	return f.admissions[i].shard, true
 }
 
 // LaneStats returns the cumulative lane-executor counters: how many

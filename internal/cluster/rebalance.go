@@ -212,14 +212,17 @@ func (r *Rebalancer) tick(now simtime.Duration) error {
 			At: now, Tenant: pick.name, From: hot, To: cold,
 			Load: pick.load, Imbalance: imb, Moved: true, Note: "migrated",
 		})
-		if f.cfg.Decisions != nil {
-			f.cfg.Decisions.Record(simtime.Time(now), pick.name, overload.VerdictRebalance, pick.class,
-				fmt.Sprintf("shard %d -> %d", hot, cold))
+		// A rebalance is off the per-op path: its names and notes are
+		// interned here, once per move.
+		if dec := f.cfg.Decisions; dec != nil {
+			dec.Record(simtime.Time(now), dec.Tenant(pick.name), overload.VerdictRebalance, pick.class,
+				dec.Note(fmt.Sprintf("shard %d -> %d", hot, cold)))
 		}
 		if recs := [2]*obs.Recorder{f.c.shards[hot].mgr.Recorder(), f.c.shards[cold].mgr.Recorder()}; recs[0] != nil || recs[1] != nil {
 			note := fmt.Sprintf("shard %d -> %d, load %d, imbalance %.2f", hot, cold, pick.load, imb)
 			for _, rec := range recs {
-				rec.Causal().Event(obs.RingEvent{Kind: obs.EvRebalance, Time: simtime.Time(now), Guest: pick.name, Note: note})
+				log := rec.Causal()
+				log.Emit(obs.Record{Kind: obs.EvRebalance, Time: simtime.Time(now), Subject: log.Subject(pick.name, ""), Note: log.Note(note)})
 			}
 		}
 		loads[hot] -= pick.load
@@ -259,10 +262,11 @@ func (f *Fleet) exclusiveObjects(name string) bool {
 // preserved: the tenant's admissions entry is repointed at the adopting
 // scheduler, so merged reports read one continuous tenant.
 func (f *Fleet) migrateTenant(name string, dst int) error {
-	src, ok := f.tenantShard[name]
+	i, ok := f.byName[name]
 	if !ok {
 		return fmt.Errorf("cluster: migrate %q: not admitted", name)
 	}
+	src := f.admissions[i].shard
 	if src == dst {
 		return fmt.Errorf("cluster: migrate %q: already on shard %d", name, dst)
 	}
@@ -285,16 +289,11 @@ func (f *Fleet) migrateTenant(name string, dst int) error {
 	// fleet's elapsed time, not the destination's.
 	ds.AlignElapsed(ss.Elapsed())
 	idx := len(ds.Snapshot().Tenants)
-	if _, err := ds.Adopt(st); err != nil {
+	t, err := ds.Adopt(st)
+	if err != nil {
 		return err
 	}
-	for i, n := range f.names {
-		if n == name {
-			f.admissions[i] = admission{shard: dst, idx: idx}
-			break
-		}
-	}
-	f.tenantShard[name] = dst
+	f.admissions[i] = admission{shard: dst, idx: idx, t: t}
 	f.c.rebalances++
 	return nil
 }

@@ -225,7 +225,7 @@ func TestEvictAdoptCarriesState(t *testing.T) {
 	if err := f.migrateTenant("rb-b", 2); err != nil {
 		t.Fatal(err)
 	}
-	if got := f.tenantShard["rb-b"]; got != 2 {
+	if got, _ := f.TenantShard("rb-b"); got != 2 {
 		t.Fatalf("rb-b on shard %d after migration, want 2", got)
 	}
 	if got := c.Owner("rb-obj-b"); got != 2 {
@@ -347,5 +347,48 @@ func TestRebalanceGlobalAdmissionCap(t *testing.T) {
 	}
 	if gb != totThrottled {
 		t.Errorf("decision trace logged %d global-bucket throttles, reports count %d", gb, totThrottled)
+	}
+}
+
+// TestFleetSchedulersShareFleetTime pins what the cluster-wide
+// admission buckets rely on: at the start of every window, every live
+// shard scheduler's elapsed time equals the fleet's, including a
+// scheduler first created mid-call by a migration to an empty shard.
+// Each scheduler reads a tenant's global bucket at its own window base,
+// so this equality is what keeps one bucket on one clock.
+func TestFleetSchedulersShareFleetTime(t *testing.T) {
+	global := map[string]float64{"rb-a": 800_000, "rb-b": 800_000}
+	c, f := skewedCluster(t, 4, true, true, nil, global)
+	checked := 0
+	for call := 0; call < 3; call++ {
+		base := f.elapsed
+		var start simtime.Duration
+		_, err := f.windows(workload.RebalanceHorizon/3, func(off, _ simtime.Duration) { start = base + off },
+			func(shard int, s *fleet.Scheduler, step simtime.Duration) error {
+				if got := s.Elapsed(); got != start {
+					t.Errorf("call %d: shard %d scheduler at %v at a window starting at fleet time %v", call, shard, got, start)
+				}
+				checked++
+				_, err := s.Run(step)
+				return err
+			})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if c.Stats().Rebalances == 0 {
+		t.Fatal("no migration ran; the check needs a scheduler created mid-call")
+	}
+	live := 0
+	for _, s := range f.scheds {
+		if s != nil {
+			live++
+			if s.Elapsed() != f.elapsed {
+				t.Errorf("scheduler at %v after the calls, fleet at %v", s.Elapsed(), f.elapsed)
+			}
+		}
+	}
+	if live < 2 || checked == 0 {
+		t.Fatalf("%d live schedulers, %d lane windows checked", live, checked)
 	}
 }

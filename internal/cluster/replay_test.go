@@ -300,3 +300,41 @@ func TestDecisionTalliesEqualCounters(t *testing.T) {
 		requireVerdicts(t, seen, append(arrivalVerdicts, overload.VerdictRebalance))
 	})
 }
+
+// TestReplayClusterRefusesUnknownObjectUpFront: an event naming an
+// object its tenant never attached refuses the whole call before any
+// shard advances, and the error names the event's index in the trace —
+// not its index inside some window, found after earlier windows ran.
+func TestReplayClusterRefusesUnknownObjectUpFront(t *testing.T) {
+	tr, err := workload.RegressionTrace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	evs := append([]workload.Event(nil), tr.Events...)
+	last := len(evs) - 1
+	evs[last].Object = "no-such-object"
+	f := replayCluster(t, 1, nil)
+	_, err = f.Replay(&workload.Trace{Events: evs}, workload.RegressionHorizon)
+	if err == nil {
+		t.Fatal("replay accepted an event on an unattached object")
+	}
+	if want := fmt.Sprintf("event %d: tenant %q has no attachment for object %q", last, evs[last].Tenant, "no-such-object"); !strings.Contains(err.Error(), want) {
+		t.Fatalf("error %q does not name %q", err, want)
+	}
+	if got := f.Scheduler(0).Elapsed(); got != 0 {
+		t.Fatalf("shard 0 advanced %v before the refusal", got)
+	}
+	rep := f.Snapshot()
+	if rep.Duration != 0 {
+		t.Fatalf("fleet advanced %v", rep.Duration)
+	}
+	for _, tr := range rep.Tenants {
+		if tr.Submitted != 0 {
+			t.Fatalf("tenant %q submitted %d ops before the refusal", tr.Name, tr.Submitted)
+		}
+	}
+	// The refused call left nothing half done: the intact trace replays.
+	if _, err := f.Replay(tr, workload.RegressionHorizon); err != nil {
+		t.Fatalf("intact replay after the refusal: %v", err)
+	}
+}

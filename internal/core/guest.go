@@ -85,6 +85,10 @@ type Handle struct {
 	// the (heap-resident) scratch context would force a heap allocation on
 	// every recorded call.
 	exch simtime.Duration
+
+	// lat is the flight recorder's latency series this handle last
+	// recorded into (see latency).
+	lat latencySeries
 }
 
 // ObjectSize returns the attached object's size in bytes.
@@ -464,7 +468,7 @@ func (h *Handle) recordSpan(c *crossing, errFlag bool, tFn, end simtime.Time) {
 	sp.Phases[obs.PhaseExchange] = h.exch
 	sp.Phases[obs.PhaseReturn] = end.Sub(tFn)
 	if c.call {
-		c.rec.RecordLatency(sp.Guest, sp.Object, sp.Fn, sp.Total())
+		h.latency(c.rec, sp.Fn).RecordDuration(sp.Total())
 	}
 	c.rec.Record(sp)
 }
@@ -642,7 +646,7 @@ func (h *Handle) CallMulti(v *cpu.VCPU, reqs []Req) error {
 		if c.rec != nil {
 			// Per-request latency excludes the amortised gate crossing:
 			// it is the in-sub-context service time of this one request.
-			c.rec.RecordLatency(h.g.vm.Name(), h.objName, reqs[i].Fn, v.Clock().Elapsed(reqStart))
+			h.latency(c.rec, reqs[i].Fn).RecordDuration(v.Clock().Elapsed(reqStart))
 		}
 	}
 	return h.leave(v, &c, anyErr)

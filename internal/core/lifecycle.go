@@ -29,7 +29,7 @@ func (m *Manager) CleanupGuest(guest *hv.VM) error {
 	return err
 }
 
-func (m *Manager) cleanupGuestLocked(guest *hv.VM) ([]*hv.HostRegion, error) {
+func (m *Manager) cleanupGuestLocked(guest *hv.VM) ([]*ringState, error) {
 	gs := m.guest(guest.ID())
 	if gs == nil {
 		return nil, fmt.Errorf("core: guest %q has no ELISA state", guest.Name())
@@ -56,7 +56,7 @@ func (m *Manager) cleanupGuestLocked(guest *hv.VM) ([]*hv.HostRegion, error) {
 // run must hand the same frames to the next allocation. The returned
 // ring regions go to releaseRings once m.mu is dropped; what names the
 // caller in errors.
-func (m *Manager) teardownLocked(gs *guestState, what string) (rings []*hv.HostRegion, err error) {
+func (m *Manager) teardownLocked(gs *guestState, what string) (rings []*ringState, err error) {
 	// One bump covers every revocation, ring detach and the state's
 	// deletion below: a DrainRings pass reads gen under m.mu, so it never
 	// sees this teardown half done, even one that fails part way.
@@ -106,7 +106,7 @@ func (m *Manager) teardownLocked(gs *guestState, what string) (rings []*hv.HostR
 // releaseGuestBuffersLocked takes an attachment's guest-visible buffers
 // out of the guest's default context and releases them: the exchange
 // buffer's frames now, the ring's appended to rings for releaseRings.
-func releaseGuestBuffersLocked(a *Attachment, rings []*hv.HostRegion) ([]*hv.HostRegion, error) {
+func releaseGuestBuffersLocked(a *Attachment, rings []*ringState) ([]*ringState, error) {
 	if err := unmapDefault(a.guest, a.exchangeGPA, a.exchange.Pages()); err != nil {
 		return rings, fmt.Errorf("exchange: %w", err)
 	}

@@ -97,7 +97,7 @@ func (m *Manager) RecoverGuest(guest *hv.VM) (midGate bool, err error) {
 	return midGate, err
 }
 
-func (m *Manager) recoverGuestLocked(guest *hv.VM) (midGate bool, rings []*hv.HostRegion, err error) {
+func (m *Manager) recoverGuestLocked(guest *hv.VM) (midGate bool, rings []*ringState, err error) {
 	gs := m.guest(guest.ID())
 	if gs == nil {
 		return false, nil, fmt.Errorf("core: guest %q has no ELISA state to recover", guest.Name())

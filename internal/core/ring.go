@@ -85,6 +85,13 @@ type ringState struct {
 	gpa    mem.GPA        // guest-visible base (default ctx and sub ctx)
 	depth  int
 
+	// guest and object name the attachment, resolved once at setup for
+	// the flight recorder's series and causal subject.
+	guest, object string
+	// causal is the manager side's causal subject (poller drains, trims,
+	// failures), used under drainMu.
+	causal causalSubject
+
 	// host is the manager poller's view (charges the manager clock); free
 	// is a nil-clock view for stats snapshots, which must not perturb
 	// simulated time.
@@ -113,9 +120,12 @@ type ringState struct {
 	// retrying forever against an attachment that can never serve it.
 	dead atomic.Bool
 
-	// batch-size distribution across both drain sides.
-	batchMu sync.Mutex
-	batch   *stats.Histogram
+	// batch-size distribution across both drain sides, and the
+	// recorder's series for it (resolved under batchMu for batchRec).
+	batchMu     sync.Mutex
+	batch       *stats.Histogram
+	batchRec    *obs.Recorder
+	batchSeries *obs.Series
 
 	// hostCtx is the reusable CallContext for poller-side dispatches of
 	// this ring. invokeHost only runs under drainMu, so steady state never
@@ -125,10 +135,25 @@ type ringState struct {
 	hostCtxBusy bool
 }
 
-func (rs *ringState) recordBatch(n int) {
+// recordBatch adds one drain's batch size to the ring's histogram and,
+// when rec is armed, to rec's ring-batch series for the attachment.
+func (rs *ringState) recordBatch(rec *obs.Recorder, n int) {
 	rs.batchMu.Lock()
 	rs.batch.Record(int64(n))
+	if rec != rs.batchRec {
+		rs.batchRec, rs.batchSeries = rec, rec.RingBatch(rs.guest, rs.object)
+	}
+	bs := rs.batchSeries
 	rs.batchMu.Unlock()
+	bs.Record(int64(n))
+}
+
+// emit offers a manager-side causal event for the ring's attachment.
+// Callers hold drainMu.
+func (rs *ringState) emit(rec *obs.Recorder, r obs.Record) {
+	log, subj := rs.causal.of(rec, rs.guest, rs.object)
+	r.Subject = subj
+	log.Emit(r)
 }
 
 // batchSnapshot returns an independent copy of the batch-size histogram.
@@ -220,6 +245,8 @@ func (m *Manager) hcRingSetup(vm *hv.VM, args [4]uint64) (uint64, error) {
 		region:     region,
 		gpa:        gpa,
 		depth:      depth,
+		guest:      vm.Name(),
+		object:     a.obj.name,
 		host:       host,
 		free:       free,
 		mgrObjGPA:  mgrObjGPA,
@@ -272,6 +299,10 @@ type RingCaller struct {
 	// untraced on the wire).
 	traceBase uint64
 	traceSeq  uint64
+
+	// causal is the guest side's causal subject (submit, flush, poll,
+	// retry, sweep).
+	causal causalSubject
 
 	// Retry state (only maintained when cfg.Retry is enabled): retryQ
 	// mirrors the descriptors in flight in completion order, so a
@@ -356,6 +387,13 @@ func (m *Manager) ringStateFor(vmID, vslot int) *ringState {
 	return a.ring
 }
 
+// emit offers a guest-side causal event for the caller's attachment.
+func (rc *RingCaller) emit(rec *obs.Recorder, r obs.Record) {
+	log, subj := rc.causal.of(rec, rc.h.g.vm.Name(), rc.h.objName)
+	r.Subject = subj
+	log.Emit(r)
+}
+
 // Depth returns the ring's slot count.
 func (rc *RingCaller) Depth() int { return rc.cfg.Depth }
 
@@ -421,8 +459,7 @@ func (rc *RingCaller) SubmitDesc(v *cpu.VCPU, d shm.Desc) (uint64, error) {
 		}
 	}
 	if rec := rc.h.g.mgr.rec; rec != nil {
-		rec.Causal().Event(obs.RingEvent{Trace: d.Trace, Kind: obs.EvSubmit, Time: v.Clock().Now(),
-			Guest: rc.h.g.vm.Name(), Object: rc.h.objName, Fn: d.Fn})
+		rc.emit(rec, obs.Record{Trace: d.Trace, Kind: obs.EvSubmit, Time: v.Clock().Now(), Fn: d.Fn})
 	}
 	if rc.pending == 0 {
 		// Empty -> non-empty: doorbell for the poller, deadline clock for
@@ -527,8 +564,7 @@ func (rc *RingCaller) Flush(v *cpu.VCPU) error {
 	if n > 0 {
 		rs.flushes.Add(1)
 		rs.flushed.Add(uint64(n))
-		rs.recordBatch(n)
-		c.rec.RecordRingBatch(h.g.vm.Name(), h.objName, n)
+		rs.recordBatch(c.rec, n)
 	}
 	c.batch = n // the span counts what ran, not what was queued
 	if err := h.leave(v, &c, false); err != nil {
@@ -568,11 +604,8 @@ func (rc *RingCaller) flushDrain(v *cpu.VCPU, rec *obs.Recorder, tSub simtime.Ti
 		var reqStart simtime.Time
 		if rec != nil {
 			reqStart = v.Clock().Now()
-			clog := rec.Causal()
-			clog.Event(obs.RingEvent{Trace: d.Trace, Kind: obs.EvFlush, Time: tSub,
-				Guest: h.g.vm.Name(), Object: h.objName, Fn: d.Fn})
-			clog.Event(obs.RingEvent{Trace: d.Trace, Kind: obs.EvDrain, Time: reqStart,
-				Guest: h.g.vm.Name(), Object: h.objName, Fn: d.Fn, Note: "gate-flush"})
+			rc.emit(rec, obs.Record{Trace: d.Trace, Kind: obs.EvFlush, Time: tSub, Fn: d.Fn})
+			rc.emit(rec, obs.Record{Trace: d.Trace, Kind: obs.EvDrain, Time: reqStart, Fn: d.Fn, Note: obs.NoteGateFlush})
 		}
 		ret, ferr := mgr.invoke(v, h, d.Fn, d.Args, exchp)
 		if v.Dead() {
@@ -588,13 +621,12 @@ func (rc *RingCaller) flushDrain(v *cpu.VCPU, rec *obs.Recorder, tSub simtime.Ti
 			return firstFn, n, fmt.Errorf("core: ring %q/%q completion queue overflow", h.g.vm.Name(), h.objName)
 		}
 		if rec != nil {
-			rec.RecordLatency(h.g.vm.Name(), h.objName, d.Fn, v.Clock().Elapsed(reqStart))
-			note := ""
+			h.latency(rec, d.Fn).RecordDuration(v.Clock().Elapsed(reqStart))
+			note := obs.NoteNone
 			if ferr != nil {
-				note = "err"
+				note = obs.NoteErr
 			}
-			rec.Causal().Event(obs.RingEvent{Trace: d.Trace, Kind: obs.EvComplete, Time: v.Clock().Now(),
-				Guest: h.g.vm.Name(), Object: h.objName, Fn: d.Fn, Note: note})
+			rc.emit(rec, obs.Record{Trace: d.Trace, Kind: obs.EvComplete, Time: v.Clock().Now(), Fn: d.Fn, Note: note})
 		}
 		n++
 	}
@@ -651,15 +683,14 @@ func (rc *RingCaller) Poll(v *cpu.VCPU, out []shm.Comp) (int, error) {
 			}
 		}
 		if rec != nil && c.Trace != 0 {
-			note := ""
+			note := obs.NoteNone
 			switch c.Status {
 			case shm.CompErr:
-				note = "err"
+				note = obs.NoteErr
 			case shm.CompBusy:
-				note = "busy"
+				note = obs.NoteBusy
 			}
-			rec.Causal().Event(obs.RingEvent{Trace: c.Trace, Kind: obs.EvDeliver, Time: v.Clock().Now(),
-				Guest: rc.h.g.vm.Name(), Object: rc.h.objName, Note: note})
+			rc.emit(rec, obs.Record{Trace: c.Trace, Kind: obs.EvDeliver, Time: v.Clock().Now(), Note: note})
 		}
 		out[n] = c
 		n++
@@ -686,8 +717,7 @@ func (rc *RingCaller) retryBusy(v *cpu.VCPU, ent retryEntry) (shm.Comp, bool, er
 	backoff := overload.Backoff(rc.retryRNG, rc.cfg.Retry.BaseBackoff, rc.cfg.Retry.MaxBackoff, ent.tries)
 	v.Charge(backoff)
 	if rec != nil {
-		rec.Causal().Event(obs.RingEvent{Trace: ent.d.Trace, Kind: obs.EvBackoff, Time: v.Clock().Now(),
-			Guest: rc.h.g.vm.Name(), Object: rc.h.objName, Fn: ent.d.Fn, Dur: backoff})
+		rc.emit(rec, obs.Record{Trace: ent.d.Trace, Kind: obs.EvBackoff, Time: v.Clock().Now(), Fn: ent.d.Fn, Dur: backoff})
 	}
 	ok, err := rc.ring.PushDesc(ent.d)
 	if err != nil {
@@ -708,9 +738,9 @@ func (rc *RingCaller) retryBusy(v *cpu.VCPU, ent retryEntry) (shm.Comp, bool, er
 	rc.retryQ = append(rc.retryQ, ent)
 	rc.rs.retried.Add(1)
 	if rec != nil {
-		rec.Causal().Event(obs.RingEvent{Trace: ent.d.Trace, Kind: obs.EvRetry, Time: v.Clock().Now(),
-			Guest: rc.h.g.vm.Name(), Object: rc.h.objName, Fn: ent.d.Fn,
-			Note: fmt.Sprintf("attempt %d/%d", ent.tries, rc.cfg.Retry.MaxAttempts)})
+		// A retry is off the per-op path: its note is free text, interned.
+		note := rec.Causal().Note(fmt.Sprintf("attempt %d/%d", ent.tries, rc.cfg.Retry.MaxAttempts))
+		rc.emit(rec, obs.Record{Trace: ent.d.Trace, Kind: obs.EvRetry, Time: v.Clock().Now(), Fn: ent.d.Fn, Note: note})
 	}
 	return shm.Comp{}, true, nil
 }
@@ -890,8 +920,7 @@ func (m *Manager) trimRing(a *Attachment, rs *ringState) error {
 			break
 		}
 		if m.rec != nil {
-			m.rec.Causal().Event(obs.RingEvent{Trace: d.Trace, Kind: obs.EvBusy, Time: clk.Now(),
-				Guest: a.guest.Name(), Object: a.obj.name, Fn: d.Fn, Note: "overload-trim"})
+			rs.emit(m.rec, obs.Record{Trace: d.Trace, Kind: obs.EvBusy, Time: clk.Now(), Fn: d.Fn, Note: obs.NoteOverloadTrim})
 		}
 		n++
 	}
@@ -960,8 +989,7 @@ func (m *Manager) drainRing(a *Attachment, rs *ringState, limit int) (int, error
 	if n > 0 {
 		rs.drains.Add(1)
 		rs.drained.Add(uint64(n))
-		rs.recordBatch(n)
-		m.rec.RecordRingBatch(a.guest.Name(), a.obj.name, n)
+		rs.recordBatch(m.rec, n)
 	}
 	return n, nil
 }
@@ -985,8 +1013,7 @@ func (m *Manager) drainRingBody(a *Attachment, rs *ringState, txn *shm.DrainTxn,
 			break
 		}
 		if m.rec != nil {
-			m.rec.Causal().Event(obs.RingEvent{Trace: d.Trace, Kind: obs.EvDrain, Time: clk.Now(),
-				Guest: a.guest.Name(), Object: a.obj.name, Fn: d.Fn, Note: "poller"})
+			rs.emit(m.rec, obs.Record{Trace: d.Trace, Kind: obs.EvDrain, Time: clk.Now(), Fn: d.Fn, Note: obs.NotePoller})
 		}
 		ret, ferr := m.invokeHost(a, rs, d.Fn, d.Args)
 		comp := shm.Comp{Ret: ret, Status: shm.CompOK, Trace: d.Trace}
@@ -999,12 +1026,11 @@ func (m *Manager) drainRingBody(a *Attachment, rs *ringState, txn *shm.DrainTxn,
 			return n, fmt.Errorf("core: ring %q/%q completion queue overflow", a.guest.Name(), a.obj.name)
 		}
 		if m.rec != nil {
-			note := ""
+			note := obs.NoteNone
 			if ferr != nil {
-				note = "err"
+				note = obs.NoteErr
 			}
-			m.rec.Causal().Event(obs.RingEvent{Trace: d.Trace, Kind: obs.EvComplete, Time: clk.Now(),
-				Guest: a.guest.Name(), Object: a.obj.name, Fn: d.Fn, Note: note})
+			rs.emit(m.rec, obs.Record{Trace: d.Trace, Kind: obs.EvComplete, Time: clk.Now(), Fn: d.Fn, Note: note})
 		}
 		n++
 	}
@@ -1071,9 +1097,8 @@ func (m *Manager) failRing(a *Attachment, rs *ringState) {
 	defer rs.drainMu.Unlock()
 	_, _ = rs.host.FailPending(shm.CompErr, func(d shm.Desc) {
 		if m.rec != nil {
-			m.rec.Causal().Event(obs.RingEvent{Trace: d.Trace, Kind: obs.EvFail,
-				Time: m.vm.VCPU().Clock().Now(), Guest: a.guest.Name(), Object: a.obj.name,
-				Fn: d.Fn, Note: "ring-failed"})
+			rs.emit(m.rec, obs.Record{Trace: d.Trace, Kind: obs.EvFail,
+				Time: m.vm.VCPU().Clock().Now(), Fn: d.Fn, Note: obs.NoteRingFailed})
 		}
 		rs.failed.Add(1)
 	})
@@ -1095,42 +1120,40 @@ func (rc *RingCaller) sweepDeadRing() {
 	defer rs.drainMu.Unlock()
 	_, _ = rs.free.FailPending(shm.CompErr, func(d shm.Desc) {
 		if m.rec != nil {
-			m.rec.Causal().Event(obs.RingEvent{Trace: d.Trace, Kind: obs.EvFail,
-				Time: rc.h.g.vm.VCPU().Clock().Now(), Guest: rc.h.g.vm.Name(), Object: rc.h.objName,
-				Fn: d.Fn, Note: "ring-failed-sweep"})
+			rc.emit(m.rec, obs.Record{Trace: d.Trace, Kind: obs.EvFail,
+				Time: rc.h.g.vm.VCPU().Clock().Now(), Fn: d.Fn, Note: obs.NoteRingFailedSweep})
 		}
 		rs.failed.Add(1)
 	})
 }
 
 // releaseRings frees ring backing memory post-mortem. It takes pollMu so
-// a concurrent DrainRings pass can never touch freed frames. MUST be
-// called WITHOUT m.mu held.
-func (m *Manager) releaseRings(regions []*hv.HostRegion) error {
-	if len(regions) == 0 {
+// a concurrent DrainRings pass can never touch freed frames. Causal
+// chains still open on a released ring can never close, so the recorder
+// drops them. MUST be called WITHOUT m.mu held.
+func (m *Manager) releaseRings(rings []*ringState) error {
+	if len(rings) == 0 {
 		return nil
 	}
 	m.pollMu.Lock()
 	defer m.pollMu.Unlock()
-	for _, r := range regions {
-		if err := r.Free(); err != nil {
+	for _, rs := range rings {
+		if err := rs.region.Free(); err != nil {
 			return err
 		}
+		m.rec.Causal().Release(rs.guest, rs.object)
 	}
 	return nil
 }
 
 // detachRingLocked unhooks an attachment's ring for post-mortem release
-// and returns its backing region. Callers hold m.mu; the returned region
-// must be handed to releaseRings after m.mu is dropped.
-func detachRingLocked(a *Attachment) *hv.HostRegion {
-	if a.ring == nil {
-		return nil
-	}
-	a.ring.dead.Store(true)
-	region := a.ring.region
+// and returns it. Callers hold m.mu; the returned ring must be handed to
+// releaseRings after m.mu is dropped.
+func detachRingLocked(a *Attachment) *ringState {
+	rs := a.ring
+	rs.dead.Store(true)
 	a.ring = nil
-	return region
+	return rs
 }
 
 // RingStats is one ring's accounting snapshot (see Manager.RingStats).
@@ -1231,4 +1254,38 @@ func (m *Manager) RingStats() []RingStats {
 		out = append(out, st)
 	}
 	return out
+}
+
+// causalSubject caches one emitter's interned causal-log subject. It
+// re-resolves when the manager's recorder, and so its log, changes, so a
+// recorder set after the emitter exists still attributes.
+type causalSubject struct {
+	log *obs.CausalLog
+	id  obs.SubjectID
+}
+
+// of returns rec's causal log (nil when rec is) and the subject's id in it.
+func (c *causalSubject) of(rec *obs.Recorder, guest, object string) (*obs.CausalLog, obs.SubjectID) {
+	if log := rec.Causal(); log != c.log {
+		c.log, c.id = log, log.Subject(guest, object)
+	}
+	return c.log, c.id
+}
+
+// latencySeries caches one emitter's latency-series handle for the last
+// (recorder, fn) it recorded, re-resolved when either changes.
+type latencySeries struct {
+	rec *obs.Recorder
+	fn  uint64
+	s   *obs.Series
+}
+
+// latency returns rec's latency series for this handle's attachment and
+// fn. Only the handle's own vCPU records through it.
+func (h *Handle) latency(rec *obs.Recorder, fn uint64) *obs.Series {
+	c := &h.lat
+	if rec != c.rec || fn != c.fn || c.s == nil {
+		c.rec, c.fn, c.s = rec, fn, rec.Latency(h.g.vm.Name(), h.objName, fn)
+	}
+	return c.s
 }

@@ -41,7 +41,7 @@ func synthDecisions() *overload.DecisionTrace {
 	d := overload.NewDecisionTrace(0)
 	rec := func(tenant string, v overload.Verdict, class int, n int) {
 		for i := 0; i < n; i++ {
-			d.Record(simtime.Time(i), tenant, v, class, "")
+			d.Record(simtime.Time(i), d.Tenant(tenant), v, class, overload.NoteNone)
 		}
 	}
 	rec("web", overload.VerdictAdmit, 2, 850)

@@ -108,14 +108,16 @@ type Config struct {
 	// observation only: arming it changes no decision.
 	Decisions *overload.DecisionTrace
 
-	// GlobalAdmit, when non-nil, is consulted before every other gate of
-	// the refusal ladder: returning false refuses the arrival (counted as
-	// Throttled, verdict "global-bucket"). The cluster fleet installs one
-	// closure over a per-tenant cluster-wide token bucket on every
-	// shard's scheduler, capping a tenant's aggregate rate regardless of
-	// placement. The hook must be deterministic for same-seed runs; nil
-	// (the default) keeps the ladder bit-identical to the unhooked fleet.
-	GlobalAdmit func(now simtime.Time, tenant string, class int) bool
+	// GlobalAdmit, when non-nil, names a tenant's cluster-wide admission
+	// bucket (nil: the tenant is uncapped). The scheduler resolves it once
+	// per tenant, at Admit and Adopt, and consults the bucket at fleet
+	// time — the run time accumulated before the window plus the window's
+	// clock — before every other gate of the refusal ladder: a refusal
+	// counts as Throttled, verdict "global-bucket". The cluster fleet
+	// installs the same resolver on every shard's scheduler, so a tenant's
+	// aggregate rate is capped regardless of placement. nil (the default)
+	// keeps the ladder bit-identical to the unhooked fleet.
+	GlobalAdmit func(tenant string) *overload.TokenBucket
 
 	// Parallelism bounds how many independent execution lanes a
 	// lane-structured runner may drive on concurrent host goroutines (see
@@ -212,7 +214,6 @@ type Tenant struct {
 	vm      *hv.VM
 	guest   *core.Guest
 	handles []*core.Handle
-	objIdx  map[string]int // object name -> handle index (trace replay)
 	arrival workload.Arrival
 
 	// ring mode (Config.RingDepth > 0): one caller per handle, plus a
@@ -254,11 +255,20 @@ type Tenant struct {
 	migrated bool
 
 	// overload control (nil / zero when the knobs are off): bucket
-	// rate-limits arrivals.
+	// rate-limits arrivals, global is the cluster-wide bucket
+	// Config.GlobalAdmit named at admission.
 	bucket    *overload.TokenBucket
+	global    *overload.TokenBucket
 	throttled uint64 // arrivals refused by the token bucket
 	shed      uint64 // arrivals refused by the load shedder
 	busied    uint64 // ops bounced back CompBusy (retries exhausted)
+
+	// observation ids, resolved once: the decision trace's id for the
+	// tenant (at admission) and its causal subject in the log of clog
+	// (re-resolved when the manager's recorder changes).
+	dec   overload.TenantID
+	clog  *obs.CausalLog
+	csubj obs.SubjectID
 }
 
 // Crashed reports whether the tenant's guest died during a run.
@@ -300,18 +310,49 @@ type Scheduler struct {
 	shedByClass [MaxTenantClasses]uint64
 	shedThresh  int
 
-	// replayOps is Replay's resolved trace, reused from call to call.
-	replayOps []replayOp
+	// replayOps is Replay's resolved trace, reused from call to call, and
+	// byName its tenant table, rebuilt only when admissions change
+	// (byNameOf records the tenant count it was built at).
+	replayOps []ReplayOp
+	byName    map[string]*Tenant
+	byNameOf  int
+
+	// shed notes, interned on first use: the decision trace's per
+	// threshold, and the causal log's per (class, threshold) for the log
+	// of shedLog.
+	shedDec    [MaxTenantClasses]overload.NoteID
+	shedLog    *obs.CausalLog
+	shedCausal [MaxTenantClasses][MaxTenantClasses]obs.NoteID
 }
 
 // causalEvent links one pre-submission overload refusal into the causal
-// log, when a flight recorder is armed. The trace ID is 0: the refused
-// request never became a ring descriptor, so the event is the whole
-// chain.
-func (s *Scheduler) causalEvent(now simtime.Time, tenant string, kind obs.EventKind, note string) {
-	if rec := s.mgr.Recorder(); rec != nil {
-		rec.Causal().Event(obs.RingEvent{Kind: kind, Time: now, Guest: tenant, Note: note})
+// log of rec, when one is armed (rec may be nil). The trace ID is 0: the
+// refused request never became a ring descriptor, so the event is the
+// whole chain.
+func (s *Scheduler) causalEvent(rec *obs.Recorder, now simtime.Time, t *Tenant, kind obs.EventKind, note obs.NoteID) {
+	if log := rec.Causal(); log != t.clog {
+		t.clog, t.csubj = log, log.Subject(t.spec.Name, "")
 	}
+	t.clog.Emit(obs.Record{Kind: kind, Time: now, Subject: t.csubj, Note: note})
+}
+
+// shedNotes returns the interned notes of a shed refusal at the current
+// threshold: the decision trace's and, for log, the causal log's.
+func (s *Scheduler) shedNotes(log *obs.CausalLog, class int) (overload.NoteID, obs.NoteID) {
+	th := s.shedThresh
+	if s.cfg.Decisions != nil && s.shedDec[th] == overload.NoteNone {
+		s.shedDec[th] = s.cfg.Decisions.Note(fmt.Sprintf("threshold %d", th))
+	}
+	if log == nil {
+		return s.shedDec[th], obs.NoteNone
+	}
+	if log != s.shedLog {
+		s.shedLog, s.shedCausal = log, [MaxTenantClasses][MaxTenantClasses]obs.NoteID{}
+	}
+	if s.shedCausal[class][th] == obs.NoteNone {
+		s.shedCausal[class][th] = log.Note(fmt.Sprintf("class %d below threshold %d", class, th))
+	}
+	return s.shedDec[th], s.shedCausal[class][th]
 }
 
 // Validate rejects a config that asks for something the fleet would
@@ -444,8 +485,11 @@ func (s *Scheduler) bootLocked(t *Tenant, verb string) error {
 		return fmt.Errorf("fleet: %s %q: %w", verb, spec.Name, err)
 	}
 	t.vm, t.guest = vm, g
-	t.objIdx = make(map[string]int, len(spec.Objects))
 	t.stride = strideScale / uint64(spec.Weight)
+	t.dec = s.cfg.Decisions.Tenant(spec.Name)
+	if s.cfg.GlobalAdmit != nil {
+		t.global = s.cfg.GlobalAdmit(spec.Name)
+	}
 	ringRetry := s.cfg.RingRetry
 	if ringRetry.MaxAttempts > 0 {
 		ringRetry.Seed += int64(t.index) // distinct deterministic jitter per tenant
@@ -455,7 +499,6 @@ func (s *Scheduler) bootLocked(t *Tenant, verb string) error {
 		if err != nil {
 			return fmt.Errorf("fleet: %s %q attach %q: %w", verb, spec.Name, obj, err)
 		}
-		t.objIdx[obj] = len(t.handles)
 		t.handles = append(t.handles, h)
 		if s.cfg.RingDepth > 0 {
 			rc, err := h.Ring(vm.VCPU(), core.RingConfig{Depth: s.cfg.RingDepth, Deadline: s.cfg.Quantum, Retry: ringRetry})
@@ -506,37 +549,96 @@ func (s *Scheduler) Run(d simtime.Duration) (*Report, error) {
 // committed trace plus its golden report is a whole-scenario regression
 // test. Events must be in time order, land inside [0, d) and name
 // admitted tenants and attached objects; anything else refuses up front.
+// Each event's names are resolved once, against a tenant table the
+// scheduler rebuilds only when admissions change.
 func (s *Scheduler) Replay(events []workload.Event, d simtime.Duration) (*Report, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	byName := make(map[string]*Tenant, len(s.tenants))
-	for _, t := range s.tenants {
-		byName[t.spec.Name] = t
+	if s.byName == nil || s.byNameOf != len(s.tenants) {
+		s.byName = make(map[string]*Tenant, len(s.tenants))
+		for _, t := range s.tenants {
+			s.byName[t.spec.Name] = t
+		}
+		s.byNameOf = len(s.tenants)
 	}
 	ops := s.replayOps[:0]
 	for i, ev := range events {
-		t := byName[ev.Tenant]
+		t := s.byName[ev.Tenant]
 		if t == nil {
 			return nil, fmt.Errorf("fleet: replay event %d names unadmitted tenant %q", i, ev.Tenant)
 		}
 		if t.migrated {
 			return nil, fmt.Errorf("fleet: replay event %d names migrated tenant %q (route it to the adopting scheduler)", i, ev.Tenant)
 		}
-		obj, ok := t.objIdx[ev.Object]
-		if !ok {
+		obj := t.ObjectIndex(ev.Object)
+		if obj < 0 {
 			return nil, fmt.Errorf("fleet: replay event %d: tenant %q has no attachment for object %q", i, ev.Tenant, ev.Object)
 		}
-		if ev.At < 0 || simtime.Duration(ev.At) >= d {
-			return nil, fmt.Errorf("fleet: replay event %d at %d outside window [0,%d)", i, ev.At, d)
+		ops = append(ops, ReplayOp{At: ev.At, Tenant: t, Obj: obj, Fn: ev.Fn})
+		if err := checkReplayTime(ops, i, d); err != nil {
+			return nil, err
 		}
-		if i > 0 && ev.At < events[i-1].At {
-			return nil, fmt.Errorf("fleet: replay event %d at %d is before event %d at %d; events must be in time order",
-				i, ev.At, i-1, events[i-1].At)
-		}
-		ops = append(ops, replayOp{at: simtime.Time(ev.At), tenant: t, obj: obj, fn: ev.Fn})
 	}
 	s.replayOps = ops
 	return s.runLocked(d, true, ops)
+}
+
+// ReplayOp is one trace event resolved to a tenant admitted on the
+// scheduler that replays it and to one of its handles: Obj is the
+// object's position in the tenant's Objects (see Tenant.ObjectIndex).
+type ReplayOp struct {
+	At     simtime.Time
+	Tenant *Tenant
+	Obj    int
+	Fn     uint64
+}
+
+// ReplayOps is Replay for a trace whose names the caller has already
+// resolved (the cluster fleet resolves each event once, for validation
+// and routing together). It refuses, naming the op, a tenant that is not
+// a live tenant of this scheduler, a handle it does not have, and a time
+// outside [0, d) or out of order.
+func (s *Scheduler) ReplayOps(ops []ReplayOp, d simtime.Duration) (*Report, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i, op := range ops {
+		t := op.Tenant
+		if t == nil || t.index >= len(s.tenants) || s.tenants[t.index] != t || t.migrated {
+			return nil, fmt.Errorf("fleet: replay op %d names no live tenant of this scheduler", i)
+		}
+		if op.Obj < 0 || op.Obj >= len(t.handles) {
+			return nil, fmt.Errorf("fleet: replay op %d: tenant %q has no handle %d", i, t.spec.Name, op.Obj)
+		}
+		if err := checkReplayTime(ops, i, d); err != nil {
+			return nil, err
+		}
+	}
+	return s.runLocked(d, true, ops)
+}
+
+// checkReplayTime refuses ops[i] when it lands outside [0, d) or before
+// ops[i-1].
+func checkReplayTime(ops []ReplayOp, i int, d simtime.Duration) error {
+	at := ops[i].At
+	if at < 0 || simtime.Duration(at) >= d {
+		return fmt.Errorf("fleet: replay event %d at %d outside window [0,%d)", i, at, d)
+	}
+	if i > 0 && at < ops[i-1].At {
+		return fmt.Errorf("fleet: replay event %d at %d is before event %d at %d; events must be in time order",
+			i, at, i-1, ops[i-1].At)
+	}
+	return nil
+}
+
+// ObjectIndex returns the position of object in the tenant's Objects —
+// the handle a replayed event on it targets — or -1.
+func (t *Tenant) ObjectIndex(object string) int {
+	for i, o := range t.spec.Objects {
+		if o == object {
+			return i
+		}
+	}
+	return -1
 }
 
 // eventKind is one of the four kinds of event a fleet window runs.
@@ -556,22 +658,13 @@ type event struct {
 	idx  int
 }
 
-// replayOp is one validated trace event, resolved to its tenant and
-// handle index.
-type replayOp struct {
-	at     simtime.Time
-	tenant *Tenant
-	obj    int
-	fn     uint64
-}
-
 // window is the state one Run or Replay call's event loop shares between
 // its events.
 type window struct {
 	s    *Scheduler
 	sim  *des.Sim[event]
 	idle []bool           // per core
-	ops  []replayOp       // the trace, in replay mode
+	ops  []ReplayOp       // the trace, in replay mode
 	base simtime.Duration // fleet time at the window's start
 }
 
@@ -579,7 +672,7 @@ type window struct {
 // tenants' arrival processes self-schedule) and Replay (replay=true: the
 // pre-validated, time-ordered trace is the arrival source). Callers hold
 // s.mu.
-func (s *Scheduler) runLocked(d simtime.Duration, replay bool, ops []replayOp) (*Report, error) {
+func (s *Scheduler) runLocked(d simtime.Duration, replay bool, ops []ReplayOp) (*Report, error) {
 	if d <= 0 {
 		return nil, fmt.Errorf("fleet: run duration %d must be positive", d)
 	}
@@ -603,7 +696,7 @@ func (s *Scheduler) runLocked(d simtime.Duration, replay bool, ops []replayOp) (
 				return 0, event{}, false
 			}
 			next++
-			return ops[next-1].at, event{kind: replayed, idx: next - 1}, true
+			return ops[next-1].At, event{kind: replayed, idx: next - 1}, true
 		})
 	} else {
 		// One self-rescheduling arrival chain per tenant.
@@ -667,10 +760,10 @@ func (w *window) handle(now simtime.Time, ev event) {
 		_ = w.sim.After(t.arrival.NextInterval(), ev)
 	case replayed:
 		op := &w.ops[ev.idx]
-		if op.tenant.crashed {
+		if op.Tenant.crashed {
 			return // arrivals to a dead tenant evaporate
 		}
-		w.admit(op.tenant, now, pendingOp{arrived: now, obj: op.obj, fn: op.fn})
+		w.admit(op.Tenant, now, pendingOp{arrived: now, obj: op.Obj, fn: op.Fn})
 	case pump:
 		s.mgr.PumpFaults(now.Add(w.base))
 		_, _ = s.mgr.FsckRepair()
@@ -789,42 +882,41 @@ func (w *window) dispatch(now simtime.Time) {
 // shedder refuses by fleet-wide occupancy and class, and only then does
 // the bounded queue drop blindly — queueing it and kicking dispatch when
 // every gate passes. Generated and replayed arrivals share this path, so
-// a decision trace covers both identically. Notes are built only when a
-// sink will read them.
+// a decision trace covers both identically. Notes are interned ids; the
+// only one built at emit time is a shed note, once per threshold.
 func (w *window) admit(t *Tenant, now simtime.Time, op pendingOp) {
 	s := w.s
+	dec, rec := s.cfg.Decisions, s.mgr.Recorder()
+	class := int(t.spec.Class)
 	t.submitted++
 	switch {
-	case s.cfg.GlobalAdmit != nil && !s.cfg.GlobalAdmit(now, t.spec.Name, int(t.spec.Class)):
-		// Cluster-wide cap: the outermost gate, so a globally-refused
-		// arrival consumes no per-shard bucket token.
+	case t.global != nil && !t.global.Allow(now.Add(w.base)):
+		// Cluster-wide cap, read at fleet time: the outermost gate, so a
+		// globally-refused arrival consumes no per-shard bucket token.
 		t.throttled++
-		s.cfg.Decisions.Record(now, t.spec.Name, overload.VerdictThrottle, int(t.spec.Class), "global-bucket")
-		s.causalEvent(now, t.spec.Name, obs.EvThrottle, "global-bucket")
+		dec.Record(now, t.dec, overload.VerdictThrottle, class, overload.NoteGlobalBucket)
+		s.causalEvent(rec, now, t, obs.EvThrottle, obs.NoteGlobalBucket)
 	case t.bucket != nil && !t.bucket.Allow(now):
 		t.throttled++
-		s.cfg.Decisions.Record(now, t.spec.Name, overload.VerdictThrottle, int(t.spec.Class), "token-bucket")
-		s.causalEvent(now, t.spec.Name, obs.EvThrottle, "token-bucket")
-	case s.shedder != nil && !s.shedder.Admit(now, s.occupancyLocked(), int(t.spec.Class)):
+		dec.Record(now, t.dec, overload.VerdictThrottle, class, overload.NoteTokenBucket)
+		s.causalEvent(rec, now, t, obs.EvThrottle, obs.NoteTokenBucket)
+	case s.shedder != nil && !s.shedder.Admit(now, s.occupancyLocked(), class):
 		t.shed++
 		s.shedByClass[t.spec.Class]++
-		if s.cfg.Decisions != nil {
-			s.cfg.Decisions.Record(now, t.spec.Name, overload.VerdictShed, int(t.spec.Class),
-				fmt.Sprintf("threshold %d", s.shedThresh))
-		}
-		if s.mgr.Recorder() != nil {
-			s.causalEvent(now, t.spec.Name, obs.EvShed,
-				fmt.Sprintf("class %d below threshold %d", t.spec.Class, s.shedThresh))
+		if dec != nil || rec != nil {
+			dn, cn := s.shedNotes(rec.Causal(), class)
+			dec.Record(now, t.dec, overload.VerdictShed, class, dn)
+			s.causalEvent(rec, now, t, obs.EvShed, cn)
 		}
 	case len(t.queue) >= s.cfg.QueueDepth:
 		t.dropped++
-		s.cfg.Decisions.Record(now, t.spec.Name, overload.VerdictDrop, int(t.spec.Class), "queue-full")
+		dec.Record(now, t.dec, overload.VerdictDrop, class, overload.NoteQueueFull)
 	default:
 		t.queue = append(t.queue, op)
 		if len(t.queue) > t.maxQueue {
 			t.maxQueue = len(t.queue)
 		}
-		s.cfg.Decisions.Record(now, t.spec.Name, overload.VerdictAdmit, int(t.spec.Class), "")
+		dec.Record(now, t.dec, overload.VerdictAdmit, class, overload.NoteNone)
 		w.dispatch(now)
 	}
 }
@@ -871,7 +963,7 @@ func (s *Scheduler) harvestTenant(t *Tenant, now simtime.Time) simtime.Duration 
 				arrived := pend[j]
 				if comps[j].Status == shm.CompBusy {
 					t.busied++
-					s.cfg.Decisions.Record(now, t.spec.Name, overload.VerdictBusy, int(t.spec.Class), "ring-busy")
+					s.cfg.Decisions.Record(now, t.dec, overload.VerdictBusy, int(t.spec.Class), overload.NoteRingBusy)
 					continue
 				}
 				if comps[j].Status != shm.CompOK {

@@ -112,6 +112,32 @@ func (r *HostRegion) ReadU64(clk *simtime.Clock, off int) (uint64, error) {
 	return r.hv.pm.ReadU64(r.frames[off/mem.PageSize].Page() + mem.HPA(off%mem.PageSize))
 }
 
+// ReadU64s loads len(dst) consecutive 8-byte-aligned words starting at
+// off, charging one memory access per word. A block that lies inside one
+// page of a live region is checked once and charged as one advance of
+// len(dst)×MemAccess, which lands the clock where len(dst) single
+// charges would. Anything else (a misaligned or out-of-range offset, a
+// freed region, a block crossing a page) reads word by word through
+// ReadU64, so an error leaves exactly the charges the word-by-word reads
+// made before it.
+func (r *HostRegion) ReadU64s(clk *simtime.Clock, off int, dst []uint64) error {
+	n := 8 * len(dst)
+	if off%8 != 0 || r.freed || off < 0 || off+n > r.size || off%mem.PageSize+n > mem.PageSize {
+		for i := range dst {
+			v, err := r.ReadU64(clk, off+8*i)
+			if err != nil {
+				return err
+			}
+			dst[i] = v
+		}
+		return nil
+	}
+	if clk != nil {
+		clk.Advance(simtime.Duration(len(dst)) * r.hv.cost.MemAccess)
+	}
+	return r.hv.pm.ReadU64s(r.frames[off/mem.PageSize].Page()+mem.HPA(off%mem.PageSize), dst)
+}
+
 // WriteU64 stores an 8-byte-aligned word, charging one memory access.
 func (r *HostRegion) WriteU64(clk *simtime.Clock, off int, v uint64) error {
 	if off%8 != 0 {

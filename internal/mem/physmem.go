@@ -268,6 +268,27 @@ func (pm *PhysMem) ReadU64(addr HPA) (uint64, error) {
 	return binary.LittleEndian.Uint64(b[:]), err
 }
 
+// ReadU64s reads len(dst) consecutive little-endian words starting at
+// addr, with the same atomic loads ReadU64 uses. A block inside one
+// backed chunk resolves its backing bytes once; anything else reads word
+// by word through ReadU64.
+func (pm *PhysMem) ReadU64s(addr HPA, dst []uint64) error {
+	if b := pm.span(addr, 8*len(dst)); b != nil && addr%8 == 0 {
+		for i := range dst {
+			dst[i] = atomic.LoadUint64((*uint64)(unsafe.Pointer(&b[8*i])))
+		}
+		return nil
+	}
+	for i := range dst {
+		v, err := pm.ReadU64(addr + HPA(8*i))
+		if err != nil {
+			return err
+		}
+		dst[i] = v
+	}
+	return nil
+}
+
 // WriteU64 writes a little-endian 64-bit word; naturally aligned writes
 // are atomic (see ReadU64). Allocated frames are always backed, so the
 // atomic path covers every aligned write to them.

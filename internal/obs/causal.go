@@ -16,7 +16,7 @@ import (
 const DefaultCausalEvents = 8192
 
 // EventKind classifies one step in a ring descriptor's causal chain.
-type EventKind int
+type EventKind uint8
 
 // Causal event kinds, in the order a descriptor's life visits them. The
 // overload kinds (EvShed, EvThrottle, EvBreaker) describe work refused
@@ -148,7 +148,8 @@ func (p RingPhase) String() string {
 	}
 }
 
-// RingEvent is one step in a ring descriptor's causal chain.
+// RingEvent is one step in a ring descriptor's causal chain, as the
+// log's readers (Events, Chain) render it from a stored Record.
 type RingEvent struct {
 	// Seq numbers every event offered to the log, so gaps in a dumped
 	// ring reveal eviction.
@@ -197,6 +198,63 @@ func (e RingEvent) String() string {
 	return b.String()
 }
 
+// SubjectID names a (guest, object) pair interned in one CausalLog (see
+// CausalLog.Subject). 0 is the empty pair.
+type SubjectID uint32
+
+// NoteID names a note interned in one CausalLog (see CausalLog.Note).
+// The fixed notes below are interned in every log at construction, so
+// the per-op emitters name them without a lookup.
+type NoteID uint32
+
+// The fixed notes, in their interned order.
+const (
+	NoteNone NoteID = iota
+	NoteErr
+	NoteBusy
+	NoteGateFlush
+	NotePoller
+	NoteOverloadTrim
+	NoteRingFailed
+	NoteRingFailedSweep
+	NoteGlobalBucket
+	NoteTokenBucket
+	numFixedNotes
+)
+
+// fixedNotes is each fixed note's text, indexed by its NoteID.
+var fixedNotes = [numFixedNotes]string{
+	NoteNone:            "",
+	NoteErr:             "err",
+	NoteBusy:            "busy",
+	NoteGateFlush:       "gate-flush",
+	NotePoller:          "poller",
+	NoteOverloadTrim:    "overload-trim",
+	NoteRingFailed:      "ring-failed",
+	NoteRingFailedSweep: "ring-failed-sweep",
+	NoteGlobalBucket:    "global-bucket",
+	NoteTokenBucket:     "token-bucket",
+}
+
+// Record is one causal event as an emitter offers it and the log stores
+// it: integers only, with the names and the note behind ids the emitter
+// resolved once. The text is rendered only when the log is read.
+type Record struct {
+	Time  simtime.Time
+	Trace uint64 // 0 for events with no descriptor
+	Fn    uint64
+	Dur   simtime.Duration // EvBackoff's charge; 0 otherwise
+	// Subject is the interned (guest, object) pair: the attachment, or
+	// the tenant (object "") of an overload refusal or a rebalance.
+	Subject SubjectID
+	Note    NoteID
+	Shard   int32 // stamped by the log
+	Kind    EventKind
+}
+
+// subjectKey is an interned subject's names.
+type subjectKey struct{ guest, object string }
+
 // openTrace is the incremental per-trace state the log keeps between
 // events so phase durations can be attributed without replaying the ring.
 type openTrace struct {
@@ -205,6 +263,7 @@ type openTrace struct {
 	flush                           simtime.Time
 	drain                           simtime.Time
 	complete                        simtime.Time
+	subject                         SubjectID // the ring the chain lives on (see Release)
 	hasFlush, hasDrain, hasComplete bool
 }
 
@@ -213,15 +272,26 @@ type openTrace struct {
 // (busy→backoff→retry)* chain lands here, with per-phase sim-time
 // attribution folded into histograms as events arrive. A nil *CausalLog
 // is valid and discards everything, mirroring Recorder's nil contract.
+//
+// The ring holds fixed-size, pointer-free Records. Guest, object and
+// note names live once in the log's intern tables; an emitter resolves
+// the ids it needs once (Subject, Note) and every event after that is
+// integers only. Interned names survive Reset, so ids an emitter holds
+// stay valid for the log's life.
 type CausalLog struct {
 	mu     sync.Mutex
-	ring   []RingEvent // fixed capacity, oldest evicted first
+	ring   []Record // fixed capacity, oldest evicted first
 	start  int
 	count  int
-	seq    uint64
-	shard  int // stamped onto every event; -1 = no owning shard
+	seq    uint64 // events offered; the retained ones are the last count
+	shard  int32  // stamped onto every event; -1 = no owning shard
 	phases [NumRingPhases]*stats.Histogram
 	open   map[uint64]openTrace // by value: a submit allocates nothing
+
+	subjects  []subjectKey
+	subjectID map[subjectKey]SubjectID
+	notes     []string
+	noteID    map[string]NoteID
 }
 
 // NewCausalLog creates a causal log retaining at most capEvents events
@@ -232,9 +302,16 @@ func NewCausalLog(capEvents int) *CausalLog {
 		capEvents = DefaultCausalEvents
 	}
 	l := &CausalLog{
-		ring:  make([]RingEvent, 0, capEvents),
-		shard: -1,
-		open:  make(map[uint64]openTrace),
+		ring:      make([]Record, 0, capEvents),
+		shard:     -1,
+		open:      make(map[uint64]openTrace),
+		subjects:  []subjectKey{{}},
+		subjectID: map[subjectKey]SubjectID{{}: 0},
+		notes:     append([]string(nil), fixedNotes[:]...),
+		noteID:    make(map[string]NoteID, numFixedNotes),
+	}
+	for i, n := range fixedNotes {
+		l.noteID[n] = NoteID(i)
 	}
 	for i := range l.phases {
 		l.phases[i] = stats.NewHistogram()
@@ -252,29 +329,101 @@ func (l *CausalLog) SetShard(id int) {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.shard = id
+	l.shard = int32(id)
 }
 
-// Event offers one causal event. The log assigns its Seq, appends it to
+// Subject interns a (guest, object) pair and returns its id. Emitters
+// call it once per attachment or tenant and keep the id; a nil log
+// returns 0.
+func (l *CausalLog) Subject(guest, object string) SubjectID {
+	if l == nil {
+		return 0
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	k := subjectKey{guest, object}
+	id, ok := l.subjectID[k]
+	if !ok {
+		id = SubjectID(len(l.subjects))
+		l.subjects = append(l.subjects, k)
+		l.subjectID[k] = id
+	}
+	return id
+}
+
+// Note interns a free-text note and returns its id. It is for rare,
+// built-at-emit notes (a retry attempt, a rebalance move); the per-op
+// notes are the fixed NoteIDs. A nil log returns NoteNone.
+func (l *CausalLog) Note(text string) NoteID {
+	if l == nil {
+		return NoteNone
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	id, ok := l.noteID[text]
+	if !ok {
+		id = NoteID(len(l.notes))
+		l.notes = append(l.notes, text)
+		l.noteID[text] = id
+	}
+	return id
+}
+
+// Emit offers one causal event. The log stamps its shard, appends it to
 // the bounded ring, and folds any phase interval the event closes into
-// the matching histogram. Recording charges no simulated time.
-func (l *CausalLog) Event(e RingEvent) {
+// the matching histogram. Recording charges no simulated time. r's ids
+// must come from this log's Subject and Note.
+func (l *CausalLog) Emit(r Record) {
+	if l == nil {
+		return
+	}
+	l.mu.Lock()
+	r.Shard = l.shard
+	l.seq++
+	l.attributeLocked(&r)
+	if l.count < cap(l.ring) {
+		l.ring = append(l.ring, r)
+		l.count++
+	} else {
+		l.ring[l.start] = r
+		l.start = (l.start + 1) % l.count
+	}
+	l.mu.Unlock()
+}
+
+// Release drops the open chains that live on the (guest, object)
+// attachment's ring: its ring is being freed, so no later event can
+// close them. A chain lives on the ring of its latest submit or retry,
+// so a RingMux re-route that re-submitted a descriptor elsewhere keeps
+// its chain. The manager frees a guest's rings together, at teardown,
+// and a guest holds one live attachment per object, so the pair names
+// the ring. Phase histograms and retained events are untouched.
+func (l *CausalLog) Release(guest, object string) {
 	if l == nil {
 		return
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	e.Seq = l.seq
-	e.Shard = l.shard
-	l.seq++
-	l.attributeLocked(e)
-	if l.count < cap(l.ring) {
-		l.ring = append(l.ring, e)
-		l.count++
+	id, ok := l.subjectID[subjectKey{guest, object}]
+	if !ok {
 		return
 	}
-	l.ring[l.start] = e
-	l.start = (l.start + 1) % l.count
+	for tr, o := range l.open {
+		if o.subject == id {
+			delete(l.open, tr)
+		}
+	}
+}
+
+// OpenChains reports how many traces have started a chain that no
+// deliver or fail has closed yet.
+func (l *CausalLog) OpenChains() int {
+	if l == nil {
+		return 0
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.open)
 }
 
 // recordPhase folds one interval into a phase histogram. Negative
@@ -292,12 +441,12 @@ func (l *CausalLog) recordPhase(p RingPhase, d simtime.Duration) {
 
 // attributeLocked advances the per-trace state machine and records the
 // phase interval the event closes, if any.
-func (l *CausalLog) attributeLocked(e RingEvent) {
+func (l *CausalLog) attributeLocked(e *Record) {
 	if e.Trace == 0 {
 		return // pre-submission refusals carry no chain
 	}
 	if e.Kind == EvSubmit {
-		l.open[e.Trace] = openTrace{first: e.Time, submit: e.Time}
+		l.open[e.Trace] = openTrace{first: e.Time, submit: e.Time, subject: e.Subject}
 		return
 	}
 	if e.Kind == EvBackoff {
@@ -325,7 +474,7 @@ func (l *CausalLog) attributeLocked(e RingEvent) {
 			l.recordPhase(RingPhaseService, e.Time.Sub(o.drain))
 		}
 	case EvRetry:
-		o.submit = e.Time
+		o.submit, o.subject = e.Time, e.Subject
 		o.hasFlush, o.hasDrain, o.hasComplete = false, false, false
 	case EvDeliver, EvFail:
 		if o.hasComplete {
@@ -340,6 +489,14 @@ func (l *CausalLog) attributeLocked(e RingEvent) {
 	l.open[e.Trace] = o
 }
 
+// renderLocked turns a stored record back into its RingEvent.
+func (l *CausalLog) renderLocked(r *Record, seq uint64) RingEvent {
+	s := l.subjects[r.Subject]
+	return RingEvent{Seq: seq, Trace: r.Trace, Kind: r.Kind, Time: r.Time,
+		Guest: s.guest, Object: s.object, Fn: r.Fn, Dur: r.Dur,
+		Note: l.notes[r.Note], Shard: int(r.Shard)}
+}
+
 // Events returns the retained events, oldest first.
 func (l *CausalLog) Events() []RingEvent {
 	if l == nil {
@@ -348,8 +505,13 @@ func (l *CausalLog) Events() []RingEvent {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	out := make([]RingEvent, 0, l.count)
-	out = append(out, l.ring[l.start:l.count]...)
-	out = append(out, l.ring[:l.start]...)
+	seq := l.seq - uint64(l.count)
+	for _, part := range [2][]Record{l.ring[l.start:l.count], l.ring[:l.start]} {
+		for i := range part {
+			out = append(out, l.renderLocked(&part[i], seq))
+			seq++
+		}
+	}
 	return out
 }
 
@@ -401,7 +563,8 @@ func (l *CausalLog) PhaseHistogram(p RingPhase) *stats.Histogram {
 	return l.phases[p].Clone()
 }
 
-// Reset discards every event, phase histogram, and open chain.
+// Reset discards every event, phase histogram, and open chain. Interned
+// names stay, so emitters' ids remain valid.
 func (l *CausalLog) Reset() {
 	if l == nil {
 		return

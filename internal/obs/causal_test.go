@@ -8,9 +8,16 @@ import (
 	"github.com/elisa-go/elisa/internal/simtime"
 )
 
+// event offers e through the id-based path, interning its names: the
+// RingEvent form these tests are written in.
+func (l *CausalLog) event(e RingEvent) {
+	l.Emit(Record{Time: e.Time, Trace: e.Trace, Fn: e.Fn, Dur: e.Dur, Kind: e.Kind,
+		Subject: l.Subject(e.Guest, e.Object), Note: l.Note(e.Note)})
+}
+
 func TestNilCausalLogIsInert(t *testing.T) {
 	var l *CausalLog
-	l.Event(RingEvent{Trace: 1, Kind: EvSubmit})
+	l.event(RingEvent{Trace: 1, Kind: EvSubmit})
 	l.Reset()
 	if l.Events() != nil || l.EventsSeen() != 0 || l.Chain(1) != nil {
 		t.Fatal("nil causal log not inert")
@@ -33,7 +40,7 @@ func TestCausalChainPhaseAttribution(t *testing.T) {
 	l := NewCausalLog(64)
 	const tr = 42
 	ev := func(k EventKind, at simtime.Time) {
-		l.Event(RingEvent{Trace: tr, Kind: k, Time: at, Guest: "g", Object: "o", Fn: 7})
+		l.event(RingEvent{Trace: tr, Kind: k, Time: at, Guest: "g", Object: "o", Fn: 7})
 	}
 	ev(EvSubmit, 100)
 	ev(EvFlush, 150)    // submit: 50
@@ -72,8 +79,8 @@ func TestCausalChainPhaseAttribution(t *testing.T) {
 // The poller path has no flush event: queue is attributed submit→drain.
 func TestCausalPollerPathQueuePhase(t *testing.T) {
 	l := NewCausalLog(64)
-	l.Event(RingEvent{Trace: 9, Kind: EvSubmit, Time: 1000})
-	l.Event(RingEvent{Trace: 9, Kind: EvDrain, Time: 1600, Note: "poller"})
+	l.event(RingEvent{Trace: 9, Kind: EvSubmit, Time: 1000})
+	l.event(RingEvent{Trace: 9, Kind: EvDrain, Time: 1600, Note: "poller"})
 	if h := l.PhaseHistogram(RingPhaseQueue); h.Sum() != 600 {
 		t.Fatalf("queue sum = %d, want 600", h.Sum())
 	}
@@ -86,14 +93,14 @@ func TestCausalPollerPathQueuePhase(t *testing.T) {
 func TestCausalBusyRetryLoop(t *testing.T) {
 	l := NewCausalLog(64)
 	const tr = 7
-	l.Event(RingEvent{Trace: tr, Kind: EvSubmit, Time: 100})
-	l.Event(RingEvent{Trace: tr, Kind: EvDrain, Time: 200})
-	l.Event(RingEvent{Trace: tr, Kind: EvBusy, Time: 210})
-	l.Event(RingEvent{Trace: tr, Kind: EvBackoff, Time: 400, Dur: 150})
-	l.Event(RingEvent{Trace: tr, Kind: EvRetry, Time: 550})
-	l.Event(RingEvent{Trace: tr, Kind: EvDrain, Time: 600}) // queue: 50 from retry
-	l.Event(RingEvent{Trace: tr, Kind: EvComplete, Time: 650})
-	l.Event(RingEvent{Trace: tr, Kind: EvDeliver, Time: 700})
+	l.event(RingEvent{Trace: tr, Kind: EvSubmit, Time: 100})
+	l.event(RingEvent{Trace: tr, Kind: EvDrain, Time: 200})
+	l.event(RingEvent{Trace: tr, Kind: EvBusy, Time: 210})
+	l.event(RingEvent{Trace: tr, Kind: EvBackoff, Time: 400, Dur: 150})
+	l.event(RingEvent{Trace: tr, Kind: EvRetry, Time: 550})
+	l.event(RingEvent{Trace: tr, Kind: EvDrain, Time: 600}) // queue: 50 from retry
+	l.event(RingEvent{Trace: tr, Kind: EvComplete, Time: 650})
+	l.event(RingEvent{Trace: tr, Kind: EvDeliver, Time: 700})
 
 	if h := l.PhaseHistogram(RingPhaseBackoff); h.Count() != 1 || h.Sum() != 150 {
 		t.Fatalf("backoff: count=%d sum=%d", h.Count(), h.Sum())
@@ -122,7 +129,7 @@ func TestCausalBusyRetryLoop(t *testing.T) {
 func TestCausalEventRingWrap(t *testing.T) {
 	l := NewCausalLog(8)
 	for i := uint64(1); i <= 20; i++ {
-		l.Event(RingEvent{Trace: i, Kind: EvSubmit, Time: simtime.Time(i)})
+		l.event(RingEvent{Trace: i, Kind: EvSubmit, Time: simtime.Time(i)})
 	}
 	evs := l.Events()
 	if len(evs) != 8 {
@@ -149,9 +156,9 @@ func TestCausalEventRingWrap(t *testing.T) {
 // Refusal events (trace 0) land in the ring but never open a chain.
 func TestCausalRefusalEventsNoChain(t *testing.T) {
 	l := NewCausalLog(16)
-	l.Event(RingEvent{Kind: EvShed, Time: 5, Guest: "t1", Note: "class 0 below threshold 1"})
-	l.Event(RingEvent{Kind: EvThrottle, Time: 6, Guest: "t2"})
-	l.Event(RingEvent{Kind: EvBreaker, Time: 7, Guest: "t3", Note: "quarantined"})
+	l.event(RingEvent{Kind: EvShed, Time: 5, Guest: "t1", Note: "class 0 below threshold 1"})
+	l.event(RingEvent{Kind: EvThrottle, Time: 6, Guest: "t2"})
+	l.event(RingEvent{Kind: EvBreaker, Time: 7, Guest: "t3", Note: "quarantined"})
 	if len(l.Events()) != 3 {
 		t.Fatalf("retained %d events", len(l.Events()))
 	}
@@ -171,10 +178,10 @@ func TestCausalRefusalEventsNoChain(t *testing.T) {
 // dropped, not folded into the histograms.
 func TestCausalSkewedClockIntervalsDropped(t *testing.T) {
 	l := NewCausalLog(16)
-	l.Event(RingEvent{Trace: 3, Kind: EvSubmit, Time: 5000}) // guest clock
-	l.Event(RingEvent{Trace: 3, Kind: EvDrain, Time: 100})   // manager clock, behind
-	l.Event(RingEvent{Trace: 3, Kind: EvComplete, Time: 120})
-	l.Event(RingEvent{Trace: 3, Kind: EvDeliver, Time: 5100}) // guest clock again
+	l.event(RingEvent{Trace: 3, Kind: EvSubmit, Time: 5000}) // guest clock
+	l.event(RingEvent{Trace: 3, Kind: EvDrain, Time: 100})   // manager clock, behind
+	l.event(RingEvent{Trace: 3, Kind: EvComplete, Time: 120})
+	l.event(RingEvent{Trace: 3, Kind: EvDeliver, Time: 5100}) // guest clock again
 	if h := l.PhaseHistogram(RingPhaseQueue); h.Count() != 0 {
 		t.Fatalf("skewed queue interval recorded: count=%d", h.Count())
 	}
@@ -193,8 +200,8 @@ func TestCausalSkewedClockIntervalsDropped(t *testing.T) {
 
 func TestCausalReset(t *testing.T) {
 	l := NewCausalLog(16)
-	l.Event(RingEvent{Trace: 1, Kind: EvSubmit, Time: 1})
-	l.Event(RingEvent{Trace: 1, Kind: EvDrain, Time: 2})
+	l.event(RingEvent{Trace: 1, Kind: EvSubmit, Time: 1})
+	l.event(RingEvent{Trace: 1, Kind: EvDrain, Time: 2})
 	l.Reset()
 	if len(l.Events()) != 0 || l.EventsSeen() != 0 {
 		t.Fatal("reset left events")
@@ -209,8 +216,8 @@ func TestCollectCausalMetrics(t *testing.T) {
 		t.Fatal("nil log must yield a nil collector")
 	}
 	l := NewCausalLog(16)
-	l.Event(RingEvent{Trace: 1, Kind: EvSubmit, Time: 10})
-	l.Event(RingEvent{Trace: 1, Kind: EvDrain, Time: 30})
+	l.event(RingEvent{Trace: 1, Kind: EvSubmit, Time: 10})
+	l.event(RingEvent{Trace: 1, Kind: EvDrain, Time: 30})
 	reg := NewRegistry()
 	reg.Register(CollectCausal(l))
 	out := reg.Prometheus()
@@ -254,15 +261,17 @@ func TestWithPhaseRunsInline(t *testing.T) {
 
 // TestZeroAllocCausalChain: once warm, recording a descriptor's whole
 // submit → flush → drain → complete → deliver chain allocates nothing —
-// the open trace lives in the map by value, not behind a pointer.
+// the records hold interned ids, and the open trace lives in the map by
+// value, not behind a pointer.
 func TestZeroAllocCausalChain(t *testing.T) {
 	l := NewCausalLog(64)
 	kinds := [...]EventKind{EvSubmit, EvFlush, EvDrain, EvComplete, EvDeliver}
+	subj := l.Subject("g", "o")
 	var trace uint64
 	chain := func() {
 		trace++
 		for i, k := range kinds {
-			l.Event(RingEvent{Trace: trace, Kind: k, Time: simtime.Time(10 * i), Guest: "g", Object: "o", Fn: 1})
+			l.Emit(Record{Trace: trace, Kind: k, Time: simtime.Time(10 * i), Subject: subj, Fn: 1})
 		}
 	}
 	chain()

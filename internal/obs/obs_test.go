@@ -19,14 +19,14 @@ func span(guest, object string, fn uint64, total simtime.Duration) Span {
 // recordCall records one Call the way the gate walk does: its span total
 // is the call's latency sample, and the span goes to the ring.
 func recordCall(r *Recorder, guest, object string, fn uint64, total simtime.Duration) {
-	r.RecordLatency(guest, object, fn, total)
+	r.Latency(guest, object, fn).RecordDuration(total)
 	r.Record(span(guest, object, fn, total))
 }
 
 func TestNilRecorderIsInert(t *testing.T) {
 	var r *Recorder
 	r.Record(span("g", "o", 1, 10))
-	r.RecordLatency("g", "o", 1, 10)
+	r.Latency("g", "o", 1).RecordDuration(10)
 	r.Reset()
 	if r.Spans() != nil || r.SpansSeen() != 0 || r.SpansSampled() != 0 || r.Keys() != nil {
 		t.Fatal("nil recorder not inert")

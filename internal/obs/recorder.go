@@ -95,12 +95,34 @@ func (r *Recorder) Causal() *CausalLog {
 	return r.causal
 }
 
-// RecordRingBatch adds one batch-size observation for an attachment's
-// call ring: how many descriptors one drain (gate flush or manager
-// poller pass) serviced together. Like all recording it charges nothing.
-func (r *Recorder) RecordRingBatch(guest, object string, size int) {
-	if r == nil {
+// Series is a handle on one of a Recorder's histograms: a latency
+// series or a ring-batch series. An emitter resolves it once (Latency,
+// RingBatch) and records through it with no key lookup. A nil *Series
+// discards everything. Like all recording it charges nothing.
+type Series struct {
+	r *Recorder
+	h *stats.Histogram
+}
+
+// Record adds one observation.
+func (s *Series) Record(v int64) {
+	if s == nil {
 		return
+	}
+	s.r.mu.Lock()
+	s.h.Record(v)
+	s.r.mu.Unlock()
+}
+
+// RecordDuration adds one duration observation.
+func (s *Series) RecordDuration(d simtime.Duration) { s.Record(int64(d)) }
+
+// RingBatch returns the handle on an attachment's ring-batch series: how
+// many descriptors one drain (gate flush or manager poller pass)
+// serviced together. A nil recorder returns a nil handle.
+func (r *Recorder) RingBatch(guest, object string) *Series {
+	if r == nil {
+		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -110,11 +132,11 @@ func (r *Recorder) RecordRingBatch(guest, object string, size int) {
 		h = stats.NewHistogram()
 		r.ringBatches[k] = h
 	}
-	h.Record(int64(size))
+	return &Series{r: r, h: h}
 }
 
-// RingBatchKeys returns the ring-batch series keys seen so far, sorted by
-// guest then object.
+// RingBatchKeys returns the keys of the ring-batch series recorded into
+// since the last Reset, sorted by guest then object.
 func (r *Recorder) RingBatchKeys() []RingKey {
 	if r == nil {
 		return nil
@@ -122,8 +144,10 @@ func (r *Recorder) RingBatchKeys() []RingKey {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out := make([]RingKey, 0, len(r.ringBatches))
-	for k := range r.ringBatches {
-		out = append(out, k)
+	for k, h := range r.ringBatches {
+		if h.Count() > 0 {
+			out = append(out, k)
+		}
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Guest != out[j].Guest {
@@ -150,7 +174,7 @@ func (r *Recorder) RingBatchHistogram(k RingKey) *stats.Histogram {
 
 // Record offers one completed span: it assigns the span's Seq, counts it,
 // and keeps it in the ring if the sampling counter selects it. It feeds no
-// latency histogram. Histograms take one RecordLatency sample per request
+// latency histogram. Histograms take one Latency series sample per request
 // that ran: a Call's span total, or each batched request's own service
 // time. A span alone cannot tell a one-request batch, or a refused one,
 // from a Call, so the caller that stamps it records the samples.
@@ -175,25 +199,22 @@ func (r *Recorder) Record(sp Span) {
 	r.start = (r.start + 1) % r.count
 }
 
-// RecordLatency adds one latency observation to a series without offering
-// a span. It is the histograms' only input: one sample per request that
-// ran (see Record).
-func (r *Recorder) RecordLatency(guest, object string, fn uint64, d simtime.Duration) {
+// Latency returns the handle on one latency series. Histograms take one
+// sample per request that ran (see Record). A nil recorder returns a nil
+// handle.
+func (r *Recorder) Latency(guest, object string, fn uint64) *Series {
 	if r == nil {
-		return
+		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.histLocked(Key{guest, object, fn}).RecordDuration(d)
-}
-
-func (r *Recorder) histLocked(k Key) *stats.Histogram {
+	k := Key{guest, object, fn}
 	h, ok := r.hists[k]
 	if !ok {
 		h = stats.NewHistogram()
 		r.hists[k] = h
 	}
-	return h
+	return &Series{r: r, h: h}
 }
 
 // Spans returns the retained spans, oldest first.
@@ -230,8 +251,8 @@ func (r *Recorder) SpansSampled() uint64 {
 	return r.sampled
 }
 
-// Keys returns the latency-series keys seen so far, sorted by guest,
-// object, then function id.
+// Keys returns the keys of the latency series recorded into since the
+// last Reset, sorted by guest, object, then function id.
 func (r *Recorder) Keys() []Key {
 	if r == nil {
 		return nil
@@ -239,8 +260,10 @@ func (r *Recorder) Keys() []Key {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out := make([]Key, 0, len(r.hists))
-	for k := range r.hists {
-		out = append(out, k)
+	for k, h := range r.hists {
+		if h.Count() > 0 {
+			out = append(out, k)
+		}
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Guest != out[j].Guest {
@@ -296,7 +319,8 @@ func (r *Recorder) merged(match func(Key) bool) *stats.Histogram {
 }
 
 // Reset discards all spans and histograms (counters included), as an
-// operator would between measurement windows.
+// operator would between measurement windows. Histograms are emptied in
+// place, so Series handles stay valid.
 func (r *Recorder) Reset() {
 	if r == nil {
 		return
@@ -306,7 +330,11 @@ func (r *Recorder) Reset() {
 	r.ring = r.ring[:0]
 	r.start, r.count = 0, 0
 	r.seen, r.sampled = 0, 0
-	clear(r.hists)
-	clear(r.ringBatches)
+	for _, h := range r.hists {
+		h.Reset()
+	}
+	for _, h := range r.ringBatches {
+		h.Reset()
+	}
 	r.causal.Reset()
 }

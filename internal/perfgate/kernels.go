@@ -13,6 +13,8 @@ import (
 	"github.com/elisa-go/elisa/internal/fleet"
 	"github.com/elisa-go/elisa/internal/hv"
 	"github.com/elisa-go/elisa/internal/mem"
+	"github.com/elisa-go/elisa/internal/obs"
+	"github.com/elisa-go/elisa/internal/overload"
 	"github.com/elisa-go/elisa/internal/shm"
 	"github.com/elisa-go/elisa/internal/simtime"
 	"github.com/elisa-go/elisa/internal/workload"
@@ -340,6 +342,20 @@ func prepareExchangePut(quick bool) (func() (int64, simtime.Duration, error), er
 // manager poller interleaved. Ops are completed operations; elapsed is
 // the fixed run horizon.
 func prepareFleetMix(quick bool) (func() (int64, simtime.Duration, error), error) {
+	return prepareFleet(quick, false)
+}
+
+// prepareFleetObserved is fleet_mix with observation armed: a flight
+// recorder on the manager (causal chains, ring-batch and latency
+// series) and a decision trace on the scheduler. Observation charges no
+// simulated time, so its sim figures equal fleet_mix's; the difference
+// in host time is what emitting costs per op.
+func prepareFleetObserved(quick bool) (func() (int64, simtime.Duration, error), error) {
+	return prepareFleet(quick, true)
+}
+
+// prepareFleet builds fleet_mix's machine and fleet, observed or not.
+func prepareFleet(quick, observed bool) (func() (int64, simtime.Duration, error), error) {
 	h, err := hv.New(hv.Config{PhysBytes: 256 * 1024 * 1024})
 	if err != nil {
 		return nil, err
@@ -356,10 +372,15 @@ func prepareFleetMix(quick bool) (func() (int64, simtime.Duration, error), error
 			return nil, err
 		}
 	}
-	s, err := fleet.New(h, mgr, fleet.Config{
+	cfg := fleet.Config{
 		Cores: 2, Seed: 42, QueueDepth: 64,
 		RingDepth: 64, PollBudget: 64,
-	})
+	}
+	if observed {
+		mgr.SetRecorder(obs.NewRecorder(obs.Config{}))
+		cfg.Decisions = overload.NewDecisionTrace(0)
+	}
+	s, err := fleet.New(h, mgr, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -729,6 +750,7 @@ func Kernels() []Kernel {
 		{ID: "ring_poller_sparse", Title: "manager poller over 8 guests' rings, one descriptor per pass", Prepare: prepareRingPollerSparse},
 		{ID: "exchange_put", Title: "exchange-buffer put + consuming call", Prepare: prepareExchangePut},
 		{ID: "fleet_mix", Title: "4-tenant fleet on 2 cores over rings", Prepare: prepareFleetMix},
+		{ID: "fleet_observed", Title: "fleet_mix with a flight recorder and a decision trace armed", Prepare: prepareFleetObserved},
 		{ID: "parallel_fleet", Title: "8-tenant 4-shard fleet through parallel lanes", Prepare: prepareParallelFleet},
 		{ID: "cluster_route", Title: "routed calls + 4-shard CallMulti fan-out", Prepare: prepareClusterRoute},
 		{ID: "rebalance_converge", Title: "auto-rebalancer convergence on the committed skewed trace", Prepare: prepareRebalanceConverge},

@@ -65,6 +65,7 @@ type CallRing struct {
 	// each buffer's use begins and ends within a single call.
 	dbuf [descBytes]byte
 	cbuf [compBytes]byte
+	curs [4]uint64 // BeginDrain's cursor block
 
 	// txn is the reusable drain-session scratch handed out by BeginDrain.
 	// At most one transaction per instance is live at a time — the same
@@ -403,19 +404,13 @@ type DrainTxn struct {
 func (r *CallRing) BeginDrain() (*DrainTxn, error) {
 	t := &r.txn
 	*t = DrainTxn{r: r}
-	var err error
-	if t.sqHead, err = r.w.ReadU64(offSQHead); err != nil {
+	// The four cursors are adjacent words: one multi-word read, charged
+	// as four single reads (see Window.ReadU64s).
+	cur := &r.curs
+	if err := r.w.ReadU64s(offSQHead, cur[:]); err != nil {
 		return nil, err
 	}
-	if t.sqTail, err = r.w.ReadU64(offSQTail); err != nil {
-		return nil, err
-	}
-	if t.cqHead, err = r.w.ReadU64(offCQHead); err != nil {
-		return nil, err
-	}
-	if t.cqTail, err = r.w.ReadU64(offCQTail); err != nil {
-		return nil, err
-	}
+	t.sqHead, t.sqTail, t.cqHead, t.cqTail = cur[0], cur[1], cur[2], cur[3]
 	return t, nil
 }
 

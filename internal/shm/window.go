@@ -27,6 +27,11 @@ type Window interface {
 	Write(off int, p []byte) error
 	// ReadU64 loads an 8-byte-aligned word.
 	ReadU64(off int) (uint64, error)
+	// ReadU64s loads len(dst) consecutive 8-byte-aligned words starting
+	// at off. Values, charges and errors are those of len(dst) ReadU64
+	// calls in order; an implementation may only do the work in fewer
+	// steps.
+	ReadU64s(off int, dst []uint64) error
 	// WriteU64 stores an 8-byte-aligned word.
 	WriteU64(off int, v uint64) error
 }
@@ -81,6 +86,12 @@ func (w *GPAWindow) ReadU64(off int) (uint64, error) {
 	return w.v.ReadU64GPA(w.base + mem.GPA(off))
 }
 
+// ReadU64s implements Window word by word: every word is its own
+// translation, TLB lookup and charge, as on the vCPU.
+func (w *GPAWindow) ReadU64s(off int, dst []uint64) error {
+	return readWords(w, off, dst)
+}
+
 // WriteU64 implements Window.
 func (w *GPAWindow) WriteU64(off int, v uint64) error {
 	if err := w.check(off, 8); err != nil {
@@ -116,6 +127,10 @@ func (w *HostWindow) Write(off int, p []byte) error { return w.r.Write(w.clk, of
 
 // ReadU64 implements Window.
 func (w *HostWindow) ReadU64(off int) (uint64, error) { return w.r.ReadU64(w.clk, off) }
+
+// ReadU64s implements Window through HostRegion.ReadU64s: one region
+// check and one charge for a block inside a page.
+func (w *HostWindow) ReadU64s(off int, dst []uint64) error { return w.r.ReadU64s(w.clk, off, dst) }
 
 // WriteU64 implements Window.
 func (w *HostWindow) WriteU64(off int, v uint64) error { return w.r.WriteU64(w.clk, off, v) }
@@ -169,12 +184,29 @@ func (s *SubWindow) ReadU64(off int) (uint64, error) {
 	return s.w.ReadU64(s.off + off)
 }
 
+// ReadU64s implements Window word by word (see GPAWindow.ReadU64s).
+func (s *SubWindow) ReadU64s(off int, dst []uint64) error {
+	return readWords(s, off, dst)
+}
+
 // WriteU64 implements Window.
 func (s *SubWindow) WriteU64(off int, v uint64) error {
 	if err := s.check(off, 8); err != nil {
 		return err
 	}
 	return s.w.WriteU64(s.off+off, v)
+}
+
+// readWords is ReadU64s as len(dst) ReadU64 calls.
+func readWords(w Window, off int, dst []uint64) error {
+	for i := range dst {
+		v, err := w.ReadU64(off + 8*i)
+		if err != nil {
+			return err
+		}
+		dst[i] = v
+	}
+	return nil
 }
 
 // Charger is implemented by windows that can account simulated time for
