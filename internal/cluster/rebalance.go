@@ -212,8 +212,9 @@ func (r *Rebalancer) tick(now simtime.Duration) error {
 			At: now, Tenant: pick.name, From: hot, To: cold,
 			Load: pick.load, Imbalance: imb, Moved: true, Note: "migrated",
 		})
-		// A rebalance is off the per-op path: its names and notes are
-		// interned here, once per move.
+		// A rebalance is off the per-op path: its names are interned
+		// here, once per move. The causal note, unique to nearly every
+		// move, is kept with its event rather than interned.
 		if dec := f.cfg.Decisions; dec != nil {
 			dec.Record(simtime.Time(now), dec.Tenant(pick.name), overload.VerdictRebalance, pick.class,
 				dec.Note(fmt.Sprintf("shard %d -> %d", hot, cold)))
@@ -222,7 +223,7 @@ func (r *Rebalancer) tick(now simtime.Duration) error {
 			note := fmt.Sprintf("shard %d -> %d, load %d, imbalance %.2f", hot, cold, pick.load, imb)
 			for _, rec := range recs {
 				log := rec.Causal()
-				log.Emit(obs.Record{Kind: obs.EvRebalance, Time: simtime.Time(now), Subject: log.Subject(pick.name, ""), Note: log.Note(note)})
+				log.EmitText(obs.Record{Kind: obs.EvRebalance, Time: simtime.Time(now), Subject: log.Subject(pick.name, "")}, note)
 			}
 		}
 		loads[hot] -= pick.load

@@ -1,11 +1,14 @@
 package cluster
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"github.com/elisa-go/elisa/internal/core"
 	"github.com/elisa-go/elisa/internal/fleet"
 	"github.com/elisa-go/elisa/internal/mem"
+	"github.com/elisa-go/elisa/internal/obs"
 	"github.com/elisa-go/elisa/internal/overload"
 	"github.com/elisa-go/elisa/internal/simtime"
 	"github.com/elisa-go/elisa/internal/workload"
@@ -390,5 +393,46 @@ func TestFleetSchedulersShareFleetTime(t *testing.T) {
 	}
 	if live < 2 || checked == 0 {
 		t.Fatalf("%d live schedulers, %d lane windows checked", live, checked)
+	}
+}
+
+// TestRebalanceCausalNotes: each migration lands in the causal logs of
+// both shards it joins as a rebalance event for the tenant, its note
+// naming the move, the tenant's load and the imbalance that set it off.
+func TestRebalanceCausalNotes(t *testing.T) {
+	c, f := skewedCluster(t, 4, true, true, nil, nil)
+	recs := make([]*obs.Recorder, len(c.shards))
+	for i, sh := range c.shards {
+		recs[i] = obs.NewRecorder(obs.Config{}) // the default capacity holds the whole replay
+		sh.mgr.SetRecorder(recs[i])
+	}
+	tr, err := workload.RebalanceTrace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Replay(tr, workload.RebalanceHorizon); err != nil {
+		t.Fatal(err)
+	}
+	want := make([][]string, len(recs))
+	for _, d := range f.Rebalancer().Decisions() {
+		if d.Moved {
+			line := fmt.Sprintf("%s (shard %d -> %d, load %d, imbalance %.2f)", d.Tenant, d.From, d.To, d.Load, d.Imbalance)
+			want[d.From] = append(want[d.From], line)
+			want[d.To] = append(want[d.To], line)
+		}
+	}
+	if len(want[0]) == 0 {
+		t.Fatal("the skewed replay moved no tenant off shard 0")
+	}
+	for i, rec := range recs {
+		var got []string
+		for _, e := range rec.Causal().Events() {
+			if e.Kind == obs.EvRebalance {
+				got = append(got, fmt.Sprintf("%s (%s)", e.Guest, e.Note))
+			}
+		}
+		if !reflect.DeepEqual(got, want[i]) {
+			t.Errorf("shard %d rebalance events:\n got %q\nwant %q", i, got, want[i])
+		}
 	}
 }

@@ -310,12 +310,8 @@ type Scheduler struct {
 	shedByClass [MaxTenantClasses]uint64
 	shedThresh  int
 
-	// replayOps is Replay's resolved trace, reused from call to call, and
-	// byName its tenant table, rebuilt only when admissions change
-	// (byNameOf records the tenant count it was built at).
+	// replayOps is Replay's resolved trace, reused from call to call.
 	replayOps []ReplayOp
-	byName    map[string]*Tenant
-	byNameOf  int
 
 	// shed notes, interned on first use: the decision trace's per
 	// threshold, and the causal log's per (class, threshold) for the log
@@ -549,21 +545,16 @@ func (s *Scheduler) Run(d simtime.Duration) (*Report, error) {
 // committed trace plus its golden report is a whole-scenario regression
 // test. Events must be in time order, land inside [0, d) and name
 // admitted tenants and attached objects; anything else refuses up front.
-// Each event's names are resolved once, against a tenant table the
-// scheduler rebuilds only when admissions change.
 func (s *Scheduler) Replay(events []workload.Event, d simtime.Duration) (*Report, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.byName == nil || s.byNameOf != len(s.tenants) {
-		s.byName = make(map[string]*Tenant, len(s.tenants))
-		for _, t := range s.tenants {
-			s.byName[t.spec.Name] = t
-		}
-		s.byNameOf = len(s.tenants)
+	byName := make(map[string]*Tenant, len(s.tenants))
+	for _, t := range s.tenants {
+		byName[t.spec.Name] = t
 	}
 	ops := s.replayOps[:0]
 	for i, ev := range events {
-		t := s.byName[ev.Tenant]
+		t := byName[ev.Tenant]
 		if t == nil {
 			return nil, fmt.Errorf("fleet: replay event %d names unadmitted tenant %q", i, ev.Tenant)
 		}

@@ -277,7 +277,8 @@ type openTrace struct {
 // note names live once in the log's intern tables; an emitter resolves
 // the ids it needs once (Subject, Note) and every event after that is
 // integers only. Interned names survive Reset, so ids an emitter holds
-// stay valid for the log's life.
+// stay valid for the log's life. A one-off note (EmitText) is not
+// interned: it lives beside its event's ring slot and goes with it.
 type CausalLog struct {
 	mu     sync.Mutex
 	ring   []Record // fixed capacity, oldest evicted first
@@ -292,6 +293,10 @@ type CausalLog struct {
 	subjectID map[subjectKey]SubjectID
 	notes     []string
 	noteID    map[string]NoteID
+
+	// texts holds EmitText's notes by ring slot, allocated on the first
+	// one; an event stored into a slot overwrites the slot's text.
+	texts []string
 }
 
 // NewCausalLog creates a causal log retaining at most capEvents events
@@ -351,9 +356,11 @@ func (l *CausalLog) Subject(guest, object string) SubjectID {
 	return id
 }
 
-// Note interns a free-text note and returns its id. It is for rare,
-// built-at-emit notes (a retry attempt, a rebalance move); the per-op
-// notes are the fixed NoteIDs. A nil log returns NoteNone.
+// Note interns a free-text note and returns its id. It is for notes
+// built off the per-op path from a small set (a retry attempt, a shed
+// threshold); the per-op notes are the fixed NoteIDs. Interned notes are
+// never dropped, so a note that differs on nearly every event goes
+// through EmitText instead. A nil log returns NoteNone.
 func (l *CausalLog) Note(text string) NoteID {
 	if l == nil {
 		return NoteNone
@@ -378,17 +385,45 @@ func (l *CausalLog) Emit(r Record) {
 		return
 	}
 	l.mu.Lock()
+	l.emitLocked(&r, "")
+	l.mu.Unlock()
+}
+
+// EmitText is Emit for an event whose note is one-off text (a rebalance
+// move's load and imbalance), which would grow the intern table for good.
+// The text is kept beside the event's ring slot and dropped when the slot
+// is reused. r.Note is ignored.
+func (l *CausalLog) EmitText(r Record, text string) {
+	if l == nil {
+		return
+	}
+	l.mu.Lock()
+	r.Note = NoteNone
+	l.emitLocked(&r, text)
+	l.mu.Unlock()
+}
+
+// emitLocked stamps, attributes and stores one event, with text as its
+// slot's note text.
+func (l *CausalLog) emitLocked(r *Record, text string) {
 	r.Shard = l.shard
 	l.seq++
-	l.attributeLocked(&r)
+	l.attributeLocked(r)
+	slot := l.count
 	if l.count < cap(l.ring) {
-		l.ring = append(l.ring, r)
+		l.ring = append(l.ring, *r)
 		l.count++
 	} else {
-		l.ring[l.start] = r
+		slot = l.start
+		l.ring[slot] = *r
 		l.start = (l.start + 1) % l.count
 	}
-	l.mu.Unlock()
+	if text != "" && l.texts == nil {
+		l.texts = make([]string, cap(l.ring))
+	}
+	if l.texts != nil {
+		l.texts[slot] = text
+	}
 }
 
 // Release drops the open chains that live on the (guest, object)
@@ -489,12 +524,18 @@ func (l *CausalLog) attributeLocked(e *Record) {
 	l.open[e.Trace] = o
 }
 
-// renderLocked turns a stored record back into its RingEvent.
-func (l *CausalLog) renderLocked(r *Record, seq uint64) RingEvent {
+// renderLocked turns the record in one ring slot back into its
+// RingEvent.
+func (l *CausalLog) renderLocked(slot int, seq uint64) RingEvent {
+	r := &l.ring[slot]
 	s := l.subjects[r.Subject]
+	note := l.notes[r.Note]
+	if l.texts != nil && l.texts[slot] != "" {
+		note = l.texts[slot]
+	}
 	return RingEvent{Seq: seq, Trace: r.Trace, Kind: r.Kind, Time: r.Time,
 		Guest: s.guest, Object: s.object, Fn: r.Fn, Dur: r.Dur,
-		Note: l.notes[r.Note], Shard: int(r.Shard)}
+		Note: note, Shard: int(r.Shard)}
 }
 
 // Events returns the retained events, oldest first.
@@ -506,11 +547,8 @@ func (l *CausalLog) Events() []RingEvent {
 	defer l.mu.Unlock()
 	out := make([]RingEvent, 0, l.count)
 	seq := l.seq - uint64(l.count)
-	for _, part := range [2][]Record{l.ring[l.start:l.count], l.ring[:l.start]} {
-		for i := range part {
-			out = append(out, l.renderLocked(&part[i], seq))
-			seq++
-		}
+	for i := 0; i < l.count; i++ {
+		out = append(out, l.renderLocked((l.start+i)%l.count, seq+uint64(i)))
 	}
 	return out
 }
@@ -578,6 +616,7 @@ func (l *CausalLog) Reset() {
 		l.phases[i].Reset()
 	}
 	clear(l.open)
+	clear(l.texts)
 }
 
 // RenderChain renders one trace's causal chain with per-step sim-time

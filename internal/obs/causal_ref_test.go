@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -117,11 +118,13 @@ func (l *refCausalLog) reset() {
 
 // TestCausalLogMatchesReference drives random event streams — chains
 // that complete, retry, fail and stay open, refusals with trace 0,
-// free-text notes — past the ring's capacity, with SetShard changes
-// mid-stream and Resets, through the record-based log (ids resolved
-// once per emitter) and the RingEvent reference, and requires Events,
-// EventsSeen, Traces, Chain, RenderChain, the phase histograms and the
-// open-chain count to agree after every step batch.
+// interned notes and one-off EmitText notes — past the ring's capacity,
+// with SetShard changes mid-stream and Resets, through the record-based
+// log (ids resolved once per emitter) and the RingEvent reference, and
+// requires Events, EventsSeen, Traces, Chain, RenderChain, the phase
+// histograms and the open-chain count to agree after every step batch.
+// The one-off notes must leave the log's note table as the emitters
+// left it: they live and die with their ring slot.
 func TestCausalLogMatchesReference(t *testing.T) {
 	guests := []string{"g0", "g1", "tenant-with-a-long-name", ""}
 	objects := []string{"o0", "obj-1", ""}
@@ -139,6 +142,7 @@ func TestCausalLogMatchesReference(t *testing.T) {
 		for _, n := range notes {
 			noteIDs[n] = l.Note(n)
 		}
+		interned := len(l.notes)
 		type emitter struct {
 			guest, object string
 			subj          SubjectID
@@ -172,7 +176,18 @@ func TestCausalLogMatchesReference(t *testing.T) {
 				if k == EvBackoff {
 					e.Dur = simtime.Duration(rng.Intn(500))
 				}
-				l.Emit(Record{Time: e.Time, Trace: e.Trace, Fn: e.Fn, Dur: e.Dur, Kind: e.Kind, Subject: em.subj, Note: noteIDs[e.Note]})
+				rec := Record{Time: e.Time, Trace: e.Trace, Fn: e.Fn, Dur: e.Dur, Kind: e.Kind, Subject: em.subj, Note: noteIDs[e.Note]}
+				if rng.Intn(8) == 0 {
+					// A one-off note, such as a rebalance move's; an
+					// empty one renders as no note.
+					e.Note = ""
+					if rng.Intn(4) != 0 {
+						e.Note = fmt.Sprintf("shard %d -> %d, load %d, imbalance %.2f", rng.Intn(4), rng.Intn(4), step, rng.Float64()*4)
+					}
+					l.EmitText(rec, e.Note)
+				} else {
+					l.Emit(rec)
+				}
 				ref.event(e)
 			}
 			if step%97 != 0 && step != 2999 {
@@ -208,6 +223,9 @@ func TestCausalLogMatchesReference(t *testing.T) {
 					t.Fatalf("seed %d step %d: trace %d retained but renders nothing", seed, step, tr)
 				}
 			}
+		}
+		if len(l.notes) != interned || len(l.noteID) != interned {
+			t.Fatalf("seed %d: note table grew from %d to %d entries; one-off notes must not be interned", seed, interned, len(l.notes))
 		}
 	}
 }

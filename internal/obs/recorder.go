@@ -56,8 +56,8 @@ type Recorder struct {
 	count       int    // retained spans
 	seen        uint64 // spans offered (every call)
 	sampled     uint64 // spans placed in the ring
-	hists       map[Key]*stats.Histogram
-	ringBatches map[RingKey]*stats.Histogram
+	hists       map[Key]*Series
+	ringBatches map[RingKey]*Series
 	causal      *CausalLog
 }
 
@@ -79,15 +79,16 @@ func NewRecorder(cfg Config) *Recorder {
 	return &Recorder{
 		sampleEvery: uint64(cfg.SampleEvery),
 		ring:        make([]Span, 0, cfg.SpanRing),
-		hists:       make(map[Key]*stats.Histogram),
-		ringBatches: make(map[RingKey]*stats.Histogram),
+		hists:       make(map[Key]*Series),
+		ringBatches: make(map[RingKey]*Series),
 		causal:      NewCausalLog(cfg.CausalEvents),
 	}
 }
 
 // Causal returns the recorder's causal-event log. A nil recorder
 // returns a nil log, which itself discards everything, so call sites
-// can chain r.Causal().Event(...) unconditionally.
+// can chain r.Causal().Emit(...) unconditionally, with ids from the
+// log's Subject and Note.
 func (r *Recorder) Causal() *CausalLog {
 	if r == nil {
 		return nil
@@ -97,11 +98,24 @@ func (r *Recorder) Causal() *CausalLog {
 
 // Series is a handle on one of a Recorder's histograms: a latency
 // series or a ring-batch series. An emitter resolves it once (Latency,
-// RingBatch) and records through it with no key lookup. A nil *Series
-// discards everything. Like all recording it charges nothing.
+// RingBatch) and records through it with no key lookup. The recorder
+// keeps one Series per key for its life, so resolving a key again
+// returns the same handle and allocates nothing. A nil *Series discards
+// everything. Like all recording it charges nothing.
 type Series struct {
 	r *Recorder
 	h *stats.Histogram
+}
+
+// series returns m's Series for k, creating it on first use. Callers
+// hold r.mu.
+func series[K comparable](r *Recorder, m map[K]*Series, k K) *Series {
+	s, ok := m[k]
+	if !ok {
+		s = &Series{r: r, h: stats.NewHistogram()}
+		m[k] = s
+	}
+	return s
 }
 
 // Record adds one observation.
@@ -126,13 +140,7 @@ func (r *Recorder) RingBatch(guest, object string) *Series {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	k := RingKey{guest, object}
-	h, ok := r.ringBatches[k]
-	if !ok {
-		h = stats.NewHistogram()
-		r.ringBatches[k] = h
-	}
-	return &Series{r: r, h: h}
+	return series(r, r.ringBatches, RingKey{guest, object})
 }
 
 // RingBatchKeys returns the keys of the ring-batch series recorded into
@@ -144,8 +152,8 @@ func (r *Recorder) RingBatchKeys() []RingKey {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out := make([]RingKey, 0, len(r.ringBatches))
-	for k, h := range r.ringBatches {
-		if h.Count() > 0 {
+	for k, s := range r.ringBatches {
+		if s.h.Count() > 0 {
 			out = append(out, k)
 		}
 	}
@@ -166,8 +174,8 @@ func (r *Recorder) RingBatchHistogram(k RingKey) *stats.Histogram {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if h, ok := r.ringBatches[k]; ok {
-		return h.Clone()
+	if s, ok := r.ringBatches[k]; ok {
+		return s.h.Clone()
 	}
 	return stats.NewHistogram()
 }
@@ -208,13 +216,7 @@ func (r *Recorder) Latency(guest, object string, fn uint64) *Series {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	k := Key{guest, object, fn}
-	h, ok := r.hists[k]
-	if !ok {
-		h = stats.NewHistogram()
-		r.hists[k] = h
-	}
-	return &Series{r: r, h: h}
+	return series(r, r.hists, Key{guest, object, fn})
 }
 
 // Spans returns the retained spans, oldest first.
@@ -260,8 +262,8 @@ func (r *Recorder) Keys() []Key {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out := make([]Key, 0, len(r.hists))
-	for k, h := range r.hists {
-		if h.Count() > 0 {
+	for k, s := range r.hists {
+		if s.h.Count() > 0 {
 			out = append(out, k)
 		}
 	}
@@ -285,8 +287,8 @@ func (r *Recorder) Histogram(k Key) *stats.Histogram {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if h, ok := r.hists[k]; ok {
-		return h.Clone()
+	if s, ok := r.hists[k]; ok {
+		return s.h.Clone()
 	}
 	return stats.NewHistogram()
 }
@@ -310,9 +312,9 @@ func (r *Recorder) merged(match func(Key) bool) *stats.Histogram {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for k, h := range r.hists {
+	for k, s := range r.hists {
 		if match(k) {
-			out.Merge(h)
+			out.Merge(s.h)
 		}
 	}
 	return out
@@ -330,11 +332,11 @@ func (r *Recorder) Reset() {
 	r.ring = r.ring[:0]
 	r.start, r.count = 0, 0
 	r.seen, r.sampled = 0, 0
-	for _, h := range r.hists {
-		h.Reset()
+	for _, s := range r.hists {
+		s.h.Reset()
 	}
-	for _, h := range r.ringBatches {
-		h.Reset()
+	for _, s := range r.ringBatches {
+		s.h.Reset()
 	}
 	r.causal.Reset()
 }

@@ -5,6 +5,7 @@ import (
 
 	"github.com/elisa-go/elisa/internal/core"
 	"github.com/elisa-go/elisa/internal/hv"
+	"github.com/elisa-go/elisa/internal/obs"
 	"github.com/elisa-go/elisa/internal/shm"
 	"github.com/elisa-go/elisa/internal/simtime"
 )
@@ -50,6 +51,68 @@ func TestZeroAllocLaneCallPath(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Fatalf("CallMulti allocates %v per batch, want 0", n)
+	}
+}
+
+// TestZeroAllocRecordedMixedFns: with a flight recorder armed, a
+// CallMulti fan-out and a gate-flushed ring batch that alternate
+// function ids perform zero heap allocations. Each request lands in its
+// own fn's latency series, so the handle's one-entry series cache
+// misses on every request and the recorder's lookup must hand back the
+// series it already holds.
+func TestZeroAllocRecordedMixedFns(t *testing.T) {
+	f, err := newKernelFixture()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := obs.NewRecorder(obs.Config{})
+	f.mgr.SetRecorder(rec)
+	v := f.vm.VCPU()
+	reqs := make([]core.Req, 8)
+	for i := range reqs {
+		reqs[i] = core.Req{Fn: kfnNop}
+		if i%2 == 1 {
+			reqs[i].Fn = kfnEcho
+		}
+	}
+	if err := f.h.CallMulti(v, reqs); err != nil { // warm the slot and both series
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if err := f.h.CallMulti(v, reqs); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("recorded mixed-fn CallMulti allocates %v per batch, want 0", n)
+	}
+	rc, err := f.h.Ring(v, core.RingConfig{Depth: 64, Deadline: simtime.Duration(1) << 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	comps := make([]shm.Comp, 16)
+	batch := func() {
+		for i := range comps {
+			if err := rc.Submit(v, reqs[i%len(reqs)].Fn, uint64(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := rc.Flush(v); err != nil {
+			t.Fatal(err)
+		}
+		for rc.Pending() > 0 {
+			if _, err := rc.Poll(v, comps); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	batch()
+	if n := testing.AllocsPerRun(100, batch); n != 0 {
+		t.Fatalf("recorded mixed-fn ring flush allocates %v per 16-op batch, want 0", n)
+	}
+	for _, fn := range []uint64{kfnNop, kfnEcho} {
+		if h := rec.Histogram(obs.Key{Guest: "perf-guest", Object: "perf", Fn: fn}); h.Count() == 0 {
+			t.Fatalf("fn %#x recorded no latency samples", fn)
+		}
 	}
 }
 

@@ -189,8 +189,7 @@ func (n *NIC) TXVerified() int { return n.txOK }
 // …. Since 7 is odd, byte(7j + 3) has period 256 in j, and pattern k is
 // that sequence read from j = 183·131·k mod 256 (183 is the inverse of 7
 // mod 256). So one precomputed table serves every k: filling a frame is
-// a copy and checking one is a comparison. Frames longer than the table
-// allows take the per-byte form.
+// a copy and checking one is a comparison.
 var patternTable = func() (t [256 + SlotBytes]byte) {
 	for j := range t {
 		t[j] = byte(7*j + 3)
@@ -198,35 +197,14 @@ var patternTable = func() (t [256 + SlotBytes]byte) {
 	return t
 }()
 
-// patternAt returns pattern k's first n bytes from the table, or nil when
-// n is beyond it.
+// patternAt returns pattern k's first n bytes. n is at most SlotBytes:
+// every frame fits an MTU slot.
 func patternAt(k, n int) []byte {
-	if n > SlotBytes {
-		return nil
-	}
 	s := int(byte(183 * 131 * k))
 	return patternTable[s : s+n]
 }
 
 // fillPattern stamps deterministic, sequence-dependent bytes.
-func fillPattern(p []byte, k int) {
-	if src := patternAt(k, len(p)); src != nil {
-		copy(p, src)
-		return
-	}
-	for i := range p {
-		p[i] = byte(k*131 + i*7 + 3)
-	}
-}
+func fillPattern(p []byte, k int) { copy(p, patternAt(k, len(p))) }
 
-func checkPattern(p []byte, k int) bool {
-	if want := patternAt(k, len(p)); want != nil {
-		return bytes.Equal(p, want)
-	}
-	for i := range p {
-		if p[i] != byte(k*131+i*7+3) {
-			return false
-		}
-	}
-	return true
-}
+func checkPattern(p []byte, k int) bool { return bytes.Equal(p, patternAt(k, len(p))) }
