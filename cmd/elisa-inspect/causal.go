@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"strconv"
 
 	elisa "github.com/elisa-go/elisa"
@@ -23,7 +24,7 @@ import (
 // arg selects what to render: "all" lists every retained trace and
 // renders each chain; a number (decimal or 0x-hex) renders that one
 // trace.
-func runCausal(arg string) error {
+func runCausal(w io.Writer, arg string) error {
 	sys, err := elisa.NewSystem(elisa.Config{
 		Observe: &elisa.ObserveConfig{SampleEvery: 1, CausalEvents: 4096},
 	})
@@ -99,21 +100,21 @@ func runCausal(arg string) error {
 	}
 
 	log := sys.Recorder().Causal()
-	fmt.Printf("causal scenario: %d ops, %d ring events recorded (%d retained)\n\n",
+	fmt.Fprintf(w, "causal scenario: %d ops, %d ring events recorded (%d retained)\n\n",
 		burst, log.EventsSeen(), len(log.Events()))
 
 	if arg == "all" {
 		traces := log.Traces()
-		fmt.Printf("traces (%d):\n", len(traces))
+		fmt.Fprintf(w, "traces (%d):\n", len(traces))
 		for _, tr := range traces {
 			chain := log.Chain(tr)
 			last := chain[len(chain)-1]
-			fmt.Printf("  %#x  %d events, last %s\n", tr, len(chain), last.Kind)
+			fmt.Fprintf(w, "  %#x  %d events, last %s\n", tr, len(chain), last.Kind)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 		for _, tr := range traces {
-			fmt.Print(log.RenderChain(tr))
-			fmt.Println()
+			fmt.Fprint(w, log.RenderChain(tr))
+			fmt.Fprintln(w)
 		}
 	} else {
 		tr, err := strconv.ParseUint(arg, 0, 64)
@@ -124,17 +125,17 @@ func runCausal(arg string) error {
 		if out == "" {
 			return fmt.Errorf("elisa-inspect: no events retained for trace %#x (try -causal all)", tr)
 		}
-		fmt.Print(out)
-		fmt.Println()
+		fmt.Fprint(w, out)
+		fmt.Fprintln(w)
 	}
 
-	fmt.Println("per-phase sim-time attribution (all chains):")
+	fmt.Fprintln(w, "per-phase sim-time attribution (all chains):")
 	for p := obs.RingPhase(0); p < obs.NumRingPhases; p++ {
 		hist := log.PhaseHistogram(p)
 		if hist.Count() == 0 {
 			continue
 		}
-		fmt.Printf("  %-8s n=%-4d total=%-8s p50=%-8s p99=%s\n",
+		fmt.Fprintf(w, "  %-8s n=%-4d total=%-8s p50=%-8s p99=%s\n",
 			p, hist.Count(),
 			simtime.Duration(hist.Sum()),
 			simtime.Duration(hist.Percentile(0.50)),

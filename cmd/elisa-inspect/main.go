@@ -9,6 +9,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 
@@ -34,12 +35,12 @@ func main() {
 		os.Exit(2)
 	}
 	if *causal != "" {
-		if err := runCausal(*causal); err != nil {
+		if err := runCausal(os.Stdout, *causal); err != nil {
 			log.Fatal(err)
 		}
 		return
 	}
-	if err := run(*guests, *objects, *slotBudget, *traceDump, *nFaults, *faultSeed); err != nil {
+	if err := run(os.Stdout, *guests, *objects, *slotBudget, *traceDump, *nFaults, *faultSeed); err != nil {
 		log.Fatal(err)
 	}
 }
@@ -61,7 +62,7 @@ func checkFlags(guests, objects, slotBudget, faults int) error {
 	return nil
 }
 
-func run(nGuests, nObjects, slotBudget int, traceDump bool, nFaults int, faultSeed int64) error {
+func run(w io.Writer, nGuests, nObjects, slotBudget int, traceDump bool, nFaults int, faultSeed int64) error {
 	cfg := elisa.Config{SlotBudget: slotBudget}
 	if traceDump {
 		// The forensic view: retain slow-path events and record every
@@ -105,13 +106,13 @@ func run(nGuests, nObjects, slotBudget int, traceDump bool, nFaults int, faultSe
 		}
 	}
 
-	fmt.Printf("objects: %v\n\n", mgr.ObjectNames())
+	fmt.Fprintf(w, "objects: %v\n\n", mgr.ObjectNames())
 	for _, g := range vms {
 		desc, err := mgr.DescribeGuest(g.VM())
 		if err != nil {
 			return err
 		}
-		fmt.Print(desc)
+		fmt.Fprint(w, desc)
 
 		// The virtual slot table: which stable vslot maps to which
 		// physical EPTP-list slot right now (LRU order via last-use).
@@ -119,7 +120,7 @@ func run(nGuests, nObjects, slotBudget int, traceDump bool, nFaults int, faultSe
 		if err != nil {
 			return err
 		}
-		fmt.Printf("  slot table (%d entries):\n", len(bindings))
+		fmt.Fprintf(w, "  slot table (%d entries):\n", len(bindings))
 		for _, b := range bindings {
 			phys := fmt.Sprintf("phys %-3d", b.Phys)
 			if b.Phys < 0 {
@@ -129,7 +130,7 @@ func run(nGuests, nObjects, slotBudget int, traceDump bool, nFaults int, faultSe
 			if b.Revoked {
 				state = " (revoked)"
 			}
-			fmt.Printf("    vslot %-3d -> %-8s %-12q last-use=%d%s\n",
+			fmt.Fprintf(w, "    vslot %-3d -> %-8s %-12q last-use=%d%s\n",
 				b.VSlot, phys, b.Object, b.LastUse, state)
 		}
 
@@ -137,8 +138,8 @@ func run(nGuests, nObjects, slotBudget int, traceDump bool, nFaults int, faultSe
 		if err != nil {
 			return err
 		}
-		fmt.Printf("  gate context (%d pages):\n", len(gms))
-		printMappings(gms)
+		fmt.Fprintf(w, "  gate context (%d pages):\n", len(gms))
+		printMappings(w, gms)
 
 		for j := 0; j < nObjects; j++ {
 			name := fmt.Sprintf("object-%d", j)
@@ -146,40 +147,40 @@ func run(nGuests, nObjects, slotBudget int, traceDump bool, nFaults int, faultSe
 			if err != nil {
 				return err
 			}
-			fmt.Printf("  sub context %q (%d pages):\n", name, len(sms))
-			printMappings(sms)
+			fmt.Fprintf(w, "  sub context %q (%d pages):\n", name, len(sms))
+			printMappings(w, sms)
 		}
 
-		fmt.Printf("  default context: %d pages mapped\n", g.VM().DefaultEPT().MappedPages())
-		fmt.Println()
+		fmt.Fprintf(w, "  default context: %d pages mapped\n", g.VM().DefaultEPT().MappedPages())
+		fmt.Fprintln(w)
 	}
 
-	fmt.Println("attachment accounting:")
+	fmt.Fprintln(w, "attachment accounting:")
 	for _, s := range mgr.Stats() {
-		fmt.Printf("  %-10s %-10s slot=%d calls=%d errs=%d revoked=%v\n",
+		fmt.Fprintf(w, "  %-10s %-10s slot=%d calls=%d errs=%d revoked=%v\n",
 			s.Guest, s.Object, s.SubIndex, s.Calls, s.FnErrors, s.Revoked)
 	}
 
 	if err := mgr.Fsck(); err != nil {
 		return fmt.Errorf("FSCK FAILED: %w", err)
 	}
-	fmt.Println("\nfsck: bookkeeping consistent with machine state")
+	fmt.Fprintln(w, "\nfsck: bookkeeping consistent with machine state")
 
 	if nFaults > 0 {
-		if err := chaos(sys, vms, handles, nFaults, faultSeed); err != nil {
+		if err := chaos(w, sys, vms, handles, nFaults, faultSeed); err != nil {
 			return err
 		}
 	}
 
 	if traceDump {
-		fmt.Printf("\nslow-path trace (%d events emitted, %d retained):\n",
+		fmt.Fprintf(w, "\nslow-path trace (%d events emitted, %d retained):\n",
 			sys.Trace().Emitted(), sys.Trace().Len())
-		fmt.Print(sys.Trace().String())
+		fmt.Fprint(w, sys.Trace().String())
 		rec := sys.Recorder()
-		fmt.Printf("\nfast-path span ring (%d spans seen, %d sampled):\n",
+		fmt.Fprintf(w, "\nfast-path span ring (%d spans seen, %d sampled):\n",
 			rec.SpansSeen(), rec.SpansSampled())
 		for _, sp := range sys.Spans() {
-			fmt.Println(sp)
+			fmt.Fprintln(w, sp)
 		}
 	}
 	return nil
@@ -190,7 +191,7 @@ func run(nGuests, nObjects, slotBudget int, traceDump bool, nFaults int, faultSe
 // deterministic fault/recovery trace. It re-runs Fsck at the end: the
 // whole point of the recovery path is that the machine audits clean after
 // every injected fault.
-func chaos(sys *elisa.System, vms []*elisa.GuestVM, handles [][]*elisa.Handle, nFaults int, faultSeed int64) error {
+func chaos(w io.Writer, sys *elisa.System, vms []*elisa.GuestVM, handles [][]*elisa.Handle, nFaults int, faultSeed int64) error {
 	mgr := sys.Manager()
 	names := make([]string, len(vms))
 	for i, g := range vms {
@@ -201,7 +202,7 @@ func chaos(sys *elisa.System, vms []*elisa.GuestVM, handles [][]*elisa.Handle, n
 		return err
 	}
 	inj := sys.ArmFaults(plan)
-	fmt.Printf("\nchaos: %d faults armed (seed %d), driving calls through the plan horizon\n",
+	fmt.Fprintf(w, "\nchaos: %d faults armed (seed %d), driving calls through the plan horizon\n",
 		nFaults, faultSeed)
 
 	// Drive rounds of calls so each guest's virtual clock advances past
@@ -248,19 +249,19 @@ func chaos(sys *elisa.System, vms []*elisa.GuestVM, handles [][]*elisa.Handle, n
 		}
 	}
 
-	fmt.Println("\nfault trace:")
-	fmt.Print(inj.TraceString())
+	fmt.Fprintln(w, "\nfault trace:")
+	fmt.Fprint(w, inj.TraceString())
 	rs := sys.RecoveryStats()
-	fmt.Printf("\nrecovery: %d guests quarantined (%d died mid-gate), %d list repairs, %d negotiation retries, %d faults still pending\n",
+	fmt.Fprintf(w, "\nrecovery: %d guests quarantined (%d died mid-gate), %d list repairs, %d negotiation retries, %d faults still pending\n",
 		rs.Recoveries, rs.MidGateDeaths, rs.Repairs, rs.Retries, inj.Pending())
 	if err := mgr.Fsck(); err != nil {
 		return fmt.Errorf("FSCK FAILED after chaos: %w", err)
 	}
-	fmt.Println("fsck: clean after fault injection and recovery")
+	fmt.Fprintln(w, "fsck: clean after fault injection and recovery")
 	return nil
 }
 
-func printMappings(ms []ept.Mapping) {
+func printMappings(w io.Writer, ms []ept.Mapping) {
 	var runStart, prev *ept.Mapping
 	pages := 0
 	flush := func() {
@@ -271,7 +272,7 @@ func printMappings(ms []ept.Mapping) {
 		if runStart.Bytes == ept.HugePageSize {
 			kind = " 2MiB"
 		}
-		fmt.Printf("    %#012x..%#012x %s (%d pages%s)\n",
+		fmt.Fprintf(w, "    %#012x..%#012x %s (%d pages%s)\n",
 			uint64(runStart.GPA), uint64(prev.GPA)+uint64(prev.Bytes)-1, runStart.Perm, pages, kind)
 	}
 	for i := range ms {
