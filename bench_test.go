@@ -224,14 +224,14 @@ func benchCallDataPath(b *testing.B, cfg Config) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	v := g.VCPU()
-	if _, err := h.Call(v, fn); err != nil {
+	v := g.VCPU(0)
+	if _, err := h.Call(fn); err != nil {
 		b.Fatal(err)
 	}
 	start := v.Clock().Now()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := h.Call(v, fn); err != nil {
+		if _, err := h.Call(fn); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -44,7 +44,7 @@ func buildCausalRig(t *testing.T, trace bool, retry RetryPolicy) (*System, *Gues
 	if err != nil {
 		t.Fatal(err)
 	}
-	rc, err := h.Ring(g.VCPU(), RingConfig{
+	rc, err := h.Ring(RingConfig{
 		Depth:    16,
 		Deadline: simtime.Duration(1) << 40, // poller-first
 		Retry:    retry,
@@ -65,7 +65,7 @@ func TestCausalRingChainEndToEnd(t *testing.T) {
 	if err := mgr.SetOverload(OverloadConfig{Enabled: true, BusyFrac: 0.25}); err != nil {
 		t.Fatal(err)
 	}
-	v := g.VCPU()
+	v := g.VCPU(0)
 
 	// Guest and manager VMs run independent virtual clocks; align them at
 	// each handoff so cross-domain phase intervals attribute instead of
@@ -186,7 +186,7 @@ func TestCausalRingChainEndToEnd(t *testing.T) {
 func TestCausalTracingZeroSimOverhead(t *testing.T) {
 	drive := func(trace bool) Duration {
 		sys, g, rc := buildCausalRig(t, trace, RetryPolicy{})
-		v := g.VCPU()
+		v := g.VCPU(0)
 		comps := make([]Comp, 16)
 		for batch := 0; batch < 8; batch++ {
 			for i := 0; i < 8; i++ {
@@ -231,14 +231,14 @@ func TestCausalTracingZeroSimOverhead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := g.VCPU()
+	v := g.VCPU(0)
 	for i := 0; i < 2; i++ { // cold fills, then warm
-		if _, err := h.Call(v, causalFnNop); err != nil {
+		if _, err := h.Call(causalFnNop); err != nil {
 			t.Fatal(err)
 		}
 	}
 	start := v.Clock().Now()
-	if _, err := h.Call(v, causalFnNop); err != nil {
+	if _, err := h.Call(causalFnNop); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := v.Clock().Elapsed(start), DefaultCostModel().ELISARoundTrip(); got != want {
@@ -347,8 +347,8 @@ func TestRingSpanBufferWrapAndHistogramMerge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := g.VCPU()
-	rc, err := h.Ring(v, RingConfig{Depth: 8, Deadline: simtime.Duration(1) << 40})
+	v := g.VCPU(0)
+	rc, err := h.Ring(RingConfig{Depth: 8, Deadline: simtime.Duration(1) << 40})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -87,10 +87,10 @@ func runChaosSequence(t *testing.T, seed int64) {
 	type tenant struct {
 		idx     int
 		g       *GuestVM
-		id      int      // hv VM ID, what chaosFnStamp writes
+		vm      *VM      // g's shard-0 VM
 		priv    string   // this tenant's private object
 		objs    []string // fixed order: shared objects then priv
-		handles map[string]*Handle
+		handles map[string]*ClusterHandle
 		seen    map[int]bool // every virtual slot ever handed out
 	}
 	names := make([]string, nGuests)
@@ -110,15 +110,19 @@ func runChaosSequence(t *testing.T, seed int64) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := mgr.Grant(priv, g.VM(), PermRW); err != nil {
+		vm, err := g.VM(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := mgr.Grant(priv, vm, PermRW); err != nil {
 			t.Fatal(err)
 		}
 		tn := &tenant{
 			idx:     i,
 			g:       g,
-			id:      g.VM().ID(),
+			vm:      vm,
 			priv:    priv,
-			handles: make(map[string]*Handle),
+			handles: make(map[string]*ClusterHandle),
 			seen:    make(map[int]bool),
 		}
 		for j := 0; j < nShared; j++ {
@@ -131,7 +135,7 @@ func runChaosSequence(t *testing.T, seed int64) {
 				t.Fatalf("%s attach %s: %v", names[i], name, err)
 			}
 			tn.handles[name] = h
-			tn.seen[h.SubIndex()] = true
+			tn.seen[h.Core().SubIndex()] = true
 		}
 		tenants[i] = tn
 	}
@@ -173,7 +177,7 @@ func runChaosSequence(t *testing.T, seed int64) {
 		if tn.g.Dead() {
 			continue
 		}
-		v := tn.g.VCPU()
+		v := tn.g.VCPU(0)
 		switch r := rng.Intn(100); {
 		case r < 50: // exit-less call, result verified
 			name := tn.objs[rng.Intn(len(tn.objs))]
@@ -182,7 +186,7 @@ func runChaosSequence(t *testing.T, seed int64) {
 				continue
 			}
 			arg := uint64(rng.Intn(1 << 30))
-			ret, err := h.Call(v, chaosFnDouble, arg)
+			ret, err := h.Call(chaosFnDouble, arg)
 			if err == nil {
 				calls++
 				if ret != 2*arg {
@@ -194,10 +198,10 @@ func runChaosSequence(t *testing.T, seed int64) {
 			if h == nil {
 				continue
 			}
-			prev, err := h.Call(v, chaosFnStamp)
+			prev, err := h.Call(chaosFnStamp)
 			if err == nil {
 				calls++
-				if prev != 0 && prev != uint64(tn.id) {
+				if prev != 0 && prev != uint64(tn.vm.ID()) {
 					t.Fatalf("op %d: %s read foreign stamp %d in its private object", op, tn.g.Name(), prev)
 				}
 			}
@@ -212,7 +216,7 @@ func runChaosSequence(t *testing.T, seed int64) {
 				{Fn: chaosFnDouble, Args: [4]uint64{base}},
 				{Fn: chaosFnDouble, Args: [4]uint64{base + 1}},
 			}
-			if err := h.CallMulti(v, reqs); err == nil {
+			if err := h.Core().CallMulti(v, reqs); err == nil {
 				calls++
 				for j := range reqs {
 					if reqs[j].Err == nil && reqs[j].Ret != 2*(base+uint64(j)) {
@@ -243,17 +247,17 @@ func runChaosSequence(t *testing.T, seed int64) {
 			if err != nil {
 				continue // injected negotiation storms may exhaust the retries
 			}
-			if tn.seen[h.SubIndex()] {
-				t.Fatalf("op %d: %s virtual slot %d reused for %q", op, tn.g.Name(), h.SubIndex(), name)
+			if tn.seen[h.Core().SubIndex()] {
+				t.Fatalf("op %d: %s virtual slot %d reused for %q", op, tn.g.Name(), h.Core().SubIndex(), name)
 			}
-			tn.seen[h.SubIndex()] = true
+			tn.seen[h.Core().SubIndex()] = true
 			tn.handles[name] = h
 		case r < 92: // manager-side revocation (bounded: revoked stays revoked)
 			if revokes >= maxRevokes {
 				continue
 			}
 			name := tn.objs[rng.Intn(len(tn.objs))]
-			if err := mgr.Revoke(tn.g.VM(), name); err == nil {
+			if err := mgr.Revoke(tn.vm, name); err == nil {
 				revokes++
 			}
 		case r < 97: // cross-tenant attach must be refused
@@ -275,9 +279,9 @@ func runChaosSequence(t *testing.T, seed int64) {
 			if alive <= nGuests/2 {
 				continue
 			}
-			hyp.CrashVM(tn.g.VM(), "chaos: injected crash")
+			hyp.CrashVM(tn.vm, "chaos: injected crash")
 		}
-		if c := tn.g.VCPU().Clock().Now(); c > now {
+		if c := tn.g.VCPU(0).Clock().Now(); c > now {
 			now = c
 		}
 		if op%64 == 63 {
@@ -336,7 +340,7 @@ func TestChaosConcurrencyStress(t *testing.T) {
 	}
 	type tenant struct {
 		g  *GuestVM
-		hs []*Handle
+		hs []*ClusterHandle
 	}
 	tenants := make([]*tenant, nGuests)
 	for i := range tenants {
@@ -362,7 +366,7 @@ func TestChaosConcurrencyStress(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			tn := tenants[i]
-			v := tn.g.VCPU()
+			v := tn.g.VCPU(0)
 			for k := 0; k < iters && !tn.g.Dead(); k++ {
 				h := tn.hs[k%nObjects]
 				if k%5 == 4 {
@@ -371,7 +375,7 @@ func TestChaosConcurrencyStress(t *testing.T) {
 						{Fn: stressFn, Args: [4]uint64{base}},
 						{Fn: stressFn, Args: [4]uint64{base + 1}},
 					}
-					if err := h.CallMulti(v, reqs); err == nil {
+					if err := h.Core().CallMulti(v, reqs); err == nil {
 						for j := range reqs {
 							if reqs[j].Err == nil && reqs[j].Ret != 2*(base+uint64(j)) {
 								violations[i] = fmt.Errorf("batch[%d] = %d, want %d", j, reqs[j].Ret, 2*(base+uint64(j)))
@@ -381,7 +385,7 @@ func TestChaosConcurrencyStress(t *testing.T) {
 					}
 				} else {
 					arg := uint64(k)
-					ret, err := h.Call(v, stressFn, arg)
+					ret, err := h.Call(stressFn, arg)
 					if err == nil && ret != 2*arg {
 						violations[i] = fmt.Errorf("call(%d) = %d, want %d", arg, ret, 2*arg)
 						return
@@ -395,8 +399,8 @@ func TestChaosConcurrencyStress(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	revoked := 0
 	for r := 0; r < nRevokes; r++ {
-		tn := tenants[rng.Intn(nGuests)]
-		if err := mgr.Revoke(tn.g.VM(), objName(rng.Intn(nObjects))); err == nil {
+		vm, _ := tenants[rng.Intn(nGuests)].g.VM(0)
+		if err := mgr.Revoke(vm, objName(rng.Intn(nObjects))); err == nil {
 			revoked++
 		}
 		runtime.Gosched()
@@ -547,8 +551,8 @@ func TestChaosOverloadRevokeDuringBackoff(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			v := g.VCPU()
-			rc, err := h.Ring(v, RingConfig{Depth: 16, Deadline: simtime.Second,
+			v := g.VCPU(0)
+			rc, err := h.Ring(RingConfig{Depth: 16, Deadline: simtime.Second,
 				Retry: RetryPolicy{MaxAttempts: 8, BaseBackoff: 2 * simtime.Microsecond, Seed: seed}})
 			if err != nil {
 				t.Fatal(err)
@@ -584,7 +588,8 @@ func TestChaosOverloadRevokeDuringBackoff(t *testing.T) {
 			}
 
 			// Revocation lands mid-backoff.
-			if err := mgr.Revoke(g.VM(), "ob-0"); err != nil {
+			vm, _ := g.VM(0)
+			if err := mgr.Revoke(vm, "ob-0"); err != nil {
 				t.Fatal(err)
 			}
 
@@ -669,14 +674,14 @@ func TestChaosHotPathExactWithArmedInjector(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := hot.VCPU()
+	v := hot.VCPU(0)
 	for i := 0; i < 2; i++ { // back the slot and warm the TLB
-		if _, err := h.Call(v, fn); err != nil {
+		if _, err := h.Call(fn); err != nil {
 			t.Fatal(err)
 		}
 	}
 	start := v.Clock().Now()
-	if _, err := h.Call(v, fn); err != nil {
+	if _, err := h.Call(fn); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := v.Clock().Elapsed(start), DefaultCostModel().ELISARoundTrip(); got != want {

@@ -257,3 +257,34 @@ func TestClusterMetricsCoverEveryShard(t *testing.T) {
 		t.Errorf("only %d families checked; the export lost families", checked)
 	}
 }
+
+// TestFacadeObjectsCounted: the shard managers are the one object
+// directory, so objects made through sys.Manager() — the quick-start
+// path — count in elisa_cluster_objects, Stats and Describe like those
+// made through Cluster().CreateObject.
+func TestFacadeObjectsCounted(t *testing.T) {
+	sys, err := NewSystem(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := sys.Manager().CreateObject(fmt.Sprintf("mgr-%d", i), PageSize); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := sys.Cluster().CreateObject("placed", PageSize); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.Cluster().CreateObject("mgr-0", PageSize); err == nil {
+		t.Fatal("Cluster().CreateObject accepted a name shard 0's manager holds")
+	}
+	if got := sys.Metrics().Prometheus(); !strings.Contains(got, `elisa_cluster_objects{shard="0"} 4`) {
+		t.Fatalf("elisa_cluster_objects does not count all 4 objects:\n%s", got)
+	}
+	if st := sys.Cluster().Stats(); st.Objects != 4 || st.Shards[0].Objects != 4 {
+		t.Fatalf("Stats counts %d objects (%d on shard 0), want 4", st.Objects, st.Shards[0].Objects)
+	}
+	if got, want := sys.Cluster().Describe(), "shard 0: 4 objects [mgr-0 mgr-1 mgr-2 placed]\n"; got != want {
+		t.Fatalf("Describe = %q, want %q", got, want)
+	}
+}

@@ -49,8 +49,8 @@ func runCausal(w io.Writer, arg string) error {
 	if err := mgr.SetOverload(core.OverloadConfig{Enabled: true, BusyFrac: 0.25}); err != nil {
 		return err
 	}
-	v := g.VCPU()
-	rc, err := h.Ring(v, elisa.RingConfig{
+	v := g.VCPU(0)
+	rc, err := h.Ring(elisa.RingConfig{
 		Depth:    16,
 		Deadline: simtime.Duration(1) << 40, // poller-first: gate only as backstop
 		Retry:    elisa.RetryPolicy{MaxAttempts: 3, BaseBackoff: 2_000, Seed: 7},

@@ -84,7 +84,7 @@ func run(w io.Writer, nGuests, nObjects, slotBudget int, traceDump bool, nFaults
 		}
 	}
 	vms := make([]*elisa.GuestVM, nGuests)
-	handles := make([][]*elisa.Handle, nGuests)
+	handles := make([][]*elisa.ClusterHandle, nGuests)
 	for i := range vms {
 		g, err := sys.NewGuestVM(fmt.Sprintf("tenant-%d", i), 16*elisa.PageSize)
 		if err != nil {
@@ -99,7 +99,7 @@ func run(w io.Writer, nGuests, nObjects, slotBudget int, traceDump bool, nFaults
 			handles[i] = append(handles[i], h)
 			// A few calls so the accounting has something to show.
 			for k := 0; k < (i+1)*(j+2); k++ {
-				if _, err := h.Call(g.VCPU(), 1, uint64(k)); err != nil {
+				if _, err := h.Call(1, uint64(k)); err != nil {
 					return err
 				}
 			}
@@ -108,7 +108,11 @@ func run(w io.Writer, nGuests, nObjects, slotBudget int, traceDump bool, nFaults
 
 	fmt.Fprintf(w, "objects: %v\n\n", mgr.ObjectNames())
 	for _, g := range vms {
-		desc, err := mgr.DescribeGuest(g.VM())
+		vm, err := g.VM(0)
+		if err != nil {
+			return err
+		}
+		desc, err := mgr.DescribeGuest(vm)
 		if err != nil {
 			return err
 		}
@@ -116,7 +120,7 @@ func run(w io.Writer, nGuests, nObjects, slotBudget int, traceDump bool, nFaults
 
 		// The virtual slot table: which stable vslot maps to which
 		// physical EPTP-list slot right now (LRU order via last-use).
-		bindings, err := mgr.SlotTable(g.VM())
+		bindings, err := mgr.SlotTable(vm)
 		if err != nil {
 			return err
 		}
@@ -134,7 +138,7 @@ func run(w io.Writer, nGuests, nObjects, slotBudget int, traceDump bool, nFaults
 				b.VSlot, phys, b.Object, b.LastUse, state)
 		}
 
-		gms, err := mgr.GateContextMappings(g.VM())
+		gms, err := mgr.GateContextMappings(vm)
 		if err != nil {
 			return err
 		}
@@ -143,7 +147,7 @@ func run(w io.Writer, nGuests, nObjects, slotBudget int, traceDump bool, nFaults
 
 		for j := 0; j < nObjects; j++ {
 			name := fmt.Sprintf("object-%d", j)
-			sms, err := mgr.SubContextMappings(g.VM(), name)
+			sms, err := mgr.SubContextMappings(vm, name)
 			if err != nil {
 				return err
 			}
@@ -151,7 +155,7 @@ func run(w io.Writer, nGuests, nObjects, slotBudget int, traceDump bool, nFaults
 			printMappings(w, sms)
 		}
 
-		fmt.Fprintf(w, "  default context: %d pages mapped\n", g.VM().DefaultEPT().MappedPages())
+		fmt.Fprintf(w, "  default context: %d pages mapped\n", vm.DefaultEPT().MappedPages())
 		fmt.Fprintln(w)
 	}
 
@@ -191,7 +195,7 @@ func run(w io.Writer, nGuests, nObjects, slotBudget int, traceDump bool, nFaults
 // deterministic fault/recovery trace. It re-runs Fsck at the end: the
 // whole point of the recovery path is that the machine audits clean after
 // every injected fault.
-func chaos(w io.Writer, sys *elisa.System, vms []*elisa.GuestVM, handles [][]*elisa.Handle, nFaults int, faultSeed int64) error {
+func chaos(w io.Writer, sys *elisa.System, vms []*elisa.GuestVM, handles [][]*elisa.ClusterHandle, nFaults int, faultSeed int64) error {
 	mgr := sys.Manager()
 	names := make([]string, len(vms))
 	for i, g := range vms {
@@ -218,13 +222,13 @@ func chaos(w io.Writer, sys *elisa.System, vms []*elisa.GuestVM, handles [][]*el
 				continue
 			}
 			alive++
-			v := g.VCPU()
+			v := g.VCPU(0)
 			for k := 0; k < 512; k++ {
 				for _, h := range handles[i] {
 					// Injected faults surface as call errors;
 					// that is the event under test, not a
 					// tool failure.
-					_, _ = h.Call(v, 1, uint64(k))
+					_, _ = h.Call(1, uint64(k))
 					if g.Dead() {
 						break
 					}

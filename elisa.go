@@ -20,9 +20,9 @@
 //	    return 0, c.CopyExchangeToObject(0, 0, int(c.Args[0]))
 //	})
 //	vm, _ := sys.NewGuestVM("tenant-a", 64*1024)
-//	h, _ := vm.Attach("bulletin")
-//	_ = h.ExchangeWrite(vm.VCPU(), 0, []byte("hello"))
-//	_, _ = h.Call(vm.VCPU(), 1, 5) // exit-less: 196ns + the copy
+//	h, _ := vm.Attach("bulletin") // routed to the shard holding it
+//	_ = h.Core().ExchangeWrite(h.VCPU(), 0, []byte("hello"))
+//	_, _ = h.Call(1, 5) // exit-less: 196ns + the copy
 //	_ = obj
 //
 // See examples/ for runnable programs and internal/experiments for the
@@ -162,6 +162,9 @@ type (
 	// ClusterGuest is a cluster tenant: one logical guest with a replica
 	// on every shard it touches (Cluster.NewGuest).
 	ClusterGuest = cluster.Guest
+	// GuestVM is the guest System.NewGuestVM returns: a ClusterGuest whose
+	// shard-0 VM is booted, routed per attachment like any other.
+	GuestVM = cluster.Guest
 	// ClusterHandle is a routed attachment — the owning shard resolved
 	// once at attach time, exit-less thereafter.
 	ClusterHandle = cluster.Handle
@@ -258,8 +261,8 @@ type Config struct {
 	// always a cluster: Shards independent hosts behind a seeded
 	// consistent-hash placement ring, reachable via System.Cluster, and a
 	// single host is a 1-shard cluster. The single-machine accessors
-	// (Manager, Hypervisor, NewGuestVM, …) address shard 0. ShardSeed
-	// feeds the placement ring.
+	// (Manager, Hypervisor, …) address shard 0; NewGuestVM's guests route
+	// per attachment. ShardSeed feeds the placement ring.
 	Shards    int
 	ShardSeed int64
 }
@@ -370,60 +373,20 @@ func (s *System) Injector() *FaultInjector { return s.Manager().Injector() }
 // mid-gate deaths, Fsck repairs, negotiation retries.
 func (s *System) RecoveryStats() RecoveryStats { return s.Manager().RecoveryStats() }
 
-// GuestVM is a guest with the ELISA library initialised.
-type GuestVM struct {
-	vm  *hv.VM
-	lib *core.Guest
-}
-
-// NewGuestVM boots a guest VM on shard 0 with ramBytes of private RAM (a
-// multiple of PageSize, at least two pages) and initialises its ELISA
-// library.
+// NewGuestVM creates a routed guest (a ClusterGuest) with ramBytes of
+// private RAM per shard VM (a multiple of PageSize, at least two pages)
+// and boots its shard-0 VM at once. Attach negotiates on whichever shard
+// holds the object, exactly as for Cluster().NewGuest.
 func (s *System) NewGuestVM(name string, ramBytes int) (*GuestVM, error) {
-	sh := s.shard0()
-	vm, err := sh.Hypervisor().CreateVM(name, ramBytes)
+	g, err := s.cluster.NewGuest(name, ramBytes)
 	if err != nil {
 		return nil, err
 	}
-	lib, err := core.NewGuest(vm, sh.Manager())
-	if err != nil {
+	if _, err := g.VM(0); err != nil {
 		return nil, err
 	}
-	return &GuestVM{vm: vm, lib: lib}, nil
+	return g, nil
 }
-
-// Name returns the guest's name.
-func (g *GuestVM) Name() string { return g.vm.Name() }
-
-// VM exposes the underlying hypervisor VM.
-func (g *GuestVM) VM() *VM { return g.vm }
-
-// VCPU returns the guest's virtual CPU.
-func (g *GuestVM) VCPU() *VCPU { return g.vm.VCPU() }
-
-// Attach negotiates access to a named shared object (the slow path; the
-// only exits in the protocol).
-func (g *GuestVM) Attach(object string) (*Handle, error) {
-	return g.lib.Attach(object)
-}
-
-// Detach gracefully releases an attachment.
-func (g *GuestVM) Detach(object string) error { return g.lib.Detach(object) }
-
-// Run executes a guest program on the guest's vCPU.
-func (g *GuestVM) Run(program func(*VCPU) error) error { return g.vm.Run(program) }
-
-// Dead reports whether the hypervisor killed this guest (the outcome of
-// every isolation violation).
-func (g *GuestVM) Dead() bool { return g.vm.Dead() }
-
-// Elapsed returns the guest's consumed simulated time.
-func (g *GuestVM) Elapsed() Duration {
-	return simtime.Duration(g.vm.VCPU().Clock().Now())
-}
-
-// Stats returns the guest's vCPU event counters (exits, VMFUNCs, TLB).
-func (g *GuestVM) Stats() cpu.Stats { return g.vm.VCPU().Stats() }
 
 // Validate is a cheap self-check that the headline calibration holds on
 // this system's cost model; it returns the two round-trip costs.

@@ -55,17 +55,17 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	}
 
 	msg := []byte("published through the public API")
-	if err := ha.ExchangeWrite(a.VCPU(), 0, msg); err != nil {
+	if err := ha.Core().ExchangeWrite(a.VCPU(0), 0, msg); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ha.Call(a.VCPU(), fnPublish, 128, uint64(len(msg))); err != nil {
+	if _, err := ha.Call(fnPublish, 128, uint64(len(msg))); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := hb.Call(b.VCPU(), fnFetch, 128, uint64(len(msg))); err != nil {
+	if _, err := hb.Call(fnFetch, 128, uint64(len(msg))); err != nil {
 		t.Fatal(err)
 	}
 	got := make([]byte, len(msg))
-	if err := hb.ExchangeRead(b.VCPU(), 0, got); err != nil {
+	if err := hb.Core().ExchangeRead(b.VCPU(0), 0, got); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, msg) {
@@ -74,13 +74,13 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if a.Dead() || b.Dead() {
 		t.Fatal("guests died on the happy path")
 	}
-	if a.Stats().Exits == 0 {
+	if a.VCPU(0).Stats().Exits == 0 {
 		t.Fatal("attach should have exited (negotiation)")
 	}
 	if a.Elapsed() <= 0 {
 		t.Fatal("no simulated time consumed")
 	}
-	if a.Name() != "tenant-a" || a.VM() == nil {
+	if vm, err := a.VM(0); a.Name() != "tenant-a" || err != nil || vm.Name() != "tenant-a" {
 		t.Fatal("accessors broken")
 	}
 }
@@ -99,9 +99,7 @@ func TestPublicAPIIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Reading the object's address without switching contexts is fatal.
-	err = g.Run(func(v *VCPU) error {
-		return v.ReadGPA(obj.GPA(), make([]byte, 8))
-	})
+	err = g.VCPU(0).ReadGPA(obj.GPA(), make([]byte, 8))
 	if err == nil || !g.Dead() {
 		t.Fatalf("direct access survived: %v (dead=%v)", err, g.Dead())
 	}
@@ -116,7 +114,11 @@ func TestPublicAPIGrants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.Manager().Grant("ro", g.VM(), PermRead); err != nil {
+	vm, err := g.VM(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Manager().Grant("ro", vm, PermRead); err != nil {
 		t.Fatal(err)
 	}
 	h, err := g.Attach("ro")
@@ -124,11 +126,11 @@ func TestPublicAPIGrants(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Reads fine; writes fatal.
-	if _, err := h.Call(g.VCPU(), fnFetch, 0, 8); err != nil {
+	if _, err := h.Call(fnFetch, 0, 8); err != nil {
 		t.Fatal(err)
 	}
-	_ = h.ExchangeWrite(g.VCPU(), 0, []byte{1})
-	if _, err := h.Call(g.VCPU(), fnPublish, 0, 1); err == nil || !g.Dead() {
+	_ = h.Core().ExchangeWrite(g.VCPU(0), 0, []byte{1})
+	if _, err := h.Call(fnPublish, 0, 1); err == nil || !g.Dead() {
 		t.Fatal("read-only grant not enforced")
 	}
 }
@@ -168,7 +170,7 @@ func TestDetachViaFacade(t *testing.T) {
 	if err := g.Detach("tmp"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.Call(g.VCPU(), fnFetch, 0, 1); err == nil {
+	if _, err := h.Call(fnFetch, 0, 1); err == nil {
 		t.Fatal("call after detach succeeded")
 	}
 	if g.Dead() {

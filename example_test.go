@@ -37,12 +37,12 @@ func Example() {
 		log.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := h.Call(vm.VCPU(), 1); err != nil {
+		if _, err := h.Call(1); err != nil {
 			log.Fatal(err)
 		}
 	}
-	final, _ := h.Call(vm.VCPU(), 1)
-	fmt.Printf("counter = %d, exits on data path = %d\n", final, vm.Stats().Exits-1)
+	final, _ := h.Call(1)
+	fmt.Printf("counter = %d, exits on data path = %d\n", final, vm.VCPU(0).Stats().Exits-1)
 	// Output: counter = 4, exits on data path = 0
 }
 
@@ -63,10 +63,10 @@ func ExampleHandle_CallMulti() {
 	for i := range reqs {
 		reqs[i] = elisa.Req{Fn: 7, Args: [4]uint64{uint64(i + 1)}}
 	}
-	if err := h.CallMulti(vm.VCPU(), reqs); err != nil {
+	if err := h.Core().CallMulti(vm.VCPU(0), reqs); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("sum = %d, VMFUNCs = %d (one crossing)\n", reqs[4].Ret, vm.Stats().VMFuncs)
+	fmt.Printf("sum = %d, VMFUNCs = %d (one crossing)\n", reqs[4].Ret, vm.VCPU(0).Stats().VMFuncs)
 	// Output: sum = 15, VMFUNCs = 4 (one crossing)
 }
 

@@ -71,9 +71,7 @@ func elisaAttacks(sys *elisa.System) {
 	if _, err := a1.Attach("protected"); err != nil {
 		log.Fatal(err)
 	}
-	err = a1.Run(func(v *elisa.VCPU) error {
-		return v.ReadGPA(obj.GPA(), make([]byte, 8))
-	})
+	err = a1.VCPU(0).ReadGPA(obj.GPA(), make([]byte, 8))
 	fmt.Printf("attack 1 (read object from default context): %v\n  -> guest killed: %v\n", err, a1.Dead())
 
 	// Attack 2: VMFUNC to a slot the manager never granted.
@@ -81,19 +79,20 @@ func elisaAttacks(sys *elisa.System) {
 	if _, err := a2.Attach("protected"); err != nil {
 		log.Fatal(err)
 	}
-	err = a2.Run(func(v *elisa.VCPU) error { return v.VMFunc(0, 200) })
+	err = a2.VCPU(0).VMFunc(0, 200)
 	fmt.Printf("attack 2 (VMFUNC to ungranted slot): %v\n  -> guest killed: %v\n", err, a2.Dead())
 
 	// Attack 3: a read-only tenant tries to write through the published
 	// function — the sub context's EPT, not software, says no.
 	a3, _ := sys.NewGuestVM("attacker-3", 16*elisa.PageSize)
-	must(mgr.Grant("protected", a3.VM(), elisa.PermRead))
+	vm3, _ := a3.VM(0)
+	must(mgr.Grant("protected", vm3, elisa.PermRead))
 	h3, err := a3.Attach("protected")
 	if err != nil {
 		log.Fatal(err)
 	}
-	must(h3.ExchangeWrite(a3.VCPU(), 0, []byte("overwrite attempt")))
-	_, err = h3.Call(a3.VCPU(), 1, 17)
+	must(h3.Core().ExchangeWrite(a3.VCPU(0), 0, []byte("overwrite attempt")))
+	_, err = h3.Call(1, 17)
 	fmt.Printf("attack 3 (write through a read-only grant): %v\n  -> guest killed: %v\n", err, a3.Dead())
 
 	// Attack 4: revoked tenant forces the switch anyway.
@@ -102,8 +101,9 @@ func elisaAttacks(sys *elisa.System) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	must(mgr.Revoke(a4.VM(), "protected"))
-	err = a4.Run(func(v *elisa.VCPU) error { return v.VMFunc(0, h4.SubIndex()) })
+	vm4, _ := a4.VM(0)
+	must(mgr.Revoke(vm4, "protected"))
+	err = a4.VCPU(0).VMFunc(0, h4.Core().SubIndex())
 	fmt.Printf("attack 4 (VMFUNC to revoked slot): %v\n  -> guest killed: %v\n", err, a4.Dead())
 
 	// Meanwhile a well-behaved tenant is unaffected.
@@ -112,12 +112,12 @@ func elisaAttacks(sys *elisa.System) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	must(hg.ExchangeWrite(good.VCPU(), 0, []byte("legitimate update")))
-	if _, err := hg.Call(good.VCPU(), 1, 17); err != nil {
+	must(hg.Core().ExchangeWrite(good.VCPU(0), 0, []byte("legitimate update")))
+	if _, err := hg.Call(1, 17); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("good tenant still works: alive=%v, exits on data path=0, VMFUNCs=%d\n",
-		!good.Dead(), good.Stats().VMFuncs)
+		!good.Dead(), good.VCPU(0).Stats().VMFuncs)
 }
 
 func must(err error) {

@@ -133,20 +133,20 @@ func main() {
 		n := min(batch, records-sent)
 		for i := 0; i < n; i++ {
 			fill(rec, sent+i)
-			must(hp.ExchangeWrite(producer.VCPU(), i*recLen, rec))
+			must(hp.Core().ExchangeWrite(producer.VCPU(0), i*recLen, rec))
 		}
 		if n > 0 {
-			pushed, err := hp.Call(producer.VCPU(), fnPush, uint64(n), recLen)
+			pushed, err := hp.Call(fnPush, uint64(n), recLen)
 			must(err)
 			sent += int(pushed)
 		}
 		// Consume (not before the producer's simulated time: the ring
 		// contents only exist once produced).
-		consumer.VCPU().Clock().AdvanceTo(producer.VCPU().Clock().Now())
-		popped, err := hc.Call(consumer.VCPU(), fnPop, batch, recLen)
+		consumer.VCPU(0).Clock().AdvanceTo(producer.VCPU(0).Clock().Now())
+		popped, err := hc.Call(fnPop, batch, recLen)
 		must(err)
 		for i := 0; i < int(popped); i++ {
-			must(hc.ExchangeRead(consumer.VCPU(), i*recLen, rec))
+			must(hc.Core().ExchangeRead(consumer.VCPU(0), i*recLen, rec))
 			if !check(rec, got+i) {
 				log.Fatalf("record %d corrupted in transit", got+i)
 			}
@@ -157,9 +157,9 @@ func main() {
 	rate := float64(records) / consumer.Elapsed().Seconds() / 1e6
 	fmt.Printf("streamed %d records of %dB producer->consumer: %.2f Mrec/s (simulated)\n", records, recLen, rate)
 	fmt.Printf("producer exits: %d (attach only), VMFUNCs: %d\n",
-		producer.Stats().Exits, producer.Stats().VMFuncs)
+		producer.VCPU(0).Stats().Exits, producer.VCPU(0).Stats().VMFuncs)
 	fmt.Printf("consumer exits: %d (attach only), VMFUNCs: %d\n",
-		consumer.Stats().Exits, consumer.Stats().VMFuncs)
+		consumer.VCPU(0).Stats().Exits, consumer.VCPU(0).Stats().VMFuncs)
 	fmt.Printf("\nlast machine events:\n")
 	evs := sys.Trace().Events()
 	for _, e := range evs[max(0, len(evs)-6):] {

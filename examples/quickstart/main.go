@@ -56,20 +56,20 @@ func main() {
 
 	// Alice publishes through her exchange buffer + an exit-less call.
 	msg := []byte("ELISA: isolated AND exit-less")
-	must(ha.ExchangeWrite(alice.VCPU(), 0, msg))
-	exitsBefore := alice.Stats().Exits
-	if _, err := ha.Call(alice.VCPU(), fnPut, 64, uint64(len(msg))); err != nil {
+	must(ha.Core().ExchangeWrite(alice.VCPU(0), 0, msg))
+	exitsBefore := alice.VCPU(0).Stats().Exits
+	if _, err := ha.Call(fnPut, 64, uint64(len(msg))); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("alice published %d bytes with %d VM exits (VMFUNCs so far: %d)\n",
-		len(msg), alice.Stats().Exits-exitsBefore, alice.Stats().VMFuncs)
+		len(msg), alice.VCPU(0).Stats().Exits-exitsBefore, alice.VCPU(0).Stats().VMFuncs)
 
 	// Bob reads them back through his own sub context.
-	if _, err := hb.Call(bob.VCPU(), fnGet, 64, uint64(len(msg))); err != nil {
+	if _, err := hb.Call(fnGet, 64, uint64(len(msg))); err != nil {
 		log.Fatal(err)
 	}
 	got := make([]byte, len(msg))
-	must(hb.ExchangeRead(bob.VCPU(), 0, got))
+	must(hb.Core().ExchangeRead(bob.VCPU(0), 0, got))
 	fmt.Printf("bob read: %q\n", got)
 
 	// The calibrated costs (paper Table 2).

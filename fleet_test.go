@@ -42,7 +42,7 @@ func TestFleetScaleManyGuestsNoKills(t *testing.T) {
 	}
 	type tenant struct {
 		vm      *GuestVM
-		handles []*Handle
+		handles []*ClusterHandle
 	}
 	tenants := make([]tenant, nGuests)
 	attachments := 0
@@ -51,7 +51,7 @@ func TestFleetScaleManyGuestsNoKills(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		hs := make([]*Handle, nObjects)
+		hs := make([]*ClusterHandle, nObjects)
 		for j := range hs {
 			h, err := vm.Attach(fmt.Sprintf("fo-%02d", j))
 			if err != nil {
@@ -73,10 +73,9 @@ func TestFleetScaleManyGuestsNoKills(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			tn := tenants[i]
-			v := tn.vm.VCPU()
 			for r := 0; r < rounds; r++ {
 				for _, h := range tn.handles {
-					if _, err := h.Call(v, fleetFnNop); err != nil {
+					if _, err := h.Call(fleetFnNop); err != nil {
 						errs[i] = err
 						return
 					}
@@ -111,16 +110,16 @@ func TestFleetScaleManyGuestsNoKills(t *testing.T) {
 
 	// The hot path still costs exactly the paper's 196ns: call twice so
 	// the second is guaranteed backed and TLB-warm, then measure.
-	v := tenants[0].vm.VCPU()
+	v := tenants[0].vm.VCPU(0)
 	h := tenants[0].handles[0]
-	if _, err := h.Call(v, fleetFnNop); err != nil {
+	if _, err := h.Call(fleetFnNop); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.Call(v, fleetFnNop); err != nil {
+	if _, err := h.Call(fleetFnNop); err != nil {
 		t.Fatal(err)
 	}
 	start := v.Clock().Now()
-	if _, err := h.Call(v, fleetFnNop); err != nil {
+	if _, err := h.Call(fleetFnNop); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := v.Clock().Elapsed(start), DefaultCostModel().ELISARoundTrip(); got != want {

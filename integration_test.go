@@ -54,14 +54,14 @@ func TestIntegrationMultiTenantCounters(t *testing.T) {
 		}
 	}
 	guests := make([]*GuestVM, nGuests)
-	handles := make([][]*Handle, nGuests)
+	handles := make([][]*ClusterHandle, nGuests)
 	for i := range guests {
 		g, err := sys.NewGuestVM(fmt.Sprintf("t-%d", i), 16*PageSize)
 		if err != nil {
 			t.Fatal(err)
 		}
 		guests[i] = g
-		handles[i] = make([]*Handle, nObjects)
+		handles[i] = make([]*ClusterHandle, nObjects)
 		for o := 0; o < nObjects; o++ {
 			h, err := g.Attach(fmt.Sprintf("ctr-%d", o))
 			if err != nil {
@@ -75,9 +75,9 @@ func TestIntegrationMultiTenantCounters(t *testing.T) {
 	}
 
 	for r := 0; r < rounds; r++ {
-		for i, g := range guests {
+		for i := range guests {
 			for o := 0; o < nObjects; o++ {
-				if _, err := handles[i][o].Call(g.VCPU(), itFnIncr, 1); err != nil {
+				if _, err := handles[i][o].Call(itFnIncr, 1); err != nil {
 					t.Fatalf("round %d guest %d obj %d: %v", r, i, o, err)
 				}
 			}
@@ -85,8 +85,8 @@ func TestIntegrationMultiTenantCounters(t *testing.T) {
 	}
 	// Every counter saw nGuests*rounds increments, visible to everyone.
 	for o := 0; o < nObjects; o++ {
-		for i, g := range guests {
-			got, err := handles[i][o].Call(g.VCPU(), itFnRead)
+		for i := range guests {
+			got, err := handles[i][o].Call(itFnRead)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -97,7 +97,7 @@ func TestIntegrationMultiTenantCounters(t *testing.T) {
 	}
 	// Zero exits on the whole data path (attach hypercalls only).
 	for i, g := range guests {
-		if exits := g.Stats().Exits; exits != nObjects {
+		if exits := g.VCPU(0).Stats().Exits; exits != nObjects {
 			t.Fatalf("guest %d took %d exits, want %d (attaches only)", i, exits, nObjects)
 		}
 	}
@@ -135,7 +135,7 @@ func TestIntegrationBatchedCallsAndRevocation(t *testing.T) {
 	for i := range reqs {
 		reqs[i] = Req{Fn: itFnIncr, Args: [4]uint64{1}}
 	}
-	if err := hg.CallMulti(good.VCPU(), reqs); err != nil {
+	if err := hg.Core().CallMulti(good.VCPU(0), reqs); err != nil {
 		t.Fatal(err)
 	}
 	if reqs[15].Ret != 16 {
@@ -143,17 +143,21 @@ func TestIntegrationBatchedCallsAndRevocation(t *testing.T) {
 	}
 
 	// Revoke the bad tenant; its next (cooperative) call is refused.
-	if err := mgr.Revoke(bad.VM(), "shared"); err != nil {
+	badVM, err := bad.VM(0)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := hb.Call(bad.VCPU(), itFnRead); err == nil {
+	if err := mgr.Revoke(badVM, "shared"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := hb.Call(itFnRead); err == nil {
 		t.Fatal("revoked call succeeded")
 	}
 	if bad.Dead() {
 		t.Fatal("cooperative revoked tenant killed")
 	}
 	// The good tenant continues.
-	if _, err := hg.Call(good.VCPU(), itFnIncr, 1); err != nil {
+	if _, err := hg.Call(itFnIncr, 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := mgr.Fsck(); err != nil {
@@ -179,12 +183,12 @@ func TestIntegrationDeterminism(t *testing.T) {
 		}
 		var last uint64
 		for i := 0; i < 500; i++ {
-			last, err = h.Call(g.VCPU(), itFnIncr, uint64(i%7))
+			last, err = h.Call(itFnIncr, uint64(i%7))
 			if err != nil {
 				t.Fatal(err)
 			}
 		}
-		s := g.Stats()
+		s := g.VCPU(0).Stats()
 		return g.Elapsed(), last, s.VMFuncs
 	}
 	e1, r1, f1 := run()

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/elisa-go/elisa/internal/core"
 	"github.com/elisa-go/elisa/internal/hv"
@@ -71,11 +70,10 @@ type Cluster struct {
 	ring   *PlacementRing
 	shards []*Shard
 
-	objects    map[string]int // object name -> owning shard
-	moves      uint64         // MoveObject rebalances performed
-	rebalances uint64         // tenant migrations the auto-rebalancer executed
-	muxSeq     uint64         // RingMux instances created (trace-base branding)
-	fleets     []*Fleet       // for per-shard goodput in Stats
+	moves      uint64   // MoveObject rebalances performed
+	rebalances uint64   // tenant migrations the auto-rebalancer executed
+	muxSeq     uint64   // RingMux instances created (trace-base branding)
+	fleets     []*Fleet // for per-shard goodput in Stats
 }
 
 // New boots a cluster: Config.Shards independent machines plus the
@@ -94,7 +92,7 @@ func New(cfg Config) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Cluster{cfg: cfg, ring: ring, objects: make(map[string]int)}
+	c := &Cluster{cfg: cfg, ring: ring}
 	for i := 0; i < cfg.Shards; i++ {
 		h, err := hv.New(hv.Config{PhysBytes: cfg.PhysBytes, Cost: cfg.Cost, TraceEvents: cfg.TraceEvents})
 		if err != nil {
@@ -135,14 +133,12 @@ func (c *Cluster) Owner(object string) int {
 	return c.ring.Owner(object)
 }
 
-// resolve is the cluster's one object lookup: the shard the cluster
-// placed (or moved) the object on, else the lowest shard whose manager
-// holds it — an object created directly on a shard's manager, as
-// Shard.Manager().CreateObject does, is routable like a placed one.
+// resolve is the cluster's one object lookup: the shard whose manager
+// holds the object, the managers being the only object directory. A name
+// lives on at most one of them (CreateObject refuses a name any shard
+// holds, and MoveObject destroys the source copy), and an object made on
+// a shard's manager directly is routable like a placed one.
 func (c *Cluster) resolve(object string) (int, bool) {
-	if s, ok := c.objects[object]; ok {
-		return s, true
-	}
 	for _, sh := range c.shards {
 		if _, ok := sh.mgr.Object(object); ok {
 			return sh.ID, true
@@ -152,16 +148,15 @@ func (c *Cluster) resolve(object string) (int, bool) {
 }
 
 // CreateObject creates a shared object on its placement-ring owner and
-// returns the owning shard ID.
+// returns the owning shard ID. It refuses a name any shard holds.
 func (c *Cluster) CreateObject(name string, size int) (int, error) {
-	if _, dup := c.resolve(name); dup {
-		return 0, fmt.Errorf("cluster: object %q already exists", name)
+	if s, dup := c.resolve(name); dup {
+		return 0, fmt.Errorf("cluster: object %q already exists on shard %d", name, s)
 	}
 	s := c.ring.Owner(name)
 	if _, err := c.shards[s].mgr.CreateObject(name, size); err != nil {
 		return 0, fmt.Errorf("cluster: shard %d: %w", s, err)
 	}
-	c.objects[name] = s
 	return s, nil
 }
 
@@ -194,11 +189,13 @@ func (c *Cluster) DrainAll(budget int) (int, error) {
 }
 
 // MoveObject rebalances one object to a destination shard: its bytes are
-// copied, every attachment on the source shard is revoked (in-flight
-// ring descriptors complete administratively as CompErr via the failRing
-// path — never stranded), the object is pinned to the destination, and
-// future negotiations route there. Guests re-attach lazily; their stale
-// handles get the same clean gate refusal any revoked handle gets.
+// copied to a new object there, the name is pinned to the destination,
+// and the source copy is destroyed (core.Manager.DestroyObject). Every
+// attachment on the source is revoked — queued ring descriptors complete
+// administratively as CompErr, never stranded — and no guest on the
+// source can attach the name again, so the object has one home and can
+// move back. Guests re-attach lazily; their stale handles get the same
+// clean gate refusal any revoked handle gets.
 func (c *Cluster) MoveObject(name string, to int) error {
 	if to < 0 || to >= len(c.shards) {
 		return fmt.Errorf("cluster: move %q to shard %d outside [0,%d)", name, to, len(c.shards))
@@ -210,34 +207,11 @@ func (c *Cluster) MoveObject(name string, to int) error {
 	if from == to {
 		return nil
 	}
-	src := c.shards[from]
-	dst := c.shards[to]
-	obj, ok := src.mgr.Object(name)
-	if !ok {
-		return fmt.Errorf("cluster: shard %d lost object %q", from, name)
-	}
+	src, dst := c.shards[from], c.shards[to]
+	obj, _ := src.mgr.Object(name)
 	buf := make([]byte, obj.Size())
 	if err := obj.Region().Read(nil, 0, buf); err != nil {
 		return fmt.Errorf("cluster: move %q: read: %w", name, err)
-	}
-	// Revoke every live attachment on the source shard before the copy is
-	// published: revocation completes queued ring descriptors as CompErr
-	// and the gate refuses stale handles from here on.
-	vms := make(map[string]*hv.VM, len(src.hv.VMs()))
-	for _, vm := range src.hv.VMs() {
-		vms[vm.Name()] = vm
-	}
-	for _, st := range src.mgr.Stats() {
-		if st.Object != name || st.Revoked {
-			continue
-		}
-		vm, ok := vms[st.Guest]
-		if !ok {
-			continue
-		}
-		if err := src.mgr.Revoke(vm, name); err != nil {
-			return fmt.Errorf("cluster: move %q: revoke %q: %w", name, st.Guest, err)
-		}
 	}
 	newObj, err := dst.mgr.CreateObject(name, obj.Size())
 	if err != nil {
@@ -249,7 +223,9 @@ func (c *Cluster) MoveObject(name string, to int) error {
 	if err := c.ring.Pin(name, to); err != nil {
 		return err
 	}
-	c.objects[name] = to
+	if err := src.mgr.DestroyObject(name); err != nil {
+		return fmt.Errorf("cluster: move %q: shard %d: %w", name, from, err)
+	}
 	c.moves++
 	return nil
 }
@@ -258,7 +234,7 @@ func (c *Cluster) MoveObject(name string, to int) error {
 type ShardStats struct {
 	// ID is the shard.
 	ID int
-	// Objects counts objects the cluster placed on this shard.
+	// Objects counts the objects the shard's manager holds.
 	Objects int
 	// Guests counts guests holding ELISA state on the shard.
 	Guests int
@@ -309,11 +285,7 @@ func (c *Cluster) Fleets() []*Fleet { return c.fleets }
 // Stats snapshots every shard's live accounting plus the cluster-wide
 // imbalance ratio.
 func (c *Cluster) Stats() Stats {
-	st := Stats{Objects: len(c.objects), Moves: c.moves, Rebalances: c.rebalances}
-	perShardObjects := make([]int, len(c.shards))
-	for _, s := range c.objects {
-		perShardObjects[s]++
-	}
+	st := Stats{Moves: c.moves, Rebalances: c.rebalances}
 	goodput := make([]float64, len(c.shards))
 	for _, f := range c.fleets {
 		for s, sched := range f.scheds {
@@ -326,8 +298,9 @@ func (c *Cluster) Stats() Stats {
 		}
 	}
 	for _, sh := range c.shards {
-		ss := ShardStats{ID: sh.ID, Objects: perShardObjects[sh.ID], GoodputOPS: goodput[sh.ID],
+		ss := ShardStats{ID: sh.ID, Objects: len(sh.mgr.ObjectNames()), GoodputOPS: goodput[sh.ID],
 			ResidentBytes: sh.hv.Phys().ResidentBytes()}
+		st.Objects += ss.Objects
 		for _, a := range sh.mgr.Stats() {
 			ss.Calls += a.Calls
 			ss.FnErrors += a.FnErrors
@@ -351,7 +324,7 @@ func (c *Cluster) Stats() Stats {
 }
 
 // imbalance computes max/mean per-shard load: calls when any shard has
-// them, placed objects otherwise.
+// them, objects otherwise.
 func imbalance(shards []ShardStats) float64 {
 	load := make([]float64, len(shards))
 	any := false
@@ -382,14 +355,10 @@ func imbalance(shards []ShardStats) float64 {
 // Describe renders a deterministic one-line-per-shard summary (a debug
 // and test aid; object sets render sorted).
 func (c *Cluster) Describe() string {
-	byShard := make([][]string, len(c.shards))
-	for name, s := range c.objects {
-		byShard[s] = append(byShard[s], name)
-	}
 	out := ""
-	for i, objs := range byShard {
-		sort.Strings(objs)
-		out += fmt.Sprintf("shard %d: %d objects %v\n", i, len(objs), objs)
+	for _, sh := range c.shards {
+		objs := sh.mgr.ObjectNames()
+		out += fmt.Sprintf("shard %d: %d objects %v\n", sh.ID, len(objs), objs)
 	}
 	return out
 }

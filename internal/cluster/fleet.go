@@ -65,7 +65,6 @@ type Fleet struct {
 
 	scheds     []*fleet.Scheduler // indexed by shard; nil until a tenant lands there
 	admissions []admission        // global admission order
-	names      []string           // tenant names, parallel to admissions
 	byName     map[string]int     // tenant name -> index into admissions
 	elapsed    simtime.Duration
 
@@ -186,8 +185,14 @@ func (f *Fleet) schedOn(shard int) (*fleet.Scheduler, error) {
 // Admit places a tenant on the shard owning its objects and admits it
 // there. All of a tenant's objects must live on one shard — the per-call
 // fleet datapath is shard-local; split working sets belong to
-// Guest.CallMulti, not to a fleet tenant. Returns the owning shard.
+// Guest.CallMulti, not to a fleet tenant. Tenant names are unique across
+// the fleet: traces, global admission buckets and the rebalancer name
+// tenants, so a second admit of a name is refused. Returns the owning
+// shard.
 func (f *Fleet) Admit(spec fleet.TenantSpec) (int, error) {
+	if _, dup := f.byName[spec.Name]; dup {
+		return 0, fmt.Errorf("cluster: fleet tenant %q already admitted", spec.Name)
+	}
 	if len(spec.Objects) == 0 {
 		return 0, fmt.Errorf("cluster: fleet tenant %q has no objects", spec.Name)
 	}
@@ -214,7 +219,6 @@ func (f *Fleet) Admit(spec fleet.TenantSpec) (int, error) {
 	}
 	f.byName[spec.Name] = len(f.admissions)
 	f.admissions = append(f.admissions, admission{shard: shard, idx: idx, t: t})
-	f.names = append(f.names, spec.Name)
 	f.tenantObjects[spec.Name] = append([]string(nil), spec.Objects...)
 	for _, obj := range spec.Objects {
 		f.objUse[obj]++

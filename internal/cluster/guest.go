@@ -32,8 +32,8 @@ type replica struct {
 	g  *core.Guest
 }
 
-// NewGuest creates a cluster tenant. No shard resources exist until the
-// first Attach touches a shard; ramBytes sizes each per-shard replica VM.
+// NewGuest creates a cluster tenant. No shard resources exist until an
+// Attach or VM touches a shard; ramBytes sizes each per-shard replica VM.
 func (c *Cluster) NewGuest(name string, ramBytes int) (*Guest, error) {
 	if name == "" {
 		return nil, fmt.Errorf("cluster: guest needs a name")
@@ -50,11 +50,11 @@ func (c *Cluster) NewGuest(name string, ramBytes int) (*Guest, error) {
 // Name returns the guest's name (shared by all its shard replicas).
 func (g *Guest) Name() string { return g.name }
 
-// replicaOn returns (creating on first use) the guest's footprint on one
-// shard.
-func (g *Guest) replicaOn(shard int) (*replica, error) {
+// VM returns the guest's VM on one shard, booting it there (with its
+// ELISA library) on first use.
+func (g *Guest) VM(shard int) (*hv.VM, error) {
 	if r := g.replicas[shard]; r != nil {
-		return r, nil
+		return r.vm, nil
 	}
 	sh := g.c.shards[shard]
 	vm, err := sh.hv.CreateVM(g.name, g.ram)
@@ -65,9 +65,8 @@ func (g *Guest) replicaOn(shard int) (*replica, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cluster: guest %q shard %d: %w", g.name, shard, err)
 	}
-	r := &replica{vm: vm, g: cg}
-	g.replicas[shard] = r
-	return r, nil
+	g.replicas[shard] = &replica{vm: vm, g: cg}
+	return vm, nil
 }
 
 // VCPU returns the guest's vCPU on one shard, or nil if the guest has
@@ -117,38 +116,34 @@ type Handle struct {
 // Shard returns the shard the handle is bound to.
 func (h *Handle) Shard() int { return h.shard }
 
-// Core returns the underlying single-shard handle (for ring negotiation
-// helpers that want the raw core API).
+// Core returns the underlying single-shard handle, for the calls that
+// take the vCPU explicitly (exchange-buffer helpers, CallMulti).
 func (h *Handle) Core() *core.Handle { return h.core }
 
 // VCPU returns the vCPU the handle's calls must issue from — the guest's
 // replica on the owning shard.
 func (h *Handle) VCPU() *cpu.VCPU { return h.g.replicas[h.shard].vm.VCPU() }
 
-// Attach resolves the object's owning shard via the placement ring and
-// negotiates an attachment there. This is the routing slow path: it runs
-// once per (guest, object), costs a negotiation (VMCALLs), and returns a
-// handle whose hot path never routes again. Attaching after the object
-// moved re-resolves: a cached handle bound to a stale shard is dropped
-// and the negotiation re-runs on the new owner.
+// Attach resolves the shard holding the object and negotiates an
+// attachment there. This is the routing slow path: it costs a
+// negotiation (VMCALLs) and returns a handle whose hot path never routes
+// again. While that attachment is live, Attach returns the same handle;
+// once it is revoked — by the manager, or because the object moved —
+// Attach re-resolves and negotiates afresh on the current owner.
 func (g *Guest) Attach(object string) (*Handle, error) {
 	owner, ok := g.c.resolve(object)
 	if !ok {
 		return nil, fmt.Errorf("cluster: attach %q: object not created", object)
 	}
-	if h, ok := g.handles[object]; ok {
-		if h.shard == owner {
-			return h, nil
-		}
-		delete(g.handles, object) // stale: the object moved shards
-	}
-	r, err := g.replicaOn(owner)
-	if err != nil {
+	if _, err := g.VM(owner); err != nil {
 		return nil, err
 	}
-	ch, err := r.g.Attach(object)
+	ch, err := g.replicas[owner].g.Attach(object)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: guest %q attach %q on shard %d: %w", g.name, object, owner, err)
+	}
+	if h, ok := g.handles[object]; ok && h.core == ch {
+		return h, nil
 	}
 	h := &Handle{g: g, object: object, shard: owner, core: ch}
 	g.handles[object] = h
@@ -229,9 +224,14 @@ func (g *Guest) CallMulti(reqs []MultiReq) error {
 	})
 	for _, k := range keys {
 		idx := groups[k]
-		h, err := g.Attach(k.object)
-		if err != nil {
-			return err
+		// A group runs on the cached handle bound to the owner, so a revoked
+		// one fails the group at the gate; it attaches only without one.
+		h, ok := g.handles[k.object]
+		if !ok || h.shard != k.shard {
+			var err error
+			if h, err = g.Attach(k.object); err != nil {
+				return err
+			}
 		}
 		batch := make([]core.Req, len(idx))
 		for bi, ri := range idx {

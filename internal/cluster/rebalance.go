@@ -132,8 +132,8 @@ func (r *Rebalancer) tick(now simtime.Duration) error {
 	}
 	loads := make([]uint64, len(f.scheds))
 	tenants := make([]cand, 0, len(f.admissions))
-	for i, adm := range f.admissions {
-		name := f.names[i]
+	for _, adm := range f.admissions {
+		name := adm.t.Name()
 		tr := reports[adm.shard].Tenants[adm.idx]
 		delta := tr.Submitted - r.prev[name]
 		r.prev[name] = tr.Submitted
@@ -272,7 +272,7 @@ func (f *Fleet) migrateTenant(name string, dst int) error {
 		return fmt.Errorf("cluster: migrate %q: already on shard %d", name, dst)
 	}
 	ss := f.scheds[src]
-	st, err := ss.Evict(name)
+	st, err := ss.Evict(f.admissions[i].t)
 	if err != nil {
 		return err
 	}

@@ -258,16 +258,22 @@ func TestDecisionTalliesEqualCounters(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		byName := make(map[string]*fleet.Tenant)
 		for _, sp := range specs {
 			ts, err := fleet.SpecFromWorkload(sp, cfg.Seed)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := s.Admit(ts); err != nil {
+			if byName[ts.Name], err = s.Admit(ts); err != nil {
 				t.Fatal(err)
 			}
 		}
-		rep, err := s.Replay(tr.Events, workload.RegressionHorizon)
+		ops := make([]fleet.ReplayOp, len(tr.Events))
+		for i, ev := range tr.Events {
+			tn := byName[ev.Tenant]
+			ops[i] = fleet.ReplayOp{At: ev.At, Tenant: tn, Obj: tn.ObjectIndex(ev.Object), Fn: ev.Fn}
+		}
+		rep, err := s.ReplayOps(ops, workload.RegressionHorizon)
 		if err != nil {
 			t.Fatal(err)
 		}

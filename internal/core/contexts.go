@@ -151,6 +151,7 @@ func (m *Manager) attach(guest *hv.VM, objName string) (*Attachment, error) {
 	}
 	gs.attachments[objName] = a
 	gs.vslots = append(gs.vslots, a)
+	obj.subs++
 	// Back the virtual slot eagerly while the guest is under its slot
 	// budget and the list has room: the first call is then already hot.
 	// Past the budget the attachment stays virtual — the first call takes

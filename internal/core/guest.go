@@ -148,14 +148,28 @@ func (m *Manager) resolveSlot(vmID, vslot int) (phys int, hit bool, err error) {
 // back in the allocator. Callers hold m.mu and must be on the guest's own
 // execution path — or past its death (RecoverGuest, CleanupGuest).
 func (m *Manager) reapLocked(gs *guestState) error {
-	tlb := gs.vm.VCPU().TLB()
 	for _, a := range gs.pendingReap {
-		tlb.InvalidateContext(a.subCtx.Pointer())
-		if err := a.subCtx.Destroy(); err != nil {
+		if err := m.destroySubLocked(a); err != nil {
 			return fmt.Errorf("core: reaping %q/%q: %w", gs.vm.Name(), a.obj.name, err)
 		}
 	}
 	gs.pendingReap = nil
+	return nil
+}
+
+// destroySubLocked tears down an attachment's sub context (TLB entries,
+// then tables). The last sub context of a destroyed object takes the
+// object's frames with it, so no context ever maps a freed frame.
+func (m *Manager) destroySubLocked(a *Attachment) error {
+	a.guest.VCPU().TLB().InvalidateContext(a.subCtx.Pointer())
+	if err := a.subCtx.Destroy(); err != nil {
+		return err
+	}
+	o := a.obj
+	o.subs--
+	if o.subs == 0 && o.destroyed {
+		return m.freeObjectLocked(o)
+	}
 	return nil
 }
 

@@ -75,8 +75,7 @@ func (m *Manager) teardownLocked(gs *guestState, what string) (rings []*ringStat
 			if err := m.unbindLocked(gs, a); err != nil {
 				return rings, fmt.Errorf("core: %s %q/%q: %w", what, guest.Name(), name, err)
 			}
-			tlb.InvalidateContext(a.subCtx.Pointer())
-			if err := a.subCtx.Destroy(); err != nil {
+			if err := m.destroySubLocked(a); err != nil {
 				return rings, fmt.Errorf("core: %s %q/%q: %w", what, guest.Name(), name, err)
 			}
 		}

@@ -305,3 +305,69 @@ func TestDescribeGuestIsDeterministic(t *testing.T) {
 		t.Fatalf("rows in order %s, want object-name order", got)
 	}
 }
+
+// TestDestroyObject: destroying an object drops its name, revokes every
+// attachment, and frees its frames once no sub context maps them — at
+// once with none attached, at the reap otherwise. A region lent through
+// CreateObjectFromRegion stays with its owner, and the name can be
+// created and attached afresh.
+func TestDestroyObject(t *testing.T) {
+	f := newFixture(t)
+	pm := f.hv.Phys()
+	free := pm.FreeFrames()
+	if _, err := f.mgr.CreateObject("obj", 2*mem.PageSize); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.mgr.DestroyObject("obj"); err != nil {
+		t.Fatal(err)
+	}
+	if got := pm.FreeFrames(); got != free {
+		t.Fatalf("FreeFrames %d after destroying an unattached object, want %d", got, free)
+	}
+	if err := f.mgr.DestroyObject("obj"); err == nil {
+		t.Fatal("destroyed an object twice")
+	}
+
+	region, err := f.hv.AllocHostRegion(mem.PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.mgr.CreateObjectFromRegion("lent", region); err != nil {
+		t.Fatal(err)
+	}
+	vm, g := f.newGuest(t, "g")
+	h, err := g.Attach("lent")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.mgr.DestroyObject("lent"); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := f.mgr.Attachment(vm, "lent"); ok {
+		t.Fatal("attachment survived its object")
+	}
+	if _, err := h.Call(vm.VCPU(), fnNop); err == nil {
+		t.Fatal("call on a destroyed object succeeded")
+	}
+	for _, fr := range region.Frames() {
+		if !pm.InUse(fr) {
+			t.Fatalf("lent frame %d freed by the manager", fr)
+		}
+	}
+	if err := region.Free(); err != nil {
+		t.Fatalf("the owner could not free its lent region: %v", err)
+	}
+	if _, err := f.mgr.CreateObject("lent", mem.PageSize); err != nil {
+		t.Fatalf("name not free after destroy: %v", err)
+	}
+	h2, err := g.Attach("lent")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h2.Call(vm.VCPU(), fnNop); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.mgr.Fsck(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -62,6 +62,13 @@ type Object struct {
 	// setup so host-side drains can address the object (see ring.go).
 	mgrGPA    mem.GPA
 	mgrMapped bool
+
+	// subs counts the sub contexts that map the object, revoked ones
+	// awaiting their reap included; the last to go frees a destroyed
+	// object's frames, unless the region is lent (CreateObjectFromRegion).
+	subs      int
+	destroyed bool
+	lent      bool
 }
 
 // Name returns the object's name.
@@ -437,7 +444,9 @@ func (m *Manager) CreateObjectFromRegion(name string, region *hv.HostRegion) (*O
 	if region == nil {
 		return nil, fmt.Errorf("core: object %q: nil region", name)
 	}
-	return m.publishLocked(name, region, false), nil
+	o := m.publishLocked(name, region, false)
+	o.lent = true
+	return o, nil
 }
 
 func (m *Manager) allocObject(name string, size int, huge bool) (*Object, error) {
@@ -494,6 +503,77 @@ func (m *Manager) publishLocked(name string, region *hv.HostRegion, huge bool) *
 	// Building the object is manager-side work.
 	m.vm.VCPU().Charge(m.cost.MemAccess * 4)
 	return o
+}
+
+// DestroyObject removes an object from the manager, so the name is
+// free to be created again and no guest can attach the old object. Every
+// live attachment is revoked (queued ring descriptors complete as
+// CompErr, and the gate refuses stale handles from here on), and the
+// manager VM's own mapping of the object goes. The frames are freed once
+// no sub context maps them: at once when no attachment is left, else
+// when the reap, cleanup or recovery that destroys the last revoked sub
+// context runs. A region lent through CreateObjectFromRegion stays with
+// its owner.
+func (m *Manager) DestroyObject(name string) error {
+	rings, err := m.destroyObject(name)
+	// Outside the locks (lock order — see ring.go): complete what was
+	// queued on the revoked attachments' rings.
+	for _, rs := range rings {
+		m.failRing(rs)
+	}
+	if err != nil {
+		return fmt.Errorf("core: destroy %q: %w", name, err)
+	}
+	return nil
+}
+
+// destroyObject is DestroyObject's work under the locks, pollMu first so
+// no DrainRings pass runs through the manager's mapping while it goes.
+// It returns the revoked attachments' rings for failRing.
+func (m *Manager) destroyObject(name string) ([]*ringState, error) {
+	m.pollMu.Lock()
+	defer m.pollMu.Unlock()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	o, ok := m.objects[name]
+	if !ok {
+		return nil, fmt.Errorf("no such object")
+	}
+	// The guest table is keyed by VM id: guest names need not be unique.
+	var rings []*ringState
+	for _, gs := range m.guests {
+		if gs == nil {
+			continue
+		}
+		if a, ok := gs.attachments[name]; ok && !a.revoked {
+			if err := m.revokeLocked(gs, a); err != nil {
+				return rings, err
+			}
+			rings = append(rings, a.ring)
+		}
+	}
+	delete(m.objects, name)
+	o.destroyed = true
+	if o.mgrMapped {
+		o.mgrMapped = false
+		if err := unmapDefault(m.vm, o.mgrGPA, o.region.Pages()); err != nil {
+			return rings, err
+		}
+	}
+	if o.subs > 0 {
+		return rings, nil
+	}
+	return rings, m.freeObjectLocked(o)
+}
+
+// freeObjectLocked releases a destroyed object's frames, unless the
+// region was lent. Callers hold m.mu and have destroyed every context
+// that mapped it.
+func (m *Manager) freeObjectLocked(o *Object) error {
+	if o.lent {
+		return nil
+	}
+	return o.region.Free()
 }
 
 // Object looks up a shared object by name.
@@ -578,27 +658,36 @@ func (m *Manager) Revoke(guest *hv.VM, objName string) error {
 		m.mu.Unlock()
 		return fmt.Errorf("core: guest %q is not attached to %q", guest.Name(), objName)
 	}
-	a.revoked = true
-	m.gen++
-	if err := m.unbindLocked(gs, a); err != nil {
+	if err := m.revokeLocked(gs, a); err != nil {
 		m.mu.Unlock()
 		return err
 	}
-	// The manager's clock, not the guest's: Revoke may race the guest's
-	// own execution, and the guest clock belongs to its goroutine.
-	m.hv.Trace().Emit(m.vm.VCPU().Clock().Now(), guest.Name(), trace.KindRevoke,
-		"object %q vslot %d", objName, a.vslot)
-	// The list entry and grant are gone (the gate refuses the slot from
-	// this instant), but the context teardown is deferred to the guest's
-	// own vCPU: it may be executing in the sub context right now, and its
-	// TLB can only be shot down from its own execution path.
-	gs.pendingReap = append(gs.pendingReap, a)
 	rs := a.ring
 	m.mu.Unlock()
 	// Outside m.mu (lock order — see ring.go): administratively complete
 	// any descriptors still queued on the attachment's ring, so revocation
 	// never strands submitted work.
-	m.failRing(a, rs)
+	m.failRing(rs)
+	return nil
+}
+
+// revokeLocked is the logical half of revoking a live attachment: the
+// list entry and grant go (the gate refuses the slot from this instant),
+// and the context teardown is deferred to the guest's own vCPU — it may
+// be executing in the sub context right now, and its TLB can only be
+// shot down from its own execution path. The caller fails the ring once
+// m.mu is dropped.
+func (m *Manager) revokeLocked(gs *guestState, a *Attachment) error {
+	a.revoked = true
+	m.gen++
+	if err := m.unbindLocked(gs, a); err != nil {
+		return err
+	}
+	// The manager's clock, not the guest's: a revocation may race the
+	// guest's own execution, and the guest clock belongs to its goroutine.
+	m.hv.Trace().Emit(m.vm.VCPU().Clock().Now(), gs.vm.Name(), trace.KindRevoke,
+		"object %q vslot %d", a.obj.name, a.vslot)
+	gs.pendingReap = append(gs.pendingReap, a)
 	return nil
 }
 

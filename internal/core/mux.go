@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"github.com/elisa-go/elisa/internal/cpu"
+	"github.com/elisa-go/elisa/internal/obs"
 	"github.com/elisa-go/elisa/internal/shm"
 )
 
@@ -142,7 +143,7 @@ func (mx *RingMux) Submit(lane int, fnID uint64, args ...uint64) error {
 	mx.seq++
 	d.Trace = mx.cfg.TraceBase | mx.seq&0xffffffff
 	rc := mx.lanes[lane]
-	if _, err := rc.SubmitDesc(rc.vcpu(), d); err != nil {
+	if err := rc.submit(rc.vcpu(), d, obs.EvSubmit, obs.NoteNone); err != nil {
 		return err
 	}
 	mx.inflight[d.Trace] = &muxEntry{lane: lane, d: d}
@@ -181,7 +182,7 @@ func (mx *RingMux) Poll(out []shm.Comp) (int, error) {
 		lane := (mx.cursor + li) % L
 		for n < len(out) {
 			rc := mx.lanes[lane]
-			k, err := rc.Poll(rc.vcpu(), one[:])
+			k, err := rc.poll(rc.vcpu(), one[:], false)
 			if err != nil {
 				return n, err
 			}
@@ -209,6 +210,7 @@ func (mx *RingMux) Poll(out []shm.Comp) (int, error) {
 				break // old lane is drained; move on
 			}
 			delete(mx.inflight, c.Trace)
+			rc.emitDeliver(rc.vcpu(), c)
 			out[n] = c
 			n++
 		}
@@ -225,6 +227,11 @@ func (mx *RingMux) Poll(out []shm.Comp) (int, error) {
 // for delivery. The dead ring's Poll path administratively sweeps its
 // own submission queue (see sweepDeadRing), so draining to empty is
 // guaranteed to surface every descriptor — none are stranded.
+//
+// A swallowed completion emits no causal deliver. On the same manager
+// the re-submission continues the descriptor's chain as a retry, so its
+// total runs from first submit to final deliver; on another manager it
+// opens a chain in that manager's log.
 func (mx *RingMux) failover(lane int, dead *RingCaller, first shm.Comp) ([]shm.Comp, error) {
 	var repl *RingCaller
 	if mx.cfg.Reroute != nil {
@@ -233,11 +240,15 @@ func (mx *RingMux) failover(lane int, dead *RingCaller, first shm.Comp) ([]shm.C
 			repl = r
 		}
 	}
+	kind, note := obs.EvSubmit, obs.NoteNone
+	if repl != nil && repl.h.g.mgr == dead.h.g.mgr {
+		kind, note = obs.EvRetry, obs.NoteReroute
+	}
 	var deliver []shm.Comp
 	handle := func(c shm.Comp) error {
 		ent := mx.inflight[c.Trace]
 		if ent != nil && c.Status == shm.CompErr && repl != nil && ent.reroutes < maxReroutes {
-			if _, err := repl.SubmitDesc(repl.vcpu(), ent.d); err != nil {
+			if err := repl.submit(repl.vcpu(), ent.d, kind, note); err != nil {
 				return err
 			}
 			ent.reroutes++
@@ -245,6 +256,7 @@ func (mx *RingMux) failover(lane int, dead *RingCaller, first shm.Comp) ([]shm.C
 			return nil // swallowed: its completion arrives on the new ring
 		}
 		delete(mx.inflight, c.Trace)
+		dead.emitDeliver(dead.vcpu(), c)
 		deliver = append(deliver, c)
 		return nil
 	}
@@ -253,7 +265,7 @@ func (mx *RingMux) failover(lane int, dead *RingCaller, first shm.Comp) ([]shm.C
 	}
 	var one [1]shm.Comp
 	for {
-		k, err := dead.Poll(dead.vcpu(), one[:])
+		k, err := dead.poll(dead.vcpu(), one[:], false)
 		if err != nil {
 			return deliver, err
 		}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/elisa-go/elisa/internal/hv"
+	"github.com/elisa-go/elisa/internal/obs"
 	"github.com/elisa-go/elisa/internal/shm"
 )
 
@@ -232,6 +233,78 @@ func TestRingMuxRerouteAfterRevoke(t *testing.T) {
 	}
 	if mx.Pending() != 0 {
 		t.Fatalf("pending = %d after the fan-out drained", mx.Pending())
+	}
+}
+
+// TestRingMuxRerouteKeepsOneCausalChain: on one manager, a descriptor
+// the mux re-routes after a revocation keeps one causal chain — submit,
+// fail, retry on the replacement ring, … deliver — and the completion
+// the mux swallows emits no deliver. So every op yields exactly one
+// total-phase sample, and the samples sum to the rendered chain totals.
+func TestRingMuxRerouteKeepsOneCausalChain(t *testing.T) {
+	const depth, queued = 16, 6
+	f, vm, mx, names := muxFixture(t, 2, depth, true)
+	rec := obs.NewRecorder(obs.Config{})
+	f.mgr.SetRecorder(rec)
+	for i := 0; i < queued; i++ {
+		for lane := 0; lane < 2; lane++ {
+			if err := mx.Submit(lane, fnObjAdd, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := f.mgr.Revoke(vm, names[0]); err != nil {
+		t.Fatal(err)
+	}
+	var comps [4 * depth]shm.Comp
+	for got := 0; got < 2*queued; {
+		if err := mx.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		n, err := mx.Poll(comps[:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n == 0 {
+			t.Fatalf("mux went dry at %d of %d completions", got, 2*queued)
+		}
+		got += n
+	}
+	if mx.Rerouted() != queued {
+		t.Fatalf("re-routed %d descriptors, want %d", mx.Rerouted(), queued)
+	}
+	log := rec.Causal()
+	traces := log.Traces()
+	if len(traces) != 2*queued {
+		t.Fatalf("%d traces, want %d", len(traces), 2*queued)
+	}
+	var rendered int64
+	retried := 0
+	for _, tr := range traces {
+		chain := log.Chain(tr)
+		delivers := 0
+		for _, e := range chain {
+			switch e.Kind {
+			case obs.EvDeliver:
+				delivers++
+			case obs.EvRetry:
+				retried++
+			}
+		}
+		last := chain[len(chain)-1]
+		if delivers != 1 || last.Kind != obs.EvDeliver || last.Note != "" {
+			t.Fatalf("trace %#x: %d delivers, ends in %s (%q), want one clean deliver at the end:\n%s",
+				tr, delivers, last.Kind, last.Note, log.RenderChain(tr))
+		}
+		rendered += int64(last.Time.Sub(chain[0].Time))
+	}
+	if retried != queued {
+		t.Fatalf("%d re-route retries in the chains, want %d", retried, queued)
+	}
+	total := log.PhaseHistogram(obs.RingPhaseTotal)
+	if total.Count() != 2*queued || total.Sum() != rendered {
+		t.Fatalf("total phase: %d samples summing %d ns, want %d summing %d ns (the rendered chain totals)",
+			total.Count(), total.Sum(), 2*queued, rendered)
 	}
 }
 

@@ -115,8 +115,7 @@ func (m *Manager) hcDetach(vm *hv.VM, args [4]uint64) (uint64, error) {
 		m.mu.Unlock()
 		return 0, err
 	}
-	vm.VCPU().TLB().InvalidateContext(a.subCtx.Pointer())
-	if err := a.subCtx.Destroy(); err != nil {
+	if err := m.destroySubLocked(a); err != nil {
 		m.mu.Unlock()
 		return 0, err
 	}
@@ -132,7 +131,7 @@ func (m *Manager) hcDetach(vm *hv.VM, args [4]uint64) (uint64, error) {
 	m.mu.Unlock()
 	// Outside m.mu (lock order — see ring.go): fail any descriptors still
 	// queued on the ring so the detach never strands submitted work.
-	m.failRing(a, rs)
+	m.failRing(rs)
 	return 0, nil
 }
 

@@ -424,19 +424,19 @@ func (rc *RingCaller) Submit(v *cpu.VCPU, fnID uint64, args ...uint64) error {
 	var d shm.Desc
 	d.Fn = fnID
 	copy(d.Args[:], args)
-	_, err := rc.SubmitDesc(v, d)
-	return err
+	return rc.submit(v, d, obs.EvSubmit, obs.NoteNone)
 }
 
-// SubmitDesc enqueues one pre-built descriptor with the same adaptive
-// flush policy as Submit. A zero d.Trace mints this caller's own causal
-// trace ID; a non-zero one is preserved verbatim — that is how the
-// RingMux keeps one causal chain across a re-route: the descriptor it
-// re-submits on a replacement ring carries the trace it was born with.
-// Returns the trace the descriptor went out under.
-func (rc *RingCaller) SubmitDesc(v *cpu.VCPU, d shm.Desc) (uint64, error) {
+// submit enqueues one pre-built descriptor with Submit's adaptive flush
+// policy and emits kind as its causal event: EvSubmit opens a chain, and
+// EvRetry (a RingMux re-route on the same manager) continues the one the
+// descriptor already has. A zero d.Trace mints this caller's own causal
+// trace ID; a non-zero one is preserved verbatim, so the descriptor a
+// RingMux re-submits on a replacement ring keeps the trace it was born
+// with.
+func (rc *RingCaller) submit(v *cpu.VCPU, d shm.Desc, kind obs.EventKind, note obs.NoteID) error {
 	if v != rc.h.g.vm.VCPU() {
-		return 0, fmt.Errorf("core: Submit on foreign vCPU")
+		return fmt.Errorf("core: Submit on foreign vCPU")
 	}
 	if d.Trace == 0 {
 		rc.traceSeq++
@@ -444,28 +444,28 @@ func (rc *RingCaller) SubmitDesc(v *cpu.VCPU, d shm.Desc) (uint64, error) {
 	}
 	ok, err := rc.ring.PushDesc(d)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	if !ok {
 		// Queue full (the poller has not kept up): flush the backlog
 		// through the gate, then retry the push on the now-empty queue.
 		if err := rc.Flush(v); err != nil {
-			return 0, err
+			return err
 		}
 		if ok, err = rc.ring.PushDesc(d); err != nil {
-			return 0, err
+			return err
 		} else if !ok {
-			return 0, fmt.Errorf("core: ring %q/%q still full after flush", rc.h.g.vm.Name(), rc.h.objName)
+			return fmt.Errorf("core: ring %q/%q still full after flush", rc.h.g.vm.Name(), rc.h.objName)
 		}
 	}
 	if rec := rc.h.g.mgr.rec; rec != nil {
-		rc.emit(rec, obs.Record{Trace: d.Trace, Kind: obs.EvSubmit, Time: v.Clock().Now(), Fn: d.Fn})
+		rc.emit(rec, obs.Record{Trace: d.Trace, Kind: kind, Time: v.Clock().Now(), Fn: d.Fn, Note: note})
 	}
 	if rc.pending == 0 {
 		// Empty -> non-empty: doorbell for the poller, deadline clock for
 		// the flush policy.
 		if err := rc.ring.Kick(); err != nil {
-			return 0, err
+			return err
 		}
 		rc.firstPending = v.Clock().Now()
 	}
@@ -475,24 +475,24 @@ func (rc *RingCaller) SubmitDesc(v *cpu.VCPU, d shm.Desc) (uint64, error) {
 		rc.retryQ = append(rc.retryQ, retryEntry{d: d})
 	}
 	if rc.cfg.Deadline == 0 {
-		return d.Trace, rc.Flush(v)
+		return rc.Flush(v)
 	}
 	now := v.Clock().Now()
 	deadlineHit := now.Sub(rc.firstPending) >= rc.cfg.Deadline
 	depthHit := rc.pending >= rc.cfg.Depth
 	if !deadlineHit && !depthHit {
-		return d.Trace, nil
+		return nil
 	}
 	// Before paying a 196 ns crossing, reconcile with the real queue: the
 	// manager poller may have drained behind our back, leaving rc.pending
 	// and rc.firstPending stale. One exit-less cursor read settles it.
 	queued, err := rc.ring.ProducerPending()
 	if err != nil {
-		return d.Trace, err
+		return err
 	}
 	rc.pending = queued
 	if queued >= rc.cfg.Depth {
-		return d.Trace, rc.Flush(v) // genuinely full: flush regardless of deadline
+		return rc.Flush(v) // genuinely full: flush regardless of deadline
 	}
 	if queued <= 1 {
 		// The poller won the race: everything older than this submit is
@@ -500,12 +500,12 @@ func (rc *RingCaller) SubmitDesc(v *cpu.VCPU, d shm.Desc) (uint64, error) {
 		// spurious one-descriptor flush. Restart the batching window at
 		// this — now oldest — descriptor.
 		rc.firstPending = now
-		return d.Trace, nil
+		return nil
 	}
 	if deadlineHit {
-		return d.Trace, rc.Flush(v)
+		return rc.Flush(v)
 	}
-	return d.Trace, nil
+	return nil
 }
 
 // Flush takes one gate crossing and services every queued descriptor
@@ -645,6 +645,13 @@ func (rc *RingCaller) flushDrain(v *cpu.VCPU, rec *obs.Recorder, tSub simtime.Ti
 // has since been revoked or detached is delivered as CompErr (there is
 // nothing left to retry against).
 func (rc *RingCaller) Poll(v *cpu.VCPU, out []shm.Comp) (int, error) {
+	return rc.poll(v, out, true)
+}
+
+// poll is Poll; with deliver false it leaves the EvDeliver events to
+// the caller, so a RingMux emits them only for the completions it hands
+// on, never for one it swallows and re-routes.
+func (rc *RingCaller) poll(v *cpu.VCPU, out []shm.Comp, deliver bool) (int, error) {
 	if v != rc.h.g.vm.VCPU() {
 		return 0, fmt.Errorf("core: Poll on foreign vCPU")
 	}
@@ -656,7 +663,6 @@ func (rc *RingCaller) Poll(v *cpu.VCPU, out []shm.Comp) (int, error) {
 		rc.sweepDeadRing()
 	}
 	retrying := rc.cfg.Retry.enabled()
-	rec := rc.h.g.mgr.rec
 	n := 0
 	for n < len(out) {
 		c, ok, err := rc.ring.PopComp()
@@ -682,15 +688,8 @@ func (rc *RingCaller) Poll(v *cpu.VCPU, out []shm.Comp) (int, error) {
 				c = c2
 			}
 		}
-		if rec != nil && c.Trace != 0 {
-			note := obs.NoteNone
-			switch c.Status {
-			case shm.CompErr:
-				note = obs.NoteErr
-			case shm.CompBusy:
-				note = obs.NoteBusy
-			}
-			rc.emit(rec, obs.Record{Trace: c.Trace, Kind: obs.EvDeliver, Time: v.Clock().Now(), Note: note})
+		if deliver {
+			rc.emitDeliver(v, c)
 		}
 		out[n] = c
 		n++
@@ -699,6 +698,23 @@ func (rc *RingCaller) Poll(v *cpu.VCPU, out []shm.Comp) (int, error) {
 		}
 	}
 	return n, nil
+}
+
+// emitDeliver records the guest taking delivery of a completion, which
+// closes its causal chain.
+func (rc *RingCaller) emitDeliver(v *cpu.VCPU, c shm.Comp) {
+	rec := rc.h.g.mgr.rec
+	if rec == nil || c.Trace == 0 {
+		return
+	}
+	note := obs.NoteNone
+	switch c.Status {
+	case shm.CompErr:
+		note = obs.NoteErr
+	case shm.CompBusy:
+		note = obs.NoteBusy
+	}
+	rc.emit(rec, obs.Record{Trace: c.Trace, Kind: obs.EvDeliver, Time: v.Clock().Now(), Note: note})
 }
 
 // retryBusy handles one CompBusy completion under the retry policy:
@@ -1086,7 +1102,7 @@ func (m *Manager) invokeHost(a *Attachment, rs *ringState, fnID uint64, args [4]
 // attachment with CompErr, so a revoked or detached ring never strands
 // submissions: the guest's next Poll sees a failed completion for each.
 // MUST be called WITHOUT m.mu held (lock order: pollMu > drainMu > m.mu).
-func (m *Manager) failRing(a *Attachment, rs *ringState) {
+func (m *Manager) failRing(rs *ringState) {
 	if rs == nil {
 		return
 	}

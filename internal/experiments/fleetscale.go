@@ -3,9 +3,9 @@ package experiments
 import (
 	"fmt"
 
+	"github.com/elisa-go/elisa/internal/cluster"
 	"github.com/elisa-go/elisa/internal/core"
 	"github.com/elisa-go/elisa/internal/fleet"
-	"github.com/elisa-go/elisa/internal/hv"
 	"github.com/elisa-go/elisa/internal/mem"
 	"github.com/elisa-go/elisa/internal/simtime"
 	"github.com/elisa-go/elisa/internal/stats"
@@ -63,32 +63,18 @@ func runFleetScaling(cfg Config) (*stats.Table, error) {
 // runFleetPoint runs one (tenants, budget) cell and returns aggregate
 // goodput [Mops/s] and the worst tenant's p99 [ns].
 func runFleetPoint(tenants, budget int, window simtime.Duration) (float64, int64, error) {
-	h, err := hv.New(hv.Config{PhysBytes: 512 * 1024 * 1024})
-	if err != nil {
-		return 0, 0, err
-	}
-	mgr, err := core.NewManager(h, core.ManagerConfig{SlotBudget: budget})
-	if err != nil {
-		return 0, 0, err
-	}
 	const fn = 0xF1EE0001
-	if err := mgr.RegisterFunc(fn, func(*core.CallContext) (uint64, error) { return 0, nil }); err != nil {
-		return 0, 0, err
-	}
 	const workingSet = 16
 	objs := make([]string, workingSet)
 	for i := range objs {
 		objs[i] = fmt.Sprintf("so-%02d", i)
-		if _, err := mgr.CreateObject(objs[i], mem.PageSize); err != nil {
-			return 0, 0, err
-		}
 	}
-	s, err := fleet.New(h, mgr, fleet.Config{Cores: 8, Seed: 77, QueueDepth: 64})
+	c, f, err := oneShardFleet(512*1024*1024, budget, fn, objs, fleet.Config{Cores: 8, Seed: 77, QueueDepth: 64}, window)
 	if err != nil {
 		return 0, 0, err
 	}
 	for i := 0; i < tenants; i++ {
-		if _, err := s.Admit(fleet.TenantSpec{
+		if _, err := f.Admit(fleet.TenantSpec{
 			Name:    fmt.Sprintf("ft-%03d", i),
 			Objects: objs,
 			Fn:      fn,
@@ -97,16 +83,16 @@ func runFleetPoint(tenants, budget int, window simtime.Duration) (float64, int64
 			return 0, 0, err
 		}
 	}
-	rep, err := s.Run(window)
+	rep, err := f.Run(window)
 	if err != nil {
 		return 0, 0, err
 	}
-	for _, tn := range s.Tenants() {
+	for _, tn := range f.Scheduler(0).Tenants() {
 		if tn.VM().Dead() {
 			return 0, 0, fmt.Errorf("tenant %s killed", tn.Name())
 		}
 	}
-	if err := mgr.Fsck(); err != nil {
+	if err := c.Shard(0).Manager().Fsck(); err != nil {
 		return 0, 0, err
 	}
 	var agg float64
@@ -118,4 +104,29 @@ func runFleetPoint(tenants, budget int, window simtime.Duration) (float64, int64
 		}
 	}
 	return agg / 1e6, worstP99, nil
+}
+
+// oneShardFleet boots the machine the fleet experiments share: a 1-shard
+// cluster of physBytes with the given per-guest slot budget, fn
+// published as a no-op, and each of objs created as a one-page object.
+// The fleet's Slice is window, so a Run or Replay of that length runs as
+// one scheduling window.
+func oneShardFleet(physBytes, slotBudget int, fn uint64, objs []string, cfg fleet.Config, window simtime.Duration) (*cluster.Cluster, *cluster.Fleet, error) {
+	c, err := cluster.New(cluster.Config{Shards: 1, PhysBytes: physBytes, SlotBudget: slotBudget})
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := c.RegisterFunc(fn, func(*core.CallContext) (uint64, error) { return 0, nil }); err != nil {
+		return nil, nil, err
+	}
+	for _, obj := range objs {
+		if _, err := c.CreateObject(obj, mem.PageSize); err != nil {
+			return nil, nil, err
+		}
+	}
+	f, err := c.NewFleet(cluster.FleetConfig{Config: cfg, Slice: window})
+	if err != nil {
+		return nil, nil, err
+	}
+	return c, f, nil
 }

@@ -5,8 +5,6 @@ import (
 
 	"github.com/elisa-go/elisa/internal/core"
 	"github.com/elisa-go/elisa/internal/fleet"
-	"github.com/elisa-go/elisa/internal/hv"
-	"github.com/elisa-go/elisa/internal/mem"
 	"github.com/elisa-go/elisa/internal/simtime"
 	"github.com/elisa-go/elisa/internal/stats"
 )
@@ -83,26 +81,12 @@ func overloadCapacityOPS() float64 {
 // fleet and aggregates the overload accounting.
 func runOverloadPoint(mult float64, window simtime.Duration) (overloadPoint, error) {
 	var p overloadPoint
-	h, err := hv.New(hv.Config{PhysBytes: 512 * 1024 * 1024})
-	if err != nil {
-		return p, err
-	}
-	mgr, err := core.NewManager(h, core.ManagerConfig{})
-	if err != nil {
-		return p, err
-	}
 	const fn = 0xF1EE0002
-	if err := mgr.RegisterFunc(fn, func(*core.CallContext) (uint64, error) { return 0, nil }); err != nil {
-		return p, err
-	}
 	objs := make([]string, 4)
 	for i := range objs {
 		objs[i] = fmt.Sprintf("ov-%02d", i)
-		if _, err := mgr.CreateObject(objs[i], mem.PageSize); err != nil {
-			return p, err
-		}
 	}
-	s, err := fleet.New(h, mgr, fleet.Config{
+	c, f, err := oneShardFleet(512*1024*1024, 0, fn, objs, fleet.Config{
 		Cores:      2,
 		Seed:       42,
 		QueueDepth: 32,
@@ -122,7 +106,7 @@ func runOverloadPoint(mult float64, window simtime.Duration) (overloadPoint, err
 			Seed:        7,
 		},
 		Overload: core.OverloadConfig{Enabled: true, BusyFrac: 0.5},
-	})
+	}, window)
 	if err != nil {
 		return p, err
 	}
@@ -149,19 +133,20 @@ func runOverloadPoint(mult float64, window simtime.Duration) (overloadPoint, err
 			AdmitRateOPS: 1.2 * capacity * float64(weight) / sumWeights,
 			AdmitBurst:   32,
 		}
-		if _, err := s.Admit(spec); err != nil {
+		if _, err := f.Admit(spec); err != nil {
 			return p, err
 		}
 	}
-	rep, err := s.Run(window)
+	rep, err := f.Run(window)
 	if err != nil {
 		return p, err
 	}
-	for _, tn := range s.Tenants() {
+	for _, tn := range f.Scheduler(0).Tenants() {
 		if tn.VM().Dead() {
 			return p, fmt.Errorf("tenant %s died under overload", tn.Name())
 		}
 	}
+	mgr := c.Shard(0).Manager()
 	if err := mgr.Fsck(); err != nil {
 		return p, err
 	}

@@ -3,11 +3,8 @@ package experiments
 import (
 	"fmt"
 
-	"github.com/elisa-go/elisa/internal/core"
 	"github.com/elisa-go/elisa/internal/fitness"
 	"github.com/elisa-go/elisa/internal/fleet"
-	"github.com/elisa-go/elisa/internal/hv"
-	"github.com/elisa-go/elisa/internal/mem"
 	"github.com/elisa-go/elisa/internal/overload"
 	"github.com/elisa-go/elisa/internal/stats"
 	"github.com/elisa-go/elisa/internal/workload"
@@ -102,26 +99,13 @@ func replayRegression(armed bool, dec *overload.DecisionTrace) (*fleet.Report, e
 	if err != nil {
 		return nil, err
 	}
-	h, err := hv.New(hv.Config{PhysBytes: 256 * 1024 * 1024})
-	if err != nil {
-		return nil, err
-	}
-	mgr, err := core.NewManager(h, core.ManagerConfig{})
-	if err != nil {
-		return nil, err
-	}
-	if err := mgr.RegisterFunc(workload.RegressionFn, func(*core.CallContext) (uint64, error) { return 0, nil }); err != nil {
-		return nil, err
-	}
+	var objs []string
 	seen := map[string]bool{}
 	for _, sp := range specs {
 		for _, obj := range sp.Objects {
-			if seen[obj] {
-				continue
-			}
-			seen[obj] = true
-			if _, err := mgr.CreateObject(obj, mem.PageSize); err != nil {
-				return nil, err
+			if !seen[obj] {
+				seen[obj] = true
+				objs = append(objs, obj)
 			}
 		}
 	}
@@ -134,7 +118,7 @@ func replayRegression(armed bool, dec *overload.DecisionTrace) (*fleet.Report, e
 		fc.Classes = 3
 		fc.ShedLow, fc.ShedHigh = 0.15, 0.4
 	}
-	s, err := fleet.New(h, mgr, fc)
+	_, f, err := oneShardFleet(256*1024*1024, 0, workload.RegressionFn, objs, fc, workload.RegressionHorizon)
 	if err != nil {
 		return nil, err
 	}
@@ -146,7 +130,7 @@ func replayRegression(armed bool, dec *overload.DecisionTrace) (*fleet.Report, e
 		if !armed {
 			ts.AdmitRateOPS, ts.Class = 0, 0
 		}
-		if _, err := s.Admit(ts); err != nil {
+		if _, err := f.Admit(ts); err != nil {
 			return nil, err
 		}
 	}
@@ -154,5 +138,5 @@ func replayRegression(armed bool, dec *overload.DecisionTrace) (*fleet.Report, e
 	if err != nil {
 		return nil, err
 	}
-	return s.Replay(tr.Events, workload.RegressionHorizon)
+	return f.Replay(tr, workload.RegressionHorizon)
 }

@@ -310,9 +310,6 @@ type Scheduler struct {
 	shedByClass [MaxTenantClasses]uint64
 	shedThresh  int
 
-	// replayOps is Replay's resolved trace, reused from call to call.
-	replayOps []ReplayOp
-
 	// shed notes, interned on first use: the decision trace's per
 	// threshold, and the causal log's per (class, threshold) for the log
 	// of shedLog.
@@ -536,44 +533,6 @@ func (s *Scheduler) Run(d simtime.Duration) (*Report, error) {
 	return s.runLocked(d, false, nil)
 }
 
-// Replay drives the fleet from a workload trace instead of the tenants'
-// arrival processes: each event is delivered to its tenant at its
-// recorded instant (relative to this window's start), targeting the
-// object and function the trace row names, through exactly the same
-// refusal ladder, queues, and scheduler as generated load. The same
-// (trace, seed, config) always renders a byte-identical report — a
-// committed trace plus its golden report is a whole-scenario regression
-// test. Events must be in time order, land inside [0, d) and name
-// admitted tenants and attached objects; anything else refuses up front.
-func (s *Scheduler) Replay(events []workload.Event, d simtime.Duration) (*Report, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	byName := make(map[string]*Tenant, len(s.tenants))
-	for _, t := range s.tenants {
-		byName[t.spec.Name] = t
-	}
-	ops := s.replayOps[:0]
-	for i, ev := range events {
-		t := byName[ev.Tenant]
-		if t == nil {
-			return nil, fmt.Errorf("fleet: replay event %d names unadmitted tenant %q", i, ev.Tenant)
-		}
-		if t.migrated {
-			return nil, fmt.Errorf("fleet: replay event %d names migrated tenant %q (route it to the adopting scheduler)", i, ev.Tenant)
-		}
-		obj := t.ObjectIndex(ev.Object)
-		if obj < 0 {
-			return nil, fmt.Errorf("fleet: replay event %d: tenant %q has no attachment for object %q", i, ev.Tenant, ev.Object)
-		}
-		ops = append(ops, ReplayOp{At: ev.At, Tenant: t, Obj: obj, Fn: ev.Fn})
-		if err := checkReplayTime(ops, i, d); err != nil {
-			return nil, err
-		}
-	}
-	s.replayOps = ops
-	return s.runLocked(d, true, ops)
-}
-
 // ReplayOp is one trace event resolved to a tenant admitted on the
 // scheduler that replays it and to one of its handles: Obj is the
 // object's position in the tenant's Objects (see Tenant.ObjectIndex).
@@ -584,11 +543,16 @@ type ReplayOp struct {
 	Fn     uint64
 }
 
-// ReplayOps is Replay for a trace whose names the caller has already
-// resolved (the cluster fleet resolves each event once, for validation
-// and routing together). It refuses, naming the op, a tenant that is not
-// a live tenant of this scheduler, a handle it does not have, and a time
-// outside [0, d) or out of order.
+// ReplayOps drives the fleet from a resolved workload trace instead of
+// the tenants' arrival processes: each op is delivered to its tenant at
+// its recorded instant (relative to this window's start), targeting the
+// handle and function it names, through exactly the same refusal ladder,
+// queues, and scheduler as generated load. The same (ops, seed, config)
+// always renders a byte-identical report. Names are resolved by the
+// caller — cluster.Fleet.Replay resolves each trace event once, for
+// validation and routing together. ReplayOps refuses up front, naming
+// the op, a tenant that is not a live tenant of this scheduler, a handle
+// it does not have, and a time outside [0, d) or out of order.
 func (s *Scheduler) ReplayOps(ops []ReplayOp, d simtime.Duration) (*Report, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -600,25 +564,15 @@ func (s *Scheduler) ReplayOps(ops []ReplayOp, d simtime.Duration) (*Report, erro
 		if op.Obj < 0 || op.Obj >= len(t.handles) {
 			return nil, fmt.Errorf("fleet: replay op %d: tenant %q has no handle %d", i, t.spec.Name, op.Obj)
 		}
-		if err := checkReplayTime(ops, i, d); err != nil {
-			return nil, err
+		if op.At < 0 || simtime.Duration(op.At) >= d {
+			return nil, fmt.Errorf("fleet: replay event %d at %d outside window [0,%d)", i, op.At, d)
+		}
+		if i > 0 && op.At < ops[i-1].At {
+			return nil, fmt.Errorf("fleet: replay event %d at %d is before event %d at %d; events must be in time order",
+				i, op.At, i-1, ops[i-1].At)
 		}
 	}
 	return s.runLocked(d, true, ops)
-}
-
-// checkReplayTime refuses ops[i] when it lands outside [0, d) or before
-// ops[i-1].
-func checkReplayTime(ops []ReplayOp, i int, d simtime.Duration) error {
-	at := ops[i].At
-	if at < 0 || simtime.Duration(at) >= d {
-		return fmt.Errorf("fleet: replay event %d at %d outside window [0,%d)", i, at, d)
-	}
-	if i > 0 && at < ops[i-1].At {
-		return fmt.Errorf("fleet: replay event %d at %d is before event %d at %d; events must be in time order",
-			i, at, i-1, ops[i-1].At)
-	}
-	return nil
 }
 
 // ObjectIndex returns the position of object in the tenant's Objects —

@@ -60,8 +60,11 @@ func (s *Scheduler) AlignElapsed(d simtime.Duration) {
 	}
 }
 
-// Evict removes a live tenant from this scheduler and returns its
-// portable state for Adopt. The tenant's rings are drained (any pending
+// Evict removes a live tenant of this scheduler and returns its
+// portable state for Adopt. It takes the tenant itself, as Admit and
+// Adopt returned it, not its name: after a tenant moves away and back,
+// the scheduler holds both the stub of the first move and the live
+// tenant under one name. The tenant's rings are drained (any pending
 // completions are harvested into its carried counters), its attachments
 // detached gracefully — detaching removes their call history from this
 // shard's manager accounting, which is what lets a migration actually
@@ -69,19 +72,13 @@ func (s *Scheduler) AlignElapsed(d simtime.Duration) {
 // an inert stub reporting zeros, so sibling report indices stay stable.
 // Call it only between runs (never from inside a Run/Replay window);
 // crashed or already-migrated tenants refuse.
-func (s *Scheduler) Evict(name string) (*TenantState, error) {
+func (s *Scheduler) Evict(t *Tenant) (*TenantState, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var t *Tenant
-	for _, c := range s.tenants {
-		if c.spec.Name == name {
-			t = c
-			break
-		}
+	if t == nil || t.index >= len(s.tenants) || s.tenants[t.index] != t {
+		return nil, fmt.Errorf("fleet: evict: not a tenant of this scheduler")
 	}
-	if t == nil {
-		return nil, fmt.Errorf("fleet: evict %q: no such tenant", name)
-	}
+	name := t.spec.Name
 	if t.migrated {
 		return nil, fmt.Errorf("fleet: evict %q: already migrated", name)
 	}

@@ -51,6 +51,25 @@ func replayRig(t *testing.T, cfg Config) *Scheduler {
 	return s
 }
 
+// replayEvents resolves each event's names against the scheduler's
+// admitted tenants, as cluster.Fleet.Replay does, and replays the ops. An
+// unknown tenant resolves to nil and an unknown object to -1, both of
+// which ReplayOps must refuse.
+func replayEvents(s *Scheduler, events []workload.Event, d simtime.Duration) (*Report, error) {
+	byName := make(map[string]*Tenant)
+	for _, t := range s.Tenants() {
+		byName[t.Name()] = t
+	}
+	ops := make([]ReplayOp, len(events))
+	for i, ev := range events {
+		ops[i] = ReplayOp{At: ev.At, Tenant: byName[ev.Tenant], Obj: -1, Fn: ev.Fn}
+		if t := ops[i].Tenant; t != nil {
+			ops[i].Obj = t.ObjectIndex(ev.Object)
+		}
+	}
+	return s.ReplayOps(ops, d)
+}
+
 // TestReplayDeterministic: replaying the committed regression trace
 // twice through identically configured fleets renders byte-identical
 // report tables and decision summaries.
@@ -62,7 +81,7 @@ func TestReplayDeterministic(t *testing.T) {
 	run := func() (string, string) {
 		d := overload.NewDecisionTrace(0)
 		s := replayRig(t, Config{Seed: 42, Cores: 2, QueueDepth: 32, Classes: 3, Decisions: d})
-		rep, err := s.Replay(tr.Events, workload.RegressionHorizon)
+		rep, err := replayEvents(s, tr.Events, workload.RegressionHorizon)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,7 +110,7 @@ func TestReplayMatchesTraceAccounting(t *testing.T) {
 	}
 	d := overload.NewDecisionTrace(0)
 	s := replayRig(t, Config{Seed: 7, Cores: 1, QueueDepth: 16, Decisions: d})
-	rep, err := s.Replay(tr.Events, workload.RegressionHorizon)
+	rep, err := replayEvents(s, tr.Events, workload.RegressionHorizon)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +154,7 @@ func TestReplayRejectsBadEvents(t *testing.T) {
 		{"out of time order", workload.Event{At: 9, Tenant: "web", Object: "wk-00", Fn: workload.RegressionFn}},
 	}
 	for _, tc := range cases {
-		if _, err := s.Replay([]workload.Event{ok, tc.ev}, workload.RegressionHorizon); err == nil {
+		if _, err := replayEvents(s, []workload.Event{ok, tc.ev}, workload.RegressionHorizon); err == nil {
 			t.Errorf("%s: replay accepted", tc.name)
 		}
 	}
@@ -172,7 +191,7 @@ func TestReplayTargetsTraceObject(t *testing.T) {
 		{At: 1, Tenant: "a", Object: "obj-01", Fn: fnRec},
 		{At: 2, Tenant: "a", Object: "obj-03", Fn: fnRec},
 	}
-	rep, err := s.Replay(evs, simtime.Millisecond)
+	rep, err := replayEvents(s, evs, simtime.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,14 +40,17 @@ const (
 	// EvBackoff marks the guest charging seeded exponential backoff
 	// before retrying a busy-bounced descriptor; Dur holds the charge.
 	EvBackoff
-	// EvRetry marks the busy-bounced descriptor being re-staged in the
-	// submission queue under the same trace ID.
+	// EvRetry marks the descriptor being re-staged under the same trace
+	// ID: after a busy bounce, or on the replacement ring a RingMux
+	// re-routes it to on the same manager.
 	EvRetry
 	// EvDeliver marks Poll handing the final completion to the caller,
 	// closing the chain.
 	EvDeliver
 	// EvFail marks failRing condemning the descriptor (CompErr, ring
-	// dead) without it ever being serviced.
+	// dead) without it ever being serviced. It does not close the chain:
+	// the guest still delivers the CompErr, or a RingMux re-routes the
+	// descriptor and the chain goes on.
 	EvFail
 	// EvShed marks the fleet load shedder refusing admission (trace 0).
 	EvShed
@@ -121,8 +124,8 @@ const (
 	// RingPhaseBackoff is the explicit backoff charge between a busy
 	// bounce and its retry.
 	RingPhaseBackoff
-	// RingPhaseTotal is first-submit→deliver/fail, end to end across
-	// every retry cycle.
+	// RingPhaseTotal is first-submit→deliver, end to end across every
+	// retry cycle and same-manager re-route.
 	RingPhaseTotal
 	// NumRingPhases is the number of ring phases.
 	NumRingPhases
@@ -219,6 +222,7 @@ const (
 	NoteRingFailedSweep
 	NoteGlobalBucket
 	NoteTokenBucket
+	NoteReroute
 	numFixedNotes
 )
 
@@ -234,6 +238,7 @@ var fixedNotes = [numFixedNotes]string{
 	NoteRingFailedSweep: "ring-failed-sweep",
 	NoteGlobalBucket:    "global-bucket",
 	NoteTokenBucket:     "token-bucket",
+	NoteReroute:         "re-route",
 }
 
 // Record is one causal event as an emitter offers it and the log stores
@@ -511,7 +516,7 @@ func (l *CausalLog) attributeLocked(e *Record) {
 	case EvRetry:
 		o.submit, o.subject = e.Time, e.Subject
 		o.hasFlush, o.hasDrain, o.hasComplete = false, false, false
-	case EvDeliver, EvFail:
+	case EvDeliver:
 		if o.hasComplete {
 			l.recordPhase(RingPhaseDeliver, e.Time.Sub(o.complete))
 		}
@@ -659,7 +664,7 @@ func (l *CausalLog) RenderChain(trace uint64) string {
 		prev, prevKind = e.Time, e.Kind
 	}
 	last := chain[len(chain)-1]
-	if last.Kind == EvDeliver || last.Kind == EvFail {
+	if last.Kind == EvDeliver {
 		fmt.Fprintf(&b, "  total: %s\n", last.Time.Sub(head.Time))
 	}
 	return b.String()

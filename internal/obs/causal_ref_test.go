@@ -88,7 +88,7 @@ func (l *refCausalLog) attribute(e RingEvent) {
 	case EvRetry:
 		o.submit = e.Time
 		o.hasFlush, o.hasDrain, o.hasComplete = false, false, false
-	case EvDeliver, EvFail:
+	case EvDeliver:
 		if o.hasComplete {
 			l.phase(RingPhaseDeliver, e.Time.Sub(o.complete))
 		}

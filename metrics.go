@@ -317,7 +317,7 @@ func collectCluster(c *cluster.Cluster) obs.Collector {
 		occupancy := obs.Metric{Name: "elisa_cluster_occupancy_ratio",
 			Help: "Backed EPTP-list slots over budget, per shard.", Type: obs.TypeGauge}
 		objects := obs.Metric{Name: "elisa_cluster_objects",
-			Help: "Shared objects placed on each shard.", Type: obs.TypeGauge}
+			Help: "Shared objects each shard's manager holds.", Type: obs.TypeGauge}
 		guests := obs.Metric{Name: "elisa_cluster_guests",
 			Help: "Guests holding ELISA state on each shard.", Type: obs.TypeGauge}
 		calls := obs.Metric{Name: "elisa_cluster_calls_total",

@@ -52,19 +52,19 @@ func buildObservedWorkload(t *testing.T, cfg Config) (*System, *GuestVM, Duratio
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := g.VCPU()
+	v := g.VCPU(0)
 	for i := 0; i < 50; i++ {
-		if _, err := h.Call(v, obsFnNop); err != nil {
+		if _, err := h.Call(obsFnNop); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := h.Call(v, obsFnCopy); err != nil {
+		if _, err := h.Call(obsFnCopy); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := h.Call(v, obsFnFail); err == nil {
+		if _, err := h.Call(obsFnFail); err == nil {
 			t.Fatal("failing fn succeeded")
 		}
 		reqs := []Req{{Fn: obsFnNop}, {Fn: obsFnCopy}, {Fn: obsFnNop}}
-		if err := h.CallMulti(v, reqs); err != nil {
+		if err := h.Core().CallMulti(v, reqs); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -119,13 +119,13 @@ func TestSpanPhasesMatchTable2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := g.VCPU()
-	if _, err := h.Call(v, obsFnNop); err != nil { // cold: TLB fills
+	v := g.VCPU(0)
+	if _, err := h.Call(obsFnNop); err != nil { // cold: TLB fills
 		t.Fatal(err)
 	}
 
 	before := v.Clock().Now()
-	if _, err := h.Call(v, obsFnNop); err != nil {
+	if _, err := h.Call(obsFnNop); err != nil {
 		t.Fatal(err)
 	}
 	wall := v.Clock().Elapsed(before)
@@ -152,7 +152,7 @@ func TestSpanPhasesMatchTable2(t *testing.T) {
 
 	// A copying call attributes its memcpy to the exchange phase and is
 	// exactly the no-op round trip plus the copy time.
-	if _, err := h.Call(v, obsFnCopy); err != nil {
+	if _, err := h.Call(obsFnCopy); err != nil {
 		t.Fatal(err)
 	}
 	spans = sys.Spans()
@@ -188,7 +188,7 @@ func TestCallMultiBatchObservation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := g.VCPU()
+	v := g.VCPU(0)
 
 	key := obs.Key{Guest: "obs-guest", Object: "obs-obj", Fn: obsFnNop}
 	rec := sys.Recorder()
@@ -199,7 +199,7 @@ func TestCallMultiBatchObservation(t *testing.T) {
 	for i := range reqs {
 		reqs[i].Fn = obsFnNop
 	}
-	if err := h.CallMulti(v, reqs); err != nil {
+	if err := h.Core().CallMulti(v, reqs); err != nil {
 		t.Fatal(err)
 	}
 	if got := rec.SpansSeen() - seen; got != 1 {
@@ -245,7 +245,7 @@ func TestErrorCallsFlaggedInSpans(t *testing.T) {
 	if err := g.Detach("obs-obj"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.Call(g.VCPU(), obsFnNop); err == nil {
+	if _, err := h.Call(obsFnNop); err == nil {
 		t.Fatal("detached handle still callable")
 	}
 	spans := sys.Spans()
