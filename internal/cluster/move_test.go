@@ -323,3 +323,59 @@ func TestFleetAdmitRefusesDuplicateName(t *testing.T) {
 		t.Fatalf("%d tenants admitted, want 1", n)
 	}
 }
+
+// TestMoveBackReattachFreesRevokedBuffers: a guest attached on shard 0
+// whose object moves away and back re-attaches there under the same
+// name, over its revoked attachment. Cleaning the guest up must release
+// the revoked attachment's exchange buffer and ring too: shard 0 ends
+// with exactly the frames allocated that it has when the guest attached
+// once and no move happened.
+func TestMoveBackReattachFreesRevokedBuffers(t *testing.T) {
+	kept := func(moves bool) int {
+		c := newTestCluster(t, 2, 1)
+		if err := c.Ring().Pin("o", 0); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.CreateObject("o", mem.PageSize); err != nil {
+			t.Fatal(err)
+		}
+		g, err := c.NewGuest("tenant", 16*mem.PageSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vm, err := g.VM(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pm := c.Shard(0).Hypervisor().Phys()
+		free := pm.FreeFrames()
+		attach := func() {
+			h, err := g.Attach("o")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if h.Shard() != 0 {
+				t.Fatalf("attached on shard %d, want 0", h.Shard())
+			}
+			if _, err := h.Ring(core.RingConfig{Depth: 8, Deadline: farDeadline}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		attach()
+		if moves {
+			for _, to := range []int{1, 0} {
+				if err := c.MoveObject("o", to); err != nil {
+					t.Fatal(err)
+				}
+			}
+			attach()
+		}
+		if err := c.Shard(0).Manager().CleanupGuest(vm); err != nil {
+			t.Fatal(err)
+		}
+		return free - pm.FreeFrames()
+	}
+	if once, back := kept(false), kept(true); back != once {
+		t.Fatalf("shard 0 keeps %d frames after a move there and back, re-attach and cleanup; %d without the moves", back, once)
+	}
+}

@@ -95,7 +95,8 @@ func (m *Manager) attach(guest *hv.VM, objName string) (*Attachment, error) {
 	if err != nil {
 		return nil, err
 	}
-	if a, dup := gs.attachments[objName]; dup && !a.revoked {
+	old, dup := gs.attachments[objName]
+	if dup && !old.revoked {
 		return nil, fmt.Errorf("core: guest %q already attached to %q", guest.Name(), objName)
 	}
 
@@ -148,6 +149,12 @@ func (m *Manager) attach(guest *hv.VM, objName string) (*Attachment, error) {
 		perm:        perm,
 		exchange:    exchange,
 		exchangeGPA: exchangeGPA,
+	}
+	if dup {
+		// The name's revoked attachment leaves the table; its exchange
+		// buffer and ring stay mapped in the guest's default context
+		// until teardown releases them, as a detached one's do.
+		gs.retired = append(gs.retired, old)
 	}
 	gs.attachments[objName] = a
 	gs.vslots = append(gs.vslots, a)

@@ -52,8 +52,8 @@ func (m *Manager) cleanupGuestLocked(guest *hv.VM) ([]*ringState, error) {
 // unmapped from the guest's default context, and their translations
 // dropped from its TLB, before their frames are freed, so no default
 // context maps a freed frame. Attachments are reclaimed in sorted
-// object order: the frees feed the allocator's free list, and the same
-// run must hand the same frames to the next allocation. The returned
+// object order: the frees feed the allocator's freed-frame stack, and
+// the same run must hand the same frames to the next allocation. The returned
 // ring regions go to releaseRings once m.mu is dropped; what names the
 // caller in errors.
 func (m *Manager) teardownLocked(gs *guestState, what string) (rings []*ringState, err error) {

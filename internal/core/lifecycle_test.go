@@ -241,8 +241,9 @@ func TestLifecycleProperty(t *testing.T) {
 	}
 }
 
-// CleanupGuest frees exchange buffers into the allocator's free list, so
-// its reclaim order decides which frames the next allocation gets. It
+// CleanupGuest frees exchange buffers onto the allocator's freed-frame
+// stack, so its reclaim order decides which frames the next allocation
+// gets. It
 // must be the same every run: attach four objects, clean up, allocate,
 // and the new object's frames must come out identical on every machine.
 func TestCleanupGuestFreesInDeterministicOrder(t *testing.T) {
@@ -369,5 +370,51 @@ func TestDestroyObject(t *testing.T) {
 	}
 	if err := f.mgr.Fsck(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCleanupGuestAfterReattachFreesRevokedBuffers: attaching a name
+// again after its attachment was revoked retires the revoked one, so
+// CleanupGuest releases its exchange buffer and ring with the rest.
+// attach → Revoke → attach → CleanupGuest must leave exactly as many
+// frames allocated as attach → CleanupGuest, with and without a ring.
+func TestCleanupGuestAfterReattachFreesRevokedBuffers(t *testing.T) {
+	for _, ring := range []bool{false, true} {
+		kept := func(reattach bool) int {
+			f := newFixture(t)
+			if _, err := f.mgr.CreateObject("obj", mem.PageSize); err != nil {
+				t.Fatal(err)
+			}
+			vm, g := f.newGuest(t, "g")
+			free := f.hv.Phys().FreeFrames()
+			attach := func() {
+				h, err := g.Attach("obj")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ring {
+					if _, err := h.Ring(vm.VCPU(), RingConfig{Depth: 8}); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			attach()
+			if reattach {
+				if err := f.mgr.Revoke(vm, "obj"); err != nil {
+					t.Fatal(err)
+				}
+				attach()
+			}
+			if err := f.mgr.Fsck(); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.mgr.CleanupGuest(vm); err != nil {
+				t.Fatal(err)
+			}
+			return free - f.hv.Phys().FreeFrames()
+		}
+		if once, again := kept(false), kept(true); again != once {
+			t.Errorf("ring=%v: %d frames still allocated after re-attach and cleanup, %d after one attach", ring, again, once)
+		}
 	}
 }

@@ -24,13 +24,15 @@ const (
 type chunk [ChunkSize]byte
 
 // PhysMem is the host physical memory of the simulated machine: a fixed
-// number of 4 KiB frames plus a free-list allocator. The hypervisor owns
-// the only reference; everyone else sees slices of it through translations.
+// number of 4 KiB frames plus a frame allocator. The hypervisor owns the
+// only reference; everyone else sees slices of it through translations.
 //
 // The physical size is a model parameter, not a host cost: memory is
 // backed in 2 MiB chunks the first time a frame in the chunk is
 // allocated or written, and never-backed memory reads as zeros. Only
-// touched memory costs the host anything (see ResidentBytes).
+// touched memory costs the host anything (see ResidentBytes). The
+// allocator's own state is two bits per frame, plus one entry per frame
+// freed and not yet reused.
 //
 // Accesses are bounds-checked against the physical size; an out-of-range
 // access is a bug in the caller (the hypervisor or a device model), not a
@@ -42,8 +44,20 @@ type PhysMem struct {
 	// chunks indexes the backing chunks by HPA >> chunkShift; a nil
 	// entry has never been allocated or written.
 	chunks []*chunk
-	free   []HFN    // LIFO free list
-	inUse  []uint64 // allocated-frame bitmap, frame f at bit f%64 of word f/64
+
+	// The allocator hands frames out in one fixed order: freed frames
+	// last-freed first, then never-claimed frames ascending. inUse marks
+	// the allocated frames and claimed every frame ever handed out (both
+	// with frame f at bit f%64 of word f/64; claimed also marks frame 0
+	// and the bits past the last frame). Every frame below the fresh
+	// cursor is claimed. freed holds the frames freed and not claimed
+	// since, most recent last; free counts the unallocated frames, which
+	// are the freed ones plus the never-claimed ones.
+	inUse   []uint64
+	claimed []uint64
+	fresh   int
+	freed   []HFN
+	free    int
 }
 
 // NewPhysMem creates a physical memory of the given size, which must be a
@@ -56,21 +70,25 @@ func NewPhysMem(size int) (*PhysMem, error) {
 	if frames < 2 {
 		return nil, fmt.Errorf("mem: physical size %d leaves no allocatable frames (frame 0 is reserved)", size)
 	}
+	words := (frames + 63) / 64
 	pm := &PhysMem{
-		size:   size,
-		frames: frames,
-		chunks: make([]*chunk, (size+ChunkSize-1)/ChunkSize),
-		free:   make([]HFN, 0, frames-1),
-		inUse:  make([]uint64, (frames+63)/64),
+		size:    size,
+		frames:  frames,
+		chunks:  make([]*chunk, (size+ChunkSize-1)/ChunkSize),
+		inUse:   make([]uint64, words),
+		claimed: make([]uint64, words),
+		fresh:   1,
+		free:    frames - 1,
 	}
 	// Frame 0 is permanently reserved (like firmware-reserved low memory)
 	// so that physical address 0 is never a valid EPT root or EPTP-list
 	// page — 0 doubles as the nil/revoked sentinel throughout the model.
-	// Push the rest so that allocation order is ascending (frame 1 first):
-	// deterministic layouts make failures reproducible.
+	// Fresh frames go out ascending (frame 1 first): deterministic
+	// layouts make failures reproducible.
 	pm.inUse[0] = 1
-	for f := frames - 1; f >= 1; f-- {
-		pm.free = append(pm.free, HFN(f))
+	pm.claimed[0] = 1
+	if tail := frames % 64; tail != 0 {
+		pm.claimed[words-1] |= ^uint64(0) << tail
 	}
 	return pm, nil
 }
@@ -92,7 +110,7 @@ func (pm *PhysMem) Size() int { return pm.size }
 func (pm *PhysMem) Frames() int { return pm.frames }
 
 // FreeFrames returns the number of currently unallocated frames.
-func (pm *PhysMem) FreeFrames() int { return len(pm.free) }
+func (pm *PhysMem) FreeFrames() int { return pm.free }
 
 // ResidentBytes returns the host memory backing the simulated memory:
 // ChunkSize for every chunk allocated or written so far. Chunks stay
@@ -107,16 +125,36 @@ func (pm *PhysMem) ResidentBytes() int {
 	return n
 }
 
-// AllocFrame allocates one zeroed frame.
+// AllocFrame allocates one zeroed frame: the most recently freed frame
+// when one waits for reuse, else the lowest never-claimed frame.
 func (pm *PhysMem) AllocFrame() (HFN, error) {
-	if len(pm.free) == 0 {
+	if pm.free == 0 {
 		return 0, fmt.Errorf("mem: out of physical frames (%d total)", pm.frames)
 	}
-	f := pm.free[len(pm.free)-1]
-	pm.free = pm.free[:len(pm.free)-1]
+	var f HFN
+	if n := len(pm.freed); n > 0 {
+		f = pm.freed[n-1]
+		pm.freed = pm.freed[:n-1]
+	} else {
+		f = pm.nextFresh()
+		pm.claimed[f/64] |= 1 << (f % 64)
+		pm.fresh = int(f) + 1
+	}
 	pm.inUse[f/64] |= 1 << (f % 64)
+	pm.free--
 	pm.claim(f, 1)
 	return f, nil
+}
+
+// nextFresh returns the lowest never-claimed frame. The caller has
+// checked that one exists: with no freed frame waiting, every
+// unallocated frame is a never-claimed one.
+func (pm *PhysMem) nextFresh() HFN {
+	w := pm.fresh / 64
+	for pm.claimed[w] == ^uint64(0) {
+		w++
+	}
+	return HFN(w*64 + bits.TrailingZeros64(^pm.claimed[w]))
 }
 
 // AllocFrames allocates n zeroed frames. On failure nothing is allocated.
@@ -124,19 +162,12 @@ func (pm *PhysMem) AllocFrames(n int) ([]HFN, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("mem: AllocFrames(%d): negative count", n)
 	}
-	if len(pm.free) < n {
-		return nil, fmt.Errorf("mem: out of physical frames: need %d, have %d", n, len(pm.free))
+	if pm.free < n {
+		return nil, fmt.Errorf("mem: out of physical frames: need %d, have %d", n, pm.free)
 	}
 	out := make([]HFN, n)
 	for i := range out {
-		f, err := pm.AllocFrame()
-		if err != nil { // unreachable given the check above
-			for _, g := range out[:i] {
-				pm.FreeFrame(g)
-			}
-			return nil, err
-		}
-		out[i] = f
+		out[i], _ = pm.AllocFrame() // cannot fail given the check above
 	}
 	return out, nil
 }
@@ -154,7 +185,8 @@ func (pm *PhysMem) FreeFrame(f HFN) error {
 		return fmt.Errorf("mem: FreeFrame(%d): frame is not allocated", f)
 	}
 	pm.inUse[f/64] &^= 1 << (f % 64)
-	pm.free = append(pm.free, f)
+	pm.freed = append(pm.freed, f)
+	pm.free++
 	return nil
 }
 
@@ -356,36 +388,42 @@ func (pm *PhysMem) AllocFramesContiguous(n, align int) ([]HFN, error) {
 		align = 1
 	}
 	for base := align; base+n <= pm.frames; {
-		if used := pm.lastInUse(base, base+n); used >= 0 {
+		if used := lastSet(pm.inUse, base, base+n); used >= 0 {
 			// Every aligned base up to used overlaps it.
 			base = (used/align + 1) * align
 			continue
 		}
-		// Claim the run: mark in use, drop it from the free list (keeping
-		// the order of the rest), zero.
+		// Claim the run: drop its freed frames from the freed stack
+		// (keeping the order of the rest), mark it in use and claimed,
+		// zero it.
+		if lastSet(pm.claimed, base, base+n) >= 0 {
+			kept := pm.freed[:0]
+			for _, f := range pm.freed {
+				if f < HFN(base) || f >= HFN(base+n) {
+					kept = append(kept, f)
+				}
+			}
+			pm.freed = kept
+		}
 		out := make([]HFN, n)
 		for i := range out {
 			f := HFN(base + i)
 			out[i] = f
 			pm.inUse[f/64] |= 1 << (f % 64)
+			pm.claimed[f/64] |= 1 << (f % 64)
 		}
-		kept := pm.free[:0]
-		for _, f := range pm.free {
-			if f < HFN(base) || f >= HFN(base+n) {
-				kept = append(kept, f)
-			}
-		}
-		pm.free = kept
+		pm.free -= n
 		pm.claim(HFN(base), n)
 		return out, nil
 	}
 	return nil, fmt.Errorf("mem: no contiguous run of %d frames aligned to %d", n, align)
 }
 
-// lastInUse returns the highest allocated frame in [lo, hi), or -1.
-func (pm *PhysMem) lastInUse(lo, hi int) int {
+// lastSet returns the highest frame in [lo, hi) whose bit is set in the
+// frame bitmap bm, or -1.
+func lastSet(bm []uint64, lo, hi int) int {
 	for w := (hi - 1) / 64; w >= lo/64; w-- {
-		word := pm.inUse[w]
+		word := bm[w]
 		if w == (hi-1)/64 {
 			word &= ^uint64(0) >> (63 - (hi-1)%64)
 		}

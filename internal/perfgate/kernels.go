@@ -740,6 +740,42 @@ func prepareTLBWalk(quick bool) (func() (int64, simtime.Duration, error), error)
 	}, nil
 }
 
+// prepareMemBoot is the mem layer: Prepare boots a 512 MiB machine and
+// one guest, so setup_bytes reads what that boot costs the host (the
+// frame allocator, the chunk index, the guest's EPT, vCPU and backed
+// RAM). The body has the guest write one word per page of its RAM, more
+// pages than the TLB holds, so every write walks the EPT to the frame.
+// Two passes in Prepare grow the TLB's eviction ring to its steady size
+// (it runs to twice the TLB's capacity before it compacts), so the
+// measured pass allocates nothing.
+func prepareMemBoot(quick bool) (func() (int64, simtime.Duration, error), error) {
+	pages := scale(quick, 16384, 2048)
+	h, err := hv.New(hv.Config{PhysBytes: 512 * 1024 * 1024})
+	if err != nil {
+		return nil, err
+	}
+	vm, err := h.CreateVM("mem-guest", pages*mem.PageSize)
+	if err != nil {
+		return nil, err
+	}
+	v := vm.VCPU()
+	run := func() (int64, simtime.Duration, error) {
+		start := v.Clock().Now()
+		for p := 0; p < pages; p++ {
+			if err := v.WriteU64GPA(mem.GPA(p*mem.PageSize), uint64(p)); err != nil {
+				return 0, 0, err
+			}
+		}
+		return int64(pages), v.Clock().Elapsed(start), nil
+	}
+	for i := 0; i < 2; i++ {
+		if _, _, err := run(); err != nil {
+			return nil, err
+		}
+	}
+	return run, nil
+}
+
 // Kernels returns the bench-kernel registry in snapshot order.
 func Kernels() []Kernel {
 	return []Kernel{
@@ -756,6 +792,7 @@ func Kernels() []Kernel {
 		{ID: "rebalance_converge", Title: "auto-rebalancer convergence on the committed skewed trace", Prepare: prepareRebalanceConverge},
 		{ID: "des_step", Title: "event core alone: pulled arrivals and heap completions, 16 servers", Prepare: prepareDESStep},
 		{ID: "tlb_walk", Title: "one word per page: a TLB-resident set, then a 4x set of EPT walks", Prepare: prepareTLBWalk},
+		{ID: "mem_boot", Title: "boot a 512 MiB machine and one guest, then one word written per page", Prepare: prepareMemBoot},
 	}
 }
 

@@ -14,7 +14,10 @@ import (
 //
 // Seeding mirrors the fleet scheduler's convention (seed + index*7919 +
 // 1 per tenant, a distinct lane per generator), so a spec's stream is
-// invariant to which other tenants share the scenario.
+// invariant to which other tenants share the scenario. That also lets
+// Generate draw each tenant's stream on its own, in spec order, before
+// the merge: the merge then knows the event count and fills one Events
+// slice allocated at its final length.
 func Generate(specs []Spec, seed int64, horizon simtime.Duration) (*Trace, error) {
 	if horizon <= 0 {
 		return nil, fmt.Errorf("workload: generate horizon %d must be positive", horizon)
@@ -22,21 +25,24 @@ func Generate(specs []Spec, seed int64, horizon simtime.Duration) (*Trace, error
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("workload: generate needs at least one spec")
 	}
-	type lane struct {
-		spec    *Spec
-		arrival Arrival
-		keys    KeyChooser
-		next    simtime.Time // next arrival instant (past horizon = done)
-		emitted int
-		rr      int
+	end := simtime.Time(0).Add(horizon)
+	// Tenant i's unmerged draws are all[next[i]:stop[i]]; heads[i] is
+	// the instant of the first of them, end once there are none.
+	var all draws
+	next, stop := make([]int, len(specs)), make([]int, len(specs))
+	heads := make([]simtime.Time, len(specs))
+	head := func(i int) simtime.Time {
+		if next[i] == stop[i] {
+			return end
+		}
+		return all.at(next[i]).at
 	}
-	lanes := make([]*lane, 0, len(specs))
 	for i := range specs {
 		sp := &specs[i]
 		if err := sp.validate(); err != nil {
 			return nil, err
 		}
-		arr, err := sp.NewArrival(seed + int64(i)*7919 + 1)
+		arrival, err := sp.NewArrival(seed + int64(i)*7919 + 1)
 		if err != nil {
 			return nil, err
 		}
@@ -44,42 +50,71 @@ func Generate(specs []Spec, seed int64, horizon simtime.Duration) (*Trace, error
 		if err != nil {
 			return nil, err
 		}
-		ln := &lane{spec: sp, arrival: arr, keys: keys}
-		ln.next = simtime.Time(0).Add(arr.NextInterval())
-		lanes = append(lanes, ln)
+		next[i] = all.n
+		all.drawStream(sp, arrival, keys, end)
+		stop[i] = all.n
+		heads[i] = head(i)
 	}
-	end := simtime.Time(0).Add(horizon)
-	tr := &Trace{}
-	for {
-		var pick *lane
-		for _, ln := range lanes {
-			if ln.next >= end {
-				continue
-			}
-			if ln.spec.Ops > 0 && ln.emitted >= ln.spec.Ops {
-				continue
-			}
-			if pick == nil || ln.next < pick.next {
-				pick = ln // ties resolve to the earlier spec: lanes scan in spec order
+	tr := &Trace{Events: make([]Event, all.n)}
+	for k := range tr.Events {
+		pick := 0
+		for i := 1; i < len(heads); i++ {
+			if heads[i] < heads[pick] {
+				pick = i // ties resolve to the earlier spec: heads scan in spec order
 			}
 		}
-		if pick == nil {
-			return tr, nil
+		sp, d := &specs[pick], all.at(next[pick])
+		tr.Events[k] = Event{
+			At:     d.at,
+			Tenant: sp.Name,
+			Object: sp.Objects[d.obj],
+			Fn:     sp.Fn,
+			Class:  sp.Class,
+			Size:   sp.SizeBytes,
 		}
-		obj := pick.rr
-		if pick.keys != nil {
-			obj = pick.keys.Next()
+		next[pick]++
+		heads[pick] = head(pick)
+	}
+	return tr, nil
+}
+
+// draw is one drawn arrival: its instant and the index of the object it
+// calls.
+type draw struct {
+	at  simtime.Time
+	obj int
+}
+
+// drawBlock is the number of draws one block of a draws sequence holds.
+const drawBlock = 1024
+
+// draws is an append-only sequence of draws kept in fixed-size blocks,
+// so growing it never copies what it already holds.
+type draws struct {
+	blocks []*[drawBlock]draw
+	n      int
+}
+
+// at returns draw i.
+func (ds *draws) at(i int) *draw { return &ds.blocks[i/drawBlock][i%drawBlock] }
+
+// drawStream appends one tenant's stream: arrivals at the instants its
+// arrival process gives, each calling the object its key chooser picks
+// (round-robin when keys is nil), until the horizon end or the spec's
+// Ops cap (none when Ops is 0 or negative).
+func (ds *draws) drawStream(sp *Spec, arrival Arrival, keys KeyChooser, end simtime.Time) {
+	next, rr := simtime.Time(0).Add(arrival.NextInterval()), 0
+	for emitted := 0; next < end && (sp.Ops <= 0 || emitted < sp.Ops); emitted++ {
+		obj := rr
+		if keys != nil {
+			obj = keys.Next()
 		}
-		pick.rr = (pick.rr + 1) % len(pick.spec.Objects)
-		tr.Events = append(tr.Events, Event{
-			At:     pick.next,
-			Tenant: pick.spec.Name,
-			Object: pick.spec.Objects[obj%len(pick.spec.Objects)],
-			Fn:     pick.spec.Fn,
-			Class:  pick.spec.Class,
-			Size:   pick.spec.SizeBytes,
-		})
-		pick.emitted++
-		pick.next = pick.next.Add(pick.arrival.NextInterval())
+		rr = (rr + 1) % len(sp.Objects)
+		if ds.n%drawBlock == 0 {
+			ds.blocks = append(ds.blocks, new([drawBlock]draw))
+		}
+		*ds.at(ds.n) = draw{at: next, obj: obj % len(sp.Objects)}
+		ds.n++
+		next = next.Add(arrival.NextInterval())
 	}
 }
