@@ -68,11 +68,10 @@ type Fleet struct {
 	byName     map[string]int     // tenant name -> index into admissions
 	elapsed    simtime.Duration
 
-	// rebalancer support: each tenant's working set and how many tenants
-	// use each object (only exclusively-owned sets may migrate).
-	tenantObjects map[string][]string
-	objUse        map[string]int
-	reb           *Rebalancer
+	// rebalancer support: how many tenants use each object (only
+	// exclusively-owned working sets may migrate).
+	objUse map[string]int
+	reb    *Rebalancer
 
 	// global admission: per-tenant cluster-wide token buckets. Each
 	// shard's scheduler resolves a tenant's bucket once, at admission,
@@ -92,12 +91,12 @@ type Fleet struct {
 	lanes     fleet.LaneStats
 }
 
-// admission remembers where the i-th admitted tenant landed, so merged
-// reports list tenants in global admission order regardless of shard.
+// admission is the i-th admitted tenant and the shard it runs on now,
+// so merged reports list tenants in global admission order regardless of
+// shard. A migration moves the tenant and updates shard.
 type admission struct {
 	shard int
-	idx   int           // index within the shard scheduler's own admission order
-	t     *fleet.Tenant // the live tenant on that scheduler
+	t     *fleet.Tenant
 }
 
 // replayRef is one trace event resolved once: its admission (whose
@@ -120,19 +119,14 @@ func (c *Cluster) NewFleet(cfg FleetConfig) (*Fleet, error) {
 		return nil, fmt.Errorf("cluster: %w", err)
 	}
 	if cfg.Slice <= 0 {
-		q := cfg.Quantum
-		if q <= 0 {
-			q = 10_000 // fleet.Config's default quantum
-		}
-		cfg.Slice = 4 * q
+		cfg.Slice = 4 * fleet.Quantum
 	}
 	f := &Fleet{
-		c:             c,
-		cfg:           cfg,
-		scheds:        make([]*fleet.Scheduler, len(c.shards)),
-		byName:        make(map[string]int),
-		tenantObjects: make(map[string][]string),
-		objUse:        make(map[string]int),
+		c:      c,
+		cfg:    cfg,
+		scheds: make([]*fleet.Scheduler, len(c.shards)),
+		byName: make(map[string]int),
+		objUse: make(map[string]int),
 	}
 	if len(cfg.GlobalAdmitOPS) > 0 {
 		f.global = make(map[string]*overload.TokenBucket, len(cfg.GlobalAdmitOPS))
@@ -174,7 +168,7 @@ func (f *Fleet) schedOn(shard int) (*fleet.Scheduler, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cluster: fleet shard %d: %w", shard, err)
 	}
-	// A shard first populated after earlier runs starts at fleet time,
+	// A shard first populated after earlier windows starts at fleet time,
 	// like every other shard's scheduler: its fault pump and goodput
 	// denominators read the same clock.
 	s.AlignElapsed(f.elapsed)
@@ -212,14 +206,12 @@ func (f *Fleet) Admit(spec fleet.TenantSpec) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	idx := len(s.Snapshot().Tenants)
 	t, err := s.Admit(spec)
 	if err != nil {
 		return 0, err
 	}
 	f.byName[spec.Name] = len(f.admissions)
-	f.admissions = append(f.admissions, admission{shard: shard, idx: idx, t: t})
-	f.tenantObjects[spec.Name] = append([]string(nil), spec.Objects...)
+	f.admissions = append(f.admissions, admission{shard: shard, t: t})
 	for _, obj := range spec.Objects {
 		f.objUse[obj]++
 	}
@@ -317,7 +309,6 @@ func (f *Fleet) windows(d simtime.Duration, prepare func(off, step simtime.Durat
 	if len(f.admissions) == 0 {
 		return nil, fmt.Errorf("cluster: fleet has no tenants")
 	}
-	base := f.elapsed
 	for done := simtime.Duration(0); done < d; {
 		step := min(f.cfg.Slice, d-done)
 		if prepare != nil {
@@ -327,13 +318,13 @@ func (f *Fleet) windows(d simtime.Duration, prepare func(off, step simtime.Durat
 			return nil, err
 		}
 		done += step
+		f.elapsed += step
 		if f.reb != nil {
-			if err := f.reb.tick(base + done); err != nil {
+			if err := f.reb.tick(f.elapsed); err != nil {
 				return nil, err
 			}
 		}
 	}
-	f.elapsed += d
 	return f.Snapshot(), nil
 }
 
@@ -398,37 +389,23 @@ func (f *Fleet) TenantShard(name string) (int, bool) {
 // were forced serial by shared admission or decision-trace state.
 func (f *Fleet) LaneStats() fleet.LaneStats { return f.lanes }
 
-// Snapshot merges the per-shard reports: tenants in global admission
-// order, chaos counters and shed tallies summed, Duration equal to the
-// fleet's accumulated run time (every populated shard ran exactly that
-// long), and Cores the per-shard core count.
+// Snapshot merges the fleet's report: one row per tenant, rendered from
+// the tenant, in global admission order; every shard's chaos counters and
+// shed tallies summed; Duration equal to the fleet's accumulated run time
+// (every populated shard ran exactly that long), and Cores the per-shard
+// core count.
 func (f *Fleet) Snapshot() *fleet.Report {
 	merged := &fleet.Report{Duration: f.elapsed, Cores: f.cfg.Cores}
 	if merged.Cores <= 0 {
 		merged.Cores = 1
 	}
-	reports := make([]*fleet.Report, len(f.scheds))
-	for i, s := range f.scheds {
+	merged.Tenants = make([]fleet.TenantReport, len(f.admissions))
+	for i, adm := range f.admissions {
+		merged.Tenants[i] = adm.t.Report(f.elapsed)
+	}
+	for _, s := range f.scheds {
 		if s != nil {
-			reports[i] = s.Snapshot()
-		}
-	}
-	for _, adm := range f.admissions {
-		merged.Tenants = append(merged.Tenants, reports[adm.shard].Tenants[adm.idx])
-	}
-	for _, r := range reports {
-		if r == nil {
-			continue
-		}
-		merged.FaultsFired += r.FaultsFired
-		merged.FaultsPending += r.FaultsPending
-		merged.Recoveries += r.Recoveries
-		merged.MidGateDeaths += r.MidGateDeaths
-		merged.Repairs += r.Repairs
-		merged.Retries += r.Retries
-		merged.FaultTrace += r.FaultTrace
-		for i, n := range r.ShedByClass {
-			merged.ShedByClass[i] += n
+			s.AddTotals(merged)
 		}
 	}
 	return merged

@@ -9,6 +9,8 @@ import (
 	"sort"
 	"testing"
 
+	"github.com/elisa-go/elisa/internal/fleet"
+	"github.com/elisa-go/elisa/internal/mem"
 	"github.com/elisa-go/elisa/internal/overload"
 	"github.com/elisa-go/elisa/internal/workload"
 )
@@ -22,7 +24,10 @@ var update = flag.Bool("update", false, "rewrite golden files")
 //     merged report, the controller's decisions and per-tenant moves,
 //     the cluster stats and the decision summary;
 //   - rb-b moved by hand A→B→A→B on 2 shards (TestMigrateTenantThereAndBack's
-//     sequence): the merged report after every run and every move.
+//     sequence): the merged report after every run and every move, then
+//     after a run with a fifth tenant admitted on shard A. That tenant's
+//     generated Poisson load is seeded by its join index on A, which
+//     counts every tenant that ever joined A, gone or not.
 //
 // A refactor of Evict, Adopt or the cluster fleet must pass it without
 // -update.
@@ -76,7 +81,7 @@ func renderRebalance(t *testing.T) []byte {
 	}
 	fmt.Fprintf(&b, "stats %+v\n%s", c.Stats(), dec.Summary())
 
-	_, f = skewedCluster(t, 2, false, false, nil, nil)
+	c, f = skewedCluster(t, 2, false, false, nil, nil)
 	table := func(what string) {
 		fmt.Fprintf(&b, "\n== hand moves, 2 shards: %s ==\n%s\n", what, f.Snapshot().Table())
 	}
@@ -94,5 +99,16 @@ func renderRebalance(t *testing.T) []byte {
 		table(fmt.Sprintf("move %d, rb-b to shard %d", i+1, to))
 		run(fmt.Sprintf("run after move %d", i+1))
 	}
+	if err := c.Ring().Pin("rb-obj-e", 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.CreateObject("rb-obj-e", mem.PageSize); err != nil {
+		t.Fatal(err)
+	}
+	spec := fleet.TenantSpec{Name: "rb-e", Objects: []string{"rb-obj-e"}, Fn: workload.RebalanceFn, RateOPS: 1_600_000}
+	if shard, err := f.Admit(spec); err != nil || shard != 0 {
+		t.Fatalf("admit rb-e: shard %d, %v; want shard 0", shard, err)
+	}
+	run("run after admitting rb-e on shard 0")
 	return b.Bytes()
 }

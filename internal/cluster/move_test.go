@@ -250,9 +250,7 @@ func TestMoveObjectRevokesGuestsSharingAName(t *testing.T) {
 // TestMigrateTenantThereAndBack: a tenant migrated A→B→A→B reads as one
 // continuous tenant in the merged report, its Submitted carried over
 // every move and growing between them. The moves back need the source
-// copy of each object gone, and the third move needs Evict to take the
-// live tenant: shard A then holds the first move's stub under the same
-// name.
+// copy of each object gone.
 func TestMigrateTenantThereAndBack(t *testing.T) {
 	_, f := skewedCluster(t, 2, false, false, nil, nil)
 	row := func() fleet.TenantReport {

@@ -114,31 +114,22 @@ func (r *Rebalancer) tick(now simtime.Duration) error {
 	f := r.f
 
 	// Demand deltas since the last tick, in global admission order (the
-	// only deterministic tenant order), summed into per-shard loads.
-	// Deltas come from the live tenant's report row — after a migration
-	// the admissions entry points at the adopting scheduler, whose
-	// carried Submitted counter is monotonic across the move.
-	reports := make([]*fleet.Report, len(f.scheds))
-	for i, s := range f.scheds {
-		if s != nil {
-			reports[i] = s.Snapshot()
-		}
-	}
+	// only deterministic tenant order), summed into per-shard loads. A
+	// tenant's Submitted counter moves with it, so it is monotonic across
+	// migrations.
 	type cand struct {
-		name  string
+		t     *fleet.Tenant
 		shard int
 		load  uint64
-		class int
 	}
 	loads := make([]uint64, len(f.scheds))
 	tenants := make([]cand, 0, len(f.admissions))
 	for _, adm := range f.admissions {
-		name := adm.t.Name()
-		tr := reports[adm.shard].Tenants[adm.idx]
-		delta := tr.Submitted - r.prev[name]
-		r.prev[name] = tr.Submitted
+		name, sub := adm.t.Name(), adm.t.Submitted()
+		delta := sub - r.prev[name]
+		r.prev[name] = sub
 		loads[adm.shard] += delta
-		tenants = append(tenants, cand{name: name, shard: adm.shard, load: delta, class: tr.Class})
+		tenants = append(tenants, cand{t: adm.t, shard: adm.shard, load: delta})
 	}
 
 	for n := 0; n < rebalanceMaxMoves; n++ {
@@ -167,10 +158,10 @@ func (r *Rebalancer) tick(now simtime.Duration) error {
 		var pick *cand
 		for i := range tenants {
 			c := &tenants[i]
-			if c.shard != hot || c.load == 0 || !f.exclusiveObjects(c.name) {
+			if c.shard != hot || c.load == 0 || !f.exclusiveObjects(c.t) {
 				continue
 			}
-			if at, ok := r.movedAt[c.name]; ok && now-at < rebalanceDwellPeriods*f.cfg.Slice {
+			if at, ok := r.movedAt[c.t.Name()]; ok && now-at < rebalanceDwellPeriods*f.cfg.Slice {
 				continue
 			}
 			if pick == nil || c.load > pick.load {
@@ -181,8 +172,9 @@ func (r *Rebalancer) tick(now simtime.Duration) error {
 			r.hold(now, "", hot, hot, 0, imb, "no movable tenant (shared objects or dwell)")
 			return nil
 		}
+		name := pick.t.Name()
 		if cold == hot || loads[cold]+pick.load >= loads[hot] {
-			r.hold(now, pick.name, hot, cold, pick.load, imb, "move would not reduce the hot shard below the destination")
+			r.hold(now, name, hot, cold, pick.load, imb, "move would not reduce the hot shard below the destination")
 			return nil
 		}
 		newMax := uint64(0)
@@ -198,32 +190,32 @@ func (r *Rebalancer) tick(now simtime.Duration) error {
 			}
 		}
 		if gain := (float64(loads[hot]) - float64(newMax)) / float64(loads[hot]); gain < rebalanceImprovement {
-			r.hold(now, pick.name, hot, cold, pick.load, imb,
+			r.hold(now, name, hot, cold, pick.load, imb,
 				fmt.Sprintf("improvement %.3f below threshold %.3f", gain, rebalanceImprovement))
 			return nil
 		}
-		if err := f.migrateTenant(pick.name, cold); err != nil {
-			return fmt.Errorf("cluster: rebalance %q shard %d -> %d: %w", pick.name, hot, cold, err)
+		if err := f.migrateTenant(name, cold); err != nil {
+			return fmt.Errorf("cluster: rebalance %q shard %d -> %d: %w", name, hot, cold, err)
 		}
 		r.stats.Moves++
-		r.moves[pick.name]++
-		r.movedAt[pick.name] = now
+		r.moves[name]++
+		r.movedAt[name] = now
 		r.decisions = append(r.decisions, RebalanceDecision{
-			At: now, Tenant: pick.name, From: hot, To: cold,
+			At: now, Tenant: name, From: hot, To: cold,
 			Load: pick.load, Imbalance: imb, Moved: true, Note: "migrated",
 		})
 		// A rebalance is off the per-op path: its names are interned
 		// here, once per move. The causal note, unique to nearly every
 		// move, is kept with its event rather than interned.
 		if dec := f.cfg.Decisions; dec != nil {
-			dec.Record(simtime.Time(now), dec.Tenant(pick.name), overload.VerdictRebalance, pick.class,
+			dec.Record(simtime.Time(now), dec.Tenant(name), overload.VerdictRebalance, int(pick.t.Spec().Class),
 				dec.Note(fmt.Sprintf("shard %d -> %d", hot, cold)))
 		}
 		if recs := [2]*obs.Recorder{f.c.shards[hot].mgr.Recorder(), f.c.shards[cold].mgr.Recorder()}; recs[0] != nil || recs[1] != nil {
 			note := fmt.Sprintf("shard %d -> %d, load %d, imbalance %.2f", hot, cold, pick.load, imb)
 			for _, rec := range recs {
 				log := rec.Causal()
-				log.EmitText(obs.Record{Kind: obs.EvRebalance, Time: simtime.Time(now), Subject: log.Subject(pick.name, "")}, note)
+				log.EmitText(obs.Record{Kind: obs.EvRebalance, Time: simtime.Time(now), Subject: log.Subject(name, "")}, note)
 			}
 		}
 		loads[hot] -= pick.load
@@ -243,12 +235,8 @@ func (r *Rebalancer) hold(now simtime.Duration, tenant string, from, to int, loa
 // exclusiveObjects reports whether every object in the tenant's working
 // set is used by that tenant alone — the precondition for the objects to
 // migrate with it.
-func (f *Fleet) exclusiveObjects(name string) bool {
-	objs := f.tenantObjects[name]
-	if len(objs) == 0 {
-		return false
-	}
-	for _, obj := range objs {
+func (f *Fleet) exclusiveObjects(t *fleet.Tenant) bool {
+	for _, obj := range t.Spec().Objects {
 		if f.objUse[obj] != 1 {
 			return false
 		}
@@ -256,27 +244,25 @@ func (f *Fleet) exclusiveObjects(name string) bool {
 	return true
 }
 
-// migrateTenant carries one tenant to shard dst: Evict packages it off
-// its source scheduler (graceful detach — its call history leaves the
-// source shard's accounting), MoveObject carries each of its objects,
-// and Adopt boots it on the destination. The global admission order is
-// preserved: the tenant's admissions entry is repointed at the adopting
-// scheduler, so merged reports read one continuous tenant.
+// migrateTenant carries one tenant to shard dst: Evict takes it off its
+// source scheduler (graceful detach — its call history leaves the source
+// shard's accounting), MoveObject carries each of its objects, and Adopt
+// boots it on the destination. The tenant's admission entry keeps its
+// place in the global admission order and names the new shard, so merged
+// reports read one continuous tenant.
 func (f *Fleet) migrateTenant(name string, dst int) error {
 	i, ok := f.byName[name]
 	if !ok {
 		return fmt.Errorf("cluster: migrate %q: not admitted", name)
 	}
-	src := f.admissions[i].shard
-	if src == dst {
+	adm := &f.admissions[i]
+	if adm.shard == dst {
 		return fmt.Errorf("cluster: migrate %q: already on shard %d", name, dst)
 	}
-	ss := f.scheds[src]
-	st, err := ss.Evict(f.admissions[i].t)
-	if err != nil {
+	if err := f.scheds[adm.shard].Evict(adm.t); err != nil {
 		return err
 	}
-	for _, obj := range st.Spec().Objects {
+	for _, obj := range adm.t.Spec().Objects {
 		if err := f.c.MoveObject(obj, dst); err != nil {
 			return err
 		}
@@ -285,16 +271,10 @@ func (f *Fleet) migrateTenant(name string, dst int) error {
 	if err != nil {
 		return err
 	}
-	// A scheduler created (or idle) until now starts behind the fleet
-	// clock; align it so the adopted tenant's goodput denominator is the
-	// fleet's elapsed time, not the destination's.
-	ds.AlignElapsed(ss.Elapsed())
-	idx := len(ds.Snapshot().Tenants)
-	t, err := ds.Adopt(st)
-	if err != nil {
+	if err := ds.Adopt(adm.t); err != nil {
 		return err
 	}
-	f.admissions[i] = admission{shard: dst, idx: idx, t: t}
+	adm.shard = dst
 	f.c.rebalances++
 	return nil
 }

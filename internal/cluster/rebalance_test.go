@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/elisa-go/elisa/internal/core"
+	"github.com/elisa-go/elisa/internal/fault"
 	"github.com/elisa-go/elisa/internal/fleet"
 	"github.com/elisa-go/elisa/internal/mem"
 	"github.com/elisa-go/elisa/internal/obs"
@@ -209,7 +210,8 @@ func TestRebalanceUnarmedIdentical(t *testing.T) {
 
 // TestEvictAdoptCarriesState migrates one tenant by hand between runs
 // and checks the merged report reads one continuous tenant: counters
-// carried, stub zeroed, placement updated.
+// carried, the tenant listed once on its new shard only, placement
+// updated.
 func TestEvictAdoptCarriesState(t *testing.T) {
 	c, f := skewedCluster(t, 4, false, false, nil, nil)
 	if _, err := f.Run(100 * 1000); err != nil {
@@ -244,11 +246,19 @@ func TestEvictAdoptCarriesState(t *testing.T) {
 	if adopted.Submitted != moved.Submitted || adopted.Completed != moved.Completed {
 		t.Errorf("carried counters drifted: before %+v, after %+v", moved, adopted)
 	}
-	// The source scheduler's stub reports zeros under the same name.
-	for _, tr := range f.Scheduler(0).Snapshot().Tenants {
-		if tr.Name == "rb-b" && (tr.Submitted != 0 || tr.Completed != 0) {
-			t.Errorf("source stub still reports work: %+v", tr)
+	// The source scheduler no longer lists the tenant; the destination
+	// lists it once.
+	listed := func(shard int) int {
+		n := 0
+		for _, tn := range f.Scheduler(shard).Tenants() {
+			if tn.Name() == "rb-b" {
+				n++
+			}
 		}
+		return n
+	}
+	if src, dst := listed(0), listed(2); src != 0 || dst != 1 {
+		t.Errorf("rb-b listed %d times on the source and %d on the destination, want 0 and 1", src, dst)
 	}
 	// The tenant keeps running on its new shard.
 	if _, err := f.Run(100 * 1000); err != nil {
@@ -259,6 +269,65 @@ func TestEvictAdoptCarriesState(t *testing.T) {
 		if tr.Name == "rb-b" && tr.Completed <= adopted.Completed {
 			t.Errorf("migrated tenant stopped completing: %d -> %d", adopted.Completed, tr.Completed)
 		}
+	}
+}
+
+// TestEvictAdoptRefusesStaleTenant: once a tenant has moved, its old
+// scheduler's Evict and ReplayOps refuse it, and its new scheduler
+// replays its ops.
+func TestEvictAdoptRefusesStaleTenant(t *testing.T) {
+	_, f := skewedCluster(t, 2, false, false, nil, nil)
+	if _, err := f.Run(100 * 1000); err != nil {
+		t.Fatal(err)
+	}
+	moved := f.admissions[f.byName["rb-b"]].t
+	if err := f.migrateTenant("rb-b", 1); err != nil {
+		t.Fatal(err)
+	}
+	op := []fleet.ReplayOp{{Tenant: moved, Fn: workload.RebalanceFn}}
+	if err := f.Scheduler(0).Evict(moved); err == nil {
+		t.Error("the old scheduler evicted a tenant it no longer has")
+	}
+	if _, err := f.Scheduler(0).ReplayOps(op, 1000); err == nil {
+		t.Error("the old scheduler replayed an op for a tenant it no longer has")
+	}
+	if _, err := f.Scheduler(1).ReplayOps(op, 1000); err != nil {
+		t.Errorf("the new scheduler refused its tenant's op: %v", err)
+	}
+}
+
+// TestEvictAdoptEmptiedShardKeepsRunning: a shard scheduler whose last
+// tenant has left keeps running its windows. Its clock stays on fleet
+// time, and its fault pump fires the injections due after the shard
+// emptied.
+func TestEvictAdoptEmptiedShardKeepsRunning(t *testing.T) {
+	plan := &fault.Plan{Seed: 3}
+	for i := 0; i < 4; i++ {
+		plan.Injections = append(plan.Injections, fault.Injection{
+			Seq: i, At: simtime.Time(120_000 + 20_000*i), Class: fault.ClassEPTPCorrupt, Guest: "rb-a", Arg: uint64(i),
+		})
+	}
+	_, f := skewedFleet(t, 2, FleetConfig{Config: fleet.Config{Cores: 2, Seed: 42, QueueDepth: 32, Faults: plan}})
+	if _, err := f.Run(100 * 1000); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"rb-a", "rb-b", "rb-c", "rb-d"} {
+		if err := f.migrateTenant(name, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := len(f.Scheduler(0).Tenants()); n != 0 {
+		t.Fatalf("shard 0 lists %d tenants after every tenant left", n)
+	}
+	rep, err := f.Run(100 * 1000)
+	if err != nil {
+		t.Fatalf("run with an emptied shard: %v", err)
+	}
+	if got := f.Scheduler(0).Elapsed(); got != f.elapsed {
+		t.Errorf("emptied shard's scheduler at %v, fleet at %v", got, f.elapsed)
+	}
+	if rep.FaultsFired != 4 || rep.FaultsPending != 0 {
+		t.Errorf("emptied fault shard: %d injections fired, %d pending; want all 4 fired", rep.FaultsFired, rep.FaultsPending)
 	}
 }
 

@@ -38,16 +38,16 @@ type TenantClass int
 // counters a fixed-size (and so ==-comparable) array in Report.
 const MaxTenantClasses = 8
 
+// Quantum is the maximum core time one tenant holds per scheduling turn:
+// 10µs of simulated time, ~50 hot calls. It is also the fault pump's
+// period and, in ring mode, the tenants' adaptive batching deadline.
+const Quantum simtime.Duration = 10_000
+
 // Config configures a Scheduler.
 type Config struct {
 	// Cores is the number of simulated cores the fleet time-slices
 	// (default 1).
 	Cores int
-	// Quantum is the maximum core time one tenant holds per scheduling
-	// turn (default 10µs of simulated time, ~50 hot calls). It is also
-	// the fault pump's period and, in ring mode, the tenants' adaptive
-	// batching deadline.
-	Quantum simtime.Duration
 	// QueueDepth bounds each tenant's pending-op queue; arrivals beyond
 	// it are dropped and counted (default 64).
 	QueueDepth int
@@ -93,7 +93,7 @@ type Config struct {
 	ShedAfter         simtime.Duration
 	// RingRetry is the retry policy tenants' ring callers apply to
 	// CompBusy bounce-backs (zero value: no retries). Each tenant's
-	// jitter RNG is seeded with RingRetry.Seed plus its admission index.
+	// jitter RNG is seeded with RingRetry.Seed plus its join index.
 	// Setting it without RingDepth is an error.
 	RingRetry core.RetryPolicy
 	// Overload, when Enabled, arms the manager's drain-side overload
@@ -139,9 +139,10 @@ type TenantSpec struct {
 	// Weight is the tenant's share of core time under contention
 	// (stride scheduling; default 1).
 	Weight int
-	// Objects are the shared objects to attach at admission. Ops cycle
-	// over them round-robin, so a working set larger than the guest's
-	// slot budget exercises the HCSlotFault slow path.
+	// Objects are the shared objects to attach at admission (Admit keeps
+	// its own copy). Ops cycle over them round-robin, so a working set
+	// larger than the guest's slot budget exercises the HCSlotFault slow
+	// path.
 	Objects []string
 	// Fn is the manager function every op calls.
 	Fn uint64
@@ -207,10 +208,11 @@ type pendingOp struct {
 	fn      uint64
 }
 
-// Tenant is one admitted guest plus its scheduling state.
+// Tenant is one admitted guest plus its scheduling state. A migration
+// moves the Tenant itself from one scheduler to another (see Evict).
 type Tenant struct {
 	spec    TenantSpec
-	index   int
+	sched   *Scheduler // the scheduler the tenant is on; nil between Evict and Adopt
 	vm      *hv.VM
 	guest   *core.Guest
 	handles []*core.Handle
@@ -248,12 +250,6 @@ type Tenant struct {
 	recovered bool
 	lost      uint64
 
-	// migrated marks a tenant Evict carried to another scheduler. The
-	// stub stays in the admission list (keeping report indices stable for
-	// the cluster's merged-report mapping) but is never scheduled, never
-	// arrives, and reports zero counters — its accounting moved with it.
-	migrated bool
-
 	// overload control (nil / zero when the knobs are off): bucket
 	// rate-limits arrivals, global is the cluster-wide bucket
 	// Config.GlobalAdmit named at admission.
@@ -277,12 +273,15 @@ func (t *Tenant) Crashed() bool { return t.crashed }
 // Recovered reports whether the manager reclaimed the tenant post-mortem.
 func (t *Tenant) Recovered() bool { return t.recovered }
 
-// Migrated reports whether Evict carried this tenant to another
-// scheduler, leaving this entry as an inert stub.
-func (t *Tenant) Migrated() bool { return t.migrated }
-
 // Name returns the tenant's guest name.
 func (t *Tenant) Name() string { return t.spec.Name }
+
+// Spec returns the tenant's admission spec. Its Objects slice is the
+// tenant's own: callers must not modify it.
+func (t *Tenant) Spec() TenantSpec { return t.spec }
+
+// Submitted counts the tenant's arrivals so far, refused ones included.
+func (t *Tenant) Submitted() uint64 { return t.submitted }
 
 // VM exposes the tenant's guest VM.
 func (t *Tenant) VM() *hv.VM { return t.vm }
@@ -294,9 +293,12 @@ type Scheduler struct {
 	cfg Config
 
 	mu      sync.Mutex
-	tenants []*Tenant
+	tenants []*Tenant // in join order
+	// joined counts the tenants ever admitted or adopted here, gone or
+	// not: a joining tenant's join index. It seeds the tenant's generated
+	// Poisson process (at Admit) and its ring-retry jitter.
+	joined  int
 	elapsed simtime.Duration // accumulated across Run calls
-	ran     bool
 
 	inj *fault.Injector // armed from cfg.Faults (nil = chaos off)
 
@@ -381,9 +383,6 @@ func New(h *hv.Hypervisor, mgr *core.Manager, cfg Config) (*Scheduler, error) {
 	if cfg.Cores <= 0 {
 		cfg.Cores = 1
 	}
-	if cfg.Quantum <= 0 {
-		cfg.Quantum = 10_000
-	}
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 64
 	}
@@ -435,10 +434,10 @@ func (s *Scheduler) Admit(spec TenantSpec) (*Tenant, error) {
 	if spec.Class < 0 || (s.cfg.Classes > 0 && int(spec.Class) >= s.cfg.Classes) {
 		return nil, fmt.Errorf("fleet: tenant %q class %d outside [0, %d)", spec.Name, spec.Class, s.cfg.Classes)
 	}
-	idx := len(s.tenants)
+	spec.Objects = append([]string(nil), spec.Objects...)
 	arrival := spec.Arrival
 	if arrival == nil {
-		p, err := workload.NewPoisson(s.cfg.Seed+int64(idx)*7919+1, spec.RateOPS)
+		p, err := workload.NewPoisson(s.cfg.Seed+int64(s.joined)*7919+1, spec.RateOPS)
 		if err != nil {
 			return nil, fmt.Errorf("fleet: tenant %q: %w", spec.Name, err)
 		}
@@ -446,7 +445,6 @@ func (s *Scheduler) Admit(spec TenantSpec) (*Tenant, error) {
 	}
 	t := &Tenant{
 		spec:    spec,
-		index:   idx,
 		arrival: arrival,
 		hist:    stats.NewHistogram(),
 	}
@@ -485,7 +483,7 @@ func (s *Scheduler) bootLocked(t *Tenant, verb string) error {
 	}
 	ringRetry := s.cfg.RingRetry
 	if ringRetry.MaxAttempts > 0 {
-		ringRetry.Seed += int64(t.index) // distinct deterministic jitter per tenant
+		ringRetry.Seed += int64(s.joined) // distinct deterministic jitter per tenant
 	}
 	for _, obj := range spec.Objects {
 		h, err := g.Attach(obj)
@@ -494,7 +492,7 @@ func (s *Scheduler) bootLocked(t *Tenant, verb string) error {
 		}
 		t.handles = append(t.handles, h)
 		if s.cfg.RingDepth > 0 {
-			rc, err := h.Ring(vm.VCPU(), core.RingConfig{Depth: s.cfg.RingDepth, Deadline: s.cfg.Quantum, Retry: ringRetry})
+			rc, err := h.Ring(vm.VCPU(), core.RingConfig{Depth: s.cfg.RingDepth, Deadline: Quantum, Retry: ringRetry})
 			if err != nil {
 				return fmt.Errorf("fleet: %s %q ring on %q: %w", verb, spec.Name, obj, err)
 			}
@@ -511,11 +509,13 @@ func (s *Scheduler) bootLocked(t *Tenant, verb string) error {
 			return fmt.Errorf("fleet: %s %q: %w", verb, spec.Name, err)
 		}
 	}
+	t.sched = s
+	s.joined++
 	s.tenants = append(s.tenants, t)
 	return nil
 }
 
-// Tenants returns the admitted tenants in admission order.
+// Tenants returns the tenants on this scheduler in join order.
 func (s *Scheduler) Tenants() []*Tenant {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -558,7 +558,7 @@ func (s *Scheduler) ReplayOps(ops []ReplayOp, d simtime.Duration) (*Report, erro
 	defer s.mu.Unlock()
 	for i, op := range ops {
 		t := op.Tenant
-		if t == nil || t.index >= len(s.tenants) || s.tenants[t.index] != t || t.migrated {
+		if t == nil || t.sched != s {
 			return nil, fmt.Errorf("fleet: replay op %d names no live tenant of this scheduler", i)
 		}
 		if op.Obj < 0 || op.Obj >= len(t.handles) {
@@ -591,7 +591,7 @@ type eventKind uint8
 
 const (
 	coreFree  eventKind = iota // a core ends its quantum (idx: core)
-	generated                  // a tenant's arrival process fires (idx: tenant)
+	generated                  // a tenant's arrival process fires (idx: its slot in s.tenants)
 	replayed                   // a trace event arrives (idx: replay op)
 	pump                       // the fault pump's periodic pass
 )
@@ -621,7 +621,7 @@ func (s *Scheduler) runLocked(d simtime.Duration, replay bool, ops []ReplayOp) (
 	if d <= 0 {
 		return nil, fmt.Errorf("fleet: run duration %d must be positive", d)
 	}
-	if len(s.tenants) == 0 {
+	if s.joined == 0 {
 		return nil, fmt.Errorf("fleet: no tenants admitted")
 	}
 
@@ -644,12 +644,10 @@ func (s *Scheduler) runLocked(d simtime.Duration, replay bool, ops []ReplayOp) (
 			return ops[next-1].At, event{kind: replayed, idx: next - 1}, true
 		})
 	} else {
-		// One self-rescheduling arrival chain per tenant.
-		for _, t := range s.tenants {
-			if t.migrated {
-				continue // a stub has no arrival process — it moved with the tenant
-			}
-			if err := w.sim.After(t.arrival.NextInterval(), event{kind: generated, idx: t.index}); err != nil {
+		// One self-rescheduling arrival chain per tenant. Tenants join and
+		// leave only between windows, so a slot names one tenant all window.
+		for i, t := range s.tenants {
+			if err := w.sim.After(t.arrival.NextInterval(), event{kind: generated, idx: i}); err != nil {
 				return nil, err
 			}
 		}
@@ -665,7 +663,7 @@ func (s *Scheduler) runLocked(d simtime.Duration, replay bool, ops []ReplayOp) (
 	// in the window that contains it however the run is split into
 	// windows.
 	if s.inj != nil {
-		if err := w.sim.After(s.cfg.Quantum, event{kind: pump}); err != nil {
+		if err := w.sim.After(Quantum, event{kind: pump}); err != nil {
 			return nil, err
 		}
 	}
@@ -682,7 +680,6 @@ func (s *Scheduler) runLocked(d simtime.Duration, replay bool, ops []ReplayOp) (
 		s.sweepDead()
 	}
 	s.elapsed += d
-	s.ran = true
 	return s.reportLocked(), nil
 }
 
@@ -713,12 +710,13 @@ func (w *window) handle(now simtime.Time, ev event) {
 		s.mgr.PumpFaults(now.Add(w.base))
 		_, _ = s.mgr.FsckRepair()
 		s.sweepDead()
-		_ = w.sim.After(s.cfg.Quantum, ev)
+		_ = w.sim.After(Quantum, ev)
 	}
 }
 
-// dispatch hands every idle core the min-pass runnable tenant and runs
-// one quantum's worth of its queue as back-to-back calls.
+// dispatch hands every idle core the min-pass runnable tenant (on a tie,
+// the one that joined first: the list is in join order) and runs one
+// quantum's worth of its queue as back-to-back calls.
 func (w *window) dispatch(now simtime.Time) {
 	s := w.s
 	for {
@@ -734,10 +732,10 @@ func (w *window) dispatch(now simtime.Time) {
 		}
 		var next *Tenant
 		for _, t := range s.tenants {
-			if t.crashed || t.migrated || len(t.queue) == 0 {
+			if t.crashed || len(t.queue) == 0 {
 				continue
 			}
-			if next == nil || t.pass < next.pass || (t.pass == next.pass && t.index < next.index) {
+			if next == nil || t.pass < next.pass {
 				next = t
 			}
 		}
@@ -749,7 +747,7 @@ func (w *window) dispatch(now simtime.Time) {
 		ringMode := s.cfg.RingDepth > 0
 		var spent simtime.Duration
 		served, died := 0, false
-		for served < len(t.queue) && spent < s.cfg.Quantum {
+		for served < len(t.queue) && spent < Quantum {
 			op := t.queue[served]
 			served++
 			// Generated load cycles handles round-robin (obj < 0);
@@ -871,7 +869,7 @@ func (w *window) admit(t *Tenant, now simtime.Time, op pendingOp) {
 func (s *Scheduler) occupancyLocked() float64 {
 	queued, alive := 0, 0
 	for _, t := range s.tenants {
-		if t.crashed || t.migrated {
+		if t.crashed {
 			continue
 		}
 		alive++
@@ -932,7 +930,7 @@ func (s *Scheduler) harvestTenant(t *Tenant, now simtime.Time) simtime.Duration 
 // bound is just a backstop.
 func (s *Scheduler) drainTenantRings(now simtime.Time) {
 	for _, t := range s.tenants {
-		if t.crashed || t.migrated || t.vm.Dead() {
+		if t.crashed || t.vm.Dead() {
 			continue
 		}
 		v := t.vm.VCPU()
@@ -980,9 +978,6 @@ func (t *Tenant) markCrashed() {
 // from Run's event loop and from Run's epilogue).
 func (s *Scheduler) sweepDead() {
 	for _, t := range s.tenants {
-		if t.migrated {
-			continue // the stub's VM idles here; the tenant lives elsewhere
-		}
 		if t.vm.Dead() && !t.crashed {
 			t.markCrashed()
 		}
@@ -998,7 +993,7 @@ func (s *Scheduler) sweepDead() {
 type Report struct {
 	Duration simtime.Duration
 	Cores    int
-	Tenants  []TenantReport // admission order
+	Tenants  []TenantReport // join order (admission order in a cluster fleet)
 
 	// Chaos accounting (zero / empty when no fault plan is armed).
 	FaultsFired   uint64 // injections consummated so far
@@ -1053,45 +1048,66 @@ type TenantReport struct {
 	CoreTime simtime.Duration
 }
 
+// Report renders the tenant's accounting row, its goodput taken over
+// elapsed. Call it between runs.
+func (t *Tenant) Report(elapsed simtime.Duration) TenantReport {
+	tr := TenantReport{
+		Name:      t.spec.Name,
+		Weight:    t.spec.Weight,
+		Submitted: t.submitted,
+		Completed: t.completed,
+		Dropped:   t.dropped,
+		FnErrors:  t.fnErrors,
+		Crashed:   t.crashed,
+		Recovered: t.recovered,
+		Lost:      t.lost,
+		Class:     int(t.spec.Class),
+		Throttled: t.throttled,
+		Shed:      t.shed,
+		Busied:    t.busied,
+		P50:       simtime.Duration(t.hist.Percentile(0.50)),
+		P99:       simtime.Duration(t.hist.Percentile(0.99)),
+		MaxQueue:  t.maxQueue,
+		CoreTime:  t.coreTime,
+	}
+	if elapsed > 0 {
+		tr.GoodputOPS = float64(t.completed) * 1e9 / float64(elapsed)
+	}
+	return tr
+}
+
 func (s *Scheduler) reportLocked() *Report {
 	r := &Report{Duration: s.elapsed, Cores: s.cfg.Cores}
 	for _, t := range s.tenants {
-		tr := TenantReport{
-			Name:      t.spec.Name,
-			Weight:    t.spec.Weight,
-			Submitted: t.submitted,
-			Completed: t.completed,
-			Dropped:   t.dropped,
-			FnErrors:  t.fnErrors,
-			Crashed:   t.crashed,
-			Recovered: t.recovered,
-			Lost:      t.lost,
-			Class:     int(t.spec.Class),
-			Throttled: t.throttled,
-			Shed:      t.shed,
-			Busied:    t.busied,
-			P50:       simtime.Duration(t.hist.Percentile(0.50)),
-			P99:       simtime.Duration(t.hist.Percentile(0.99)),
-			MaxQueue:  t.maxQueue,
-			CoreTime:  t.coreTime,
-		}
-		if s.elapsed > 0 {
-			tr.GoodputOPS = float64(t.completed) * 1e9 / float64(s.elapsed)
-		}
-		r.Tenants = append(r.Tenants, tr)
+		r.Tenants = append(r.Tenants, t.Report(s.elapsed))
 	}
-	if s.inj != nil {
-		r.FaultsFired = uint64(len(s.inj.Fired()))
-		r.FaultsPending = s.inj.Pending()
-		r.FaultTrace = s.inj.TraceString()
-		rs := s.mgr.RecoveryStats()
-		r.Recoveries = rs.Recoveries
-		r.MidGateDeaths = rs.MidGateDeaths
-		r.Repairs = rs.Repairs
-		r.Retries = rs.Retries
-	}
-	r.ShedByClass = s.shedByClass
+	s.addTotalsLocked(r)
 	return r
+}
+
+// AddTotals adds the scheduler's machine-wide counters — chaos
+// accounting and shed refusals by class — to r. The cluster fleet sums
+// every shard's into its merged report.
+func (s *Scheduler) AddTotals(r *Report) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.addTotalsLocked(r)
+}
+
+func (s *Scheduler) addTotalsLocked(r *Report) {
+	if s.inj != nil {
+		r.FaultsFired += uint64(len(s.inj.Fired()))
+		r.FaultsPending += s.inj.Pending()
+		r.FaultTrace += s.inj.TraceString()
+		rs := s.mgr.RecoveryStats()
+		r.Recoveries += rs.Recoveries
+		r.MidGateDeaths += rs.MidGateDeaths
+		r.Repairs += rs.Repairs
+		r.Retries += rs.Retries
+	}
+	for i, n := range s.shedByClass {
+		r.ShedByClass[i] += n
+	}
 }
 
 // Snapshot returns the current per-tenant accounting (the metrics-export

@@ -87,7 +87,7 @@ func TestFleetDeterministicRuns(t *testing.T) {
 // Under overload, completed work tracks the stride weights.
 func TestFleetWeightedSharing(t *testing.T) {
 	r := newRig(t, 2, 0)
-	s, err := New(r.hv, r.mgr, Config{Cores: 1, Seed: 7, QueueDepth: 256, Quantum: 2_000})
+	s, err := New(r.hv, r.mgr, Config{Cores: 1, Seed: 7, QueueDepth: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,6 +151,60 @@ func TestNewRejectsIgnoredConfig(t *testing.T) {
 		if _, err := New(r.hv, r.mgr, cfg); err != nil {
 			t.Errorf("New refused valid %+v: %v", cfg, err)
 		}
+	}
+}
+
+// A tenant at 1e-12 ops/s draws gaps too long for a Duration; they
+// saturate, so it never arrives in a millisecond's run (a gap that
+// wrapped to 1 ns arrived about once a nanosecond).
+func TestFleetIdleTenantNeverArrives(t *testing.T) {
+	r := newRig(t, 1, 0)
+	s, err := New(r.hv, r.mgr, Config{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Admit(TenantSpec{Name: "idle", Objects: objects(1), Fn: fnNop, RateOPS: 1e-12}); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := s.Run(1_000_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr := rep.Tenants[0]; tr.Submitted != 0 {
+		t.Fatalf("a 1e-12 ops/s tenant submitted %d ops in 1 ms", tr.Submitted)
+	}
+}
+
+// Adopt takes only a tenant Evict released: one still on a scheduler —
+// another over the same manager, or the adopting one — is refused.
+func TestFleetAdoptRefusesTenantOnAScheduler(t *testing.T) {
+	r := newRig(t, 1, 0)
+	a, err := New(r.hv, r.mgr, Config{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := New(r.hv, r.mgr, Config{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tn, err := a.Admit(TenantSpec{Name: "t", Objects: objects(1), Fn: fnNop, RateOPS: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Adopt(tn); err == nil {
+		t.Fatal("Adopt took a tenant still on another scheduler")
+	}
+	if err := a.Evict(tn); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Adopt(tn); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Adopt(tn); err == nil {
+		t.Fatal("Adopt took a tenant already on the adopting scheduler")
+	}
+	if n := len(a.Tenants()) + len(b.Tenants()); n != 1 {
+		t.Fatalf("the tenant is listed %d times across both schedulers", n)
 	}
 }
 

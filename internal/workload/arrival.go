@@ -18,13 +18,15 @@ type Arrival interface {
 }
 
 // clampInterval rounds a floating-point gap in nanoseconds to the >= 1 ns
-// integer grid every arrival process emits on.
+// integer grid every arrival process emits on. A gap no Duration holds
+// (a rate below about 1e-10 ops/s) saturates at the largest one instead
+// of wrapping negative and clamping to 1 ns.
 func clampInterval(ns float64) simtime.Duration {
-	d := simtime.Duration(math.Round(ns))
-	if d < 1 {
-		d = 1
+	r := math.Round(ns)
+	if r >= math.MaxInt64 { // the constant rounds to 2^63, the first gap too large
+		return math.MaxInt64
 	}
-	return d
+	return max(simtime.Duration(r), 1)
 }
 
 // MMPP is a 2-state Markov-modulated Poisson process — the standard

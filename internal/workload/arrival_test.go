@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"testing"
 
 	"github.com/elisa-go/elisa/internal/simtime"
@@ -185,5 +186,49 @@ func TestWorkloadSingleEventHorizon(t *testing.T) {
 	}
 	if tr.Events[0].At != simtime.Time(0).Add(first) {
 		t.Fatalf("event at %d, want %d", tr.Events[0].At, first)
+	}
+}
+
+// gapList is an arrival process that replays fixed gaps.
+type gapList []simtime.Duration
+
+func (g *gapList) NextInterval() simtime.Duration {
+	d := (*g)[0]
+	*g = (*g)[1:]
+	return d
+}
+
+// TestWorkloadIdleRateSaturates: a gap too long for a Duration saturates
+// at the largest one instead of wrapping to 1 ns, so a tenant at 1e-12
+// ops/s (one arrival in about 30,000 years) generates nothing over a
+// microsecond, and no instant wraps when a saturated gap follows an
+// arrival.
+func TestWorkloadIdleRateSaturates(t *testing.T) {
+	p, err := NewPoisson(1, 1e-12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := p.NextInterval(); d != math.MaxInt64 {
+		t.Errorf("poisson at 1e-12 ops/s: gap %d, want the largest Duration", d)
+	}
+	for _, ns := range []float64{0x1p63, 1e30, math.Inf(1)} {
+		if d := clampInterval(ns); d != math.MaxInt64 {
+			t.Errorf("clampInterval(%g) = %d, want the largest Duration", ns, d)
+		}
+	}
+	if d := clampInterval(0x1p63 - 1024); d != math.MaxInt64-1023 {
+		t.Errorf("clampInterval of the largest float64 below 2^63 = %d", d)
+	}
+	tr, err := Generate([]Spec{{Name: "idle", RateOPS: 1e-12, Objects: []string{"o"}, Fn: 1}}, 1, simtime.Microsecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tr.Events) != 0 {
+		t.Errorf("a 1e-12 ops/s tenant generated %d events in 1 µs", len(tr.Events))
+	}
+	var ds draws
+	ds.drawStream(&Spec{Objects: []string{"o"}}, &gapList{5, math.MaxInt64}, nil, math.MaxInt64)
+	if ds.n != 1 || ds.at(0).at != 5 {
+		t.Errorf("a saturated gap after an arrival at 5 ns drew %d arrivals, want the one at 5 ns", ds.n)
 	}
 }

@@ -101,7 +101,8 @@ func (ds *draws) at(i int) *draw { return &ds.blocks[i/drawBlock][i%drawBlock] }
 // drawStream appends one tenant's stream: arrivals at the instants its
 // arrival process gives, each calling the object its key chooser picks
 // (round-robin when keys is nil), until the horizon end or the spec's
-// Ops cap (none when Ops is 0 or negative).
+// Ops cap (none when Ops is 0 or negative). A gap that reaches past end
+// stops at end, so a saturated gap cannot wrap the next instant.
 func (ds *draws) drawStream(sp *Spec, arrival Arrival, keys KeyChooser, end simtime.Time) {
 	next, rr := simtime.Time(0).Add(arrival.NextInterval()), 0
 	for emitted := 0; next < end && (sp.Ops <= 0 || emitted < sp.Ops); emitted++ {
@@ -115,6 +116,6 @@ func (ds *draws) drawStream(sp *Spec, arrival Arrival, keys KeyChooser, end simt
 		}
 		*ds.at(ds.n) = draw{at: next, obj: obj % len(sp.Objects)}
 		ds.n++
-		next = next.Add(arrival.NextInterval())
+		next = next.Add(min(arrival.NextInterval(), end.Sub(next)))
 	}
 }

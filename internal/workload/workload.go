@@ -253,11 +253,7 @@ func NewPoisson(seed int64, ratePerSec float64) (*Poisson, error) {
 
 // NextInterval returns the next inter-arrival gap.
 func (p *Poisson) NextInterval() simtime.Duration {
-	d := simtime.Duration(math.Round(p.rng.ExpFloat64() * p.mean))
-	if d < 1 {
-		d = 1
-	}
-	return d
+	return clampInterval(p.rng.ExpFloat64() * p.mean)
 }
 
 // PacketSizes is the fixed sweep the paper's networking figures use.
