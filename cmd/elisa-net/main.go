@@ -12,6 +12,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
+	"strings"
 
 	"github.com/elisa-go/elisa/internal/stats"
 	"github.com/elisa-go/elisa/internal/vnet"
@@ -27,10 +29,41 @@ func main() {
 		sweep    = flag.Bool("sweep", false, "run every scheme and packet size")
 	)
 	flag.Parse()
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if err := checkFlags(*scenario, *scheme, *size, *packets, *sweep, set); err != nil {
+		fmt.Fprintf(os.Stderr, "elisa-net: %v\n", err)
+		flag.Usage()
+		os.Exit(2)
+	}
 	if err := run(*scenario, *scheme, *size, *packets, *sweep); err != nil {
 		fmt.Fprintln(os.Stderr, "elisa-net:", err)
 		os.Exit(1)
 	}
+}
+
+// checkFlags refuses flag values the run would fail on or quietly
+// ignore: a scenario or scheme vnet does not have, a packet size no
+// frame holds, no packets to move, or a -size or -scheme given with
+// -sweep, which runs every size and scheme. set names the flags given
+// on the command line. main reports its error as a usage error (exit
+// status 2).
+func checkFlags(scenario, scheme string, size, packets int, sweep bool, set map[string]bool) error {
+	switch {
+	case scenario != "rx" && scenario != "tx" && scenario != "vv":
+		return fmt.Errorf("-scenario %q: must be rx, tx or vv", scenario)
+	case !slices.Contains(vnet.Schemes, scheme):
+		return fmt.Errorf("-scheme %q: must be one of %s", scheme, strings.Join(vnet.Schemes, ", "))
+	case size <= 0 || size > vnet.SlotBytes:
+		return fmt.Errorf("-size %d: must be in (0,%d]", size, vnet.SlotBytes)
+	case packets < 1:
+		return fmt.Errorf("-packets %d: must be at least 1", packets)
+	case sweep && set["size"]:
+		return fmt.Errorf("-size %d: -sweep runs every packet size", size)
+	case sweep && set["scheme"]:
+		return fmt.Errorf("-scheme %q: -sweep runs every scheme", scheme)
+	}
+	return nil
 }
 
 func measure(scenario, scheme string, size, packets int) (*vnet.Result, error) {

@@ -17,6 +17,7 @@ package fitness
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -71,8 +72,8 @@ func ParseWeights(spec string) ([]Weight, error) {
 		}
 		seen[name] = true
 		w, err := strconv.ParseFloat(strings.TrimSpace(val), 64)
-		if err != nil || w <= 0 {
-			return nil, fmt.Errorf("fitness: metric %q needs a positive weight, got %q", name, val)
+		if err != nil || w <= 0 || math.IsNaN(w) || math.IsInf(w, 0) {
+			return nil, fmt.Errorf("fitness: metric %q needs a positive finite weight, got %q", name, val)
 		}
 		out = append(out, Weight{Metric: name, Weight: w})
 	}

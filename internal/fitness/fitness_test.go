@@ -94,6 +94,18 @@ func TestFitnessParseWeights(t *testing.T) {
 	}
 }
 
+// TestFitnessParseWeightsRefusesNonFinite: a NaN weight passes a
+// `<= 0` check, and an infinite one swamps every other metric.
+func TestFitnessParseWeightsRefusesNonFinite(t *testing.T) {
+	for _, bad := range []string{
+		"goodput:NaN", "p99:Inf", "drops:+Inf", "goodput:0.5,p50:infinity",
+	} {
+		if _, err := ParseWeights(bad); err == nil {
+			t.Errorf("%q: accepted", bad)
+		}
+	}
+}
+
 // TestFitnessEvalMonotone: fitness moves the right way — more
 // completions raise it, more refusals and worse tails lower it.
 func TestFitnessEvalMonotone(t *testing.T) {

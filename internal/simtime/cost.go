@@ -74,10 +74,6 @@ type CostModel struct {
 	// (preamble 7 + SFD 1 + IFG 12 = 20).
 	NICFrameOverhead int
 
-	// NICPerDescriptor is the NIC-side cost of consuming/producing one
-	// DMA descriptor (device model processing).
-	NICPerDescriptor Duration
-
 	// SRIOVSwitchPerPacket is the embedded-switch cost an SR-IOV NIC pays
 	// to hairpin a packet between two VFs (VM-to-VM traffic must traverse
 	// the adapter).
@@ -104,7 +100,6 @@ func Default() CostModel {
 		KickDoorbell:         30,
 		NICLineRateBps:       10_000_000_000,
 		NICFrameOverhead:     20,
-		NICPerDescriptor:     10,
 		SRIOVSwitchPerPacket: 35,
 	}
 }

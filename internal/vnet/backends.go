@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"github.com/elisa-go/elisa/internal/core"
+	"github.com/elisa-go/elisa/internal/cpu"
 	"github.com/elisa-go/elisa/internal/ept"
 	"github.com/elisa-go/elisa/internal/hv"
 	"github.com/elisa-go/elisa/internal/mem"
@@ -36,75 +37,80 @@ const (
 // frameStride is the packed frame footprint in staging/exchange buffers.
 const frameStride = 8 + SlotBytes + 4 // u64 length + MTU payload, padded
 
-// Backend is one guest's path to the physical NIC.
+// Backend is one guest's path to its descriptor rings: a NIC queue pair,
+// or one side of a VM-to-VM forwarding ring.
 type Backend interface {
 	// Name is the scheme label used in the paper's figures.
 	Name() string
-	// Guest returns the VM driving the NIC through this backend.
+	// Guest returns the VM driving the rings through this backend.
 	Guest() *hv.VM
-	// RecvBatch moves up to max frames from the NIC RX ring into the
-	// guest, verifying payload integrity. Costs land on the guest clock.
+	// RecvBatch moves up to max frames from the RX ring into the guest,
+	// verifying payload integrity. Costs land on the guest clock.
 	RecvBatch(max int) (int, error)
-	// SendBatch produces and hands count frames of size bytes to the NIC
-	// TX ring. It returns how many were accepted (ring may fill).
+	// SendBatch produces and hands count frames of size bytes to the TX
+	// ring. It returns how many were accepted (ring may fill).
 	SendBatch(count, size int) (int, error)
+}
+
+// queue is the ring pair one backend drives: it receives from rx and
+// sends into tx. A NIC queue has both; a VM-to-VM sender drives only
+// the forwarding ring's tx side and the receiver only its rx side, the
+// other left nil. rxObj and txObj name the objects the ELISA scheme
+// publishes the rings as; guests that share a ring share its object.
+type queue struct {
+	rx, tx       *hv.HostRegion
+	rxObj, txObj string
 }
 
 // ---------------------------------------------------------------------------
 // Direct mapping (ivshmem-like) and SR-IOV: the guest touches the DMA
 // rings itself; SR-IOV adds a VF tax per packet.
 
-// DirectBackend maps the NIC rings straight into the guest's default
+// DirectBackend maps its rings straight into the guest's default
 // context. With extra=vfExtra it models an SR-IOV virtual function.
 type DirectBackend struct {
 	name  string
 	vm    *hv.VM
-	nic   *NIC
 	rx    *shm.Ring
 	tx    *shm.Ring
 	extra simtime.Duration
+	app   int // receiving application's instructions per frame
 	rxSeq int
 	txSeq int
 
 	scratch frameScratch
 }
 
-// NewDirectBackend wires a guest to the NIC by direct mapping.
-func NewDirectBackend(h *hv.Hypervisor, nic *NIC, vm *hv.VM) (*DirectBackend, error) {
-	return newDirect("ivshmem", h, nic, vm, 0)
+// newDirect maps q's rings into the guest; extra is the per-frame
+// device tax (vfExtra for an SR-IOV virtual function).
+func newDirect(name string, vm *hv.VM, q queue, extra simtime.Duration, app int) (*DirectBackend, error) {
+	rx, err := mapRing(vm, q.rx)
+	if err != nil {
+		return nil, err
+	}
+	tx, err := mapRing(vm, q.tx)
+	if err != nil {
+		return nil, err
+	}
+	return &DirectBackend{name: name, vm: vm, rx: rx, tx: tx, extra: extra, app: app}, nil
 }
 
-// NewSRIOVBackend wires a guest to a virtual function of the NIC.
-func NewSRIOVBackend(h *hv.Hypervisor, nic *NIC, vm *hv.VM) (*DirectBackend, error) {
-	return newDirect("sriov", h, nic, vm, vfExtra)
-}
-
-func newDirect(name string, h *hv.Hypervisor, nic *NIC, vm *hv.VM, extra simtime.Duration) (*DirectBackend, error) {
-	rxGPA, err := nic.RXRegion().MapIntoDefault(vm, ept.PermRW)
+// mapRing maps r into the guest's default context and opens its ring
+// through the guest's vCPU. A nil r is a direction the guest never
+// drives.
+func mapRing(vm *hv.VM, r *hv.HostRegion) (*shm.Ring, error) {
+	if r == nil {
+		return nil, nil
+	}
+	gpa, err := r.MapIntoDefault(vm, ept.PermRW)
 	if err != nil {
 		return nil, err
 	}
-	txGPA, err := nic.TXRegion().MapIntoDefault(vm, ept.PermRW)
+	w, err := shm.NewGPAWindow(vm.VCPU(), gpa, r.Size())
 	if err != nil {
 		return nil, err
 	}
-	rxw, err := shm.NewGPAWindow(vm.VCPU(), rxGPA, nic.RXRegion().Size())
-	if err != nil {
-		return nil, err
-	}
-	txw, err := shm.NewGPAWindow(vm.VCPU(), txGPA, nic.TXRegion().Size())
-	if err != nil {
-		return nil, err
-	}
-	rx, err := shm.OpenRing(rxw)
-	if err != nil {
-		return nil, err
-	}
-	tx, err := shm.OpenRing(txw)
-	if err != nil {
-		return nil, err
-	}
-	return &DirectBackend{name: name, vm: vm, nic: nic, rx: rx, tx: tx, extra: extra}, nil
+	return shm.OpenRing(w)
 }
 
 // Name implements Backend.
@@ -119,7 +125,7 @@ func (b *DirectBackend) RecvBatch(max int) (int, error) {
 	buf := b.scratch.buf[:]
 	got := 0
 	for got < max {
-		v.ChargeInstr(driverInstr)
+		v.ChargeInstr(driverInstr + b.app)
 		v.Charge(b.extra)
 		n, ok, err := b.rx.Pop(buf)
 		if err != nil {
@@ -164,7 +170,7 @@ func (b *DirectBackend) SendBatch(count, size int) (int, error) {
 }
 
 // ---------------------------------------------------------------------------
-// Host interposition (VMCALL) and vhost-net: the NIC rings stay host
+// Host interposition (VMCALL) and vhost-net: the rings stay host
 // private; the guest stages batches in its RAM and exits per batch.
 
 // Hypercall numbers of the interposed network service.
@@ -179,12 +185,12 @@ const stagingBase mem.GPA = 0x8000
 
 // InterposedService is the host side of the VMCALL / vhost-net paths:
 // registered once per hypervisor, it routes each hypercall to the calling
-// VM's NIC queue, so any number of guests can share one machine (and one
-// wire).
+// VM's ring pair, so any number of guests can share one machine (and one
+// wire, or one forwarding ring).
 type InterposedService struct {
-	h     *hv.Hypervisor
-	vhost bool
-	nics  map[int]*NIC // by VM id
+	h      *hv.Hypervisor
+	vhost  bool
+	queues map[int]queue // by VM id
 
 	scratch frameScratch
 }
@@ -193,7 +199,7 @@ type InterposedService struct {
 // hypervisor (vmcall and vhost-net are alternative models of the same
 // interposed path, never deployed together here).
 func NewInterposedService(h *hv.Hypervisor, vhost bool) (*InterposedService, error) {
-	s := &InterposedService{h: h, vhost: vhost, nics: make(map[int]*NIC)}
+	s := &InterposedService{h: h, vhost: vhost, queues: make(map[int]queue)}
 	if err := h.RegisterHypercall(HCNetRX, s.hcRX); err != nil {
 		return nil, err
 	}
@@ -203,28 +209,38 @@ func NewInterposedService(h *hv.Hypervisor, vhost bool) (*InterposedService, err
 	return s, nil
 }
 
-// NewBackend wires a guest to its NIC queue through this service.
-func (s *InterposedService) NewBackend(vm *hv.VM, nic *NIC) (*InterposedBackend, error) {
+// newBackend wires a guest to its ring pair through this service.
+func (s *InterposedService) newBackend(vm *hv.VM, q queue, app int) (*InterposedBackend, error) {
 	if int(stagingBase)+16*frameStride > vm.RAMBytes() {
 		return nil, fmt.Errorf("vnet: guest RAM %d too small for staging", vm.RAMBytes())
 	}
-	if _, dup := s.nics[vm.ID()]; dup {
+	if _, dup := s.queues[vm.ID()]; dup {
 		return nil, fmt.Errorf("vnet: vm %q already has an interposed backend", vm.Name())
 	}
-	s.nics[vm.ID()] = nic
+	s.queues[vm.ID()] = q
 	name := "vmcall"
 	if s.vhost {
 		name = "vhost-net"
 	}
-	return &InterposedBackend{name: name, svc: s, vm: vm}, nil
+	return &InterposedBackend{name: name, svc: s, vm: vm, app: app}, nil
 }
 
-func (s *InterposedService) nicFor(vm *hv.VM) (*NIC, error) {
-	nic, ok := s.nics[vm.ID()]
+// openRing opens the caller's RX ring (rx) or TX ring on the caller's
+// clock. Every hypercall reopens it and pays its two header reads.
+func (s *InterposedService) openRing(vm *hv.VM, rx bool) (*shm.Ring, error) {
+	q, ok := s.queues[vm.ID()]
 	if !ok {
-		return nil, fmt.Errorf("vnet: vm %q has no NIC queue", vm.Name())
+		return nil, fmt.Errorf("vnet: vm %q has no ring pair", vm.Name())
 	}
-	return nic, nil
+	r := q.tx
+	if rx {
+		r = q.rx
+	}
+	hw, err := shm.NewHostWindow(r, vm.VCPU().Clock())
+	if err != nil {
+		return nil, err
+	}
+	return shm.OpenRing(hw)
 }
 
 func (s *InterposedService) perPkt() simtime.Duration {
@@ -234,24 +250,16 @@ func (s *InterposedService) perPkt() simtime.Duration {
 	return hostExtra
 }
 
-// hcRX pops up to args[1] frames from the caller's NIC RX ring into guest
+// hcRX pops up to args[1] frames from the caller's RX ring into guest
 // staging.
 func (s *InterposedService) hcRX(vm *hv.VM, args [4]uint64) (uint64, error) {
 	staging, max := mem.GPA(args[0]), int(args[1])
-	nic, err := s.nicFor(vm)
+	ring, err := s.openRing(vm, true)
 	if err != nil {
 		return 0, err
 	}
 	v := vm.VCPU()
 	buf, hdr := s.scratch.buf[:], s.scratch.hdr[:]
-	hw, err := shm.NewHostWindow(nic.RXRegion(), v.Clock())
-	if err != nil {
-		return 0, err
-	}
-	ring, err := shm.OpenRing(hw)
-	if err != nil {
-		return 0, err
-	}
 	got := 0
 	for got < max {
 		v.Charge(s.perPkt())
@@ -279,26 +287,18 @@ func (s *InterposedService) hcRX(vm *hv.VM, args [4]uint64) (uint64, error) {
 }
 
 // hcTX pushes args[1] frames of size args[2] from guest staging into the
-// caller's NIC TX ring.
+// caller's TX ring.
 func (s *InterposedService) hcTX(vm *hv.VM, args [4]uint64) (uint64, error) {
 	staging, count, size := mem.GPA(args[0]), int(args[1]), int(args[2])
-	if size <= 0 || size > SlotBytes {
-		return 0, fmt.Errorf("vnet: TX size %d invalid", size)
+	buf, err := s.scratch.frame(size)
+	if err != nil {
+		return 0, err
 	}
-	nic, err := s.nicFor(vm)
+	ring, err := s.openRing(vm, false)
 	if err != nil {
 		return 0, err
 	}
 	v := vm.VCPU()
-	hw, err := shm.NewHostWindow(nic.TXRegion(), v.Clock())
-	if err != nil {
-		return 0, err
-	}
-	ring, err := shm.OpenRing(hw)
-	if err != nil {
-		return 0, err
-	}
-	buf := s.scratch.buf[:size]
 	sent := 0
 	for sent < count {
 		v.Charge(s.perPkt())
@@ -320,36 +320,18 @@ func (s *InterposedService) hcTX(vm *hv.VM, args [4]uint64) (uint64, error) {
 	return uint64(sent), nil
 }
 
-// InterposedBackend reaches its NIC queue through the service's
+// InterposedBackend reaches its ring pair through the service's
 // hypercalls. With a vhost service it models vhost-net: a virtio kick per
 // batch, kernel-path per-packet overhead, and a completion interrupt.
 type InterposedBackend struct {
 	name  string
 	svc   *InterposedService
 	vm    *hv.VM
+	app   int // receiving application's instructions per frame
 	rxSeq int
 	txSeq int
 
 	scratch frameScratch
-}
-
-// NewVMCallBackend builds a single-guest host-interposition path
-// (convenience wrapper: one service, one backend).
-func NewVMCallBackend(h *hv.Hypervisor, nic *NIC, vm *hv.VM) (*InterposedBackend, error) {
-	svc, err := NewInterposedService(h, false)
-	if err != nil {
-		return nil, err
-	}
-	return svc.NewBackend(vm, nic)
-}
-
-// NewVhostBackend builds a single-guest vhost-net model.
-func NewVhostBackend(h *hv.Hypervisor, nic *NIC, vm *hv.VM) (*InterposedBackend, error) {
-	svc, err := NewInterposedService(h, true)
-	if err != nil {
-		return nil, err
-	}
-	return svc.NewBackend(vm, nic)
 }
 
 // Name implements Backend.
@@ -371,7 +353,7 @@ func (b *InterposedBackend) RecvBatch(max int) (int, error) {
 	got := int(ret)
 	hdr, buf := b.scratch.hdr[:], b.scratch.buf[:]
 	for i := 0; i < got; i++ {
-		v.ChargeInstr(driverInstr)
+		v.ChargeInstr(driverInstr + b.app)
 		off := stagingBase + mem.GPA(i*frameStride)
 		if err := v.ReadGPA(off, hdr); err != nil {
 			return i, err
@@ -423,8 +405,8 @@ func (b *InterposedBackend) SendBatch(count, size int) (int, error) {
 }
 
 // ---------------------------------------------------------------------------
-// ELISA: the NIC rings are manager objects; the guest switches into sub
-// contexts to run the manager's NIC code — no exits.
+// ELISA: the rings are manager objects; the guest switches into sub
+// contexts to run the manager's ring code — no exits.
 
 // Manager function IDs of the ELISA network service.
 const (
@@ -433,21 +415,20 @@ const (
 )
 
 // ELISANetService is the manager side of the ELISA networking path:
-// registered once per manager, it publishes each guest's NIC queue rings
-// as objects and routes the manager functions to the right queue, so any
-// number of guests can share the machine (and the wire) exit-lessly.
+// registered once per manager, it publishes each ring as an object and
+// routes the manager functions to the calling guest's view of it, so any
+// number of guests can share the machine (and the wire, or a forwarding
+// ring) exit-lessly.
 type ELISANetService struct {
-	h     *hv.Hypervisor
 	mgr   *core.Manager
-	rings map[mem.GPA]*shm.Ring // device ring views, keyed by object GPA
-	seq   int                   // per-guest object name uniquifier
+	rings ringViews
 
 	scratch frameScratch
 }
 
 // NewELISANetService registers the manager functions.
-func NewELISANetService(h *hv.Hypervisor, mgr *core.Manager) (*ELISANetService, error) {
-	s := &ELISANetService{h: h, mgr: mgr, rings: make(map[mem.GPA]*shm.Ring)}
+func NewELISANetService(mgr *core.Manager) (*ELISANetService, error) {
+	s := &ELISANetService{mgr: mgr, rings: make(ringViews)}
 	if err := mgr.RegisterFunc(FnNetRX, s.fnRX); err != nil {
 		return nil, err
 	}
@@ -457,33 +438,51 @@ func NewELISANetService(h *hv.Hypervisor, mgr *core.Manager) (*ELISANetService, 
 	return s, nil
 }
 
-// NewBackend publishes the guest's NIC queue as two objects and attaches
-// the guest to them.
-func (s *ELISANetService) NewBackend(g *core.Guest, nic *NIC) (*ELISABackend, error) {
-	prefix := fmt.Sprintf("nicq%d", s.seq)
-	s.seq++
-	if _, err := s.mgr.CreateObjectFromRegion(prefix+"-rx", nic.RXRegion()); err != nil {
-		return nil, err
+// newBackend attaches the guest to the objects publishing q's rings,
+// publishing each one the first time a guest attaches it.
+func (s *ELISANetService) newBackend(g *core.Guest, q queue, app int) (*ELISABackend, error) {
+	for _, obj := range []struct {
+		name   string
+		region *hv.HostRegion
+	}{{q.rxObj, q.rx}, {q.txObj, q.tx}} {
+		if _, published := s.mgr.Object(obj.name); obj.region == nil || published {
+			continue
+		}
+		if _, err := s.mgr.CreateObjectFromRegion(obj.name, obj.region); err != nil {
+			return nil, err
+		}
 	}
-	if _, err := s.mgr.CreateObjectFromRegion(prefix+"-tx", nic.TXRegion()); err != nil {
-		return nil, err
-	}
-	b := &ELISABackend{svc: s, guest: g, nic: nic}
+	b := &ELISABackend{guest: g, app: app}
 	var err error
-	if b.hRX, err = g.Attach(prefix + "-rx"); err != nil {
-		return nil, err
+	if q.rx != nil {
+		if b.hRX, err = g.Attach(q.rxObj); err != nil {
+			return nil, err
+		}
 	}
-	if b.hTX, err = g.Attach(prefix + "-tx"); err != nil {
-		return nil, err
+	if q.tx != nil {
+		if b.hTX, err = g.Attach(q.txObj); err != nil {
+			return nil, err
+		}
 	}
 	return b, nil
 }
 
-// ringFor opens the device ring behind an object through the calling
-// guest's sub context. The object GPA is unique per object, so the cache
-// cannot alias across guests or queues.
-func (s *ELISANetService) ringFor(ctx *core.CallContext) (*shm.Ring, error) {
-	if r, ok := s.rings[ctx.Object]; ok {
+// ringViews caches the ring each guest opened on an object, keyed by
+// the calling vCPU and the object's GPA. Both guests of a VM-to-VM ring
+// reach its object at the same GPA, so a GPA-only key would hand one
+// guest the other's view and charge its reads to the wrong clock.
+type ringViews map[ringViewKey]*shm.Ring
+
+type ringViewKey struct {
+	v    *cpu.VCPU
+	base mem.GPA
+}
+
+// open returns the calling guest's view of the ring behind ctx's
+// object, opening it through the guest's sub context the first time.
+func (m ringViews) open(ctx *core.CallContext) (*shm.Ring, error) {
+	key := ringViewKey{ctx.VCPU, ctx.Object}
+	if r, ok := m[key]; ok {
 		return r, nil
 	}
 	w, err := shm.NewGPAWindow(ctx.VCPU, ctx.Object, ctx.ObjectSize)
@@ -494,13 +493,13 @@ func (s *ELISANetService) ringFor(ctx *core.CallContext) (*shm.Ring, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.rings[ctx.Object] = r
+	m[key] = r
 	return r, nil
 }
 
 func (s *ELISANetService) fnRX(ctx *core.CallContext) (uint64, error) {
 	max := int(ctx.Args[0])
-	ring, err := s.ringFor(ctx)
+	ring, err := s.rings.open(ctx)
 	if err != nil {
 		return 0, err
 	}
@@ -530,14 +529,14 @@ func (s *ELISANetService) fnRX(ctx *core.CallContext) (uint64, error) {
 
 func (s *ELISANetService) fnTX(ctx *core.CallContext) (uint64, error) {
 	count, size := int(ctx.Args[0]), int(ctx.Args[1])
-	if size <= 0 || size > SlotBytes {
-		return 0, fmt.Errorf("vnet: elisa TX size %d invalid", size)
-	}
-	ring, err := s.ringFor(ctx)
+	buf, err := s.scratch.frame(size)
 	if err != nil {
 		return 0, err
 	}
-	buf := s.scratch.buf[:size]
+	ring, err := s.rings.open(ctx)
+	if err != nil {
+		return 0, err
+	}
 	sent := 0
 	for sent < count {
 		ctx.VCPU.Charge(mgrExtra)
@@ -556,27 +555,16 @@ func (s *ELISANetService) fnTX(ctx *core.CallContext) (uint64, error) {
 	return uint64(sent), nil
 }
 
-// ELISABackend reaches its NIC queue through the gate — no exits.
+// ELISABackend reaches its rings through the gate — no exits.
 type ELISABackend struct {
-	svc   *ELISANetService
 	guest *core.Guest
-	nic   *NIC
 	hRX   *core.Handle
 	hTX   *core.Handle
+	app   int // receiving application's instructions per frame
 	rxSeq int
 	txSeq int
 
 	scratch frameScratch
-}
-
-// NewELISABackend builds a single-guest ELISA path (convenience wrapper:
-// one service, one backend).
-func NewELISABackend(h *hv.Hypervisor, mgr *core.Manager, nic *NIC, g *core.Guest) (*ELISABackend, error) {
-	svc, err := NewELISANetService(h, mgr)
-	if err != nil {
-		return nil, err
-	}
-	return svc.NewBackend(g, nic)
 }
 
 // Name implements Backend.
@@ -598,7 +586,7 @@ func (b *ELISABackend) RecvBatch(max int) (int, error) {
 	got := int(ret)
 	hdr, buf := b.scratch.hdr[:], b.scratch.buf[:]
 	for i := 0; i < got; i++ {
-		v.ChargeInstr(driverInstr)
+		v.ChargeInstr(driverInstr + b.app)
 		off := i * frameStride
 		if err := b.hRX.ExchangeRead(v, off, hdr); err != nil {
 			return i, err

@@ -40,7 +40,6 @@ type Wire struct {
 // from the wire and a TX ring drained to the wire, both living in host
 // memory, plus the (possibly shared) wire timeline — the line-rate bound.
 type NIC struct {
-	hv   *hv.Hypervisor
 	cost simtime.CostModel
 
 	rxRegion *hv.HostRegion
@@ -69,7 +68,7 @@ func NewNICOnWire(h *hv.Hypervisor, w *Wire) (*NIC, error) {
 	if w == nil {
 		w = &Wire{}
 	}
-	n := &NIC{hv: h, cost: *h.Cost(), wire: w}
+	n := &NIC{cost: *h.Cost(), wire: w}
 	var err error
 	if n.rxRegion, err = h.AllocHostRegion(shm.RingBytes(RingSlots, SlotBytes)); err != nil {
 		return nil, err
@@ -93,13 +92,6 @@ func NewNICOnWire(h *hv.Hypervisor, w *Wire) (*NIC, error) {
 	}
 	return n, nil
 }
-
-// RXRegion returns the RX DMA ring's backing memory (for mapping into
-// contexts).
-func (n *NIC) RXRegion() *hv.HostRegion { return n.rxRegion }
-
-// TXRegion returns the TX DMA ring's backing memory.
-func (n *NIC) TXRegion() *hv.HostRegion { return n.txRegion }
 
 // GenerateRX makes the wire deliver up to `want` frames of `size` payload
 // bytes into the RX ring, but never past `deadline` (the consumer's
@@ -163,21 +155,21 @@ func (n *NIC) DrainTX(from simtime.Time) (int, simtime.Time, error) {
 }
 
 // frameScratch is the frame staging one packet-path owner — a NIC,
-// backend, service or VM-to-VM path — reuses on every batch instead of
-// allocating it: an MTU payload buffer and a length header. One
-// goroutine drives each owner, so one scratch per owner (per side, where
-// an owner has both a guest side and the service side its calls run)
-// is never used by two batches at once.
+// backend, service, SR-IOV hairpin or ring datapath — reuses on every
+// batch instead of allocating it: an MTU payload buffer and a length
+// header. One goroutine drives each owner, so one scratch per owner
+// (per side, where an owner has both a guest side and the service side
+// its calls run) is never used by two batches at once.
 type frameScratch struct {
 	buf [SlotBytes]byte
 	hdr [8]byte
 }
 
-// frame returns the payload buffer cut to size bytes, refusing a size
-// no MTU slot can hold.
+// frame returns the payload buffer cut to size bytes, refusing an empty
+// frame and a size no MTU slot can hold.
 func (f *frameScratch) frame(size int) ([]byte, error) {
-	if size < 0 || size > SlotBytes {
-		return nil, fmt.Errorf("vnet: frame size %d outside [0,%d]", size, SlotBytes)
+	if size <= 0 || size > SlotBytes {
+		return nil, fmt.Errorf("vnet: frame size %d outside (0,%d]", size, SlotBytes)
 	}
 	return f.buf[:size], nil
 }

@@ -12,10 +12,10 @@ import (
 )
 
 // Manager functions of the ring-datapath VM-to-VM variant. Unlike
-// FnVVSend/FnVVRecv (which take counts and walk the whole exchange
-// inside one call), these operate on a single frame staged at an
-// explicit exchange offset — the natural unit for a call-ring
-// descriptor, which carries the offset in its argument words.
+// FnNetTX/FnNetRX (which take counts and walk the whole exchange inside
+// one call), these operate on a single frame staged at an explicit
+// exchange offset — the natural unit for a call-ring descriptor, which
+// carries the offset in its argument words.
 const (
 	FnVVSendAt uint64 = 0x4E45_0105
 	FnVVRecvAt uint64 = 0x4E45_0106
@@ -44,12 +44,11 @@ const DefaultMaxFrame = 256
 // batch depth N the 196 ns crossing is amortised over N frames — or
 // never taken at all when a manager-side poller drains the ring first.
 type RingVVPath struct {
-	h        *hv.Hypervisor
 	mgr      *core.Manager
 	a, b     *core.Guest
 	hA, hB   *core.Handle
 	rcA, rcB *core.RingCaller
-	rings    map[ringViewKey]*shm.Ring
+	rings    ringViews
 
 	stride  int // staging slot size in the exchange buffer
 	windowA int // concurrent in-flight frames per side
@@ -87,7 +86,7 @@ type RingVVPath struct {
 }
 
 // NewRingVVPath publishes the forwarding ring as a manager object
-// ("vv-ring", like ELISAVVPath — use a separate manager per path),
+// ("vv-ring", like BuildVVPath("elisa") — use a separate manager per path),
 // attaches both guests, and negotiates a call ring on each attachment.
 func NewRingVVPath(h *hv.Hypervisor, mgr *core.Manager, a, b *core.Guest, cfg RingVVConfig) (*RingVVPath, error) {
 	if cfg.MaxFrame <= 0 {
@@ -101,11 +100,10 @@ func NewRingVVPath(h *hv.Hypervisor, mgr *core.Manager, a, b *core.Guest, cfg Ri
 		return nil, err
 	}
 	p := &RingVVPath{
-		h:     h,
 		mgr:   mgr,
 		a:     a,
 		b:     b,
-		rings: make(map[ringViewKey]*shm.Ring),
+		rings: make(ringViews),
 		txLat: stats.NewHistogram(),
 		rxLat: stats.NewHistogram(),
 	}
@@ -175,23 +173,6 @@ func (p *RingVVPath) RxLatency() *stats.Histogram { return p.rxLat.Clone() }
 // (descriptor counts, gate crossings, batch-size percentiles).
 func (p *RingVVPath) RingStats() []core.RingStats { return p.mgr.RingStats() }
 
-func (p *RingVVPath) ringFor(ctx *core.CallContext) (*shm.Ring, error) {
-	key := ringViewKey{ctx.VCPU, ctx.Object}
-	if r, ok := p.rings[key]; ok {
-		return r, nil
-	}
-	w, err := shm.NewGPAWindow(ctx.VCPU, ctx.Object, ctx.ObjectSize)
-	if err != nil {
-		return nil, err
-	}
-	r, err := shm.OpenRing(w)
-	if err != nil {
-		return nil, err
-	}
-	p.rings[key] = r
-	return r, nil
-}
-
 // fnSendAt forwards one staged frame: args = (exchange offset, size).
 // Returns 1 if the frame entered the payload ring, 0 if the ring was
 // full (the frame is dropped and the sender retries it as a fresh
@@ -201,7 +182,7 @@ func (p *RingVVPath) fnSendAt(ctx *core.CallContext) (uint64, error) {
 	if size <= 0 || size > p.stride || off < 0 || off+size > ctx.ExchangeSize {
 		return 0, fmt.Errorf("vnet: ring vv send: bad staging (off %d size %d)", off, size)
 	}
-	ring, err := p.ringFor(ctx)
+	ring, err := p.rings.open(ctx)
 	if err != nil {
 		return 0, err
 	}
@@ -231,7 +212,7 @@ func (p *RingVVPath) fnRecvAt(ctx *core.CallContext) (uint64, error) {
 	if max <= 0 || off < 0 || off+max > ctx.ExchangeSize {
 		return 0, fmt.Errorf("vnet: ring vv recv: bad staging (off %d max %d)", off, max)
 	}
-	ring, err := p.ringFor(ctx)
+	ring, err := p.rings.open(ctx)
 	if err != nil {
 		return 0, err
 	}

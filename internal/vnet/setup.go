@@ -7,6 +7,7 @@ import (
 	"github.com/elisa-go/elisa/internal/hv"
 	"github.com/elisa-go/elisa/internal/mem"
 	"github.com/elisa-go/elisa/internal/obs"
+	"github.com/elisa-go/elisa/internal/shm"
 )
 
 // Schemes lists the five backends of the paper's networking figures, in
@@ -31,46 +32,82 @@ func BuildBackend(scheme string) (*hv.Hypervisor, *NIC, Backend, error) {
 // populate latency histograms and sampled spans. The recorder is ignored
 // by the other schemes; nil behaves exactly like BuildBackend.
 func BuildObservedBackend(scheme string, rec *obs.Recorder) (*hv.Hypervisor, *NIC, Backend, error) {
+	c, err := buildSharedCluster(scheme, 1, rec)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return c.h, c.nics[0], c.backends[0], nil
+}
+
+// service is one machine's wiring for one scheme: the hypercall or
+// manager-function service its guests share, if the scheme has one.
+type service struct {
+	scheme string
+	isvc   *InterposedService // vmcall, vhost-net
+	esvc   *ELISANetService   // elisa
+}
+
+// newService registers the named scheme's service on h; rec, if not nil,
+// records the ELISA manager's calls.
+func newService(h *hv.Hypervisor, scheme string, rec *obs.Recorder) (*service, error) {
+	s := &service{scheme: scheme}
+	var err error
+	switch scheme {
+	case "ivshmem", "sriov":
+		// direct paths need no shared service
+	case "vmcall", "vhost-net":
+		s.isvc, err = NewInterposedService(h, scheme == "vhost-net")
+	case "elisa":
+		var mgr *core.Manager
+		if mgr, err = core.NewManager(h, core.ManagerConfig{}); err != nil {
+			return nil, err
+		}
+		mgr.SetRecorder(rec)
+		s.esvc, err = NewELISANetService(mgr)
+	default:
+		return nil, fmt.Errorf("vnet: unknown scheme %q", scheme)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// backend wires vm to q. app is the receiving application's
+// instructions per frame: 0 on a NIC queue, vvAppInstr at a VM-to-VM
+// receiver.
+func (s *service) backend(vm *hv.VM, q queue, app int) (Backend, error) {
+	switch s.scheme {
+	case "ivshmem":
+		return newDirect("ivshmem", vm, q, 0, app)
+	case "sriov":
+		return newDirect("sriov", vm, q, vfExtra, app)
+	case "vmcall", "vhost-net":
+		return s.isvc.newBackend(vm, q, app)
+	}
+	// elisa: the guest reaches its rings through the manager's objects.
+	g, err := core.NewGuest(vm, s.esvc.mgr)
+	if err != nil {
+		return nil, err
+	}
+	return s.esvc.newBackend(g, q, app)
+}
+
+// newVVMachine boots a fresh machine with the two VM-to-VM guests.
+func newVVMachine() (*hv.Hypervisor, *hv.VM, *hv.VM, error) {
 	h, err := hv.New(hv.Config{PhysBytes: physBytes})
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	nic, err := NewNIC(h)
+	a, err := h.CreateVM("vm-a", guestRAM)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	vm, err := h.CreateVM("net-guest", guestRAM)
+	b, err := h.CreateVM("vm-b", guestRAM)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	var b Backend
-	switch scheme {
-	case "ivshmem":
-		b, err = NewDirectBackend(h, nic, vm)
-	case "sriov":
-		b, err = NewSRIOVBackend(h, nic, vm)
-	case "vmcall":
-		b, err = NewVMCallBackend(h, nic, vm)
-	case "vhost-net":
-		b, err = NewVhostBackend(h, nic, vm)
-	case "elisa":
-		mgr, merr := core.NewManager(h, core.ManagerConfig{})
-		if merr != nil {
-			return nil, nil, nil, merr
-		}
-		mgr.SetRecorder(rec)
-		g, gerr := core.NewGuest(vm, mgr)
-		if gerr != nil {
-			return nil, nil, nil, gerr
-		}
-		b, err = NewELISABackend(h, mgr, nic, g)
-	default:
-		return nil, nil, nil, fmt.Errorf("vnet: unknown scheme %q", scheme)
-	}
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return h, nic, b, nil
+	return h, a, b, nil
 }
 
 // BuildRingVVPath assembles a fresh machine with two guests wired
@@ -78,15 +115,7 @@ func BuildObservedBackend(scheme string, rec *obs.Recorder) (*hv.Hypervisor, *NI
 // BuildVVPath("elisa"), but both guests drive attachment call rings
 // instead of one gate crossing per Send/Recv batch.
 func BuildRingVVPath(cfg RingVVConfig) (*RingVVPath, error) {
-	h, err := hv.New(hv.Config{PhysBytes: physBytes})
-	if err != nil {
-		return nil, err
-	}
-	a, err := h.CreateVM("vm-a", guestRAM)
-	if err != nil {
-		return nil, err
-	}
-	b, err := h.CreateVM("vm-b", guestRAM)
+	h, a, b, err := newVVMachine()
 	if err != nil {
 		return nil, err
 	}
@@ -106,44 +135,36 @@ func BuildRingVVPath(cfg RingVVConfig) (*RingVVPath, error) {
 }
 
 // BuildVVPath assembles a fresh machine with two guests wired through the
-// named VM-to-VM scheme.
+// named VM-to-VM scheme: A's backend sends into a forwarding ring and B's
+// receives from it. Over SR-IOV each guest drives its own VF ring and the
+// adapter hairpins frames from A's to B's.
 func BuildVVPath(scheme string) (VVPath, error) {
-	h, err := hv.New(hv.Config{PhysBytes: physBytes})
+	h, a, b, err := newVVMachine()
 	if err != nil {
 		return nil, err
 	}
-	a, err := h.CreateVM("vm-a", guestRAM)
+	s, err := newService(h, scheme, nil)
 	if err != nil {
 		return nil, err
 	}
-	b, err := h.CreateVM("vm-b", guestRAM)
+	ringA, devA, err := newVVRing(h)
 	if err != nil {
 		return nil, err
 	}
-	switch scheme {
-	case "ivshmem":
-		return NewDirectVVPath(h, a, b)
-	case "sriov":
-		return NewSRIOVVVPath(h, a, b)
-	case "vmcall":
-		return NewVMCallVVPath(h, a, b)
-	case "vhost-net":
-		return NewVhostVVPath(h, a, b)
-	case "elisa":
-		mgr, err := core.NewManager(h, core.ManagerConfig{})
-		if err != nil {
-			return nil, err
-		}
-		ga, err := core.NewGuest(a, mgr)
-		if err != nil {
-			return nil, err
-		}
-		gb, err := core.NewGuest(b, mgr)
-		if err != nil {
-			return nil, err
-		}
-		return NewELISAVVPath(h, mgr, ga, gb)
-	default:
-		return nil, fmt.Errorf("vnet: unknown scheme %q", scheme)
+	p := &vvPath{}
+	if p.tx, err = s.backend(a, queue{tx: ringA, txObj: "vv-ring"}, 0); err != nil {
+		return nil, err
 	}
+	ringB := ringA
+	if scheme == "sriov" {
+		var devB *shm.Ring
+		if ringB, devB, err = newVVRing(h); err != nil {
+			return nil, err
+		}
+		p.sw = &hairpin{from: devA, to: devB, cost: *h.Cost()}
+	}
+	if p.rx, err = s.backend(b, queue{rx: ringB, rxObj: "vv-ring"}, vvAppInstr); err != nil {
+		return nil, err
+	}
+	return p, nil
 }

@@ -3,8 +3,8 @@ package vnet
 import (
 	"fmt"
 
-	"github.com/elisa-go/elisa/internal/core"
 	"github.com/elisa-go/elisa/internal/hv"
+	"github.com/elisa-go/elisa/internal/obs"
 	"github.com/elisa-go/elisa/internal/simtime"
 	"github.com/elisa-go/elisa/internal/stats"
 )
@@ -24,6 +24,12 @@ type SharedCluster struct {
 // BuildSharedCluster assembles n guests on one machine, one wire.
 // Supported schemes: every entry of Schemes.
 func BuildSharedCluster(scheme string, n int) (*SharedCluster, error) {
+	return buildSharedCluster(scheme, n, nil)
+}
+
+// buildSharedCluster is BuildSharedCluster with rec, if not nil,
+// recording the ELISA manager's calls.
+func buildSharedCluster(scheme string, n int, rec *obs.Recorder) (*SharedCluster, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("vnet: shared cluster needs at least one VM")
 	}
@@ -31,33 +37,11 @@ func BuildSharedCluster(scheme string, n int) (*SharedCluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &SharedCluster{h: h, wire: &Wire{}}
-
-	var isvc *InterposedService
-	var esvc *ELISANetService
-	var mgr *core.Manager
-	switch scheme {
-	case "vmcall":
-		if isvc, err = NewInterposedService(h, false); err != nil {
-			return nil, err
-		}
-	case "vhost-net":
-		if isvc, err = NewInterposedService(h, true); err != nil {
-			return nil, err
-		}
-	case "elisa":
-		if mgr, err = core.NewManager(h, core.ManagerConfig{}); err != nil {
-			return nil, err
-		}
-		if esvc, err = NewELISANetService(h, mgr); err != nil {
-			return nil, err
-		}
-	case "ivshmem", "sriov":
-		// direct paths need no shared service
-	default:
-		return nil, fmt.Errorf("vnet: unknown scheme %q", scheme)
+	s, err := newService(h, scheme, rec)
+	if err != nil {
+		return nil, err
 	}
-
+	c := &SharedCluster{h: h, wire: &Wire{}}
 	for i := 0; i < n; i++ {
 		nic, err := NewNICOnWire(h, c.wire)
 		if err != nil {
@@ -67,21 +51,10 @@ func BuildSharedCluster(scheme string, n int) (*SharedCluster, error) {
 		if err != nil {
 			return nil, err
 		}
-		var b Backend
-		switch scheme {
-		case "ivshmem":
-			b, err = NewDirectBackend(h, nic, vm)
-		case "sriov":
-			b, err = NewSRIOVBackend(h, nic, vm)
-		case "vmcall", "vhost-net":
-			b, err = isvc.NewBackend(vm, nic)
-		case "elisa":
-			var g *core.Guest
-			if g, err = core.NewGuest(vm, mgr); err != nil {
-				return nil, err
-			}
-			b, err = esvc.NewBackend(g, nic)
-		}
+		b, err := s.backend(vm, queue{
+			rx: nic.rxRegion, tx: nic.txRegion,
+			rxObj: fmt.Sprintf("nicq%d-rx", i), txObj: fmt.Sprintf("nicq%d-tx", i),
+		}, 0)
 		if err != nil {
 			return nil, err
 		}

@@ -44,10 +44,7 @@ func TestNICGenerateRXRespectsDeadlineAndRate(t *testing.T) {
 }
 
 func TestNICDrainTXVerifiesAndTimes(t *testing.T) {
-	h, _ := hv.New(hv.Config{PhysBytes: 64 * 1024 * 1024})
-	nic, _ := NewNIC(h)
-	vm, _ := h.CreateVM("g", guestRAM)
-	b, err := NewDirectBackend(h, nic, vm)
+	h, nic, b, err := BuildBackend("ivshmem")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,6 +131,29 @@ func TestEachVVPathForwards(t *testing.T) {
 				t.Fatalf("result %+v", res)
 			}
 		})
+	}
+}
+
+// Every scheme refuses an empty frame and one no MTU slot holds, on the
+// NIC and between VMs.
+func TestEveryPathRefusesBadFrameSizes(t *testing.T) {
+	for _, scheme := range Schemes {
+		for _, size := range []int{0, SlotBytes + 1} {
+			_, _, b, err := BuildBackend(scheme)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n, err := b.SendBatch(1, size); err == nil {
+				t.Errorf("%s SendBatch accepted %d frame(s) of %d bytes", scheme, n, size)
+			}
+			p, err := BuildVVPath(scheme)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n, err := p.Send(1, size); err == nil {
+				t.Errorf("%s vv Send accepted %d frame(s) of %d bytes", scheme, n, size)
+			}
+		}
 	}
 }
 

@@ -29,6 +29,10 @@ func clampInterval(ns float64) simtime.Duration {
 	return max(simtime.Duration(r), 1)
 }
 
+// finite reports whether f is a number other than ±Inf: a NaN rate
+// passes every `<= 0` check and turns each gap into the 1 ns floor.
+func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
+
 // MMPP is a 2-state Markov-modulated Poisson process — the standard
 // bursty-traffic model: a calm state and a burst state, each an
 // exponential dwell, each emitting Poisson arrivals at its own rate.
@@ -48,8 +52,8 @@ type MMPP struct {
 // mean state-residency times. The long-run mean rate is the dwell-weighted
 // average (calmOPS*calmDwell + burstOPS*burstDwell) / (calmDwell+burstDwell).
 func NewMMPP(seed int64, calmOPS, burstOPS float64, calmDwell, burstDwell simtime.Duration) (*MMPP, error) {
-	if calmOPS <= 0 || burstOPS <= 0 {
-		return nil, fmt.Errorf("workload: mmpp rates %v/%v must be positive", calmOPS, burstOPS)
+	if !finite(calmOPS) || !finite(burstOPS) || calmOPS <= 0 || burstOPS <= 0 {
+		return nil, fmt.Errorf("workload: mmpp rates %v/%v must be positive and finite", calmOPS, burstOPS)
 	}
 	if calmDwell <= 0 || burstDwell <= 0 {
 		return nil, fmt.Errorf("workload: mmpp dwells %v/%v must be positive", calmDwell, burstDwell)
@@ -105,10 +109,10 @@ type Diurnal struct {
 // NewDiurnal returns a diurnal process with mean baseOPS, modulation
 // depth amp in [0,1) (0 degenerates to Poisson), and the given period.
 func NewDiurnal(seed int64, baseOPS, amp float64, period simtime.Duration) (*Diurnal, error) {
-	if baseOPS <= 0 {
-		return nil, fmt.Errorf("workload: diurnal rate %v must be positive", baseOPS)
+	if !finite(baseOPS) || baseOPS <= 0 {
+		return nil, fmt.Errorf("workload: diurnal rate %v must be positive and finite", baseOPS)
 	}
-	if amp < 0 || amp >= 1 {
+	if !finite(amp) || amp < 0 || amp >= 1 {
 		return nil, fmt.Errorf("workload: diurnal amplitude %v outside [0,1)", amp)
 	}
 	if period <= 0 {

@@ -158,6 +158,33 @@ func TestWorkloadArrivalBoundaries(t *testing.T) {
 	}
 }
 
+// TestWorkloadArrivalRefusesNonFinite: NaN passes every `<= 0` bound and
+// an infinite rate makes every gap the 1 ns floor, so the arrival and
+// key constructors refuse both.
+func TestWorkloadArrivalRefusesNonFinite(t *testing.T) {
+	us := simtime.Microsecond
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name string
+		mk   func() error
+	}{
+		{"poisson NaN rate", func() error { _, err := NewPoisson(1, nan); return err }},
+		{"poisson +Inf rate", func() error { _, err := NewPoisson(1, inf); return err }},
+		{"mmpp NaN calm rate", func() error { _, err := NewMMPP(1, nan, 100, 10*us, 10*us); return err }},
+		{"mmpp +Inf burst rate", func() error { _, err := NewMMPP(1, 100, inf, 10*us, 10*us); return err }},
+		{"diurnal NaN rate", func() error { _, err := NewDiurnal(1, nan, 0.5, us); return err }},
+		{"diurnal +Inf rate", func() error { _, err := NewDiurnal(1, inf, 0.5, us); return err }},
+		{"diurnal NaN amp", func() error { _, err := NewDiurnal(1, 100, nan, us); return err }},
+		{"zipf NaN skew", func() error { _, err := NewZipf(1, 8, nan); return err }},
+		{"zipf +Inf skew", func() error { _, err := NewZipf(1, 8, inf); return err }},
+	}
+	for _, tc := range cases {
+		if tc.mk() == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+}
+
 // TestWorkloadSingleEventHorizon: a horizon that admits at most one
 // arrival generates at most one event, and a horizon at or below the
 // minimum gap generates none from a slow tenant.

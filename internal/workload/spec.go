@@ -227,7 +227,7 @@ func (sp *Spec) setField(key, val string) error {
 		}
 	case "rate", "burst_rate", "amplitude", "skew", "admit_rate":
 		f, err := strconv.ParseFloat(val, 64)
-		if err != nil || f < 0 {
+		if err != nil || !finite(f) || f < 0 {
 			return fmt.Errorf("bad %s %q", key, val)
 		}
 		switch key {

@@ -83,6 +83,20 @@ func TestWorkloadSpecParseErrors(t *testing.T) {
 	}
 }
 
+// TestWorkloadSpecRefusesNonFinite: every float key refuses NaN and
+// ±Inf at parse time; a NaN rate used to render one event per
+// nanosecond, and a NaN amplitude never let Generate return.
+func TestWorkloadSpecRefusesNonFinite(t *testing.T) {
+	for _, key := range []string{"rate", "burst_rate", "amplitude", "skew", "admit_rate"} {
+		for _, val := range []string{"NaN", "Inf", "+Inf", "-Inf", "infinity"} {
+			in := "tenant a:\nrate: 5\nobjects: o\n" + key + ": " + val + "\n"
+			if _, err := ParseSpecs(strings.NewReader(in)); err == nil {
+				t.Errorf("%s: %s accepted", key, val)
+			}
+		}
+	}
+}
+
 // TestWorkloadSpecDefaults: omitted fields get the documented defaults.
 func TestWorkloadSpecDefaults(t *testing.T) {
 	specs, err := ParseSpecs(strings.NewReader("tenant a:\n  rate: 100\n  objects: x,y\n"))

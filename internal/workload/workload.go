@@ -94,8 +94,8 @@ func NewZipf(seed int64, n int, s float64) (*Zipf, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("workload: zipf over %d keys", n)
 	}
-	if s <= 0 || s == 1 {
-		return nil, fmt.Errorf("workload: zipf skew %v must be positive and not exactly 1", s)
+	if !finite(s) || s <= 0 || s == 1 {
+		return nil, fmt.Errorf("workload: zipf skew %v must be positive, finite and not exactly 1", s)
 	}
 	rng := rand.New(rand.NewSource(seed))
 	if s > 1 {
@@ -242,8 +242,8 @@ type Poisson struct {
 // NewPoisson returns a Poisson arrival process with ratePerSec arrivals
 // per simulated second.
 func NewPoisson(seed int64, ratePerSec float64) (*Poisson, error) {
-	if ratePerSec <= 0 {
-		return nil, fmt.Errorf("workload: poisson rate %v must be positive", ratePerSec)
+	if !finite(ratePerSec) || ratePerSec <= 0 {
+		return nil, fmt.Errorf("workload: poisson rate %v must be positive and finite", ratePerSec)
 	}
 	return &Poisson{
 		rng:  rand.New(rand.NewSource(seed)),
