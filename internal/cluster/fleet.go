@@ -226,8 +226,7 @@ func (f *Fleet) Admit(spec fleet.TenantSpec) (int, error) {
 // and deterministic.
 func (f *Fleet) Run(d simtime.Duration) (*fleet.Report, error) {
 	return f.windows(d, nil, func(_ int, s *fleet.Scheduler, step simtime.Duration) error {
-		_, err := s.Run(step)
-		return err
+		return s.Run(step)
 	})
 }
 
@@ -289,8 +288,7 @@ func (f *Fleet) Replay(tr *workload.Trace, d simtime.Duration) (*fleet.Report, e
 		}
 	}
 	return f.windows(d, route, func(shard int, s *fleet.Scheduler, step simtime.Duration) error {
-		_, err := s.ReplayOps(f.perShard[shard], step)
-		return err
+		return s.ReplayOps(f.perShard[shard], step)
 	})
 }
 

@@ -288,10 +288,10 @@ func TestEvictAdoptRefusesStaleTenant(t *testing.T) {
 	if err := f.Scheduler(0).Evict(moved); err == nil {
 		t.Error("the old scheduler evicted a tenant it no longer has")
 	}
-	if _, err := f.Scheduler(0).ReplayOps(op, 1000); err == nil {
+	if err := f.Scheduler(0).ReplayOps(op, 1000); err == nil {
 		t.Error("the old scheduler replayed an op for a tenant it no longer has")
 	}
-	if _, err := f.Scheduler(1).ReplayOps(op, 1000); err != nil {
+	if err := f.Scheduler(1).ReplayOps(op, 1000); err != nil {
 		t.Errorf("the new scheduler refused its tenant's op: %v", err)
 	}
 }
@@ -441,8 +441,7 @@ func TestFleetSchedulersShareFleetTime(t *testing.T) {
 					t.Errorf("call %d: shard %d scheduler at %v at a window starting at fleet time %v", call, shard, got, start)
 				}
 				checked++
-				_, err := s.Run(step)
-				return err
+				return s.Run(step)
 			})
 		if err != nil {
 			t.Fatal(err)

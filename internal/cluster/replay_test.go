@@ -273,10 +273,10 @@ func TestDecisionTalliesEqualCounters(t *testing.T) {
 			tn := byName[ev.Tenant]
 			ops[i] = fleet.ReplayOp{At: ev.At, Tenant: tn, Obj: tn.ObjectIndex(ev.Object), Fn: ev.Fn}
 		}
-		rep, err := s.ReplayOps(ops, workload.RegressionHorizon)
-		if err != nil {
+		if err := s.ReplayOps(ops, workload.RegressionHorizon); err != nil {
 			t.Fatal(err)
 		}
+		rep := s.Snapshot()
 		requireVerdicts(t, checkTallies(t, rep, cfg.Decisions, nil), arrivalVerdicts)
 	})
 

@@ -110,9 +110,6 @@ func NewRingMux(cfg RingMuxConfig, lanes ...*RingCaller) (*RingMux, error) {
 // guest replica's vCPU (lanes of one mux can live on different VMs).
 func (rc *RingCaller) vcpu() *cpu.VCPU { return rc.h.g.vm.VCPU() }
 
-// Lanes returns the lane count.
-func (mx *RingMux) Lanes() int { return len(mx.lanes) }
-
 // Lane returns one lane's current ring caller (it changes after a
 // re-route).
 func (mx *RingMux) Lane(i int) *RingCaller { return mx.lanes[i] }

@@ -226,10 +226,6 @@ func (v *VCPU) VMCS() VMCS { return v.vmcs }
 // SetVMCS installs control state; hypervisor-only.
 func (v *VCPU) SetVMCS(s VMCS) { v.vmcs = s }
 
-// SetEPTP switches the active EPT context; hypervisor-only (guests switch
-// via VMFunc).
-func (v *VCPU) SetEPTP(p ept.Pointer) { v.vmcs.EPTP = p }
-
 // EPTP returns the active EPT pointer.
 func (v *VCPU) EPTP() ept.Pointer { return v.vmcs.EPTP }
 

@@ -4,30 +4,6 @@ import (
 	"github.com/elisa-go/elisa/internal/mem"
 )
 
-// Resolve walks the EPT rooted at p — exactly what the address-translation
-// hardware does with the active EPTP — and resolves gpa for the given
-// access. Unlike Table.Translate it needs no *Table handle: a vCPU only
-// holds an EPTP (a physical address), so after a VMFUNC switch it can walk
-// whatever tables that pointer designates, whether or not the hypervisor
-// still has the owning Table in hand.
-//
-// It returns the translated host-physical address. A missing or
-// insufficient mapping returns a *Violation; other errors indicate a
-// corrupt EPTP (walking outside physical memory).
-func Resolve(pm *mem.PhysMem, p Pointer, gpa mem.GPA, access Perm) (mem.HPA, error) {
-	base, perm, pageBytes, err := ResolvePage(pm, p, gpa)
-	if err != nil {
-		return 0, err
-	}
-	if perm == 0 {
-		return 0, &Violation{Addr: gpa, Access: access, Level: 1}
-	}
-	if !perm.Can(access) {
-		return 0, &Violation{Addr: gpa, Access: access, Allowed: perm}
-	}
-	return base + mem.HPA(uint64(gpa)%uint64(pageBytes)), nil
-}
-
 // ResolvePage walks the EPT rooted at p and returns the mapping base, the
 // permissions, and the mapping granularity (mem.PageSize or HugePageSize)
 // for the address. perm 0 means unmapped (pageBytes is then PageSize).

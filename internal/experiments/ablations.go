@@ -54,6 +54,11 @@ func runAblationBatch(cfg Config) (*stats.Table, error) {
 	}
 	t.AddNote("per-batch cost: ELISA %dns vs VMCALL %dns; the gap closes as batches amortise it",
 		int64(simtime.Default().ELISARoundTrip()), int64(simtime.Default().VMCallRoundTrip()))
+	// The ELISA backend stages each frame in its exchange buffer behind a
+	// u64 length, padded; VMCALL stages a batch of any size.
+	const stride = 8 + vnet.SlotBytes + 4
+	t.AddNote("ELISA stages at most %d frames per crossing (%d B exchange at a %d B stride), so its b=32 and b=64 columns read that cap, not an asymptote",
+		core.ExchangeBytes/stride, core.ExchangeBytes, stride)
 	return t, nil
 }
 

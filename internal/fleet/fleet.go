@@ -525,9 +525,9 @@ func (s *Scheduler) Tenants() []*Tenant {
 // Run simulates the fleet for d of virtual time: open-loop arrivals feed
 // each tenant's bounded queue, and the cores drain the queues by stride
 // schedule, executing every op as a real exit-less call on the tenant's
-// vCPU (so slot faults, evictions, and gate costs are all charged). It
-// returns the per-tenant report, ordered by admission.
-func (s *Scheduler) Run(d simtime.Duration) (*Report, error) {
+// vCPU (so slot faults, evictions, and gate costs are all charged).
+// Snapshot returns the per-tenant report.
+func (s *Scheduler) Run(d simtime.Duration) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.runLocked(d, false, nil)
@@ -548,27 +548,27 @@ type ReplayOp struct {
 // its recorded instant (relative to this window's start), targeting the
 // handle and function it names, through exactly the same refusal ladder,
 // queues, and scheduler as generated load. The same (ops, seed, config)
-// always renders a byte-identical report. Names are resolved by the
+// always renders a byte-identical report (see Snapshot). Names are resolved by the
 // caller — cluster.Fleet.Replay resolves each trace event once, for
 // validation and routing together. ReplayOps refuses up front, naming
 // the op, a tenant that is not a live tenant of this scheduler, a handle
 // it does not have, and a time outside [0, d) or out of order.
-func (s *Scheduler) ReplayOps(ops []ReplayOp, d simtime.Duration) (*Report, error) {
+func (s *Scheduler) ReplayOps(ops []ReplayOp, d simtime.Duration) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for i, op := range ops {
 		t := op.Tenant
 		if t == nil || t.sched != s {
-			return nil, fmt.Errorf("fleet: replay op %d names no live tenant of this scheduler", i)
+			return fmt.Errorf("fleet: replay op %d names no live tenant of this scheduler", i)
 		}
 		if op.Obj < 0 || op.Obj >= len(t.handles) {
-			return nil, fmt.Errorf("fleet: replay op %d: tenant %q has no handle %d", i, t.spec.Name, op.Obj)
+			return fmt.Errorf("fleet: replay op %d: tenant %q has no handle %d", i, t.spec.Name, op.Obj)
 		}
 		if op.At < 0 || simtime.Duration(op.At) >= d {
-			return nil, fmt.Errorf("fleet: replay event %d at %d outside window [0,%d)", i, op.At, d)
+			return fmt.Errorf("fleet: replay event %d at %d outside window [0,%d)", i, op.At, d)
 		}
 		if i > 0 && op.At < ops[i-1].At {
-			return nil, fmt.Errorf("fleet: replay event %d at %d is before event %d at %d; events must be in time order",
+			return fmt.Errorf("fleet: replay event %d at %d is before event %d at %d; events must be in time order",
 				i, op.At, i-1, ops[i-1].At)
 		}
 	}
@@ -617,12 +617,12 @@ type window struct {
 // tenants' arrival processes self-schedule) and Replay (replay=true: the
 // pre-validated, time-ordered trace is the arrival source). Callers hold
 // s.mu.
-func (s *Scheduler) runLocked(d simtime.Duration, replay bool, ops []ReplayOp) (*Report, error) {
+func (s *Scheduler) runLocked(d simtime.Duration, replay bool, ops []ReplayOp) error {
 	if d <= 0 {
-		return nil, fmt.Errorf("fleet: run duration %d must be positive", d)
+		return fmt.Errorf("fleet: run duration %d must be positive", d)
 	}
 	if s.joined == 0 {
-		return nil, fmt.Errorf("fleet: no tenants admitted")
+		return fmt.Errorf("fleet: no tenants admitted")
 	}
 
 	w := &window{s: s, idle: make([]bool, s.cfg.Cores), ops: ops, base: s.elapsed}
@@ -648,7 +648,7 @@ func (s *Scheduler) runLocked(d simtime.Duration, replay bool, ops []ReplayOp) (
 		// leave only between windows, so a slot names one tenant all window.
 		for i, t := range s.tenants {
 			if err := w.sim.After(t.arrival.NextInterval(), event{kind: generated, idx: i}); err != nil {
-				return nil, err
+				return err
 			}
 		}
 	}
@@ -664,7 +664,7 @@ func (s *Scheduler) runLocked(d simtime.Duration, replay bool, ops []ReplayOp) (
 	// windows.
 	if s.inj != nil {
 		if err := w.sim.After(Quantum, event{kind: pump}); err != nil {
-			return nil, err
+			return err
 		}
 	}
 
@@ -680,7 +680,7 @@ func (s *Scheduler) runLocked(d simtime.Duration, replay bool, ops []ReplayOp) (
 		s.sweepDead()
 	}
 	s.elapsed += d
-	return s.reportLocked(), nil
+	return nil
 }
 
 // handle fires one window event.

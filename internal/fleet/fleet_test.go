@@ -67,11 +67,10 @@ func TestFleetDeterministicRuns(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		rep, err := s.Run(2_000_000) // 2ms simulated
-		if err != nil {
+		if err := s.Run(2_000_000); err != nil { // 2ms simulated
 			t.Fatal(err)
 		}
-		return rep
+		return s.Snapshot()
 	}
 	a, b := run(), run()
 	if !reflect.DeepEqual(a, b) {
@@ -102,10 +101,10 @@ func TestFleetWeightedSharing(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	rep, err := s.Run(5_000_000)
-	if err != nil {
+	if err := s.Run(5_000_000); err != nil {
 		t.Fatal(err)
 	}
+	rep := s.Snapshot()
 	light, heavy := rep.Tenants[0], rep.Tenants[1]
 	if light.Dropped == 0 || heavy.Dropped == 0 {
 		t.Fatalf("overload should drop: light=%+v heavy=%+v", light, heavy)
@@ -166,10 +165,10 @@ func TestFleetIdleTenantNeverArrives(t *testing.T) {
 	if _, err := s.Admit(TenantSpec{Name: "idle", Objects: objects(1), Fn: fnNop, RateOPS: 1e-12}); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := s.Run(1_000_000)
-	if err != nil {
+	if err := s.Run(1_000_000); err != nil {
 		t.Fatal(err)
 	}
+	rep := s.Snapshot()
 	if tr := rep.Tenants[0]; tr.Submitted != 0 {
 		t.Fatalf("a 1e-12 ops/s tenant submitted %d ops in 1 ms", tr.Submitted)
 	}
@@ -219,10 +218,10 @@ func TestFleetQueueBackpressure(t *testing.T) {
 	if _, err := s.Admit(TenantSpec{Name: "flood", Objects: objects(1), Fn: fnNop, RateOPS: 50_000_000}); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := s.Run(1_000_000)
-	if err != nil {
+	if err := s.Run(1_000_000); err != nil {
 		t.Fatal(err)
 	}
+	rep := s.Snapshot()
 	tr := rep.Tenants[0]
 	if tr.Dropped == 0 {
 		t.Fatalf("flooded tenant dropped nothing: %+v", tr)
@@ -257,10 +256,10 @@ func TestFleetOversubscribedSlotsKillFree(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	rep, err := s.Run(2_000_000)
-	if err != nil {
+	if err := s.Run(2_000_000); err != nil {
 		t.Fatal(err)
 	}
+	rep := s.Snapshot()
 	for i, tn := range s.Tenants() {
 		if tn.VM().Dead() {
 			t.Fatalf("tenant %d killed", i)

@@ -67,7 +67,10 @@ func replayEvents(s *Scheduler, events []workload.Event, d simtime.Duration) (*R
 			ops[i].Obj = t.ObjectIndex(ev.Object)
 		}
 	}
-	return s.ReplayOps(ops, d)
+	if err := s.ReplayOps(ops, d); err != nil {
+		return nil, err
+	}
+	return s.Snapshot(), nil
 }
 
 // TestReplayDeterministic: replaying the committed regression trace

@@ -125,9 +125,6 @@ func (h *Hypervisor) EnableVMFunc(vm *VM) (*ept.List, error) {
 	return list, nil
 }
 
-// EPTPList returns the VM's EPTP list, or nil if VMFUNC is not enabled.
-func (vm *VM) EPTPList() *ept.List { return vm.eptpList }
-
 // Run executes a guest program on the VM's vCPU. It is a thin wrapper that
 // exists to keep call sites honest about *where* code runs.
 func (vm *VM) Run(program func(*cpu.VCPU) error) error {

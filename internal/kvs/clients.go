@@ -35,6 +35,25 @@ type Client interface {
 	Scheme() string
 }
 
+// newTable formats an empty table of layout l over region.
+func newTable(h *hv.Hypervisor, region *hv.HostRegion, l Layout) error {
+	w, err := shm.NewHostWindow(region, nil)
+	if err != nil {
+		return err
+	}
+	_, err = Format(w, l, *h.Cost())
+	return err
+}
+
+// newHostTable allocates a host region holding an empty table of layout l.
+func newHostTable(h *hv.Hypervisor, l Layout) (*hv.HostRegion, error) {
+	region, err := h.AllocHostRegion(l.Bytes())
+	if err != nil {
+		return nil, err
+	}
+	return region, newTable(h, region, l)
+}
+
 // ---------------------------------------------------------------------------
 // ivshmem (direct mapping): fast, no isolation.
 
@@ -43,33 +62,21 @@ type Client interface {
 type DirectService struct {
 	hv     *hv.Hypervisor
 	region *hv.HostRegion
-	layout Layout
 }
 
 // NewDirectService allocates and formats the shared table.
 func NewDirectService(h *hv.Hypervisor, l Layout) (*DirectService, error) {
-	region, err := h.AllocHostRegion(l.Bytes())
+	region, err := newHostTable(h, l)
 	if err != nil {
 		return nil, err
 	}
-	w, err := shm.NewHostWindow(region, nil)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := Format(w, l, *h.Cost()); err != nil {
-		return nil, err
-	}
-	return &DirectService{hv: h, region: region, layout: l}, nil
+	return &DirectService{hv: h, region: region}, nil
 }
-
-// Region exposes the backing region (host-side verification).
-func (s *DirectService) Region() *hv.HostRegion { return s.region }
 
 // DirectClient issues operations straight against the mapped table.
 type DirectClient struct {
-	vm    *hv.VM
+	v     *cpu.VCPU
 	store *Store
-	cost  simtime.CostModel
 }
 
 // NewClient direct-maps the table into vm and returns its client.
@@ -86,48 +93,143 @@ func (s *DirectService) NewClient(vm *hv.VM) (*DirectClient, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &DirectClient{vm: vm, store: store, cost: *s.hv.Cost()}, nil
+	return &DirectClient{v: vm.VCPU(), store: store}, nil
 }
 
 // Get implements Client.
 func (c *DirectClient) Get(key, val []byte) (bool, error) {
-	c.vm.VCPU().ChargeInstr(clientOverheadInstr)
+	c.v.ChargeInstr(clientOverheadInstr)
 	return c.store.Get(key, val)
 }
 
 // Put implements Client.
 func (c *DirectClient) Put(key, val []byte) (simtime.Duration, error) {
-	c.vm.VCPU().ChargeInstr(clientOverheadInstr)
-	clk := c.vm.VCPU().Clock()
-	start := clk.Now()
+	c.v.ChargeInstr(clientOverheadInstr)
+	start := c.v.Clock().Now()
 	err := c.store.Put(key, val)
-	return clk.Elapsed(start), err
+	return c.v.Clock().Elapsed(start), err
 }
 
 // Delete implements Client.
 func (c *DirectClient) Delete(key []byte) (bool, error) {
-	c.vm.VCPU().ChargeInstr(clientOverheadInstr)
+	c.v.ChargeInstr(clientOverheadInstr)
 	return c.store.Delete(key)
 }
 
 // Clock implements Client.
-func (c *DirectClient) Clock() *simtime.Clock { return c.vm.VCPU().Clock() }
+func (c *DirectClient) Clock() *simtime.Clock { return c.v.Clock() }
 
 // Scheme implements Client.
 func (c *DirectClient) Scheme() string { return "ivshmem" }
 
 // ---------------------------------------------------------------------------
-// VMCALL (host-interposition): isolated, one exit round trip per op.
+// The isolated schemes. VMCALL (host interposition) takes one exit round
+// trip per operation; ELISA one exit-less gate call. Both stage a request
+// the same way and serve it with the same code: only the crossing and
+// where the staged bytes live differ.
 
-// Hypercall numbers of the VMCALL KV service.
+// Hypercall numbers of the VMCALL KV service. Arguments: the staging
+// GPA, the key length and the value length (zero for GET and DELETE).
 const (
 	HCKVGet uint64 = 0x4B560001
 	HCKVPut uint64 = 0x4B560002
 	HCKVDel uint64 = 0x4B560003
 )
 
-// Staging layout in guest RAM: key at +0 (KeySize max 256), value at +256.
+// Manager function IDs of the ELISA KV service. Arguments: the key
+// length and the value length (zero for GET and DELETE).
+const (
+	FnKVGet uint64 = 0x4B56_0101
+	FnKVPut uint64 = 0x4B56_0102
+	FnKVDel uint64 = 0x4B56_0103
+)
+
+// op is a KV request kind; it indexes each scheme's crossing numbers.
+type op uint8
+
+const (
+	opGet op = iota
+	opPut
+	opDel
+)
+
+var (
+	hypercallNrs = [...]uint64{opGet: HCKVGet, opPut: HCKVPut, opDel: HCKVDel}
+	kvFns        = [...]uint64{opGet: FnKVGet, opPut: FnKVPut, opDel: FnKVDel}
+)
+
+// Staging layout, in guest RAM (VMCALL) or the exchange buffer (ELISA):
+// key at +0 (KeySize max 256), value at +256.
 const stagingKeyCap = 256
+
+// checkRequest refuses request lengths the layout cannot hold. Services
+// check before resolving the caller's store view: a view's first use
+// opens it, which charges the header reads to the caller.
+func (l Layout) checkRequest(keyLen, valLen int) error {
+	if keyLen <= 0 || keyLen > l.KeySize || valLen < 0 || valLen > l.ValSize {
+		return fmt.Errorf("kvs: request key/value lengths %d/%d outside (0,%d]/[0,%d]", keyLen, valLen, l.KeySize, l.ValSize)
+	}
+	return nil
+}
+
+// stage is where a request's bytes wait on the service side: the
+// calling VM's RAM at gpa (VMCALL), or the gate call's exchange buffer
+// (ELISA, ctx set).
+type stage struct {
+	vm  *hv.VM
+	gpa mem.GPA
+	ctx *core.CallContext
+}
+
+func (p stage) read(off int, b []byte) error {
+	if p.ctx != nil {
+		return p.ctx.ReadExchange(off, b)
+	}
+	return p.vm.GuestRead(p.gpa+mem.GPA(off), b)
+}
+
+func (p stage) write(off int, b []byte) error {
+	if p.ctx != nil {
+		return p.ctx.WriteExchange(off, b)
+	}
+	return p.vm.GuestWrite(p.gpa+mem.GPA(off), b)
+}
+
+// serve runs one staged request on store view st: it copies the key, and
+// a PUT's value, into the view's request scratch, runs the operation and
+// copies a found GET value back. A GET or DELETE returns 1 when the key
+// was there. A PUT returns its mutation span on clk, which rides back in
+// RAX so the client can report the critical section to the cluster
+// driver.
+func serve(st *Store, p stage, clk *simtime.Clock, o op, keyLen, valLen int) (uint64, error) {
+	key, val := st.reqKey[:keyLen], st.reqVal[:valLen]
+	if err := p.read(0, key); err != nil {
+		return 0, err
+	}
+	var hit bool
+	var err error
+	switch o {
+	case opGet:
+		if hit, err = st.Get(key, st.reqVal); hit && err == nil {
+			err = p.write(stagingKeyCap, st.reqVal)
+		}
+	case opPut:
+		if err := p.read(stagingKeyCap, val); err != nil {
+			return 0, err
+		}
+		start := clk.Now()
+		if err := st.Put(key, val); err != nil {
+			return 0, err
+		}
+		return uint64(clk.Elapsed(start)), nil
+	case opDel:
+		hit, err = st.Delete(key)
+	}
+	if err != nil || !hit {
+		return 0, err
+	}
+	return 1, nil
+}
 
 // VMCallService owns a host-private table; guests reach it via hypercalls.
 type VMCallService struct {
@@ -140,36 +242,37 @@ type VMCallService struct {
 // NewVMCallService allocates the host-private table and registers the
 // hypercalls.
 func NewVMCallService(h *hv.Hypervisor, l Layout) (*VMCallService, error) {
-	region, err := h.AllocHostRegion(l.Bytes())
+	region, err := newHostTable(h, l)
 	if err != nil {
-		return nil, err
-	}
-	w, err := shm.NewHostWindow(region, nil)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := Format(w, l, *h.Cost()); err != nil {
 		return nil, err
 	}
 	s := &VMCallService{hv: h, region: region, layout: l, stores: make(map[int]*Store)}
-	if err := h.RegisterHypercall(HCKVGet, s.hcGet); err != nil {
-		return nil, err
-	}
-	if err := h.RegisterHypercall(HCKVPut, s.hcPut); err != nil {
-		return nil, err
-	}
-	if err := h.RegisterHypercall(HCKVDel, s.hcDel); err != nil {
-		return nil, err
+	for o, nr := range hypercallNrs {
+		if err := h.RegisterHypercall(nr, func(vm *hv.VM, args [4]uint64) (uint64, error) {
+			return s.hypercall(vm, op(o), args)
+		}); err != nil {
+			return nil, err
+		}
 	}
 	return s, nil
 }
 
-// Region exposes the backing region (host-side verification).
-func (s *VMCallService) Region() *hv.HostRegion { return s.region }
+// hypercall serves a request staged in the calling VM's RAM.
+func (s *VMCallService) hypercall(vm *hv.VM, o op, args [4]uint64) (uint64, error) {
+	keyLen, valLen := int(args[1]), int(args[2])
+	if err := s.layout.checkRequest(keyLen, valLen); err != nil {
+		return 0, err
+	}
+	st, err := s.view(vm)
+	if err != nil {
+		return 0, err
+	}
+	return serve(st, stage{vm: vm, gpa: mem.GPA(args[0])}, vm.VCPU().Clock(), o, keyLen, valLen)
+}
 
-// storeFor returns a Store view whose host-side work is charged to the
+// view returns a Store view whose host-side work is charged to the
 // calling VM's clock (the hypercall is serviced synchronously on its core).
-func (s *VMCallService) storeFor(vm *hv.VM) (*Store, error) {
+func (s *VMCallService) view(vm *hv.VM) (*Store, error) {
 	if st, ok := s.stores[vm.ID()]; ok {
 		return st, nil
 	}
@@ -185,185 +288,28 @@ func (s *VMCallService) storeFor(vm *hv.VM) (*Store, error) {
 	return st, nil
 }
 
-func (s *VMCallService) hcGet(vm *hv.VM, args [4]uint64) (uint64, error) {
-	staging, keyLen := mem.GPA(args[0]), int(args[1])
-	if keyLen <= 0 || keyLen > s.layout.KeySize {
-		return 0, fmt.Errorf("kvs: hypercall key length %d invalid", keyLen)
-	}
-	st, err := s.storeFor(vm)
-	if err != nil {
-		return 0, err
-	}
-	key, val := st.reqKey[:keyLen], st.reqVal
-	if err := vm.GuestRead(staging, key); err != nil {
-		return 0, err
-	}
-	found, err := st.Get(key, val)
-	if err != nil {
-		return 0, err
-	}
-	if !found {
-		return 0, nil
-	}
-	if err := vm.GuestWrite(staging+stagingKeyCap, val); err != nil {
-		return 0, err
-	}
-	return 1, nil
-}
-
-func (s *VMCallService) hcPut(vm *hv.VM, args [4]uint64) (uint64, error) {
-	staging, keyLen, valLen := mem.GPA(args[0]), int(args[1]), int(args[2])
-	if keyLen <= 0 || keyLen > s.layout.KeySize || valLen < 0 || valLen > s.layout.ValSize {
-		return 0, fmt.Errorf("kvs: hypercall lengths %d/%d invalid", keyLen, valLen)
-	}
-	st, err := s.storeFor(vm)
-	if err != nil {
-		return 0, err
-	}
-	key, val := st.reqKey[:keyLen], st.reqVal[:valLen]
-	if err := vm.GuestRead(staging, key); err != nil {
-		return 0, err
-	}
-	if err := vm.GuestRead(staging+stagingKeyCap, val); err != nil {
-		return 0, err
-	}
-	clk := vm.VCPU().Clock()
-	start := clk.Now()
-	if err := st.Put(key, val); err != nil {
-		return 0, err
-	}
-	// Model instrumentation: the mutation span rides back in RAX so the
-	// client can report the critical section to the cluster runner.
-	return uint64(clk.Elapsed(start)), nil
-}
-
-func (s *VMCallService) hcDel(vm *hv.VM, args [4]uint64) (uint64, error) {
-	staging, keyLen := mem.GPA(args[0]), int(args[1])
-	if keyLen <= 0 || keyLen > s.layout.KeySize {
-		return 0, fmt.Errorf("kvs: hypercall key length %d invalid", keyLen)
-	}
-	st, err := s.storeFor(vm)
-	if err != nil {
-		return 0, err
-	}
-	key := st.reqKey[:keyLen]
-	if err := vm.GuestRead(staging, key); err != nil {
-		return 0, err
-	}
-	existed, err := st.Delete(key)
-	if err != nil {
-		return 0, err
-	}
-	if existed {
-		return 1, nil
-	}
-	return 0, nil
-}
-
-// VMCallClient stages requests in its RAM and hypercalls per operation.
-type VMCallClient struct {
-	vm      *hv.VM
-	svc     *VMCallService
-	staging mem.GPA
-}
-
 // NewClient sets up a client; staging must point at writable guest RAM
 // with room for a key (256 B) plus one value.
 func (s *VMCallService) NewClient(vm *hv.VM, staging mem.GPA) (*VMCallClient, error) {
 	if int(staging)+stagingKeyCap+s.layout.ValSize > vm.RAMBytes() {
 		return nil, fmt.Errorf("kvs: staging area %v does not fit in guest RAM", staging)
 	}
-	return &VMCallClient{vm: vm, svc: s, staging: staging}, nil
+	return &VMCallClient{stagedClient{v: vm.VCPU(), gpa: staging, valSize: s.layout.ValSize}}, nil
 }
 
-// Get implements Client.
-func (c *VMCallClient) Get(key, val []byte) (bool, error) {
-	v := c.vm.VCPU()
-	v.ChargeInstr(clientOverheadInstr)
-	if err := v.WriteGPA(c.staging, key); err != nil {
-		return false, err
-	}
-	ret, err := v.VMCall(HCKVGet, uint64(c.staging), uint64(len(key)))
-	if err != nil {
-		return false, err
-	}
-	if ret == 0 {
-		return false, nil
-	}
-	if err := v.ReadGPA(c.staging+stagingKeyCap, val[:c.svc.layout.ValSize]); err != nil {
-		return false, err
-	}
-	return true, nil
-}
-
-// Put implements Client.
-func (c *VMCallClient) Put(key, val []byte) (simtime.Duration, error) {
-	v := c.vm.VCPU()
-	v.ChargeInstr(clientOverheadInstr)
-	if err := v.WriteGPA(c.staging, key); err != nil {
-		return 0, err
-	}
-	if err := v.WriteGPA(c.staging+stagingKeyCap, val); err != nil {
-		return 0, err
-	}
-	cs, err := v.VMCall(HCKVPut, uint64(c.staging), uint64(len(key)), uint64(len(val)))
-	if err != nil {
-		return 0, err
-	}
-	return simtime.Duration(cs), nil
-}
-
-// Delete implements Client.
-func (c *VMCallClient) Delete(key []byte) (bool, error) {
-	v := c.vm.VCPU()
-	v.ChargeInstr(clientOverheadInstr)
-	if err := v.WriteGPA(c.staging, key); err != nil {
-		return false, err
-	}
-	ret, err := v.VMCall(HCKVDel, uint64(c.staging), uint64(len(key)))
-	if err != nil {
-		return false, err
-	}
-	return ret == 1, nil
-}
-
-// Clock implements Client.
-func (c *VMCallClient) Clock() *simtime.Clock { return c.vm.VCPU().Clock() }
-
-// Scheme implements Client.
-func (c *VMCallClient) Scheme() string { return "vmcall" }
-
-// ---------------------------------------------------------------------------
-// ELISA: isolated, exit-less.
-
-// Manager function IDs of the ELISA KV service. FnKVGetAt is the
-// ring-datapath variant of FnKVGet: it carries an explicit exchange slot
-// offset in its second argument word, so several in-flight lookups can
-// stage keys and receive values side by side in one exchange buffer.
-const (
-	FnKVGet   uint64 = 0x4B56_0101
-	FnKVPut   uint64 = 0x4B56_0102
-	FnKVDel   uint64 = 0x4B56_0103
-	FnKVGetAt uint64 = 0x4B56_0104
-)
-
-// Exchange layout: key at +0, value at +256.
-
-// ELISAService publishes the table as an ELISA shared object plus two
+// ELISAService publishes the table as an ELISA shared object plus its
 // manager functions.
 type ELISAService struct {
 	hv     *hv.Hypervisor
-	mgr    *core.Manager
 	obj    *core.Object
 	layout Layout
 	stores map[storeViewKey]*Store // per-view store windows (see storeViewKey)
 }
 
-// storeViewKey identifies one view of the table: gate calls see it
-// through the calling guest's sub context, while manager-poller ring
-// drains see it through the manager VM's own mappings — a different vCPU
-// and a different GPA. Since every VM's physical address space is
-// independent, the cache must key on both.
+// storeViewKey identifies one view of the table: a gate call sees it
+// through the calling guest's sub context, at that guest's object GPA.
+// Every VM's physical address space is independent, so the cache keys on
+// both the vCPU and the GPA.
 type storeViewKey struct {
 	v    *cpu.VCPU
 	base mem.GPA
@@ -376,36 +322,37 @@ func NewELISAService(h *hv.Hypervisor, mgr *core.Manager, objName string, l Layo
 	if err != nil {
 		return nil, err
 	}
-	w, err := shm.NewHostWindow(obj.Region(), nil)
-	if err != nil {
+	if err := newTable(h, obj.Region(), l); err != nil {
 		return nil, err
 	}
-	if _, err := Format(w, l, *h.Cost()); err != nil {
-		return nil, err
-	}
-	s := &ELISAService{hv: h, mgr: mgr, obj: obj, layout: l, stores: make(map[storeViewKey]*Store)}
-	if err := mgr.RegisterFunc(FnKVGet, s.fnGet); err != nil {
-		return nil, err
-	}
-	if err := mgr.RegisterFunc(FnKVPut, s.fnPut); err != nil {
-		return nil, err
-	}
-	if err := mgr.RegisterFunc(FnKVDel, s.fnDel); err != nil {
-		return nil, err
-	}
-	if err := mgr.RegisterFunc(FnKVGetAt, s.fnGetAt); err != nil {
-		return nil, err
+	s := &ELISAService{hv: h, obj: obj, layout: l, stores: make(map[storeViewKey]*Store)}
+	for o, fn := range kvFns {
+		if err := mgr.RegisterFunc(fn, func(ctx *core.CallContext) (uint64, error) {
+			return s.call(ctx, op(o))
+		}); err != nil {
+			return nil, err
+		}
 	}
 	return s, nil
 }
 
-// Object exposes the shared object (host-side verification).
-func (s *ELISAService) Object() *core.Object { return s.obj }
+// call serves a request staged in the caller's exchange buffer.
+func (s *ELISAService) call(ctx *core.CallContext, o op) (uint64, error) {
+	keyLen, valLen := int(ctx.Args[0]), int(ctx.Args[1])
+	if err := s.layout.checkRequest(keyLen, valLen); err != nil {
+		return 0, err
+	}
+	st, err := s.view(ctx)
+	if err != nil {
+		return 0, err
+	}
+	return serve(st, stage{ctx: ctx}, ctx.VCPU.Clock(), o, keyLen, valLen)
+}
 
-// storeFor returns a Store over the object as seen from the calling
-// guest's sub context (accesses go through its vCPU, charging its clock
-// and obeying its EPT grant).
-func (s *ELISAService) storeFor(ctx *core.CallContext) (*Store, error) {
+// view returns a Store over the object as seen from the calling guest's
+// sub context (accesses go through its vCPU, charging its clock and
+// obeying its EPT grant).
+func (s *ELISAService) view(ctx *core.CallContext) (*Store, error) {
 	key := storeViewKey{ctx.VCPU, ctx.Object}
 	if st, ok := s.stores[key]; ok {
 		return st, nil
@@ -422,87 +369,6 @@ func (s *ELISAService) storeFor(ctx *core.CallContext) (*Store, error) {
 	return st, nil
 }
 
-func (s *ELISAService) fnGet(ctx *core.CallContext) (uint64, error) {
-	keyLen := int(ctx.Args[0])
-	if keyLen <= 0 || keyLen > s.layout.KeySize {
-		return 0, fmt.Errorf("kvs: elisa key length %d invalid", keyLen)
-	}
-	st, err := s.storeFor(ctx)
-	if err != nil {
-		return 0, err
-	}
-	key, val := st.reqKey[:keyLen], st.reqVal
-	if err := ctx.ReadExchange(0, key); err != nil {
-		return 0, err
-	}
-	found, err := st.Get(key, val)
-	if err != nil {
-		return 0, err
-	}
-	if !found {
-		return 0, nil
-	}
-	if err := ctx.WriteExchange(stagingKeyCap, val); err != nil {
-		return 0, err
-	}
-	return 1, nil
-}
-
-func (s *ELISAService) fnPut(ctx *core.CallContext) (uint64, error) {
-	keyLen, valLen := int(ctx.Args[0]), int(ctx.Args[1])
-	if keyLen <= 0 || keyLen > s.layout.KeySize || valLen < 0 || valLen > s.layout.ValSize {
-		return 0, fmt.Errorf("kvs: elisa lengths %d/%d invalid", keyLen, valLen)
-	}
-	st, err := s.storeFor(ctx)
-	if err != nil {
-		return 0, err
-	}
-	key, val := st.reqKey[:keyLen], st.reqVal[:valLen]
-	if err := ctx.ReadExchange(0, key); err != nil {
-		return 0, err
-	}
-	if err := ctx.ReadExchange(stagingKeyCap, val); err != nil {
-		return 0, err
-	}
-	clk := ctx.VCPU.Clock()
-	start := clk.Now()
-	if err := st.Put(key, val); err != nil {
-		return 0, err
-	}
-	return uint64(clk.Elapsed(start)), nil
-}
-
-func (s *ELISAService) fnDel(ctx *core.CallContext) (uint64, error) {
-	keyLen := int(ctx.Args[0])
-	if keyLen <= 0 || keyLen > s.layout.KeySize {
-		return 0, fmt.Errorf("kvs: elisa key length %d invalid", keyLen)
-	}
-	st, err := s.storeFor(ctx)
-	if err != nil {
-		return 0, err
-	}
-	key := st.reqKey[:keyLen]
-	if err := ctx.ReadExchange(0, key); err != nil {
-		return 0, err
-	}
-	existed, err := st.Delete(key)
-	if err != nil {
-		return 0, err
-	}
-	if existed {
-		return 1, nil
-	}
-	return 0, nil
-}
-
-// ELISAClient stages requests in its exchange buffer and calls through
-// the gate — no exits on the data path.
-type ELISAClient struct {
-	g      *core.Guest
-	handle *core.Handle
-	svc    *ELISAService
-}
-
 // NewClient attaches the guest to the service's object.
 func (s *ELISAService) NewClient(g *core.Guest) (*ELISAClient, error) {
 	h, err := g.Attach(s.obj.Name())
@@ -512,40 +378,74 @@ func (s *ELISAService) NewClient(g *core.Guest) (*ELISAClient, error) {
 	if h.ExchangeSize() < stagingKeyCap+s.layout.ValSize {
 		return nil, fmt.Errorf("kvs: exchange buffer %d too small for value size %d", h.ExchangeSize(), s.layout.ValSize)
 	}
-	return &ELISAClient{g: g, handle: h, svc: s}, nil
+	return &ELISAClient{stagedClient{v: g.VM().VCPU(), h: h, valSize: s.layout.ValSize}}, nil
+}
+
+// stagedClient is the guest half of both isolated schemes. It stages a
+// request's key at +0 of its staging area and a PUT's value at +256,
+// crosses once, and reads a found GET value back from +256. A VMCALL
+// client stages in its own RAM at gpa and crosses with a hypercall; an
+// ELISA client stages in its attachment's exchange buffer (h set) and
+// crosses through the gate, with no exit.
+type stagedClient struct {
+	v       *cpu.VCPU
+	gpa     mem.GPA
+	h       *core.Handle
+	valSize int
+}
+
+// VMCallClient stages requests in its RAM and hypercalls per operation.
+type VMCallClient struct{ stagedClient }
+
+// ELISAClient stages requests in its exchange buffer and calls through
+// the gate — no exits on the data path.
+type ELISAClient struct{ stagedClient }
+
+func (c *stagedClient) write(off int, p []byte) error {
+	if c.h != nil {
+		return c.h.ExchangeWrite(c.v, off, p)
+	}
+	return c.v.WriteGPA(c.gpa+mem.GPA(off), p)
+}
+
+func (c *stagedClient) read(off int, p []byte) error {
+	if c.h != nil {
+		return c.h.ExchangeRead(c.v, off, p)
+	}
+	return c.v.ReadGPA(c.gpa+mem.GPA(off), p)
+}
+
+// send stages key, and a PUT's val, then makes the scheme's one crossing.
+func (c *stagedClient) send(o op, key, val []byte) (uint64, error) {
+	c.v.ChargeInstr(clientOverheadInstr)
+	if err := c.write(0, key); err != nil {
+		return 0, err
+	}
+	if o == opPut {
+		if err := c.write(stagingKeyCap, val); err != nil {
+			return 0, err
+		}
+	}
+	if c.h != nil {
+		return c.h.CallArgs(c.v, kvFns[o], [4]uint64{uint64(len(key)), uint64(len(val))})
+	}
+	return c.v.VMCall(hypercallNrs[o], uint64(c.gpa), uint64(len(key)), uint64(len(val)))
 }
 
 // Get implements Client.
-func (c *ELISAClient) Get(key, val []byte) (bool, error) {
-	v := c.g.VM().VCPU()
-	v.ChargeInstr(clientOverheadInstr)
-	if err := c.handle.ExchangeWrite(v, 0, key); err != nil {
+func (c *stagedClient) Get(key, val []byte) (bool, error) {
+	if ret, err := c.send(opGet, key, nil); err != nil || ret == 0 {
 		return false, err
 	}
-	ret, err := c.handle.Call(v, FnKVGet, uint64(len(key)))
-	if err != nil {
-		return false, err
-	}
-	if ret == 0 {
-		return false, nil
-	}
-	if err := c.handle.ExchangeRead(v, stagingKeyCap, val[:c.svc.layout.ValSize]); err != nil {
+	if err := c.read(stagingKeyCap, val[:c.valSize]); err != nil {
 		return false, err
 	}
 	return true, nil
 }
 
 // Put implements Client.
-func (c *ELISAClient) Put(key, val []byte) (simtime.Duration, error) {
-	v := c.g.VM().VCPU()
-	v.ChargeInstr(clientOverheadInstr)
-	if err := c.handle.ExchangeWrite(v, 0, key); err != nil {
-		return 0, err
-	}
-	if err := c.handle.ExchangeWrite(v, stagingKeyCap, val); err != nil {
-		return 0, err
-	}
-	cs, err := c.handle.Call(v, FnKVPut, uint64(len(key)), uint64(len(val)))
+func (c *stagedClient) Put(key, val []byte) (simtime.Duration, error) {
+	cs, err := c.send(opPut, key, val)
 	if err != nil {
 		return 0, err
 	}
@@ -553,40 +453,24 @@ func (c *ELISAClient) Put(key, val []byte) (simtime.Duration, error) {
 }
 
 // Delete implements Client.
-func (c *ELISAClient) Delete(key []byte) (bool, error) {
-	v := c.g.VM().VCPU()
-	v.ChargeInstr(clientOverheadInstr)
-	if err := c.handle.ExchangeWrite(v, 0, key); err != nil {
-		return false, err
-	}
-	ret, err := c.handle.Call(v, FnKVDel, uint64(len(key)))
-	if err != nil {
-		return false, err
-	}
-	return ret == 1, nil
+func (c *stagedClient) Delete(key []byte) (bool, error) {
+	ret, err := c.send(opDel, key, nil)
+	return ret == 1 && err == nil, err
 }
 
 // Clock implements Client.
-func (c *ELISAClient) Clock() *simtime.Clock { return c.g.VM().VCPU().Clock() }
+func (c *stagedClient) Clock() *simtime.Clock { return c.v.Clock() }
 
 // Scheme implements Client.
-func (c *ELISAClient) Scheme() string { return "elisa" }
+func (c *stagedClient) Scheme() string {
+	if c.h != nil {
+		return "elisa"
+	}
+	return "vmcall"
+}
 
 var (
 	_ Client = (*DirectClient)(nil)
 	_ Client = (*VMCallClient)(nil)
 	_ Client = (*ELISAClient)(nil)
 )
-
-// VCPUOf returns the vCPU a client issues operations on (test helper).
-func VCPUOf(c Client) *cpu.VCPU {
-	switch x := c.(type) {
-	case *DirectClient:
-		return x.vm.VCPU()
-	case *VMCallClient:
-		return x.vm.VCPU()
-	case *ELISAClient:
-		return x.g.VM().VCPU()
-	}
-	return nil
-}

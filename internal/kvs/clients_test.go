@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/elisa-go/elisa/internal/core"
+	"github.com/elisa-go/elisa/internal/cpu"
 	"github.com/elisa-go/elisa/internal/hv"
 	"github.com/elisa-go/elisa/internal/mem"
 	"github.com/elisa-go/elisa/internal/workload"
@@ -80,6 +81,19 @@ func buildCluster(t *testing.T, scheme string, n int) []Client {
 		t.Fatalf("unknown scheme %q", scheme)
 	}
 	return clients
+}
+
+// VCPUOf returns the vCPU a client issues operations on.
+func VCPUOf(c Client) *cpu.VCPU {
+	switch x := c.(type) {
+	case *DirectClient:
+		return x.v
+	case *VMCallClient:
+		return x.v
+	case *ELISAClient:
+		return x.v
+	}
+	return nil
 }
 
 func TestEachSchemeRoundTripsAcrossVMs(t *testing.T) {

@@ -13,10 +13,10 @@ import (
 // y axis: total Mops/s).
 //
 // GETs from different VMs proceed independently (seqlock readers do not
-// serialise). PUT mutations serialise on the store's writer lock; the
-// cluster models that with a global lock timeline: a VM whose mutation
-// would overlap another's waits until the lock frees. This is what bends
-// the paper's PUT curve flat while GET keeps scaling.
+// serialise). PUT mutations serialise across writers; the cluster
+// models that with a global lock timeline: a VM whose mutation would
+// overlap another's waits until the lock frees. This is what bends the
+// paper's PUT curve flat while GET keeps scaling.
 type Cluster struct {
 	clients  []Client
 	lockFree simtime.Time
@@ -50,90 +50,107 @@ func (c *Cluster) Preload(keys [][]byte, val []byte) error {
 	return nil
 }
 
+// drive names the operations one driver run issues.
+type drive uint8
+
+const (
+	driveGets  drive = iota // every op a GET of a preloaded key
+	drivePuts               // every op a PUT
+	driveMixed              // each VM's Mix picks GET or PUT per op
+)
+
 // RunGets issues opsPerVM GETs from every VM using per-VM key choosers.
+// A GET that misses fails the run.
 func (c *Cluster) RunGets(opsPerVM int, keys [][]byte, choosers []workload.KeyChooser) (*Result, error) {
-	if len(choosers) != len(c.clients) {
-		return nil, fmt.Errorf("kvs: %d choosers for %d clients", len(choosers), len(c.clients))
-	}
-	res := &Result{Scheme: c.clients[0].Scheme(), VMs: len(c.clients), Latency: stats.NewHistogram()}
-	val := make([]byte, 1<<20)
-	starts := make([]simtime.Time, len(c.clients))
-	for i, cl := range c.clients {
-		starts[i] = cl.Clock().Now()
-	}
-	for i, cl := range c.clients {
-		for k := 0; k < opsPerVM; k++ {
-			key := keys[choosers[i].Next()]
-			t0 := cl.Clock().Now()
-			found, err := cl.Get(key, val)
-			if err != nil {
-				return nil, err
-			}
-			if !found {
-				return nil, fmt.Errorf("kvs: GET missed preloaded key %q", key)
-			}
-			res.Latency.RecordDuration(cl.Clock().Elapsed(t0))
-			res.Ops++
-		}
-	}
-	c.finish(res, starts, opsPerVM)
-	return res, nil
+	return c.run(driveGets, opsPerVM, keys, choosers, nil, nil)
 }
 
 // RunPuts issues opsPerVM PUTs from every VM, serialising mutations on
-// the shared writer lock. Clients are interleaved in clock order so lock
-// waits accumulate realistically.
+// the shared lock timeline.
 func (c *Cluster) RunPuts(opsPerVM int, keys [][]byte, choosers []workload.KeyChooser, val []byte) (*Result, error) {
-	if len(choosers) != len(c.clients) {
-		return nil, fmt.Errorf("kvs: %d choosers for %d clients", len(choosers), len(c.clients))
+	return c.run(drivePuts, opsPerVM, keys, choosers, nil, val)
+}
+
+// RunMixed issues opsPerVM operations per VM with the given read ratio
+// (YCSB-style mixed workload). Reads proceed independently; each write's
+// mutation serialises on the global lock timeline exactly as in RunPuts.
+func (c *Cluster) RunMixed(opsPerVM int, keys [][]byte, choosers []workload.KeyChooser, mixes []*workload.Mix, val []byte) (*Result, error) {
+	return c.run(driveMixed, opsPerVM, keys, choosers, mixes, val)
+}
+
+// run is the one driver loop. Each round lets every client with
+// operations left issue one, in clock order (earliest first): the VM
+// whose core is free soonest contends for the lock first, so lock waits
+// accumulate realistically. GETs share no simulated state, so their
+// order moves no figure.
+func (c *Cluster) run(d drive, opsPerVM int, keys [][]byte, choosers []workload.KeyChooser, mixes []*workload.Mix, val []byte) (*Result, error) {
+	n := len(c.clients)
+	switch {
+	case len(choosers) != n:
+		return nil, fmt.Errorf("kvs: %d choosers for %d clients", len(choosers), n)
+	case d == driveMixed && len(mixes) != n:
+		return nil, fmt.Errorf("kvs: %d mixes for %d clients", len(mixes), n)
+	case opsPerVM < 0:
+		return nil, fmt.Errorf("kvs: %d ops per VM", opsPerVM)
 	}
-	res := &Result{Scheme: c.clients[0].Scheme(), VMs: len(c.clients), Latency: stats.NewHistogram()}
-	starts := make([]simtime.Time, len(c.clients))
-	remaining := make([]int, len(c.clients))
+	res := &Result{Scheme: c.clients[0].Scheme(), VMs: n, Latency: stats.NewHistogram()}
+	var buf []byte // GET value buffer, as large as any layout's value
+	if d != drivePuts {
+		buf = make([]byte, 1<<20)
+	}
+	starts := make([]simtime.Time, n)
+	remaining := make([]int, n)
+	order := make([]int, n)
 	for i, cl := range c.clients {
 		starts[i] = cl.Clock().Now()
 		remaining[i] = opsPerVM
-	}
-	order := make([]int, len(c.clients))
-	for i := range order {
 		order[i] = i
 	}
-	for {
-		// Pick pending clients in clock order (earliest first) — the VM
-		// whose core is free soonest contends for the lock first.
+	for progressed := true; progressed; {
 		c.sortByClock(order)
-		progressed := false
+		progressed = false
 		for _, i := range order {
 			if remaining[i] == 0 {
 				continue
 			}
 			progressed = true
+			remaining[i]--
 			cl := c.clients[i]
 			key := keys[choosers[i].Next()]
 			t0 := cl.Clock().Now()
-			cs, err := cl.Put(key, val)
-			if err != nil {
-				return nil, err
+			if d == driveGets || d == driveMixed && mixes[i].Read() {
+				found, err := cl.Get(key, buf)
+				if err != nil {
+					return nil, err
+				}
+				if !found && d == driveGets {
+					return nil, fmt.Errorf("kvs: GET missed preloaded key %q", key)
+				}
+			} else {
+				cs, err := cl.Put(key, val)
+				if err != nil {
+					return nil, err
+				}
+				// Serialise the mutation span [end-cs, end) on the
+				// global lock timeline.
+				mStart := cl.Clock().Now().Add(-cs)
+				if mStart < c.lockFree {
+					wait := c.lockFree.Sub(mStart)
+					cl.Clock().Advance(wait)
+					mStart = mStart.Add(wait)
+				}
+				c.lockFree = mStart.Add(cs)
 			}
-			// Serialise the mutation span [end-cs, end) on the global
-			// lock timeline.
-			end := cl.Clock().Now()
-			mStart := end.Add(-cs)
-			if mStart < c.lockFree {
-				wait := c.lockFree.Sub(mStart)
-				cl.Clock().Advance(wait)
-				mStart = mStart.Add(wait)
-			}
-			c.lockFree = mStart.Add(cs)
 			res.Latency.RecordDuration(cl.Clock().Elapsed(t0))
 			res.Ops++
-			remaining[i]--
-		}
-		if !progressed {
-			break
 		}
 	}
-	c.finish(res, starts, opsPerVM)
+	res.PerVMMops = make([]float64, n)
+	for i, cl := range c.clients {
+		rate := stats.Throughput(int64(opsPerVM), cl.Clock().Elapsed(starts[i])) / 1e6
+		res.PerVMMops[i] = rate
+		res.AggMops += rate
+	}
 	return res, nil
 }
 
@@ -151,74 +168,4 @@ func (c *Cluster) sortByClock(order []int) {
 		}
 		order[j] = x
 	}
-}
-
-func (c *Cluster) finish(res *Result, starts []simtime.Time, opsPerVM int) {
-	res.PerVMMops = make([]float64, len(c.clients))
-	for i, cl := range c.clients {
-		elapsed := cl.Clock().Elapsed(starts[i])
-		rate := stats.Throughput(int64(opsPerVM), elapsed)
-		res.PerVMMops[i] = rate / 1e6
-		res.AggMops += rate / 1e6
-	}
-}
-
-// RunMixed issues opsPerVM operations per VM with the given read ratio
-// (YCSB-style mixed workload). Reads proceed independently; each write's
-// mutation serialises on the global lock timeline exactly as in RunPuts.
-func (c *Cluster) RunMixed(opsPerVM int, keys [][]byte, choosers []workload.KeyChooser, mixes []*workload.Mix, val []byte) (*Result, error) {
-	if len(choosers) != len(c.clients) || len(mixes) != len(c.clients) {
-		return nil, fmt.Errorf("kvs: %d choosers / %d mixes for %d clients", len(choosers), len(mixes), len(c.clients))
-	}
-	res := &Result{Scheme: c.clients[0].Scheme(), VMs: len(c.clients), Latency: stats.NewHistogram()}
-	starts := make([]simtime.Time, len(c.clients))
-	remaining := make([]int, len(c.clients))
-	for i, cl := range c.clients {
-		starts[i] = cl.Clock().Now()
-		remaining[i] = opsPerVM
-	}
-	buf := make([]byte, 1<<20)
-	order := make([]int, len(c.clients))
-	for i := range order {
-		order[i] = i
-	}
-	for {
-		c.sortByClock(order)
-		progressed := false
-		for _, i := range order {
-			if remaining[i] == 0 {
-				continue
-			}
-			progressed = true
-			cl := c.clients[i]
-			key := keys[choosers[i].Next()]
-			t0 := cl.Clock().Now()
-			if mixes[i].Read() {
-				if _, err := cl.Get(key, buf); err != nil {
-					return nil, err
-				}
-			} else {
-				cs, err := cl.Put(key, val)
-				if err != nil {
-					return nil, err
-				}
-				end := cl.Clock().Now()
-				mStart := end.Add(-cs)
-				if mStart < c.lockFree {
-					wait := c.lockFree.Sub(mStart)
-					cl.Clock().Advance(wait)
-					mStart = mStart.Add(wait)
-				}
-				c.lockFree = mStart.Add(cs)
-			}
-			res.Latency.RecordDuration(cl.Clock().Elapsed(t0))
-			res.Ops++
-			remaining[i]--
-		}
-		if !progressed {
-			break
-		}
-	}
-	c.finish(res, starts, opsPerVM)
-	return res, nil
 }

@@ -38,39 +38,20 @@ func BuildObservedCluster(scheme string, vms int, l Layout, rec *obs.Recorder) (
 	if err != nil {
 		return nil, err
 	}
-	clients := make([]Client, vms)
-	newVM := func(i int) (*hv.VM, error) {
-		return h.CreateVM(fmt.Sprintf("kv-client-%d", i), 16*mem.PageSize)
-	}
+	var newClient func(vm *hv.VM) (Client, error)
 	switch scheme {
 	case "ivshmem":
 		svc, err := NewDirectService(h, l)
 		if err != nil {
 			return nil, err
 		}
-		for i := range clients {
-			vm, err := newVM(i)
-			if err != nil {
-				return nil, err
-			}
-			if clients[i], err = svc.NewClient(vm); err != nil {
-				return nil, err
-			}
-		}
+		newClient = func(vm *hv.VM) (Client, error) { return svc.NewClient(vm) }
 	case "vmcall":
 		svc, err := NewVMCallService(h, l)
 		if err != nil {
 			return nil, err
 		}
-		for i := range clients {
-			vm, err := newVM(i)
-			if err != nil {
-				return nil, err
-			}
-			if clients[i], err = svc.NewClient(vm, clientStaging); err != nil {
-				return nil, err
-			}
-		}
+		newClient = func(vm *hv.VM) (Client, error) { return svc.NewClient(vm, clientStaging) }
 	case "elisa":
 		mgr, err := core.NewManager(h, core.ManagerConfig{})
 		if err != nil {
@@ -81,21 +62,25 @@ func BuildObservedCluster(scheme string, vms int, l Layout, rec *obs.Recorder) (
 		if err != nil {
 			return nil, err
 		}
-		for i := range clients {
-			vm, err := newVM(i)
-			if err != nil {
-				return nil, err
-			}
+		newClient = func(vm *hv.VM) (Client, error) {
 			g, err := core.NewGuest(vm, mgr)
 			if err != nil {
 				return nil, err
 			}
-			if clients[i], err = svc.NewClient(g); err != nil {
-				return nil, err
-			}
+			return svc.NewClient(g)
 		}
 	default:
 		return nil, fmt.Errorf("kvs: unknown scheme %q", scheme)
+	}
+	clients := make([]Client, vms)
+	for i := range clients {
+		vm, err := h.CreateVM(fmt.Sprintf("kv-client-%d", i), 16*mem.PageSize)
+		if err != nil {
+			return nil, err
+		}
+		if clients[i], err = newClient(vm); err != nil {
+			return nil, err
+		}
 	}
 	return NewCluster(clients...)
 }

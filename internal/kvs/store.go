@@ -22,7 +22,7 @@ import (
 //	24: value size
 //	32: live entry count
 //	40: seqlock (readers vs writers)
-//	48: spinlock (writer mutual exclusion)
+//	48: reserved, zero (writers serialise on Cluster's lock timeline)
 //	56: reserved
 //	64: buckets...
 const (
@@ -32,7 +32,6 @@ const (
 	offValSize = 24
 	offCount   = 32
 	offSeq     = 40
-	offLock    = 48
 	hdrBytes   = 64
 
 	storeMagic = 0xE115A0_4B560001 // "ELISA KVS v1"
@@ -84,16 +83,15 @@ type Store struct {
 	charger shm.Charger // w's clock for non-copy work, resolved once; nil: w keeps none
 	l       Layout
 	cost    simtime.CostModel
-	lock    *shm.Spinlock
 	seq     *shm.Seqlock
 
 	probeKey []byte // probe: the inspected bucket's key (KeySize)
 	keyPad   []byte // the operation's key, zero-padded to KeySize
 	valPad   []byte // Put: the value, zero-padded to ValSize
 
-	// reqKey and reqVal stage a service request's key and value: the
-	// VMCALL and ELISA handlers copy them in from guest memory, and GET
-	// handlers copy the value back out of reqVal.
+	// reqKey and reqVal hold a service request's key and value: serve
+	// copies them in from where the guest staged them and a found GET
+	// value back out of reqVal.
 	reqKey []byte // KeySize
 	reqVal []byte // ValSize
 }
@@ -106,16 +104,9 @@ func Format(w shm.Window, l Layout, cost simtime.CostModel) (*Store, error) {
 	if w.Size() < l.Bytes() {
 		return nil, fmt.Errorf("kvs: layout needs %d bytes, window has %d", l.Bytes(), w.Size())
 	}
-	for off, v := range map[int]uint64{
-		offMagic:   storeMagic,
-		offBuckets: uint64(l.Buckets),
-		offKeySize: uint64(l.KeySize),
-		offValSize: uint64(l.ValSize),
-		offCount:   0,
-		offSeq:     0,
-		offLock:    0,
-	} {
-		if err := w.WriteU64(off, v); err != nil {
+	// The header words from offMagic through the reserved word at 48.
+	for i, v := range [...]uint64{storeMagic, uint64(l.Buckets), uint64(l.KeySize), uint64(l.ValSize), 0, 0, 0} {
+		if err := w.WriteU64(8*i, v); err != nil {
 			return nil, err
 		}
 	}
@@ -159,17 +150,13 @@ func Open(w shm.Window, cost simtime.CostModel) (*Store, error) {
 }
 
 func newStore(w shm.Window, l Layout, cost simtime.CostModel) (*Store, error) {
-	lock, err := shm.NewSpinlock(w, offLock, cost)
-	if err != nil {
-		return nil, err
-	}
 	seq, err := shm.NewSeqlock(w, offSeq)
 	if err != nil {
 		return nil, err
 	}
 	charger, _ := w.(shm.Charger)
 	return &Store{
-		w: w, charger: charger, l: l, cost: cost, lock: lock, seq: seq,
+		w: w, charger: charger, l: l, cost: cost, seq: seq,
 		probeKey: make([]byte, l.KeySize),
 		keyPad:   make([]byte, l.KeySize),
 		valPad:   make([]byte, l.ValSize),
@@ -180,10 +167,6 @@ func newStore(w shm.Window, l Layout, cost simtime.CostModel) (*Store, error) {
 
 // Layout returns the table geometry.
 func (s *Store) Layout() Layout { return s.l }
-
-// Lock exposes the writer lock (the cluster runner models cross-VM
-// serialisation with it).
-func (s *Store) Lock() *shm.Spinlock { return s.lock }
 
 // Count returns the number of live entries.
 func (s *Store) Count() (int, error) {
@@ -286,9 +269,8 @@ func (s *Store) Get(key, val []byte) (bool, error) {
 	return found, err
 }
 
-// Put inserts or updates key. The caller must hold the store lock when
-// multiple writers share the table; Put itself only manipulates the
-// seqlock (see Cluster for the cross-VM serialisation model).
+// Put inserts or updates key. Put itself only manipulates the seqlock;
+// Cluster models the serialisation of writers on different VMs.
 func (s *Store) Put(key, val []byte) error {
 	if err := s.checkKey(key); err != nil {
 		return err

@@ -398,10 +398,10 @@ func prepareFleet(quick, observed bool) (func() (int64, simtime.Duration, error)
 	}
 	horizon := simtime.Duration(scale(quick, 2_000_000, 300_000)) // 2ms / 300µs
 	return func() (int64, simtime.Duration, error) {
-		rep, err := s.Run(horizon)
-		if err != nil {
+		if err := s.Run(horizon); err != nil {
 			return 0, 0, err
 		}
+		rep := s.Snapshot()
 		var done int64
 		for _, tr := range rep.Tenants {
 			done += int64(tr.Completed)

@@ -9,7 +9,6 @@ import (
 	"github.com/elisa-go/elisa/internal/ept"
 	"github.com/elisa-go/elisa/internal/hv"
 	"github.com/elisa-go/elisa/internal/mem"
-	"github.com/elisa-go/elisa/internal/simtime"
 )
 
 // hostFixture returns a window over a fresh host region.
@@ -130,49 +129,6 @@ func TestSubWindow(t *testing.T) {
 	}
 	if _, err := NewSubWindow(w, 0, w.Size()+1); err == nil {
 		t.Fatal("oversized sub accepted")
-	}
-}
-
-func TestSpinlock(t *testing.T) {
-	_, w := hostFixture(t, 1)
-	cost := simtime.Default()
-	l, err := NewSpinlock(w, 0, cost)
-	if err != nil {
-		t.Fatal(err)
-	}
-	clk := simtime.NewClock()
-	ok, err := l.TryAcquire(clk, 1)
-	if err != nil || !ok {
-		t.Fatalf("first acquire: %v %v", ok, err)
-	}
-	if clk.Now() != simtime.Time(cost.LockAcquire) {
-		t.Fatalf("acquire cost %d", clk.Now())
-	}
-	// Second owner contends.
-	ok, err = l.TryAcquire(clk, 2)
-	if err != nil || ok {
-		t.Fatalf("contended acquire: %v %v", ok, err)
-	}
-	// Wrong owner cannot release.
-	if err := l.Release(clk, 2); err == nil {
-		t.Fatal("foreign release accepted")
-	}
-	if err := l.Release(clk, 1); err != nil {
-		t.Fatal(err)
-	}
-	holder, _ := l.Holder()
-	if holder != 0 {
-		t.Fatalf("holder = %d", holder)
-	}
-	acq, cont := l.Stats()
-	if acq != 1 || cont != 1 {
-		t.Fatalf("stats = %d/%d", acq, cont)
-	}
-	if _, err := l.TryAcquire(clk, 0); err == nil {
-		t.Fatal("owner 0 accepted")
-	}
-	if _, err := NewSpinlock(w, 3, cost); err == nil {
-		t.Fatal("unaligned lock accepted")
 	}
 }
 

@@ -1,80 +1,6 @@
 package shm
 
-import (
-	"fmt"
-
-	"github.com/elisa-go/elisa/internal/simtime"
-)
-
-// Spinlock is a word in shared memory. In the simulation each simulated
-// operation sequence is logically atomic (one vCPU runs at a time), so the
-// lock's job is bookkeeping and *cost accounting*: experiments use the
-// acquire/release costs plus hold times to model serialisation across VMs
-// (which is what flattens the paper's PUT scaling curve).
-type Spinlock struct {
-	w    Window
-	off  int
-	cost simtime.CostModel
-
-	acquisitions uint64
-	contended    uint64
-}
-
-// NewSpinlock places a lock at an 8-byte-aligned offset in w. The word
-// must be zero-initialised (unlocked).
-func NewSpinlock(w Window, off int, cost simtime.CostModel) (*Spinlock, error) {
-	if w == nil || off < 0 || off%8 != 0 || off+8 > w.Size() {
-		return nil, fmt.Errorf("shm: invalid spinlock placement %d", off)
-	}
-	return &Spinlock{w: w, off: off, cost: cost}, nil
-}
-
-// TryAcquire attempts the lock for owner (a non-zero tag, e.g. VM id + 1).
-// It reports whether the lock was taken. A held lock counts contention.
-func (l *Spinlock) TryAcquire(charge *simtime.Clock, owner uint64) (bool, error) {
-	if owner == 0 {
-		return false, fmt.Errorf("shm: lock owner tag must be non-zero")
-	}
-	if charge != nil {
-		charge.Advance(l.cost.LockAcquire)
-	}
-	cur, err := l.w.ReadU64(l.off)
-	if err != nil {
-		return false, err
-	}
-	if cur != 0 {
-		l.contended++
-		return false, nil
-	}
-	if err := l.w.WriteU64(l.off, owner); err != nil {
-		return false, err
-	}
-	l.acquisitions++
-	return true, nil
-}
-
-// Release drops the lock; owner must match the holder.
-func (l *Spinlock) Release(charge *simtime.Clock, owner uint64) error {
-	cur, err := l.w.ReadU64(l.off)
-	if err != nil {
-		return err
-	}
-	if cur != owner {
-		return fmt.Errorf("shm: release by %d but lock held by %d", owner, cur)
-	}
-	if charge != nil {
-		charge.Advance(l.cost.LockRelease)
-	}
-	return l.w.WriteU64(l.off, 0)
-}
-
-// Holder returns the current owner tag (0 = free).
-func (l *Spinlock) Holder() (uint64, error) { return l.w.ReadU64(l.off) }
-
-// Stats reports acquisitions and contended attempts.
-func (l *Spinlock) Stats() (acquired, contended uint64) {
-	return l.acquisitions, l.contended
-}
+import "fmt"
 
 // Seqlock is a sequence lock: writers make the counter odd while mutating;
 // readers retry if they observe an odd or changed counter. GET-heavy

@@ -1,8 +1,8 @@
 // Package shm provides data structures laid out in shared simulated
-// memory: byte windows, spinlocks, seqlocks and single-producer/
-// single-consumer rings. Everything operates through a Window, so the same
-// structure can be driven by a guest vCPU (through the active EPT context,
-// paying simulated costs and subject to isolation) or by host-side code
+// memory: byte windows, seqlocks and single-producer/single-consumer
+// rings. Everything operates through a Window, so the same structure can
+// be driven by a guest vCPU (through the active EPT context, paying
+// simulated costs and subject to isolation) or by host-side code
 // (through a hv.HostRegion) — which is exactly the situation in the paper:
 // the same ring is touched by a guest on one side and the host or manager
 // code on the other.

@@ -1,6 +1,7 @@
 package vnet
 
 import (
+	"math"
 	"testing"
 )
 
@@ -8,7 +9,9 @@ import (
 // ELISA and SR-IOV) the NIC, backends, services and VM-to-VM paths reuse
 // their frame scratch, so RunRX, RunTX and RunVV make as many mallocs
 // for 4,000 packets as for 400: the allocations are per run, not per
-// batch.
+// batch. Each side is the least of three measurements: a stray malloc of
+// the runtime's own (the race detector's, a GC cycle starting) only ever
+// adds to one, while a malloc per batch adds to all three.
 func TestRunAllocsFlat(t *testing.T) {
 	const size = 64
 	for _, scheme := range []string{"ivshmem", "elisa", "sriov"} {
@@ -51,8 +54,14 @@ func TestRunAllocsFlat(t *testing.T) {
 			}},
 		}
 		for _, r := range runs {
-			few := testing.AllocsPerRun(1, r.run(400))
-			many := testing.AllocsPerRun(1, r.run(4000))
+			mallocs := func(packets int) float64 {
+				least := math.Inf(1)
+				for range 3 {
+					least = math.Min(least, testing.AllocsPerRun(1, r.run(packets)))
+				}
+				return least
+			}
+			few, many := mallocs(400), mallocs(4000)
 			if few != many {
 				t.Errorf("%s %s: %v mallocs for 400 packets, %v for 4000", scheme, r.name, few, many)
 			}

@@ -47,6 +47,12 @@ type MMPP struct {
 	left  float64    // residual dwell in the current state [ns]
 }
 
+// maxSwitchesPerArrival bounds an MMPP's expected state switches per
+// arrival. NextInterval draws once per switch, so a process whose dwells
+// are far shorter than its gaps would spin for seconds of host time per
+// call.
+const maxSwitchesPerArrival = 1000
+
 // NewMMPP returns a 2-state MMPP: calmOPS and burstOPS are the per-state
 // arrival rates (ops per simulated second), calmDwell and burstDwell the
 // mean state-residency times. The long-run mean rate is the dwell-weighted
@@ -57,6 +63,12 @@ func NewMMPP(seed int64, calmOPS, burstOPS float64, calmDwell, burstDwell simtim
 	}
 	if calmDwell <= 0 || burstDwell <= 0 {
 		return nil, fmt.Errorf("workload: mmpp dwells %v/%v must be positive", calmDwell, burstDwell)
+	}
+	// A calm and a burst dwell make two switches per cycle, and a cycle
+	// holds calmOPS·calmDwell + burstOPS·burstDwell arrivals on average.
+	if sw := 2e9 / (calmOPS*float64(calmDwell) + burstOPS*float64(burstDwell)); sw > maxSwitchesPerArrival {
+		return nil, fmt.Errorf("workload: mmpp dwells %v/%v switch state %.3g times per arrival at rates %v/%v ops/s, over %d",
+			calmDwell, burstDwell, sw, calmOPS, burstOPS, maxSwitchesPerArrival)
 	}
 	m := &MMPP{
 		rng:   rand.New(rand.NewSource(seed)),

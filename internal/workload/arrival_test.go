@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"github.com/elisa-go/elisa/internal/simtime"
@@ -257,5 +258,34 @@ func TestWorkloadIdleRateSaturates(t *testing.T) {
 	ds.drawStream(&Spec{Objects: []string{"o"}}, &gapList{5, math.MaxInt64}, nil, math.MaxInt64)
 	if ds.n != 1 || ds.at(0).at != 5 {
 		t.Errorf("a saturated gap after an arrival at 5 ns drew %d arrivals, want the one at 5 ns", ds.n)
+	}
+}
+
+// TestWorkloadMMPPRefusesSwitchStorm: NextInterval loops once per state
+// switch, so NewMMPP and spec parsing refuse a process expected to
+// switch state more than maxSwitchesPerArrival times per arrival, 2 /
+// (calm rate · calm dwell + burst rate · burst dwell), before anything
+// draws from it.
+func TestWorkloadMMPPRefusesSwitchStorm(t *testing.T) {
+	us := simtime.Microsecond
+	if _, err := NewMMPP(1, 0.01, 0.01, us, us); err == nil {
+		t.Error("0.01 ops/s with 1 µs dwells accepted")
+	}
+	// At 1,000 ops/s in both states, 1 µs dwells switch exactly 1,000
+	// times per arrival.
+	if _, err := NewMMPP(1, 1000, 1000, us, us); err != nil {
+		t.Errorf("1,000 switches per arrival refused: %v", err)
+	}
+	if _, err := NewMMPP(1, 999, 999, us, us); err == nil {
+		t.Error("1,001 switches per arrival accepted")
+	}
+	in := "tenant a:\nrate: 0.01\narrival: mmpp\nburst_rate: 0.01\ncalm_dwell_us: 1\nburst_dwell_us: 1\nobjects: o\n"
+	if _, err := ParseSpecs(strings.NewReader(in)); err == nil {
+		t.Error("spec switching 1e8 times per arrival parsed")
+	}
+	// The defaults (8x burst rate, 100/25 µs dwells) at 1 ops/s switch
+	// about 6,700 times per arrival.
+	if _, err := ParseSpecs(strings.NewReader("tenant a:\nrate: 1\narrival: mmpp\nobjects: o\n")); err == nil {
+		t.Error("default-dwell spec at 1 ops/s parsed")
 	}
 }

@@ -42,9 +42,3 @@ func RebalanceSpecs() ([]Spec, error) {
 func RebalanceTrace() (*Trace, error) {
 	return ParseTrace(bytes.NewReader(rebalanceTraceCSV))
 }
-
-// RebalanceTraceBytes returns the committed rebalance trace file
-// verbatim (the golden the generator must reproduce).
-func RebalanceTraceBytes() []byte {
-	return append([]byte(nil), rebalanceTraceCSV...)
-}

@@ -130,6 +130,12 @@ func (sp *Spec) validate() error {
 	if sp.SizeBytes < 0 || sp.SizeBytes > maxTraceSize {
 		return fmt.Errorf("workload: spec %q: size %d outside [0,%d]", sp.Name, sp.SizeBytes, maxTraceSize)
 	}
+	if sp.Arrival == "mmpp" {
+		// NewMMPP bounds the state switches per arrival.
+		if _, err := sp.NewArrival(0); err != nil {
+			return fmt.Errorf("workload: spec %q: %w", sp.Name, err)
+		}
+	}
 	return nil
 }
 

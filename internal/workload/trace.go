@@ -159,16 +159,3 @@ func ReadTraceFile(path string) (*Trace, error) {
 	defer f.Close()
 	return ParseTrace(f)
 }
-
-// WriteTraceFile writes the trace to path.
-func WriteTraceFile(path string, tr *Trace) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := WriteTrace(f, tr); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
