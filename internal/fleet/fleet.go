@@ -548,11 +548,12 @@ type ReplayOp struct {
 // its recorded instant (relative to this window's start), targeting the
 // handle and function it names, through exactly the same refusal ladder,
 // queues, and scheduler as generated load. The same (ops, seed, config)
-// always renders a byte-identical report (see Snapshot). Names are resolved by the
-// caller — cluster.Fleet.Replay resolves each trace event once, for
-// validation and routing together. ReplayOps refuses up front, naming
-// the op, a tenant that is not a live tenant of this scheduler, a handle
-// it does not have, and a time outside [0, d) or out of order.
+// always renders a byte-identical report (see Snapshot). Names are
+// resolved by the caller — cluster.Fleet.Replay resolves each trace
+// event once, for validation and routing together. ReplayOps refuses up
+// front, naming the op, a tenant that is not a live tenant of this
+// scheduler, a handle it does not have, and a time outside [0, d) or out
+// of order.
 func (s *Scheduler) ReplayOps(ops []ReplayOp, d simtime.Duration) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
