@@ -82,7 +82,8 @@ func (c *Cluster) RunMixed(opsPerVM int, keys [][]byte, choosers []workload.KeyC
 // operations left issue one, in clock order (earliest first): the VM
 // whose core is free soonest contends for the lock first, so lock waits
 // accumulate realistically. GETs share no simulated state, so their
-// order moves no figure.
+// order moves no figure. A client's clock is its VM's and never
+// changes, so the loop reads each once.
 func (c *Cluster) run(d drive, opsPerVM int, keys [][]byte, choosers []workload.KeyChooser, mixes []*workload.Mix, val []byte) (*Result, error) {
 	n := len(c.clients)
 	switch {
@@ -98,16 +99,18 @@ func (c *Cluster) run(d drive, opsPerVM int, keys [][]byte, choosers []workload.
 	if d != drivePuts {
 		buf = make([]byte, 1<<20)
 	}
+	clocks := make([]*simtime.Clock, n)
 	starts := make([]simtime.Time, n)
 	remaining := make([]int, n)
 	order := make([]int, n)
 	for i, cl := range c.clients {
-		starts[i] = cl.Clock().Now()
+		clocks[i] = cl.Clock()
+		starts[i] = clocks[i].Now()
 		remaining[i] = opsPerVM
 		order[i] = i
 	}
 	for progressed := true; progressed; {
-		c.sortByClock(order)
+		sortByClock(order, clocks)
 		progressed = false
 		for _, i := range order {
 			if remaining[i] == 0 {
@@ -115,9 +118,9 @@ func (c *Cluster) run(d drive, opsPerVM int, keys [][]byte, choosers []workload.
 			}
 			progressed = true
 			remaining[i]--
-			cl := c.clients[i]
+			cl, clk := c.clients[i], clocks[i]
 			key := keys[choosers[i].Next()]
-			t0 := cl.Clock().Now()
+			t0 := clk.Now()
 			if d == driveGets || d == driveMixed && mixes[i].Read() {
 				found, err := cl.Get(key, buf)
 				if err != nil {
@@ -133,21 +136,21 @@ func (c *Cluster) run(d drive, opsPerVM int, keys [][]byte, choosers []workload.
 				}
 				// Serialise the mutation span [end-cs, end) on the
 				// global lock timeline.
-				mStart := cl.Clock().Now().Add(-cs)
+				mStart := clk.Now().Add(-cs)
 				if mStart < c.lockFree {
 					wait := c.lockFree.Sub(mStart)
-					cl.Clock().Advance(wait)
+					clk.Advance(wait)
 					mStart = mStart.Add(wait)
 				}
 				c.lockFree = mStart.Add(cs)
 			}
-			res.Latency.RecordDuration(cl.Clock().Elapsed(t0))
+			res.Latency.RecordDuration(clk.Elapsed(t0))
 			res.Ops++
 		}
 	}
 	res.PerVMMops = make([]float64, n)
-	for i, cl := range c.clients {
-		rate := stats.Throughput(int64(opsPerVM), cl.Clock().Elapsed(starts[i])) / 1e6
+	for i, clk := range clocks {
+		rate := stats.Throughput(int64(opsPerVM), clk.Elapsed(starts[i])) / 1e6
 		res.PerVMMops[i] = rate
 		res.AggMops += rate
 	}
@@ -158,12 +161,12 @@ func (c *Cluster) run(d drive, opsPerVM int, keys [][]byte, choosers []workload.
 // clients with equal clocks in their current order. It is a stable
 // insertion sort: the order stays nearly sorted from one round to the
 // next, and unlike sort.SliceStable it allocates nothing.
-func (c *Cluster) sortByClock(order []int) {
+func sortByClock(order []int, clocks []*simtime.Clock) {
 	for i := 1; i < len(order); i++ {
 		x := order[i]
-		t := c.clients[x].Clock().Now()
+		t := clocks[x].Now()
 		j := i
-		for ; j > 0 && c.clients[order[j-1]].Clock().Now() > t; j-- {
+		for ; j > 0 && clocks[order[j-1]].Now() > t; j-- {
 			order[j] = order[j-1]
 		}
 		order[j] = x
